@@ -33,32 +33,17 @@ def _i(s): return int(s)
 def _s(s): return str(s).strip()
 
 
-def _fl(s):
-    return [float(x) for x in str(s).split(",") if x.strip()]
+def _list(cast):
+    return lambda s: [cast(x.strip()) for x in str(s).split(",") if x.strip()]
 
 
-def _il(s):
-    return [int(x) for x in str(s).split(",") if x.strip()]
+def _optional(cast):
+    return lambda s: None if str(s).strip() == "" else cast(str(s).strip())
 
 
-def _sl(s):
-    return [x.strip() for x in str(s).split(",") if x.strip()]
+_fl, _il, _sl = _list(float), _list(int), _list(str)
+_opt_f, _opt_i = _optional(float), _optional(int)
 
-
-def _opt_f(s):
-    s = str(s).strip()
-    return None if s == "" else float(s)
-
-
-def _opt_i(s):
-    s = str(s).strip()
-    return None if s == "" else int(s)
-
-
-EXPERIMENTS = (
-    "cool", "sweep-dim", "sweep-energy", "network", "hybrid", "gaussian",
-    "opt-time", "prep",
-)
 
 # section -> key -> (caster, default-as-string)
 SCHEMA: Dict[str, Dict[str, tuple]] = {
@@ -225,28 +210,12 @@ def _out_path(cfg, config_path) -> Path:
     return Path(config_path).with_suffix(".csv")
 
 
-def _sweep_args(cfg):
-    s = cfg["sweep"]
-    return dict(report=s["report"], stop=s["stop"], settle_tol=s["settle_tol"])
-
-
 def _run_cool(cfg, out):
     trace = protocol.run_protocol(_protocol_config(cfg))
     rows = [(n, float(trace.fidelity[n]), float(trace.probability[n]),
              float(trace.fidelity[n] * trace.probability[n]))
             for n in range(trace.n_max + 1)]
     emit_csv(("cycle", "F", "P", "FP_product"), rows, out, key_cols=1)
-
-
-def _run_sweep_dim(cfg, out):
-    s = cfg["sweep"]
-    if not s["d_list"] or not s["k_list"]:
-        raise ConfigError("empty grid: d_list and k_list must be non-empty")
-    recs = protocol.sweep_dimension(_protocol_config(cfg), s["d_list"],
-                                    s["k_list"], **_sweep_args(cfg))
-    emit_csv(("d", "k", "N", "F", "P"),
-             [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
-             out, key_cols=2)
 
 
 def _run_sweep_energy(cfg, out):
@@ -257,6 +226,22 @@ def _run_sweep_energy(cfg, out):
     emit_csv(("energy", "N", "F", "P"),
              [(r.energy, r.cycles, r.fidelity, r.probability) for r in recs],
              out, key_cols=1)
+
+
+def _write_grid(cfg, out, d_list, k_list):
+    """One (d, k, N, F, P) row per cell of the (d, k) grid."""
+    if not d_list or not k_list:
+        raise ConfigError("empty grid: d_list and k_list must be non-empty")
+    s = cfg["sweep"]
+    recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
+                                    s["report"], s["stop"], s["settle_tol"])
+    emit_csv(("d", "k", "N", "F", "P"),
+             [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
+             out, key_cols=2)
+
+
+def _run_sweep_dim(cfg, out):
+    _write_grid(cfg, out, cfg["sweep"]["d_list"], cfg["sweep"]["k_list"])
 
 
 def _run_network(cfg, out):
@@ -274,20 +259,15 @@ def _run_hybrid(cfg, out):
         for ds in s["ds_list"]:
             pc = _protocol_config(cfg)
             pc = replace(pc, topology=replace(pc.topology, system_levels=ds))
-            trace = protocol.run_hybrid(pc)
+            trace = protocol.run_protocol(pc)
             n = protocol.report_cycles(trace, s["report"], s["stop"],
                                        s["settle_tol"])
             rows.append((ds, n, float(trace.fidelity[n]),
                          float(trace.probability[n])))
         emit_csv(("d_s", "N", "F", "P"), rows, out, key_cols=1)
         return
-    d_list = s["d_list"] or [cfg["regulator"]["d"]]
-    k_list = s["k_list"] or [cfg["regulator"]["k"]]
-    recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
-                                    **_sweep_args(cfg))
-    emit_csv(("d", "k", "N", "F", "P"),
-             [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
-             out, key_cols=2)
+    _write_grid(cfg, out, s["d_list"] or [cfg["regulator"]["d"]],
+                s["k_list"] or [cfg["regulator"]["k"]])
 
 
 def _run_gaussian(cfg, out):
@@ -347,26 +327,16 @@ def _run_prep(cfg, out):
              key_cols=3)
 
 
-RUNNERS = {
-    "cool": _run_cool,
-    "sweep-dim": _run_sweep_dim,
-    "sweep-energy": _run_sweep_energy,
-    "network": _run_network,
-    "hybrid": _run_hybrid,
-    "gaussian": _run_gaussian,
-    "opt-time": _run_opt_time,
-    "prep": _run_prep,
-}
-
-EXPERIMENT_HELP = {
-    "cool": "single cooling run, per-cycle trace CSV",
-    "sweep-dim": "cycle counts over regulator dimension and level",
-    "sweep-energy": "cooling cycles versus initial mean energy",
-    "network": "linear/star oscillator-network cooling",
-    "hybrid": "oscillator + qudit pair cooling",
-    "gaussian": "covariance-matrix one-shot cooling",
-    "opt-time": "optimal cycle times per measurement level",
-    "prep": "state-preparation circuits on the cooled pair",
+# experiment kind -> (runner, help line)
+EXPERIMENTS = {
+    "cool": (_run_cool, "single cooling run, per-cycle trace CSV"),
+    "sweep-dim": (_run_sweep_dim, "cycle counts over regulator dimension and level"),
+    "sweep-energy": (_run_sweep_energy, "cooling cycles versus initial mean energy"),
+    "network": (_run_network, "linear/star oscillator-network cooling"),
+    "hybrid": (_run_hybrid, "oscillator + qudit pair cooling"),
+    "gaussian": (_run_gaussian, "covariance-matrix one-shot cooling"),
+    "opt-time": (_run_opt_time, "optimal cycle times per measurement level"),
+    "prep": (_run_prep, "state-preparation circuits on the cooled pair"),
 }
 
 
@@ -375,7 +345,7 @@ def run(config_path) -> int:
     try:
         cfg = load_config(config_path)
         out = _out_path(cfg, config_path)
-        RUNNERS[cfg["experiment"]["kind"]](cfg, out)
+        EXPERIMENTS[cfg["experiment"]["kind"]][0](cfg, out)
         print(f"wrote {out}")
         return 0
     except ConfigError as err:
@@ -398,8 +368,8 @@ def validate(config_path) -> int:
 
 
 def list_experiments() -> int:
-    for kind in EXPERIMENTS:
-        print(f"{kind:14s} {EXPERIMENT_HELP[kind]}")
+    for kind, (_, text) in EXPERIMENTS.items():
+        print(f"{kind:14s} {text}")
     exp_dir = Path("experiments")
     if exp_dir.is_dir():
         cfgs = sorted(exp_dir.glob("*.cfg"))

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import ConstructionError
+from .hilbert import expm_hermitian, lowering
 
 
 def _omega(modes: int) -> np.ndarray:
@@ -60,15 +62,8 @@ def gaussian_dst(alpha: complex, r: float, nbar: float = 0.0) -> GaussianState:
 
 def product(states: Sequence[GaussianState]) -> GaussianState:
     """Direct sum of independent modes."""
-    mean = np.concatenate([s.mean for s in states])
-    n = len(mean)
-    cov = np.zeros((n, n))
-    at = 0
-    for s in states:
-        w = len(s.mean)
-        cov[at:at + w, at:at + w] = s.cov
-        at += w
-    return GaussianState(mean, cov)
+    return GaussianState(np.concatenate([s.mean for s in states]),
+                         block_diag(*[s.cov for s in states]))
 
 
 def symplectic_from_hamiltonian(a_mat: np.ndarray, t: float) -> np.ndarray:
@@ -80,7 +75,7 @@ def symplectic_from_hamiltonian(a_mat: np.ndarray, t: float) -> np.ndarray:
     m = a.shape[0]
     if a.shape != (m, m) or np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise ConstructionError("coupling matrix must be square Hermitian")
-    e_low = _expm_herm(a, t)                       # a(t) = e^{-iAt} a(0)
+    e_low = expm_hermitian(a, t)                   # a(t) = e^{-iAt} a(0)
     ident = np.eye(m)
     l_half = np.block([[ident, ident], [-1j * ident, 1j * ident]]) / np.sqrt(2.0)
     e_full = np.block([[e_low, np.zeros((m, m))],
@@ -98,11 +93,6 @@ def symplectic_from_hamiltonian(a_mat: np.ndarray, t: float) -> np.ndarray:
     if err > 1e-9:
         raise ConstructionError(f"symplectic defect {err:.3e}")
     return s
-
-
-def _expm_herm(a: np.ndarray, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh(a)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
 def evolve(state: GaussianState, s: np.ndarray) -> GaussianState:
@@ -195,8 +185,7 @@ def theorem3_oneshot(alpha1: float, alpha2: float, r: float, nbar: float,
 def moments_from_density(rho: np.ndarray) -> GaussianState:
     """First and second quadrature moments of a single-mode density
     matrix, for comparison against the covariance description."""
-    n = rho.shape[0]
-    a = np.diag(np.sqrt(np.arange(1, n)), 1).astype(complex)
+    a = lowering(rho.shape[0])
     x = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
     ex = np.real(np.trace(rho @ x))

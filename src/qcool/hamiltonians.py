@@ -7,6 +7,11 @@ qudit ladders sum_k |k><k-1| are unweighted and truncated at the top level
 (terms referencing level -1 or d are dropped).  The regulator is always
 the last subsystem; in the linear chain the regulator couples to
 oscillator 1 and the chain is open.
+
+`Topology` and `CouplingParams` drive every runner.  The dense
+product-space builders (`free_hamiltonian`, `interaction_linear`,
+`interaction_star`, `hamiltonian_hybrid`, `total_hamiltonian`) are a test
+oracle only: the runners build excitation blocks directly.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .hilbert import Oscillator, Qudit, SpaceSpec, _embed
+from .hilbert import Oscillator, Qudit, SpaceSpec, _embed, lowering
 
 
 @dataclass(frozen=True)
@@ -92,17 +97,6 @@ class Topology:
         return [(0, 1, params.lam), (0, 2, params.lam)]
 
 
-def _local_lower(sub) -> np.ndarray:
-    """Single-subsystem lowering operator (sqrt-weighted for oscillators)."""
-    d = sub.dim
-    low = np.zeros((d, d), dtype=complex)
-    if isinstance(sub, Oscillator):
-        low[np.arange(d - 1), np.arange(1, d)] = np.sqrt(np.arange(1, d))
-    else:
-        low[np.arange(d - 1), np.arange(1, d)] = 1.0
-    return low
-
-
 def free_hamiltonian(space: SpaceSpec, params: CouplingParams) -> np.ndarray:
     """sum_j omega_f_j a_j^dag a_j + sum_qudits omega_a sum_k k |k><k|."""
     n_osc = sum(isinstance(s, Oscillator) for s in space.subsystems)
@@ -114,41 +108,42 @@ def free_hamiltonian(space: SpaceSpec, params: CouplingParams) -> np.ndarray:
     return np.diag(diag.astype(complex))
 
 
-def _exchange(space: SpaceSpec, i: int, j: int, w: float) -> np.ndarray:
-    low_i = _embed(space, i, _local_lower(space.subsystems[i]))
-    raise_j = _embed(space, j, _local_lower(space.subsystems[j])).conj().T
-    term = w * (low_i @ raise_j)
-    return term + term.conj().T
-
-
 def _interaction(space: SpaceSpec, topology: Topology,
                  params: CouplingParams) -> np.ndarray:
+    """Sum over coupling edges (i, j, w) of w * (lower_i raise_j + h.c.)."""
+    def lower(m):
+        sub = space.subsystems[m]
+        return _embed(space, m, lowering(sub.dim, isinstance(sub, Oscillator)))
+
     h = np.zeros((space.dim, space.dim), dtype=complex)
     for i, j, w in topology.coupling_edges(params):
-        h += _exchange(space, i, j, w)
+        term = w * (lower(i) @ lower(j).conj().T)
+        h += term + term.conj().T
     return h
+
+
+def _network_interaction(kind: str, space: SpaceSpec, params: CouplingParams,
+                         modes: int | None) -> np.ndarray:
+    """Interaction of a `kind` network on `space`, regulator last; one mode
+    is the single layout."""
+    m = len(space.subsystems) - 1 if modes is None else modes
+    reg = space.subsystems[-1]
+    topo = Topology(kind if m > 1 else "single", regulator_levels=reg.dim,
+                    modes=m,
+                    regulator_kind="qudit" if isinstance(reg, Qudit) else "oscillator")
+    return _interaction(space, topo, params)
 
 
 def interaction_linear(space: SpaceSpec, params: CouplingParams,
                        modes: int | None = None) -> np.ndarray:
     """lam sum_k a_1 |k><k-1|_R + lam_tilde sum_i a_i^dag a_{i+1} + h.c."""
-    m = len(space.subsystems) - 1 if modes is None else modes
-    topo = Topology("linear" if m > 1 else "single",
-                    regulator_levels=space.subsystems[-1].dim, modes=m,
-                    regulator_kind="qudit" if isinstance(space.subsystems[-1], Qudit)
-                    else "oscillator")
-    return _interaction(space, topo, params)
+    return _network_interaction("linear", space, params, modes)
 
 
 def interaction_star(space: SpaceSpec, params: CouplingParams,
                      modes: int | None = None) -> np.ndarray:
     """lam sum_i a_i (sum_k |k><k-1|_R) + h.c.; no oscillator-oscillator terms."""
-    m = len(space.subsystems) - 1 if modes is None else modes
-    topo = Topology("star" if m > 1 else "single",
-                    regulator_levels=space.subsystems[-1].dim, modes=m,
-                    regulator_kind="qudit" if isinstance(space.subsystems[-1], Qudit)
-                    else "oscillator")
-    return _interaction(space, topo, params)
+    return _network_interaction("star", space, params, modes)
 
 
 def hamiltonian_hybrid(space: SpaceSpec, params: CouplingParams) -> np.ndarray:

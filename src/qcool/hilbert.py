@@ -5,19 +5,63 @@ Subsystems are truncated oscillators (Fock levels 0..cutoff-1) and qudits
 By convention the measured regulator, when present, is the LAST subsystem,
 which makes the <k|U|k> compression a strided sub-block.
 
-Operators are plain dense complex ndarrays over the full product space.
 The excitation number N_e = sum_j a_j^dag a_j + sum_m sum_k k|k><k|_m is
-conserved by every Hamiltonian built in this package, so operators can be
-stored per excitation block (BlockedOperator) for fast evolution.
+conserved by every Hamiltonian built in this package.  The three
+primitives every layer shares live here: the lowering matrix, the
+Hermitian exponential and the tridiagonal excitation block of one
+oscillator with a ladder qudit.
+
+The dense product-space operators (`annihilation`, `qudit_transition`,
+`excitation_number`, `block_decompose`, `BlockedOperator`) are a test
+oracle only: no runner calls them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConservationError
+
+
+def lowering(dim: int, bosonic: bool = True) -> np.ndarray:
+    """Truncated lowering matrix: <n-1|a|n> = sqrt(n) for an oscillator,
+    1 for a qudit ladder sum_k |k-1><k|."""
+    low = np.zeros((dim, dim), dtype=complex)
+    low[np.arange(dim - 1), np.arange(1, dim)] = \
+        np.sqrt(np.arange(1, dim)) if bosonic else 1.0
+    return low
+
+
+def expm_hermitian(h: np.ndarray, t: float, rows=None,
+                   solver: Optional[Callable] = None) -> np.ndarray:
+    """exp(-i h t) for Hermitian h through its eigendecomposition.
+
+    `rows` keeps only the rows x rows block, so a compression <k|U|k>
+    never forms the full unitary; `solver` is the eigh routine (numpy's
+    when None)."""
+    w, v = (solver or np.linalg.eigh)(h)
+    if rows is not None:
+        v = v[rows]
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def ladder_block(e: int, levels: int, lam: float = 1.0,
+                 detuning: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of the total-excitation-e block of one oscillator
+    coupled by lam * (a raise_R + h.c.) to a `levels`-level ladder qudit.
+
+    The block is tridiagonal in |e-q>|q>, q = 0..min(levels-1, e): diagonal
+    q * detuning (detuning = omega_a - omega_f, the common e * omega_f is
+    left to the caller as a phase), off-diagonal lam * sqrt(e - q).  Row q
+    of v is the regulator-level-q amplitude."""
+    q = min(levels - 1, e)
+    if q == 0:
+        return np.zeros(1), np.ones((1, 1))
+    return eigh_tridiagonal(detuning * np.arange(q + 1),
+                            lam * np.sqrt(e - np.arange(q)))
 
 
 @dataclass(frozen=True)
@@ -95,10 +139,7 @@ def annihilation(space: SpaceSpec, mode: int) -> np.ndarray:
     sub = space.subsystems[mode]
     if not isinstance(sub, Oscillator):
         raise TypeError(f"subsystem {mode} is not an oscillator")
-    n = sub.cutoff
-    a = np.zeros((n, n), dtype=complex)
-    a[np.arange(n - 1), np.arange(1, n)] = np.sqrt(np.arange(1, n))
-    return _embed(space, mode, a)
+    return _embed(space, mode, lowering(sub.cutoff))
 
 
 def qudit_transition(space: SpaceSpec, mode: int, from_level: int,

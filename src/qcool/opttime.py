@@ -13,10 +13,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 from .errors import CheckFailedError, SearchFailureError
+from .hilbert import ladder_block
 
 ANALYTIC_TOPT = {
     0: np.pi / 2,
@@ -41,10 +40,7 @@ def _vacuum_modes(k: int) -> Tuple[np.ndarray, np.ndarray]:
     The excitation block containing |0>|k> is tridiagonal with zero
     diagonal and off-diagonal sqrt(k), ..., sqrt(1); the weights are the
     squared |k>-components of its eigenvectors."""
-    if k == 0:
-        return np.zeros(1), np.ones(1)
-    off = np.sqrt(k - np.arange(k))
-    w, v = eigh_tridiagonal(np.zeros(k + 1), off)
+    w, v = ladder_block(k, k + 1)
     return w, v[k] ** 2
 
 
@@ -71,6 +67,9 @@ def local_optima(d: int, k: int, window: Tuple[float, float] = (0.0, 250.0),
                  grid_step: float = 1e-3) -> List[Tuple[float, float]]:
     """(t, residual) at every refined local maximum of |lambda_0| in the
     window, in increasing t order."""
+    # imported here: scipy.optimize is a slow import that only this search needs
+    from scipy.optimize import minimize_scalar
+
     lo, hi = window
     if not (hi > lo >= 0.0):
         raise ValueError("bad search window")

@@ -9,24 +9,29 @@ V = <k|U(t)|k> applied repeatedly to the system state:
     F_n = <vac|V^n rho V^dag^n|vac>/P_n  vacuum fidelity of the kept state
 
 Everything is evaluated per total-excitation block.  For a single
-oscillator with a qudit regulator each block is tridiagonal, giving the
-diagonal lambda_{i,d}^k of V directly; networks and the hybrid system go
-through a generic blocked engine over the composite basis.
+oscillator with a qudit regulator each block is tridiagonal
+(`hilbert.ladder_block`), giving the diagonal lambda_{i,d}^k of V
+directly; networks and the hybrid system go through a generic blocked
+engine over the composite basis.  `evolve_unitary` and
+`effective_operator` work on dense product-space matrices and are a test
+oracle only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
 
 from .errors import ConfigError, SearchFailureError, TruncationError
 from .hamiltonians import CouplingParams, Topology
-from .hilbert import BlockedOperator, ExcitationBlock, Oscillator, Qudit, SpaceSpec, \
-    excitation_levels
-from .states import DSTParams, depolarized_qudit, displaced_squeezed_thermal
+from .hilbert import BlockedOperator, ExcitationBlock, SpaceSpec, expm_hermitian, \
+    ladder_block
+from .states import DSTParams, depolarized_qudit, displaced_squeezed_thermal, \
+    dst_mean_energy
 from . import opttime
 
 
@@ -38,7 +43,9 @@ class ProtocolConfig:
 
     initial_system: a DSTParams, a density matrix, or (for networks and
     the hybrid system) a per-subsystem list of these, regulator excluded.
-    cycle_time None picks the optimal time for the configured k.
+    cycle_time None picks the optimal time for the configured k; those
+    times assume the default coupling, so any other coupling needs an
+    explicit cycle_time.
     e_max None picks the excitation cap adaptively from the initial-state
     populations (kept tail weight <= 1e-7).
     """
@@ -61,7 +68,21 @@ class ProtocolConfig:
                 f"regulator level k={self.regulator_level} outside 0..{d - 1}")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        if self.topology.kind == "hybrid" and self.cycle_time is None \
+        t = self.cycle_time
+        if t is not None and not (math.isfinite(t) and t >= 0):
+            raise ConfigError(f"cycle time must be finite and >= 0, got {t}")
+        if t is None and self.coupling != CouplingParams():
+            raise ConfigError("default cycle times assume lambda = omega_a = "
+                              "omega_f = 1; set [protocol] t for this coupling")
+        if not (0 < self.fidelity_target <= 1):
+            raise ConfigError(
+                f"fidelity_target must lie in (0, 1], got {self.fidelity_target}")
+        if not (self.convergence_tol >= 0):
+            raise ConfigError(
+                f"convergence_tol must be >= 0, got {self.convergence_tol}")
+        if self.e_max is not None and self.e_max < 0:
+            raise ConfigError(f"e_max must be >= 0, got {self.e_max}")
+        if self.topology.kind == "hybrid" and t is None \
                 and self.regulator_level > 1:
             raise ConfigError("hybrid default cycle times exist for k=0,1 only")
 
@@ -103,19 +124,16 @@ class EffectiveOperator:
 
 def evolve_unitary(h, t: float):
     """exp(-i H t) via Hermitian eigendecomposition, dense or blocked."""
+    def expih(m):
+        if np.max(np.abs(m - m.conj().T)) > 1e-9:
+            raise ValueError("Hamiltonian is not Hermitian")
+        return expm_hermitian(m, t, solver=eigh)
+
     if isinstance(h, BlockedOperator):
-        out = {}
-        for e, eb in h.blocks.items():
-            out[e] = ExcitationBlock(eb.indices, _expih(eb.block, t))
-        return BlockedOperator(h.space, out)
-    return _expih(np.asarray(h), t)
-
-
-def _expih(h: np.ndarray, t: float) -> np.ndarray:
-    if np.max(np.abs(h - h.conj().T)) > 1e-9:
-        raise ValueError("Hamiltonian is not Hermitian")
-    w, v = eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+        return BlockedOperator(h.space, {
+            e: ExcitationBlock(eb.indices, expih(eb.block))
+            for e, eb in h.blocks.items()})
+    return expih(np.asarray(h))
 
 
 def effective_operator(u, k: int, space: Optional[SpaceSpec] = None,
@@ -141,21 +159,18 @@ def effective_operator(u, k: int, space: Optional[SpaceSpec] = None,
 # ------------------------------------------------ single-oscillator path
 
 @lru_cache(maxsize=256)
-def effective_lambdas(d: int, k: int, t: float, count: int) -> np.ndarray:
+def effective_lambdas(d: int, k: int, t: float, count: int, lam: float = 1.0,
+                      omega_a: float = 1.0, omega_f: float = 1.0) -> np.ndarray:
     """lambda_{i,d}^k(t) for i = 0..count-1, free of Fock-cutoff edge error.
 
-    Block E = i + k is tridiagonal in the basis |E-q>|q>, q = 0..min(d-1,E),
-    with off-diagonal sqrt(E - q)."""
+    Block E = i + k is the tridiagonal `ladder_block`: diagonal
+    (E-q) omega_f + q omega_a, off-diagonal lam sqrt(E - q); the common
+    E omega_f is applied as an outer phase."""
     out = np.empty(count, dtype=complex)
     for i in range(count):
         e = i + k
-        q = min(d - 1, e)
-        if q == 0:
-            out[i] = np.exp(-1j * e * t)
-            continue
-        off = np.sqrt(e - np.arange(q))
-        w, v = eigh_tridiagonal(np.zeros(q + 1), off)
-        out[i] = np.exp(-1j * e * t) * (v[k] * np.exp(-1j * w * t) @ v[k])
+        w, v = ladder_block(e, d, lam, omega_a - omega_f)
+        out[i] = np.exp(-1j * e * omega_f * t) * (v[k] * np.exp(-1j * w * t) @ v[k])
     out.setflags(write=False)
     return out
 
@@ -305,9 +320,7 @@ def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
                 rows_k = list(range(len(joint), len(joint) + len(part)))
             joint += [s + (q,) for s in part]
         hb = _block_hamiltonian(joint, edges, caps, bos, freqs)
-        w, vecs = eigh(hb)
-        u = (vecs * np.exp(-1j * w * t)) @ vecs.conj().T
-        vk = u[np.ix_(rows_k, rows_k)]
+        vk = expm_hermitian(hb, t, rows=rows_k, solver=eigh)
 
         lev = np.array(sys_basis)
         rho = np.ones((len(sys_basis), len(sys_basis)), dtype=complex)
@@ -379,7 +392,8 @@ def _choose_e_cap(factors: List[np.ndarray], e_max: Optional[int],
 # ------------------------------------------------------------ main entry
 
 def default_cycle_time(topology: Topology, k: int) -> float:
-    """Optimal cycle time for the configured measurement level."""
+    """Optimal cycle time for the configured measurement level, at the
+    default coupling lambda = omega_a = omega_f = 1."""
     if topology.kind == "hybrid":
         return np.pi / np.sqrt(2) if k == 0 else np.sqrt(2) * np.pi
     if k <= 2:
@@ -400,13 +414,14 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
     k = cfg.regulator_level
     t = cfg.cycle_time if cfg.cycle_time is not None else default_cycle_time(topo, k)
 
+    factors = _resolve_factors(cfg)
     if topo.kind == "single" and topo.regulator_kind == "qudit":
-        factors = _resolve_factors(cfg)
+        c = cfg.coupling
         cdiag = np.clip(np.real(np.diag(factors[0])), 0.0, None)
-        lams = effective_lambdas(topo.regulator_levels, k, t, len(cdiag))
+        lams = effective_lambdas(topo.regulator_levels, k, t, len(cdiag),
+                                 c.lam, c.omega_a, c.omega_f_list(1)[0])
         fid, prob = _trace_single(lams, cdiag, cfg.n_max)
     else:
-        factors = _resolve_factors(cfg)
         e_cap = _choose_e_cap(factors, cfg.e_max)
         fid, prob = _blocked_run(topo, cfg.coupling, k, t, factors, e_cap,
                                  cfg.n_max)
@@ -467,14 +482,9 @@ def report_cycles(trace: ProtocolTrace, mode: str = "converged",
     f = trace.fidelity
     if mode == "converged":
         return trace.converged_at if trace.converged_at is not None else trace.n_max
-    if mode == "cooled":
+    if mode == "cooled" or (mode == "auto" and f.max() >= stop):
         return n_cooled(f, stop)
-    if mode == "settled":
-        s = n_settled(f, settle_tol, window)
-        return s if s is not None else trace.n_max
-    if mode == "auto":
-        if f.max() >= stop:
-            return n_cooled(f, stop)
+    if mode in ("settled", "auto"):
         s = n_settled(f, settle_tol, window)
         return s if s is not None else trace.n_max
     raise ConfigError(f"unknown report mode {mode!r}")
@@ -563,7 +573,6 @@ def sweep_energy(base_cfg: ProtocolConfig,
         trace = run_protocol(cfg)
         n = _first_cooled(trace, cfg.fidelity_target, cfg.probability_floor)
         at = n if n is not None else cfg.n_max
-        from .states import dst_mean_energy
         out.append(EnergyRecord(dst_mean_energy(p), n,
                                 float(trace.fidelity[at]),
                                 float(trace.probability[at])))

@@ -17,8 +17,10 @@ from math import factorial
 from typing import Dict, Optional
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import TruncationError
+from .hilbert import lowering
 from .states import displacement_op, squeezing_op
 
 
@@ -48,11 +50,8 @@ def conditional_displacement(d: int, alpha: complex, n_components: int,
     """Block unitary sum_k |k><k| (x) D(alpha w^k), w = e^{2 pi i/N}."""
     _coherent_tail_check(alpha, cutoff)
     omega = np.exp(2j * np.pi / n_components)
-    out = np.zeros((d * cutoff, d * cutoff), dtype=complex)
-    for k in range(d):
-        blk = displacement_op(alpha * omega ** k, cutoff)
-        out[k * cutoff:(k + 1) * cutoff, k * cutoff:(k + 1) * cutoff] = blk
-    return out
+    return block_diag(*[displacement_op(alpha * omega ** k, cutoff)
+                        for k in range(d)])
 
 
 def _coherent_tail_check(alpha: complex, cutoff: int, tol: float = 1e-6):
@@ -122,8 +121,7 @@ def make_odd_cat(even: PrepResult) -> PrepResult:
         raise ValueError("input must be a cat preparation")
     ket = even.state
     cutoff = len(ket)
-    raised = np.zeros_like(ket)
-    raised[1:] = np.sqrt(np.arange(1, cutoff)) * ket[:-1]
+    raised = lowering(cutoff).T @ ket
     if np.abs(ket[-1]) ** 2 > 1e-6:
         raise TruncationError("cat support reaches the raising-operator edge",
                               leakage=float(np.abs(ket[-1]) ** 2))
@@ -146,13 +144,11 @@ def make_odd_cat(even: PrepResult) -> PrepResult:
 
 def _photon_added_branches(d: int, r: float, cutoff: int) -> np.ndarray:
     """Rows k = 0..d-1 holding the unnormalised kets a^dag^k S(r)|0>."""
-    base = squeezing_op(r, cutoff)[:, 0]
+    adag = lowering(cutoff).T
     rows = np.zeros((d, cutoff), dtype=complex)
-    rows[0] = base
-    sq = np.sqrt(np.arange(1, cutoff))
+    rows[0] = squeezing_op(r, cutoff)[:, 0]
     for k in range(1, d):
-        rows[k, 1:] = sq * rows[k - 1, :-1]
-        rows[k, 0] = 0.0
+        rows[k] = adag @ rows[k - 1]
     return rows
 
 
@@ -237,11 +233,9 @@ def make_noon(d: int, cutoff: Optional[int] = None) -> PrepResult:
     rot0 = subspace_rotation(d)[:, 0]            # amplitudes of the two branches
     added = np.zeros(cutoff, dtype=complex)
     added[0] = 1.0
-    sq = np.sqrt(np.arange(1, cutoff))
+    adag = lowering(cutoff).T
     for _ in range(n_exc):
-        nxt = np.zeros_like(added)
-        nxt[1:] = sq * added[:-1]
-        added = nxt
+        added = adag @ added
     w_add = float(np.vdot(added, added).real)    # (d-1)! before renormalising
 
     state = np.zeros(d * cutoff, dtype=complex)

@@ -1,8 +1,8 @@
 """Initial-state builders: displaced squeezed thermal modes and qudit states.
 
-All operator exponentials go through a Hermitian eigendecomposition of
-+/- i * (generator), which keeps the truncated displacement and squeezing
-operators exactly unitary.
+Displacement and squeezing exponentiate the anti-Hermitian generator G
+as exp(-i H t) with H = -i G and t = -1, through a Hermitian
+eigendecomposition that keeps the truncated operators exactly unitary.
 """
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
+from .hilbert import expm_hermitian, lowering
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,6 @@ class DSTParams:
         return self.r * np.exp(1j * self.theta)
 
 
-def _ladder(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    a[np.arange(cutoff - 1), np.arange(1, cutoff)] = np.sqrt(np.arange(1, cutoff))
-    return a
-
-
-def _exp_antihermitian(gen: np.ndarray) -> np.ndarray:
-    """exp(gen) for anti-Hermitian gen, via eigh of the Hermitian -i*gen."""
-    w, v = np.linalg.eigh(-1j * gen)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def thermal_state(nbar: float, cutoff: int) -> np.ndarray:
     """Thermal state, diagonal nbar^m/(1+nbar)^(m+1), renormalized on cutoff."""
     if nbar < 0:
@@ -64,8 +53,8 @@ def thermal_state(nbar: float, cutoff: int) -> np.ndarray:
 
 def displacement_op(alpha: complex, cutoff: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    a = _ladder(cutoff)
-    return _exp_antihermitian(alpha * a.conj().T - np.conj(alpha) * a)
+    a = lowering(cutoff)
+    return expm_hermitian(-1j * (alpha * a.conj().T - np.conj(alpha) * a), -1.0)
 
 
 def squeezing_op(z: complex, cutoff: int) -> np.ndarray:
@@ -74,9 +63,9 @@ def squeezing_op(z: complex, cutoff: int) -> np.ndarray:
     S(r)|0> has Var(x) = exp(-2r)/2 and Var(p) = exp(+2r)/2 in the
     x = (a + a^dag)/sqrt(2) convention.
     """
-    a = _ladder(cutoff)
+    a = lowering(cutoff)
     gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.conj().T @ a.conj().T))
-    return _exp_antihermitian(gen)
+    return expm_hermitian(-1j * gen, -1.0)
 
 
 def displaced_squeezed_thermal(p: DSTParams, cutoff: int,

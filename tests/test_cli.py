@@ -210,3 +210,19 @@ def test_emit_csv_formats(tmp_path):
     p = tmp_path / "x.csv"
     emit_csv(("a", "b"), [(2, 0.123456789123), (1, None)], p, key_cols=1)
     assert p.read_text() == "a,b\n1,\n2,0.123456789\n"
+
+
+@pytest.mark.parametrize("line", [
+    "t = nan", "t = -1", "fidelity_target = 2.0", "convergence_tol = -1",
+    "e_max = -1"])
+def test_bad_protocol_values_exit_2(tmp_path, line):
+    cfg = _write(tmp_path, "bad.cfg",
+                 COOL_CFG.replace("[protocol]\n", f"[protocol]\n{line}\n"))
+    assert main(["run", str(cfg)]) == 2
+
+
+def test_coupling_needs_explicit_time(tmp_path):
+    text = COOL_CFG + "\n[coupling]\nlambda = 2\n"
+    assert main(["run", str(_write(tmp_path, "c.cfg", text))]) == 2
+    text = text.replace("[protocol]\n", "[protocol]\nt = 1.0\n")
+    assert main(["run", str(_write(tmp_path, "c.cfg", text))]) == 0

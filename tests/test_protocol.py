@@ -208,3 +208,41 @@ def test_matrix_initial_state_accepted():
     tr = run_protocol(cfg)
     ref = run_protocol(_single_cfg(4, 0, cutoff=20, n_max=10))
     assert np.max(np.abs(tr.fidelity - ref.fidelity)) < 1e-12
+
+
+@pytest.mark.parametrize("coupling", [CouplingParams(lam=2.0),
+                                      CouplingParams(omega_a=1.3)])
+def test_single_path_honours_coupling(coupling):
+    # the tridiagonal single-mode path against the blocked engine on the
+    # same one-mode physics
+    state = DSTParams(alpha_mag=0.3, r=0.1, nbar=0.2)
+    kw = dict(regulator_level=1, cycle_time=2.0, n_max=10, cutoff=40,
+              coupling=coupling, e_max=25)
+    single = run_protocol(ProtocolConfig(Topology("single", 4), state, **kw))
+    blocked = run_protocol(ProtocolConfig(Topology("linear", 4, modes=1),
+                                          state, **kw))
+    np.testing.assert_allclose(single.fidelity, blocked.fidelity, atol=1e-12)
+    np.testing.assert_allclose(single.probability, blocked.probability,
+                               atol=1e-12)
+    default = run_protocol(ProtocolConfig(Topology("single", 4), state,
+                                          **{**kw, "coupling": CouplingParams()}))
+    assert abs(single.probability[10] - default.probability[10]) > 1e-3
+
+
+def test_default_cycle_time_needs_default_coupling():
+    with pytest.raises(ConfigError, match=r"\[protocol\] t"):
+        run_protocol(_single_cfg(4, 0, coupling=CouplingParams(lam=2.0)))
+    with pytest.raises(ConfigError):
+        run_protocol(ProtocolConfig(Topology("hybrid", 4), TABLE_STATE,
+                                    coupling=CouplingParams(omega_a=1.3)))
+    run_protocol(_single_cfg(4, 0, n_max=3, cycle_time=1.0,
+                             coupling=CouplingParams(lam=2.0)))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("cycle_time", float("nan")), ("cycle_time", float("inf")),
+    ("cycle_time", -1.0), ("fidelity_target", 2.0),
+    ("fidelity_target", 0.0), ("convergence_tol", -1.0), ("e_max", -1)])
+def test_bad_inputs_rejected(field, value):
+    with pytest.raises(ConfigError):
+        run_protocol(_single_cfg(4, 0, **{field: value}))
