@@ -172,8 +172,11 @@ def _fmt_cell(v) -> str:
 
 def _state_params(cfg) -> DSTParams:
     s = cfg["state"]
-    return DSTParams(alpha_mag=s["alpha"], alpha_phase=s["alpha_phase"],
-                     r=s["r"], theta=s["theta"], nbar=s["nbar"])
+    try:
+        return DSTParams(alpha_mag=s["alpha"], alpha_phase=s["alpha_phase"],
+                         r=s["r"], theta=s["theta"], nbar=s["nbar"])
+    except ValueError as err:
+        raise ConfigError(f"[state]: {err}")
 
 
 def _coupling(cfg) -> CouplingParams:
@@ -184,10 +187,13 @@ def _coupling(cfg) -> CouplingParams:
 
 def _topology(cfg, d: Optional[int] = None) -> Topology:
     t = cfg["topology"]
-    return Topology(kind=t["kind"],
-                    regulator_levels=cfg["regulator"]["d"] if d is None else d,
-                    modes=t["modes"], system_levels=t["system_levels"],
-                    regulator_kind=t["regulator_kind"])
+    d = cfg["regulator"]["d"] if d is None else d
+    try:
+        return Topology(kind=t["kind"], regulator_levels=d, modes=t["modes"],
+                        system_levels=t["system_levels"],
+                        regulator_kind=t["regulator_kind"])
+    except ValueError as err:
+        raise ConfigError(f"[topology]: {err}")
 
 
 def _protocol_config(cfg, **overrides) -> protocol.ProtocolConfig:

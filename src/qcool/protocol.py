@@ -8,17 +8,29 @@ V = <k|U(t)|k> applied repeatedly to the system state:
     P_n = Tr[V^n rho V^dag^n]          success probability after n cycles
     F_n = <vac|V^n rho V^dag^n|vac>/P_n  vacuum fidelity of the kept state
 
-Everything is evaluated per total-excitation block.  For a single
-oscillator with a qudit regulator each block is tridiagonal
-(`hilbert.ladder_block`), giving the diagonal lambda_{i,d}^k of V
-directly; networks and the hybrid system go through a generic blocked
-engine over the composite basis.  `evolve_unitary` and
-`effective_operator` work on dense product-space matrices and are a test
-oracle only.
+Everything is evaluated per total-excitation block, by one of three
+engine paths:
+
+- single: one oscillator with a qudit regulator.  Each block is the
+  tridiagonal `hilbert.ladder_block`, giving the diagonal
+  lambda_{i,d}^k of V directly.
+- star bright mode (`_star_run`): a star of M oscillators with a qudit
+  regulator, one omega_f on every leaf, M equal DSTParams factors and
+  an excitation cap e_cap <= cutoff - 1.  The regulator sees only the
+  bright mode b = sum_i a_i / sqrt(M), at coupling lam sqrt(M), so the
+  single-mode kernel applies; the M-1 dark modes never cool and F
+  saturates at F_inf = p_vac(dark)^(M-1).
+- blocked (`_blocked_run`): every other network, the hybrid pair and the
+  oscillator regulator, over the composite basis.  It is also the test
+  oracle of the star path.
+
+`evolve_unitary` and `effective_operator` work on dense product-space
+matrices and are a test oracle only.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
@@ -289,8 +301,12 @@ def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
 def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
                  factors: List[np.ndarray], e_cap: int,
                  n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """F_n, P_n for a product initial state under the blocked protocol."""
-    caps, bos = _sub_caps(topology, e_cap)
+    """F_n, P_n for a product initial state under the blocked protocol.
+
+    At regulator level q an oscillator holds up to e_s + k - q
+    excitations, so the joint basis caps each at e_cap + k (and the
+    factor size); the system rows, e_s <= e_cap, are unaffected."""
+    caps, bos = _sub_caps(topology, e_cap + k)
     for m, f in enumerate(factors):
         caps[m] = min(caps[m], f.shape[0] - 1)  # never index past a factor
     edges = topology.coupling_edges(params)
@@ -340,9 +356,13 @@ def _resolve_factors(cfg: ProtocolConfig) -> List[np.ndarray]:
     init = cfg.initial_system
     n_sys = 2 if topo.kind == "hybrid" else topo.modes
 
+    built = {}      # equal DSTParams factors share one build
+
     def as_matrix(x, dim):
         if isinstance(x, DSTParams):
-            return displaced_squeezed_thermal(x, dim)
+            if (x, dim) not in built:
+                built[x, dim] = displaced_squeezed_thermal(x, dim)
+            return built[x, dim]
         m = np.asarray(x, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("initial states must be square density matrices")
@@ -389,18 +409,69 @@ def _choose_e_cap(factors: List[np.ndarray], e_max: Optional[int],
     return int(ok[0])
 
 
+# ---------------------------------------------------- star bright mode
+
+def _star_run(cfg: ProtocolConfig, k: int, t: float,
+              e_cap: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """F_n, P_n of a uniform star through its bright mode; None when the
+    reduction does not apply.
+
+    With one lam and omega_f on every leaf the regulator couples only to
+    b = sum_i a_i / sqrt(M), at lam sqrt(M), and the M-1 dark modes just
+    pick up phases.  M identical Gaussian factors are, in the bright/dark
+    basis, a bright factor displaced by sqrt(M) alpha times M-1 centred
+    dark factors.  Total excitation is the same in both bases, so the
+    blocked engine's e_b + e_d <= e_cap truncation is kept exactly."""
+    topo, c = cfg.topology, cfg.coupling
+    m = topo.modes
+    init = cfg.initial_system
+    if isinstance(init, DSTParams):
+        init = [init] * m
+    if topo.kind != "star" or topo.regulator_kind != "qudit" \
+            or len(set(c.omega_f_list(m))) != 1 or e_cap > cfg.cutoff - 1 \
+            or isinstance(init, np.ndarray) or len(init) != m \
+            or not all(isinstance(x, DSTParams) for x in init) \
+            or len(set(init)) != 1:
+        return None
+    p = init[0]
+    try:
+        bright = displaced_squeezed_thermal(
+            replace(p, alpha_mag=math.sqrt(m) * p.alpha_mag), cfg.cutoff)
+        dark = displaced_squeezed_thermal(replace(p, alpha_mag=0.0),
+                                          cfg.cutoff)
+    except TruncationError:
+        return None
+    c_b = np.clip(np.real(np.diag(bright))[:e_cap + 1], 0.0, None)
+    c_d = np.clip(np.real(np.diag(dark)), 0.0, None)
+    p_d = np.eye(1, e_cap + 1)[0]       # dark excitation distribution
+    for _ in range(m - 1):
+        p_d = np.convolve(p_d, c_d)[:e_cap + 1]
+    s_d = np.cumsum(p_d)
+    w = c_b * s_d[::-1]                 # w[e_b] = c_b[e_b] S_d[e_cap - e_b]
+    lams = effective_lambdas(topo.regulator_levels, k, t, e_cap + 1,
+                             c.lam * math.sqrt(m), c.omega_a,
+                             c.omega_f_list(m)[0])
+    fid, prob = _trace_single(lams, w, cfg.n_max)
+    return fid * (p_d[0] / s_d[-1]), prob
+
+
 # ------------------------------------------------------------ main entry
 
 def default_cycle_time(topology: Topology, k: int) -> float:
     """Optimal cycle time for the configured measurement level, at the
-    default coupling lambda = omega_a = omega_f = 1."""
+    default coupling lambda = omega_a = omega_f = 1.  When no admissible
+    optimum exists (k >= 3) it warns and returns the best one found."""
     if topology.kind == "hybrid":
         return np.pi / np.sqrt(2) if k == 0 else np.sqrt(2) * np.pi
     if k <= 2:
         return opttime.analytic_topt(k).t_opt
+    d = topology.regulator_levels
     try:
-        return opttime.solve_topt(topology.regulator_levels, k).t_opt
+        return opttime.solve_topt(d, k).t_opt
     except SearchFailureError as err:
+        warnings.warn(f"no admissible cycle time for d={d}, k={k}; using "
+                      f"the best found t={err.best_t:.6g} (residual "
+                      f"{err.best_residual:.3g})", RuntimeWarning, stacklevel=2)
         return err.best_t
 
 
@@ -423,8 +494,9 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
         fid, prob = _trace_single(lams, cdiag, cfg.n_max)
     else:
         e_cap = _choose_e_cap(factors, cfg.e_max)
-        fid, prob = _blocked_run(topo, cfg.coupling, k, t, factors, e_cap,
-                                 cfg.n_max)
+        star = _star_run(cfg, k, t, e_cap)
+        fid, prob = star if star is not None else _blocked_run(
+            topo, cfg.coupling, k, t, factors, e_cap, cfg.n_max)
 
     conv = None
     for n in range(1, cfg.n_max + 1):

@@ -226,3 +226,13 @@ def test_coupling_needs_explicit_time(tmp_path):
     assert main(["run", str(_write(tmp_path, "c.cfg", text))]) == 2
     text = text.replace("[protocol]\n", "[protocol]\nt = 1.0\n")
     assert main(["run", str(_write(tmp_path, "c.cfg", text))]) == 0
+
+
+@pytest.mark.parametrize("old,new", [
+    ("nbar = 0.4", "nbar = -1"), ("r = 0.1", "r = -0.1"),
+    ("[regulator]", "[topology]\nkind = single\nmodes = 2\n[regulator]"),
+    ("[regulator]", "[topology]\nkind = ring\n[regulator]")],
+    ids=["nbar", "r", "single-modes", "kind"])
+def test_bad_state_or_topology_exits_2(tmp_path, old, new):
+    cfg = _write(tmp_path, "bad.cfg", COOL_CFG.replace(old, new))
+    assert main(["run", str(cfg)]) == 2

@@ -1,13 +1,20 @@
-"""Blocked-engine checks: networks, hybrid system, oscillator regulator."""
+"""Blocked-engine checks: networks, hybrid system, oscillator regulator,
+and the star bright-mode path against the blocked engine."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qcool import protocol
 from qcool.errors import ConfigError, TruncationError
 from qcool.hamiltonians import CouplingParams, Topology, total_hamiltonian
 from qcool.hilbert import SpaceSpec, partial_trace
-from qcool.protocol import (ProtocolConfig, effective_operator, evolve_unitary,
+from qcool.protocol import (ProtocolConfig, _blocked_run, _choose_e_cap,
+                            _resolve_factors, default_cycle_time,
+                            effective_operator, evolve_unitary,
                             report_cycles, run_hybrid, run_protocol)
-from qcool.states import DSTParams, depolarized_qudit
+from qcool.states import DSTParams, depolarized_qudit, \
+    displaced_squeezed_thermal
 
 from conftest import C00_NETWORK, NETWORK_STATE
 
@@ -132,3 +139,130 @@ def test_oscillator_regulator_matches_qudit_saturation():
     tr = run_protocol(cfg)
     assert tr.fidelity[12] == pytest.approx(0.654968, abs=2e-4)
     assert tr.probability[12] == pytest.approx(0.427247, abs=2e-4)
+
+
+# ------------------------------------------------ star bright-mode route
+
+# generic phases, cold enough that M = 4 blocked runs stay cheap
+STAR_STATE = DSTParams(alpha_mag=0.1, alpha_phase=0.7, r=0.03, theta=1.1,
+                       nbar=0.03)
+ODD_COUPLING = CouplingParams(lam=1.3, omega_a=1.2, omega_f=0.9)
+
+
+@pytest.fixture
+def blocked_calls(monkeypatch):
+    """Topologies that reached the blocked engine through run_protocol."""
+    calls = []
+
+    def spy(topology, *args):
+        calls.append(topology)
+        return _blocked_run(topology, *args)
+
+    monkeypatch.setattr(protocol, "_blocked_run", spy)
+    return calls
+
+
+def _oracle(cfg):
+    """The blocked engine on the inputs run_protocol would give it."""
+    k = cfg.regulator_level
+    t = cfg.cycle_time
+    if t is None:
+        t = default_cycle_time(cfg.topology, k)
+    factors = _resolve_factors(cfg)
+    return _blocked_run(cfg.topology, cfg.coupling, k, t, factors,
+                        _choose_e_cap(factors, cfg.e_max), cfg.n_max)
+
+
+def _assert_matches_oracle(cfg, f_tol, p_tol=1e-9):
+    tr = run_protocol(cfg)
+    fid, prob = _oracle(cfg)
+    assert np.max(np.abs(tr.fidelity - fid)) <= f_tol
+    assert np.max(np.abs(tr.probability - prob)) <= p_tol
+
+
+@pytest.mark.parametrize("e_max", ["pinned", None])
+@pytest.mark.parametrize("coupling", [None, ODD_COUPLING])
+@pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 5)
+                                 for k in range(min(d, 3))])
+@pytest.mark.parametrize("modes", [2, 3, 4])
+def test_star_reduction_matches_blocked_engine(modes, d, k, coupling, e_max,
+                                               blocked_calls):
+    kw = {}
+    if coupling is not None:
+        kw = dict(coupling=coupling, cycle_time=2.1)
+    if e_max == "pinned":     # adaptive caps are 5, 6, 6
+        e_max = {2: 7, 3: 5, 4: 5}[modes]
+    cfg = ProtocolConfig(Topology("star", d, modes=modes), STAR_STATE,
+                         regulator_level=k, cutoff=20, n_max=30, e_max=e_max,
+                         **kw)
+    _assert_matches_oracle(cfg, 1e-9)
+    assert blocked_calls == []
+
+
+def test_star_reduction_k1_top_blocks(blocked_calls):
+    # at k = 1 the top blocks hold oscillators above e_cap (adaptive 24);
+    # P keeps a ~2e-11 gap from renormalizing each factor at the cutoff
+    cfg = ProtocolConfig(Topology("star", 4, modes=2), NETWORK_STATE,
+                         regulator_level=1, cycle_time=2.1, cutoff=30)
+    _assert_matches_oracle(cfg, 1e-12)
+    assert blocked_calls == []
+
+
+@pytest.mark.parametrize("kind", ["linear", "star"])
+def test_block_vs_dense_k1_tight_cap(kind):
+    # e_max = 2 holds the whole state, but at k = 1 a mode reaches level 3
+    cutoff, d, modes = 4, 3, 2
+    topo = Topology(kind, d, modes=modes)
+    rng = np.random.default_rng(5)
+
+    def small_rho():
+        psi = np.zeros(cutoff, dtype=complex)
+        psi[:2] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi /= np.linalg.norm(psi)
+        return np.outer(psi, psi.conj())
+
+    f1, f2 = small_rho(), small_rho()
+    cfg = ProtocolConfig(topo, [f1, f2], regulator_level=1, cycle_time=1.3,
+                         cutoff=cutoff, n_max=5, e_max=2)
+    tr = run_protocol(cfg)
+
+    space, h = total_hamiltonian(topo, CouplingParams(), cutoff)
+    v = effective_operator(evolve_unitary(h, 1.3), 1, space).matrix
+    cur = np.kron(f1, f2)
+    for n in range(6):
+        pn = float(np.real(np.trace(cur)))
+        assert tr.probability[n] == pytest.approx(pn, abs=1e-12)
+        assert tr.fidelity[n] == pytest.approx(np.real(cur[0, 0]) / pn,
+                                               abs=1e-12)
+        cur = v @ cur @ v.conj().T
+
+
+@pytest.mark.parametrize("case", ["density-matrix", "unequal-factors",
+                                  "omega-f-list", "oscillator-regulator",
+                                  "cap-beyond-cutoff"])
+def test_star_fallbacks_reach_blocked_engine(case, blocked_calls):
+    kw = dict(cutoff=20, n_max=10, cycle_time=np.pi / 2)
+    topo = Topology("star", 3, modes=2)
+    init = STAR_STATE
+    if case == "density-matrix":
+        init = displaced_squeezed_thermal(STAR_STATE, 20)
+    elif case == "unequal-factors":
+        init = [STAR_STATE, replace(STAR_STATE, nbar=0.06)]
+    elif case == "omega-f-list":
+        kw["coupling"] = CouplingParams(omega_f=[1.0, 1.1])
+    elif case == "oscillator-regulator":
+        topo = replace(topo, regulator_kind="oscillator")
+    else:                     # e_cap 5 above cutoff - 1 = 4
+        kw.update(cutoff=5, e_max=5)
+    run_protocol(ProtocolConfig(topo, init, **kw))
+    assert blocked_calls == [topo]
+
+
+@pytest.mark.parametrize("modes,f_inf", [(2, 0.6549711), (3, 0.4289871)])
+def test_star_saturates_at_dark_vacuum(modes, f_inf):
+    # only the bright mode cools: F -> p_vac(dark)^(M-1)
+    p_vac = displaced_squeezed_thermal(replace(NETWORK_STATE, alpha_mag=0.0),
+                                       30)[0, 0].real
+    assert p_vac ** (modes - 1) == pytest.approx(f_inf, abs=1e-7)
+    tr = run_protocol(_net_cfg("star", 6, modes))
+    assert tr.fidelity[100] == pytest.approx(p_vac ** (modes - 1), abs=1e-7)

@@ -131,6 +131,12 @@ def test_default_cycle_times():
     assert default_cycle_time(Topology("hybrid", 3), 1) == pytest.approx(np.sqrt(2) * np.pi)
 
 
+def test_inadmissible_default_time_warns():
+    with pytest.warns(RuntimeWarning, match=r"d=7, k=5.*t=157\.95"):
+        t = default_cycle_time(Topology("single", 7), 5)
+    assert t == pytest.approx(157.952, abs=1e-3)
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         run_protocol(_single_cfg(3, 3))
