@@ -228,6 +228,9 @@ def _run_sweep_energy(cfg, out):
     grid = cfg["sweep"]["nbar_grid"]
     if not grid:
         raise ConfigError("empty grid: nbar_grid must be non-empty")
+    if min(grid) < 0:
+        raise ConfigError(
+            f"[sweep] nbar_grid: nbar must be >= 0, got {min(grid)}")
     recs = protocol.sweep_energy(_protocol_config(cfg), grid)
     emit_csv(("energy", "N", "F", "P"),
              [(r.energy, r.cycles, r.fidelity, r.probability) for r in recs],
@@ -238,6 +241,9 @@ def _write_grid(cfg, out, d_list, k_list):
     """One (d, k, N, F, P) row per cell of the (d, k) grid."""
     if not d_list or not k_list:
         raise ConfigError("empty grid: d_list and k_list must be non-empty")
+    if min(d_list) < 2:
+        raise ConfigError(
+            f"[sweep] d_list: a regulator needs d >= 2, got {min(d_list)}")
     s = cfg["sweep"]
     recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
                                     s["report"], s["stop"], s["settle_tol"])
@@ -261,6 +267,9 @@ def _run_hybrid(cfg, out):
         raise ConfigError("hybrid experiment needs topology kind = hybrid")
     s = cfg["sweep"]
     if s["ds_list"]:
+        if min(s["ds_list"]) < 2:
+            raise ConfigError(f"[sweep] ds_list: the system qudit needs "
+                              f"d_s >= 2, got {min(s['ds_list'])}")
         rows = []
         for ds in s["ds_list"]:
             pc = _protocol_config(cfg)
@@ -295,6 +304,9 @@ def _run_gaussian(cfg, out):
 def _run_opt_time(cfg, out):
     ks = cfg["sweep"]["k_list"] or list(range(7))
     d = max(cfg["regulator"]["d"], max(ks) + 1)
+    if min(ks) < 0:
+        raise ConfigError(
+            f"[sweep] k_list: measured levels must be >= 0, got {min(ks)}")
     rows = []
     for k in ks:
         if k in opttime.ANALYTIC_TOPT:
@@ -309,24 +321,29 @@ def _run_opt_time(cfg, out):
     emit_csv(("k", "t_opt", "residual"), rows, out, key_cols=1)
 
 
+def _prep_one(kind, p) -> stateprep.PrepResult:
+    if kind == "cat":
+        return stateprep.make_cat(p["alpha"], p["n_components"],
+                                  cutoff=p["cutoff"])
+    if kind == "odd-cat":
+        return stateprep.make_odd_cat(stateprep.make_cat(
+            p["alpha"], p["n_components"], cutoff=p["cutoff"]))
+    if kind == "hybrid-entangled":
+        return stateprep.make_hybrid_entangled(p["d"], p["r"],
+                                               cutoff=p["cutoff"])
+    if kind == "noon":
+        return stateprep.make_noon(p["d"], cutoff=p["cutoff"])
+    raise ConfigError(f"unknown prep kind '{kind}'")
+
+
 def _run_prep(cfg, out):
     p = cfg["prep"]
     rows = []
     for kind in p["kinds"]:
-        if kind == "cat":
-            res = stateprep.make_cat(p["alpha"], p["n_components"],
-                                     cutoff=p["cutoff"])
-        elif kind == "odd-cat":
-            even = stateprep.make_cat(p["alpha"], p["n_components"],
-                                      cutoff=p["cutoff"])
-            res = stateprep.make_odd_cat(even)
-        elif kind == "hybrid-entangled":
-            res = stateprep.make_hybrid_entangled(p["d"], p["r"],
-                                                  cutoff=p["cutoff"])
-        elif kind == "noon":
-            res = stateprep.make_noon(p["d"], cutoff=p["cutoff"])
-        else:
-            raise ConfigError(f"unknown prep kind '{kind}'")
+        try:
+            res = _prep_one(kind, p)
+        except ValueError as err:     # the circuits' d/cutoff/r checks
+            raise ConfigError(f"[prep] {kind}: {err}")
         rows.append((res.kind, res.d, res.param, res.target_fidelity,
                      res.success_prob))
     emit_csv(("kind", "d", "param", "fidelity", "success_prob"), rows, out,
@@ -357,8 +374,7 @@ def run(config_path) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (QcoolError, ValueError, IndexError,
-            np.linalg.LinAlgError) as err:
+    except (QcoolError, np.linalg.LinAlgError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return 3
 

@@ -22,6 +22,7 @@ ANALYTIC_TOPT = {
     1: np.pi,
     2: 2 * np.pi / np.sqrt(3),
 }
+_CHUNK = 8192           # grid points per |lambda_0| evaluation in the search
 
 
 @dataclass
@@ -74,7 +75,10 @@ def local_optima(d: int, k: int, window: Tuple[float, float] = (0.0, 250.0),
     if not (hi > lo >= 0.0):
         raise ValueError("bad search window")
     t = np.arange(lo, hi + grid_step, grid_step)
-    mag = vacuum_lambda(d, k, t)
+    # in chunks: the whole grid at once makes a (len(t), k+1) complex
+    # temporary and its exponential, ~40 MiB at k = 4
+    mag = np.concatenate([vacuum_lambda(d, k, t[i:i + _CHUNK])
+                          for i in range(0, len(t), _CHUNK)])
     peaks = np.nonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:]))[0] + 1
     out = []
     for p in peaks:

@@ -229,7 +229,8 @@ def _sub_caps(topology: Topology, e_cap: int) -> Tuple[List[int], List[bool]]:
         caps.append(topology.regulator_levels - 1)
         bos.append(False)
     else:
-        caps.append(e_cap + topology.regulator_levels)  # effectively uncapped
+        # a bosonic regulator truncated at Fock level d - 1, as in the dense space
+        caps.append(min(e_cap, topology.regulator_levels - 1))
         bos.append(True)
     return caps, bos
 

@@ -89,8 +89,8 @@ def make_cat(alpha: complex, n_components: int, d: Optional[int] = None,
     oscillator state matches the normalised sum_k |alpha w^k>; the
     success probability is the squared norm of the projected branch."""
     d = n_components if d is None else d
-    if d != n_components or d % 2:
-        raise ValueError("cat preparation needs d = n_components, even")
+    if d != n_components or d % 2 or d < 2:
+        raise ValueError("cat preparation needs d = n_components, even, >= 2")
     dc = conditional_displacement(d, alpha, n_components, cutoff)
     joint = np.zeros(d * cutoff, dtype=complex)
     joint[::cutoff] = hadamard_qudit(d)[:, 0]    # H_d |0>, oscillator vacuum
@@ -170,6 +170,8 @@ def make_hybrid_entangled(d: int, r: float = 0.0,
     measured against that state for r = 0 and against the normalised
     sum_k cosh^k(r) |k, k> for r > 0.  extra reports the fidelity against
     the uniform sum_k |k, k> and the Schmidt spectrum."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
     if r < 0:
         raise ValueError("squeezing assist must be >= 0")
     if cutoff is None:
@@ -226,6 +228,8 @@ def make_noon(d: int, cutoff: Optional[int] = None) -> PrepResult:
     d-1 heralded photon additions fill the oscillator on the |0> branch;
     both branches are renormalised, giving the balanced
     (|d-1, 0> + |0, d-1>)/sqrt 2 superposition."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
     n_exc = d - 1
     cutoff = max(2 * n_exc + 2, 4) if cutoff is None else cutoff
     if cutoff < 2 * n_exc:

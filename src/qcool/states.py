@@ -7,6 +7,7 @@ eigendecomposition that keeps the truncated operators exactly unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,16 +40,19 @@ class DSTParams:
         return self.r * np.exp(1j * self.theta)
 
 
-def thermal_state(nbar: float, cutoff: int) -> np.ndarray:
-    """Thermal state, diagonal nbar^m/(1+nbar)^(m+1), renormalized on cutoff."""
+def _thermal_weights(nbar: float, cutoff: int) -> np.ndarray:
+    """Fock populations nbar^m/(1+nbar)^(m+1), renormalized on cutoff."""
     if nbar < 0:
         raise ValueError("nbar must be non-negative")
     if nbar == 0:
-        rho = np.zeros((cutoff, cutoff), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
+        return np.eye(1, cutoff)[0]
     w = (nbar / (1.0 + nbar)) ** np.arange(cutoff) / (1.0 + nbar)
-    return np.diag(w / w.sum()).astype(complex)
+    return w / w.sum()
+
+
+def thermal_state(nbar: float, cutoff: int) -> np.ndarray:
+    """Thermal state, diagonal nbar^m/(1+nbar)^(m+1), renormalized on cutoff."""
+    return np.diag(_thermal_weights(nbar, cutoff)).astype(complex)
 
 
 def displacement_op(alpha: complex, cutoff: int) -> np.ndarray:
@@ -68,6 +72,17 @@ def squeezing_op(z: complex, cutoff: int) -> np.ndarray:
     return expm_hermitian(-1j * gen, -1.0)
 
 
+@lru_cache(maxsize=1)
+def _gaussian_unitary(alpha: complex, z: complex, dim: int) -> np.ndarray:
+    """D(alpha) S(z) on `dim` levels, read-only.
+
+    It does not depend on nbar, and every caller that sweeps nbar keeps
+    alpha and z fixed, so one entry serves a whole sweep or bisection."""
+    u = displacement_op(alpha, dim) @ squeezing_op(z, dim)
+    u.setflags(write=False)
+    return u
+
+
 def displaced_squeezed_thermal(p: DSTParams, cutoff: int,
                                leak_tol: float = 1e-6) -> np.ndarray:
     """D(alpha) S(z) rho_th(nbar) S(z)^dag D(alpha)^dag, renormalized.
@@ -77,9 +92,8 @@ def displaced_squeezed_thermal(p: DSTParams, cutoff: int,
     discarded tail exceeds leak_tol.
     """
     build = cutoff + 30
-    rho = thermal_state(p.nbar, build)
-    u = displacement_op(p.alpha, build) @ squeezing_op(p.z, build)
-    rho = u @ rho @ u.conj().T
+    u = _gaussian_unitary(p.alpha, p.z, build)
+    rho = (u * _thermal_weights(p.nbar, build)) @ u.conj().T
     leak = float(np.real(np.trace(rho[cutoff:, cutoff:])))
     if leak > leak_tol:
         raise TruncationError(

@@ -236,3 +236,30 @@ def test_coupling_needs_explicit_time(tmp_path):
 def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     cfg = _write(tmp_path, "bad.cfg", COOL_CFG.replace(old, new))
     assert main(["run", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n[sweep]\nk_list = -1,0\n",
+    "[experiment]\nkind = prep\n[prep]\nkinds = cat\nn_components = 3\n",
+    "[experiment]\nkind = prep\n[prep]\nkinds = noon\nd = 5\ncutoff = 4\n",
+    "[experiment]\nkind = prep\n[prep]\nkinds = hybrid-entangled\nd = 0\n",
+    "[experiment]\nkind = cool\n[coupling]\nomega_f = 1,1.1\n[protocol]\nt = 1\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 1,2\nk_list = 0\n",
+    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
+    "ds_list = 1\n",
+    "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = -1\n"],
+    ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
+         "d-list", "ds-list", "nbar-grid"])
+def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys):
+    assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_program_errors_are_not_numeric_errors(tmp_path, monkeypatch):
+    # a ValueError from a bug propagates instead of exiting 3
+    def broken(cfg, out):
+        raise ValueError("bug")
+
+    monkeypatch.setitem(EXPERIMENTS, "cool", (broken, ""))
+    with pytest.raises(ValueError, match="bug"):
+        main(["run", str(_write(tmp_path, "c.cfg", COOL_CFG))])

@@ -208,11 +208,15 @@ def test_star_reduction_k1_top_blocks(blocked_calls):
     assert blocked_calls == []
 
 
-@pytest.mark.parametrize("kind", ["linear", "star"])
-def test_block_vs_dense_k1_tight_cap(kind):
-    # e_max = 2 holds the whole state, but at k = 1 a mode reaches level 3
+@pytest.mark.parametrize("kind,regulator", [
+    ("linear", "qudit"), ("star", "qudit"),
+    ("linear", "oscillator"), ("star", "oscillator")],
+    ids=["linear", "star", "linear-oscillator", "star-oscillator"])
+def test_block_vs_dense_k1_tight_cap(kind, regulator):
+    # e_max = 2 holds the whole state, but at k = 1 a mode reaches level 3;
+    # a bosonic regulator stops at level d - 1 = 2 like the dense space
     cutoff, d, modes = 4, 3, 2
-    topo = Topology(kind, d, modes=modes)
+    topo = Topology(kind, d, modes=modes, regulator_kind=regulator)
     rng = np.random.default_rng(5)
 
     def small_rho():
@@ -235,6 +239,19 @@ def test_block_vs_dense_k1_tight_cap(kind):
         assert tr.fidelity[n] == pytest.approx(np.real(cur[0, 0]) / pn,
                                                abs=1e-12)
         cur = v @ cur @ v.conj().T
+
+
+def test_oscillator_regulator_size_matters():
+    # with e_max 5 the regulator caps at min(5, d - 1): d = 6 and d = 30
+    # share one basis, d = 3 cuts it
+    def f20(d):
+        cfg = ProtocolConfig(
+            Topology("star", d, modes=2, regulator_kind="oscillator"),
+            STAR_STATE, cycle_time=np.pi / 2, cutoff=12, n_max=20, e_max=5)
+        return run_protocol(cfg).fidelity[20]
+
+    assert f20(6) == f20(30)
+    assert f20(6) - f20(3) > 1e-5
 
 
 @pytest.mark.parametrize("case", ["density-matrix", "unequal-factors",

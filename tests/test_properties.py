@@ -91,7 +91,9 @@ def test_hamiltonians_conserve_and_evolve_unitarily(kind, d, t):
 @given(UNIT, st.floats(0.0, 2 * np.pi), st.floats(0.0, 0.5), UNIT)
 def test_gaussian_fock_moment_agreement(amag, phase, r, nbar):
     p = DSTParams(amag, phase, r, theta=np.pi, nbar=nbar)
-    rho = displaced_squeezed_thermal(p, 80)
+    # at the domain corner (|alpha| = 1, r = 0.5, nbar = 1) the Fock tail
+    # past level 80 shifts Var(x) by 2e-6; past level 120 by 4e-10
+    rho = displaced_squeezed_thermal(p, 120)
     got = moments_from_density(rho)
     ref = gaussian_dst(amag * np.exp(1j * phase), r, nbar)
     assert np.max(np.abs(got.mean - ref.mean)) < 1e-6

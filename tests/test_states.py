@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qcool import states
 from qcool.errors import TruncationError
+from qcool.hamiltonians import Topology
+from qcool.protocol import ProtocolConfig, max_coolable_nbar, sweep_energy
 from qcool.states import (DSTParams, depolarized_qudit, displacement_op,
                           displaced_squeezed_thermal, dst_mean_energy,
                           mean_energy, squeezing_op, thermal_state)
@@ -91,3 +96,58 @@ def test_depolarized_qudit():
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         depolarized_qudit(1)
+
+
+# ------------------------------------------- memoised D(alpha) S(z)
+
+@pytest.mark.parametrize("p,cutoff", [
+    (DSTParams(0.4, 1.3, 0.1, 0.8, nbar=0.0), 40),
+    (DSTParams(0.5, -0.7, 0.2, 2.1, nbar=0.5), 40),
+    (DSTParams(0.4, np.pi / 2, 0.1, nbar=6.0), 300)],
+    ids=["nbar0", "phases", "cutoff300"])
+def test_dst_matches_direct_product(p, cutoff):
+    states._gaussian_unitary.cache_clear()
+    build = cutoff + 30
+    u = displacement_op(p.alpha, build) @ squeezing_op(p.z, build)
+    ref = (u @ thermal_state(p.nbar, build) @ u.conj().T)[:cutoff, :cutoff]
+    ref = 0.5 * (ref + ref.conj().T)
+    ref /= np.real(np.trace(ref))
+    for _ in range(2):        # cold, then from the cached unitary
+        rho = displaced_squeezed_thermal(p, cutoff)
+        assert np.max(np.abs(rho - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("nbar_scan", [
+    lambda cfg: sweep_energy(cfg, list(np.linspace(0.1, 2.0, 12))),
+    lambda cfg: max_coolable_nbar(cfg, nbar_hi=2.0, iters=6)],
+    ids=["sweep-energy-12", "bisection"])
+def test_unitary_built_once_per_nbar_scan(nbar_scan, monkeypatch):
+    real = states.expm_hermitian
+    builds = []
+
+    def spy(h, *args, **kw):
+        builds.append(h.shape)
+        return real(h, *args, **kw)
+
+    states._gaussian_unitary.cache_clear()
+    monkeypatch.setattr(states, "expm_hermitian", spy)
+    nbar_scan(ProtocolConfig(Topology("single", 4), TABLE_STATE, cutoff=60,
+                             n_max=20))
+    assert builds == [(90, 90), (90, 90)]     # D(alpha), S(z)
+
+
+def test_cached_unitary_is_read_only():
+    u = states._gaussian_unitary(0.3 + 0.1j, 0.1j, 20)
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
+def test_leak_guard_with_warm_cache():
+    cold = DSTParams(alpha_mag=0.4, r=0.1, nbar=0.2)
+    displaced_squeezed_thermal(cold, 20)
+    hits = states._gaussian_unitary.cache_info().hits
+    with pytest.raises(TruncationError) as err:
+        displaced_squeezed_thermal(replace(cold, nbar=5.0), 20)
+    assert err.value.leakage > 1e-6
+    assert states._gaussian_unitary.cache_info().hits == hits + 1
