@@ -289,6 +289,8 @@ def _run_gaussian(cfg, out):
     g = cfg["gaussian"]
     if not (g["alpha1"] and g["alpha2"] and g["r"] and g["nbar"]):
         raise ConfigError("empty grid: gaussian lists must be non-empty")
+    if min(g["nbar"]) < 0:
+        raise ConfigError(f"[gaussian] nbar: must be >= 0, got {min(g['nbar'])}")
     rows = []
     for a1 in g["alpha1"]:
         for a2 in g["alpha2"]:
@@ -302,11 +304,13 @@ def _run_gaussian(cfg, out):
 
 
 def _run_opt_time(cfg, out):
-    ks = cfg["sweep"]["k_list"] or list(range(7))
-    d = max(cfg["regulator"]["d"], max(ks) + 1)
-    if min(ks) < 0:
-        raise ConfigError(
-            f"[sweep] k_list: measured levels must be >= 0, got {min(ks)}")
+    d = cfg["regulator"]["d"]
+    if d < 2:
+        raise ConfigError(f"[regulator] d: a regulator needs d >= 2, got {d}")
+    ks = cfg["sweep"]["k_list"] or list(range(d))
+    if min(ks) < 0 or max(ks) > d - 1:
+        raise ConfigError(f"[sweep] k_list: measured levels must lie in "
+                          f"0..{d - 1} for d = {d}, got {min(ks)}..{max(ks)}")
     rows = []
     for k in ks:
         if k in opttime.ANALYTIC_TOPT:

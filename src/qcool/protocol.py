@@ -22,7 +22,12 @@ engine paths:
   saturates at F_inf = p_vac(dark)^(M-1).
 - blocked (`_blocked_run`): every other network, the hybrid pair and the
   oscillator regulator, over the composite basis.  It is also the test
-  oracle of the star path.
+  oracle of the star path.  At resonance (omega_a equal to every
+  omega_f) block E is E omega I plus a coupling that is bipartite on
+  the coupling tree, H_int = [[0, B], [B^T, 0]]; the chiral sub-path
+  (`_chiral_block`) then takes V from one eigh of B B^T, half the
+  block size, in a gauge where V is real.  Detuned runs diagonalise
+  each block whole, and that path is the chiral path's test oracle.
 
 `evolve_unitary` and `effective_operator` work on dense product-space
 matrices and are a test oracle only.
@@ -80,6 +85,8 @@ class ProtocolConfig:
                 f"regulator level k={self.regulator_level} outside 0..{d - 1}")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
+        if self.cutoff < 1:
+            raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
         t = self.cycle_time
         if t is not None and not (math.isfinite(t) and t >= 0):
             raise ConfigError(f"cycle time must be finite and >= 0, got {t}")
@@ -205,16 +212,22 @@ def _trace_single(lams: np.ndarray, cdiag: np.ndarray,
 
 # --------------------------------------------------- blocked composition
 
-def _compositions(total: int, caps: Sequence[int]) -> List[Tuple[int, ...]]:
-    """Level tuples (per subsystem, ordered) summing to `total`, level m
-    capped at caps[m]."""
-    if len(caps) == 1:
-        return [(total,)] if total <= caps[0] else []
-    out = []
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, caps[1:]):
-            out.append((first,) + rest)
-    return out
+def _level_tuples(total: int, caps: Sequence[int]) -> np.ndarray:
+    """Rows of per-subsystem levels summing to `total`, level m capped at
+    caps[m], in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([total])
+    room = sum(caps)                    # what the later subsystems can hold
+    for cap in caps:
+        room -= cap
+        lo = np.maximum(left - room, 0)
+        cnt = np.maximum(np.minimum(left, cap) - lo + 1, 0)
+        parent = np.repeat(np.arange(len(left)), cnt)
+        first = np.repeat(np.cumsum(cnt) - cnt, cnt)
+        lev = np.arange(len(parent)) - first + lo[parent]
+        rows = np.column_stack([rows[parent], lev])
+        left = left[parent] - lev
+    return rows
 
 
 def _sub_caps(topology: Topology, e_cap: int) -> Tuple[List[int], List[bool]]:
@@ -235,41 +248,129 @@ def _sub_caps(topology: Topology, e_cap: int) -> Tuple[List[int], List[bool]]:
     return caps, bos
 
 
-def _block_hamiltonian(basis: List[Tuple[int, ...]],
-                       edges: List[Tuple[int, int, float]],
-                       caps: Sequence[int], bos: Sequence[bool],
-                       freqs: Sequence[float]) -> np.ndarray:
-    """Dense excitation-block matrix of free + exchange couplings.
+def _sublattices(edges: List[Tuple[int, int, float]],
+                 n_sub: int) -> Optional[np.ndarray]:
+    """0/1 colour per subsystem from a breadth-first 2-colouring of the
+    coupling graph, started at the regulator (last); None when the graph
+    is not bipartite."""
+    adj: List[List[int]] = [[] for _ in range(n_sub)]
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    colour = np.full(n_sub, -1)
+    colour[-1] = 0
+    queue = [n_sub - 1]
+    while queue:
+        a = queue.pop(0)
+        for b in adj[a]:
+            if colour[b] < 0:
+                colour[b] = 1 - colour[a]
+                queue.append(b)
+            elif colour[b] == colour[a]:
+                return None
+    colour[colour < 0] = 0              # off the coupling graph: never hops
+    return colour
 
-    Each edge (i, j, w) contributes w * (lower_i raise_j + h.c.); the loop
-    adds the first term, the transpose supplies the conjugate."""
-    index = {s: i for i, s in enumerate(basis)}
-    n = len(basis)
+
+def _joint_block(e_tot: int, k: int, caps: Sequence[int], bos: Sequence[bool],
+                 edges: List[Tuple[int, int, float]]):
+    """Joint basis of excitation block e_tot (one row of levels per state,
+    regulator last), the slice of its regulator-level-k rows, and its
+    hops (src, tgt, amp): every matrix element <tgt| w lower_i raise_j
+    |src> of the exchange couplings.
+
+    Rows are ordered by regulator level, then system levels, so the q = k
+    rows are one contiguous run in the order of the system basis.
+    Mixed-radix keys in that order ascend with the rows; a hop moves one
+    excitation from i to j, so `searchsorted` finds its target, which
+    always lies in the block."""
+    order = [len(caps) - 1] + list(range(len(caps) - 1))
+    radix = np.array([caps[m] + 1 for m in order])
+    strides = np.empty(len(caps), dtype=np.int64)
+    strides[order] = np.cumprod(np.append(1, radix[:0:-1]))[::-1]
+    joint = np.roll(_level_tuples(e_tot, [caps[m] for m in order]), -1, axis=1)
+    rows = slice(*np.searchsorted(joint[:, -1], [k, k + 1]))
+    keys = joint @ strides
+
+    src, tgt, amp = [], [], []
+    for i, j, w in edges:
+        s = np.nonzero((joint[:, i] >= 1) & (joint[:, j] < caps[j]))[0]
+        a = np.full(len(s), float(w))
+        if bos[i]:
+            a = a * np.sqrt(joint[s, i])
+        if bos[j]:
+            a = a * np.sqrt(joint[s, j] + 1)
+        src.append(s)
+        tgt.append(np.searchsorted(keys, keys[s] - strides[i] + strides[j]))
+        amp.append(a)
+    return joint, rows, (np.concatenate(src), np.concatenate(tgt),
+                         np.concatenate(amp))
+
+
+def _block_hamiltonian(joint: np.ndarray, hops, freqs: Sequence[float]) -> np.ndarray:
+    """Dense excitation-block matrix of free + exchange couplings; the
+    hops give one triangle, the transpose the conjugate terms."""
+    src, tgt, amp = hops
+    n = len(joint)
     h = np.zeros((n, n))
-    diag = np.array([sum(f * l for f, l in zip(freqs, s)) for s in basis])
-    for s, row in index.items():
-        for i, j, w in edges:
-            if s[i] >= 1 and s[j] < caps[j]:
-                tgt = list(s)
-                tgt[i] -= 1
-                tgt[j] += 1
-                col = index.get(tuple(tgt))
-                if col is None:
-                    continue
-                amp = w
-                if bos[i]:
-                    amp *= np.sqrt(s[i])
-                if bos[j]:
-                    amp *= np.sqrt(s[j] + 1)
-                h[col, row] += amp
+    np.add.at(h, (tgt, src), amp)
+    diag = np.zeros(n)
+    for m, f in enumerate(freqs):
+        diag = diag + f * joint[:, m]
     return h + h.T + np.diag(diag)
+
+
+def _chiral_block(joint: np.ndarray, hops, colour: np.ndarray, rows: slice,
+                  t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """V = <rows|exp(-i H_int t)|rows> of a bipartite block, in the real
+    gauge: returns (W, D) with W = D V D^-1 real and D = 1 on sublattice
+    A, i on B.
+
+    A state lies on B when it holds an odd number of excitations on
+    colour-1 subsystems; every hop flips that parity, so
+    H_int = [[0, B], [B^T, 0]].  With B B^T = Q diag(mu) Q^T,
+      V_aa = Q_a cos(t sqrt(mu)) Q_a^T,
+      V_ab = -i (Q_a f) (B_b^T Q)^T,
+      V_bb = I + (B_b^T Q) g (B_b^T Q)^T,
+    f = sin(t sqrt(mu)) / sqrt(mu), g = (cos(t sqrt(mu)) - 1) / mu, both
+    written through sinc so they stay exact at the zero modes that
+    |A| != |B| brings."""
+    on_b = joint[:, colour == 1].sum(axis=1) % 2 == 1
+    n_b = np.count_nonzero(on_b)
+    pos = np.empty(len(joint), dtype=np.int64)    # index within A or B
+    pos[~on_b] = np.arange(len(joint) - n_b)
+    pos[on_b] = np.arange(n_b)
+    src, tgt, amp = hops
+    from_a = ~on_b[src]
+    b = np.zeros((len(joint) - n_b, n_b))
+    np.add.at(b, (np.where(from_a, pos[src], pos[tgt]),
+                  np.where(from_a, pos[tgt], pos[src])), amp)
+    mu, q = eigh(b @ b.T)
+    x = t * np.sqrt(np.clip(mu, 0.0, None))
+    f = t * np.sinc(x / np.pi)
+    g = -0.5 * t * t * np.sinc(x / (2 * np.pi)) ** 2
+
+    rk = np.arange(rows.start, rows.stop)
+    in_b = on_b[rk]
+    ia, ib = np.nonzero(~in_b)[0], np.nonzero(in_b)[0]
+    qa = q[pos[rk[ia]]]
+    cb = b[:, pos[rk[ib]]].T @ q
+    w = np.empty((len(rk), len(rk)))
+    w[np.ix_(ia, ia)] = (qa * np.cos(x)) @ qa.T
+    w[np.ix_(ia, ib)] = -(qa * f) @ cb.T
+    w[np.ix_(ib, ia)] = (cb * f) @ qa.T
+    w[np.ix_(ib, ib)] = np.eye(len(ib)) + (cb * g) @ cb.T
+    return w, np.where(in_b, 1j, 1.0)
 
 
 def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
                         out_tr: np.ndarray):
     """Accumulate tr(V^n rho V^dag^n) for n = 0..n_max into out_tr.
 
-    Uses the eigendecomposition of V when well conditioned, else iterates."""
+    Uses the eigendecomposition of V when well conditioned, else iterates.
+    With V = X diag(lam) X^-1 and M_ij = Y_ij (X^dag X)_ji, Y = X^-1 rho
+    X^-dag, tr_n = sum_ij M_ij lam_i^n conj(lam_j)^n, one matrix product
+    over the powers L[n, i] = lam_i^n."""
     n = v.shape[0]
     if n == 1:
         mag = np.abs(v[0, 0]) ** 2
@@ -286,12 +387,9 @@ def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
         pass
     if use_eig:
         y = xinv @ rho @ xinv.conj().T
-        m = y * (x.conj().T @ x).T          # M_ij = Y_ij (X^dag X)_ji
-        mu = lam[:, None] * lam.conj()[None, :]
-        acc = np.ones_like(mu)
-        for cyc in range(n_max + 1):
-            out_tr[cyc] += np.real(np.sum(m * acc))
-            acc = acc * mu
+        m = y * (x.conj().T @ x).T
+        powers = np.vander(lam, n_max + 1, increasing=True).T
+        out_tr += np.real(np.sum((powers @ m) * powers.conj(), axis=1))
     else:
         cur = rho.astype(complex)
         for cyc in range(n_max + 1):
@@ -306,43 +404,41 @@ def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
 
     At regulator level q an oscillator holds up to e_s + k - q
     excitations, so the joint basis caps each at e_cap + k (and the
-    factor size); the system rows, e_s <= e_cap, are unaffected."""
+    factor size); the system rows, e_s <= e_cap, are unaffected.
+
+    With one frequency on every subsystem (resonance) the free part is
+    E omega on block E, a phase that drops out of every trace, and a
+    bipartite coupling graph makes each block chiral: `_chiral_block`
+    then needs one eigh of half size and a real V.  Otherwise each block
+    is diagonalised whole."""
     caps, bos = _sub_caps(topology, e_cap + k)
     for m, f in enumerate(factors):
         caps[m] = min(caps[m], f.shape[0] - 1)  # never index past a factor
     edges = topology.coupling_edges(params)
-    sys_caps = caps[:-1]
-    qcap = caps[-1]
     n_osc = 1 if topology.kind == "hybrid" else topology.modes
     wf = params.omega_f_list(n_osc)
     freqs = [wf[m] if b and m < n_osc else params.omega_a
              for m, b in enumerate(bos)]
     if bos[-1]:
         freqs[-1] = params.omega_a  # oscillator regulator runs at omega_a
+    colour = _sublattices(edges, len(caps)) if len(set(freqs)) == 1 else None
 
     tr = np.zeros(n_max + 1)
     vac = np.zeros(n_max + 1)
     for e_s in range(e_cap + 1):
-        sys_basis = _compositions(e_s, sys_caps)
-        if not sys_basis:
+        joint, rows, hops = _joint_block(e_s + k, k, caps, bos, edges)
+        lev = joint[rows, :-1]
+        if len(lev) == 0:
             continue
-        e_tot = e_s + k
-        # joint block grouped by regulator level: rows with q = k come in
-        # the same order as sys_basis
-        joint: List[Tuple[int, ...]] = []
-        rows_k = []
-        for q in range(min(e_tot, qcap) + 1):
-            part = _compositions(e_tot - q, sys_caps)
-            if q == k:
-                rows_k = list(range(len(joint), len(joint) + len(part)))
-            joint += [s + (q,) for s in part]
-        hb = _block_hamiltonian(joint, edges, caps, bos, freqs)
-        vk = expm_hermitian(hb, t, rows=rows_k, solver=eigh)
-
-        lev = np.array(sys_basis)
-        rho = np.ones((len(sys_basis), len(sys_basis)), dtype=complex)
+        rho = np.ones((len(lev), len(lev)), dtype=complex)
         for m, f in enumerate(factors):
             rho *= f[lev[:, m][:, None], lev[:, m][None, :]]
+        if colour is None:
+            vk = expm_hermitian(_block_hamiltonian(joint, hops, freqs), t,
+                                rows=rows, solver=eigh)
+        else:
+            vk, dph = _chiral_block(joint, hops, colour, rows, t)
+            rho = dph[:, None] * rho * dph.conj()[None, :]
 
         _block_trace_powers(vk, rho, n_max, tr)
         if e_s == 0:

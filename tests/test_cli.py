@@ -149,6 +149,15 @@ k_list = 0,1,2
     assert t == pytest.approx([np.pi / 2, np.pi, 2 * np.pi / np.sqrt(3)])
 
 
+def test_opt_time_default_levels(tmp_path):
+    # an empty k_list measures every level of the configured regulator
+    cfg = _write(tmp_path, "ot.cfg",
+                 "[experiment]\nkind = opt-time\n[regulator]\nd = 3\n")
+    assert main(["run", str(cfg)]) == 0
+    lines = (tmp_path / "ot.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2"]
+
+
 def test_gaussian_grid_csv(tmp_path):
     cfg = _write(tmp_path, "g.cfg", """
 [experiment]
@@ -221,6 +230,14 @@ def test_bad_protocol_values_exit_2(tmp_path, line):
     assert main(["run", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("cutoff", [-3, 0])
+def test_bad_cutoff_exits_2(tmp_path, cutoff, capsys):
+    cfg = _write(tmp_path, "bad.cfg",
+                 COOL_CFG.replace("cutoff = 30", f"cutoff = {cutoff}"))
+    assert main(["run", str(cfg)]) == 2
+    assert "cutoff must be >= 1" in capsys.readouterr().err
+
+
 def test_coupling_needs_explicit_time(tmp_path):
     text = COOL_CFG + "\n[coupling]\nlambda = 2\n"
     assert main(["run", str(_write(tmp_path, "c.cfg", text))]) == 2
@@ -247,9 +264,12 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 1,2\nk_list = 0\n",
     "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
     "ds_list = 1\n",
-    "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = -1\n"],
+    "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = -1\n",
+    "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n[sweep]\nk_list = 0,4\n",
+    "[experiment]\nkind = gaussian\n[gaussian]\nnbar = 0.5,-0.1\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
-         "d-list", "ds-list", "nbar-grid"])
+         "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
+         "gaussian-nbar"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys):
     assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
     assert "config error" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Blocked-engine checks: networks, hybrid system, oscillator regulator,
-and the star bright-mode path against the blocked engine."""
+the star bright-mode path against the blocked engine, and the chiral
+resonant blocks against the full eigh."""
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from qcool import protocol
 from qcool.errors import ConfigError, TruncationError
 from qcool.hamiltonians import CouplingParams, Topology, total_hamiltonian
-from qcool.hilbert import SpaceSpec, partial_trace
+from qcool.hilbert import SpaceSpec, expm_hermitian, partial_trace
 from qcool.protocol import (ProtocolConfig, _blocked_run, _choose_e_cap,
                             _resolve_factors, default_cycle_time,
                             effective_operator, evolve_unitary,
@@ -283,3 +284,78 @@ def test_star_saturates_at_dark_vacuum(modes, f_inf):
     assert p_vac ** (modes - 1) == pytest.approx(f_inf, abs=1e-7)
     tr = run_protocol(_net_cfg("star", 6, modes))
     assert tr.fidelity[100] == pytest.approx(p_vac ** (modes - 1), abs=1e-7)
+
+
+# ------------------------------------------------ chiral resonant blocks
+
+def _layout(name, d):
+    kind, _, rest = name.partition("-")
+    if kind == "hybrid":
+        return Topology("hybrid", d, system_levels=int(rest))
+    if rest == "oscillator":
+        return Topology(kind, d, modes=2, regulator_kind="oscillator")
+    return Topology(kind, d, modes=int(rest))
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 5)
+                                 for k in range(min(d, 3))])
+@pytest.mark.parametrize("layout", ["linear-2", "linear-3", "linear-4",
+                                    "star-oscillator", "hybrid-3",
+                                    "linear-oscillator"])
+def test_chiral_matches_full_eigh(layout, d, k, monkeypatch):
+    cfg = ProtocolConfig(_layout(layout, d), STAR_STATE, regulator_level=k,
+                         cycle_time=2.1, cutoff=20, n_max=30)
+    chiral = run_protocol(cfg)
+    # no sublattices, as for a non-bipartite graph: every block takes eigh
+    monkeypatch.setattr(protocol, "_sublattices", lambda edges, n_sub: None)
+    full = run_protocol(cfg)
+    assert np.max(np.abs(chiral.fidelity - full.fidelity)) <= 1e-11
+    assert np.max(np.abs(chiral.probability - full.probability)) <= 1e-11
+
+
+@pytest.mark.parametrize("omega_a", [1.0, 1.2], ids=["resonant", "detuned"])
+def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
+    blocks, eighs, chiral = [], [], []
+
+    def spy(record, fn, size):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            record.append(size(args, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(protocol, "_joint_block", spy(
+        blocks, protocol._joint_block, lambda a, out: len(out[0])))
+    monkeypatch.setattr(protocol, "eigh", spy(
+        eighs, protocol.eigh, lambda a, out: len(a[0])))
+    monkeypatch.setattr(protocol, "_chiral_block", spy(
+        chiral, protocol._chiral_block, lambda a, out: 1))
+    cfg = ProtocolConfig(Topology("linear", 3, modes=2), STAR_STATE,
+                         cycle_time=2.1, coupling=CouplingParams(omega_a=omega_a),
+                         cutoff=20, n_max=10)
+    run_protocol(cfg)
+    assert len(blocks) == len(eighs) > 3
+    if omega_a == 1.0:
+        assert len(chiral) == len(blocks)
+        assert all(m < n for m, n in zip(eighs, blocks) if n > 1)
+    else:
+        assert chiral == []
+        assert eighs == blocks
+
+
+def test_chiral_zero_modes():
+    # linear M = 2, block E = 2: |A| = 4 > |B| = 2, so B B^T has two zero
+    # modes; the real-gauge V still matches the full exponential
+    topo = Topology("linear", 3, modes=2)
+    caps, bos = protocol._sub_caps(topo, 4)
+    edges = topo.coupling_edges(CouplingParams())
+    joint, rows, hops = protocol._joint_block(2, 0, caps, bos, edges)
+    colour = protocol._sublattices(edges, len(caps))
+    n_b = np.count_nonzero(joint[:, colour == 1].sum(axis=1) % 2)
+    assert (len(joint) - n_b, n_b) == (4, 2)
+    t = 2.1
+    w, dph = protocol._chiral_block(joint, hops, colour, rows, t)
+    h = protocol._block_hamiltonian(joint, hops, [1.0] * len(caps))
+    # the free part is 2 omega on this block: an outer phase
+    v = expm_hermitian(h, t, rows=rows) * np.exp(2j * t)
+    assert np.max(np.abs(dph[:, None] * v / dph[None, :] - w)) < 1e-13

@@ -3,7 +3,8 @@ import pytest
 
 from qcool.errors import CheckFailedError, SearchFailureError
 from qcool.opttime import (ANALYTIC_TOPT, analytic_topt, hermite_structure_check,
-                           local_optima, solve_topt, vacuum_lambda)
+                           local_optima, solve_topt, vacuum_lambda,
+                           vacuum_residual)
 
 
 def test_analytic_times():
@@ -27,6 +28,20 @@ def test_vacuum_lambda_closed_forms():
     # k = 2: 2/3 + cos(sqrt(3) t)/3
     ref = np.abs(2.0 / 3.0 + np.cos(np.sqrt(3) * t) / 3.0)
     assert np.max(np.abs(vacuum_lambda(3, 2, t) - ref)) < 1e-12
+
+
+def test_vacuum_residual_is_cancellation_free():
+    # a sum of non-negative terms: never below 0, equal to 1 - |lambda_0|
+    # wherever that difference does not cancel
+    t = np.linspace(0.05, 60.0, 2001)
+    for k in range(1, 7):
+        res = vacuum_residual(k, t)
+        assert np.all(res >= 0.0)
+        far = res > 1e-3
+        assert far.sum() > 1000
+        assert np.max(np.abs(res[far] - (1.0 - vacuum_lambda(k + 1, k, t[far])))) < 1e-12
+    assert vacuum_residual(0, t).max() == 0.0
+    assert float(vacuum_residual(1, np.pi)) < 1e-30
 
 
 def test_vacuum_lambda_range_check():
