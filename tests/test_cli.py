@@ -266,10 +266,11 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "ds_list = 1\n",
     "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = -1\n",
     "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n[sweep]\nk_list = 0,4\n",
+    "[experiment]\nkind = opt-time\n[regulator]\nd = 0\n",
     "[experiment]\nkind = gaussian\n[gaussian]\nnbar = 0.5,-0.1\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
          "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
-         "gaussian-nbar"])
+         "opt-time-d", "gaussian-nbar"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys):
     assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
     assert "config error" in capsys.readouterr().err
