@@ -238,12 +238,19 @@ def _run_sweep_energy(cfg, out):
 
 
 def _write_grid(cfg, out, d_list, k_list):
-    """One (d, k, N, F, P) row per cell of the (d, k) grid."""
+    """One (d, k, N, F, P) row per cell of the (d, k) grid with k < d.
+
+    Cells with k >= d are skipped (a triangular grid); a k that no d in
+    the list can measure is a config error."""
     if not d_list or not k_list:
         raise ConfigError("empty grid: d_list and k_list must be non-empty")
     if min(d_list) < 2:
         raise ConfigError(
             f"[sweep] d_list: a regulator needs d >= 2, got {min(d_list)}")
+    if min(k_list) < 0 or max(k_list) >= max(d_list):
+        raise ConfigError(
+            f"measured levels k must lie in 0..{max(d_list) - 1} for d up to "
+            f"{max(d_list)}, got {min(k_list)}..{max(k_list)}")
     s = cfg["sweep"]
     recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
                                     s["report"], s["stop"], s["settle_tol"])

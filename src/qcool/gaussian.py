@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ConstructionError
-from .hilbert import expm_hermitian, lowering
+from .hilbert import block_diag, expm_hermitian, lowering
 
 
 def _omega(modes: int) -> np.ndarray:

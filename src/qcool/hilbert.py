@@ -6,10 +6,10 @@ By convention the measured regulator, when present, is the LAST subsystem,
 which makes the <k|U|k> compression a strided sub-block.
 
 The excitation number N_e = sum_j a_j^dag a_j + sum_m sum_k k|k><k|_m is
-conserved by every Hamiltonian built in this package.  The three
-primitives every layer shares live here: the lowering matrix, the
-Hermitian exponential and the tridiagonal excitation block of one
-oscillator with a ladder qudit.
+conserved by every Hamiltonian built in this package.  The primitives
+every layer shares live here: the lowering matrix, the Hermitian
+exponential, the tridiagonal excitation block of one oscillator with a
+ladder qudit and the block-diagonal direct sum.
 
 The dense product-space operators (`annihilation`, `qudit_transition`,
 `excitation_number`, `block_decompose`, `BlockedOperator`) are a test
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConservationError
 
@@ -56,12 +55,25 @@ def ladder_block(e: int, levels: int, lam: float = 1.0,
     The block is tridiagonal in |e-q>|q>, q = 0..min(levels-1, e): diagonal
     q * detuning (detuning = omega_a - omega_f, the common e * omega_f is
     left to the caller as a phase), off-diagonal lam * sqrt(e - q).  Row q
-    of v is the regulator-level-q amplitude."""
+    of v is the regulator-level-q amplitude.  The block has at most
+    `levels` rows, so a dense eigh is cheaper than a tridiagonal solver's
+    call overhead; the sign of each column of v is arbitrary."""
     q = min(levels - 1, e)
-    if q == 0:
-        return np.zeros(1), np.ones((1, 1))
-    return eigh_tridiagonal(detuning * np.arange(q + 1),
-                            lam * np.sqrt(e - np.arange(q)))
+    off = lam * np.sqrt(e - np.arange(q))
+    return np.linalg.eigh(np.diag(detuning * np.arange(q + 1))
+                          + np.diag(off, 1) + np.diag(off, -1))
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Direct sum of square matrices, in the common result dtype."""
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=np.result_type(*blocks))
+    i = 0
+    for b in blocks:
+        j = i + b.shape[0]
+        out[i:j, i:j] = b
+        i = j
+    return out
 
 
 @dataclass(frozen=True)

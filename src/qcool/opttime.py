@@ -3,7 +3,8 @@
 The protocol works best when the vacuum stays put: the cycle time should
 maximise |lambda_{0,d}^k(t)|, the modulus of the effective-operator entry
 that multiplies the vacuum.  For k <= 2 the maximum is exact and known in
-closed form; for larger k it is found numerically on a search window.
+closed form; for larger k it is found numerically on a search window, a
+grid search whose peaks are refined by bracketed Newton steps.
 """
 from __future__ import annotations
 
@@ -63,11 +64,43 @@ def vacuum_residual(k: int, t) -> np.ndarray:
     1 + |lambda_0| gives the residual to full relative precision near an
     optimum, where 1 - |lambda_0| itself cancels."""
     t = np.asarray(t, dtype=float)
-    w, c = _vacuum_modes(k)
-    dw = (w[:, None] - w[None, :]).ravel()
-    cc = (c[:, None] * c[None, :]).ravel()
+    dw, cc = _mode_pairs(k)
     s2 = (np.sin(0.5 * np.outer(t, dw)) ** 2 @ cc).reshape(t.shape)
     return 2.0 * s2 / (1.0 + vacuum_lambda(k + 1, k, t))
+
+
+def _mode_pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gaps w_j - w_l and weights c_j c_l over all mode pairs (j, l), the
+    terms of s2(t) = sum c_j c_l sin^2((w_j - w_l) t / 2)."""
+    w, c = _vacuum_modes(k)
+    return (w[:, None] - w[None, :]).ravel(), (c[:, None] * c[None, :]).ravel()
+
+
+def _refine_optimum(k: int, a: float, b: float, t: float) -> float:
+    """Minimiser of s2(t) in the bracket (a, b), from the guess t.
+
+    s2 = (1 - |lambda_0|^2) / 2 shares its minimiser with the residual.
+    Newton steps on the analytic s2' = sum c_j c_l dw sin(dw t) / 2 and
+    s2'' = sum c_j c_l dw^2 cos(dw t) / 2, dw = w_j - w_l; the sign of
+    s2' shrinks the bracket, and a step that would leave it, or a
+    non-positive s2'', bisects instead."""
+    dw, cc = _mode_pairs(k)
+    g1, g2 = 0.5 * cc * dw, 0.5 * cc * dw * dw
+    for _ in range(100):
+        grad = float(g1 @ np.sin(dw * t))
+        if grad == 0.0:
+            return t
+        if grad > 0.0:
+            b = t
+        else:
+            a = t
+        curv = float(g2 @ np.cos(dw * t))
+        step = -grad / curv if curv > 0.0 else np.inf
+        nxt = t + step if a < t + step < b else 0.5 * (a + b)
+        if abs(nxt - t) <= 1e-12:
+            return nxt
+        t = nxt
+    return t
 
 
 def analytic_topt(k: int) -> OptTimeResult:
@@ -82,10 +115,8 @@ def analytic_topt(k: int) -> OptTimeResult:
 def local_optima(d: int, k: int, window: Tuple[float, float] = (0.0, 250.0),
                  grid_step: float = 1e-3) -> List[Tuple[float, float]]:
     """(t, residual) at every refined local maximum of |lambda_0| in the
-    window, in increasing t order."""
-    # imported here: scipy.optimize is a slow import that only this search needs
-    from scipy.optimize import minimize_scalar
-
+    window, in increasing t order.  Each grid peak t[p] is refined inside
+    its neighbours (t[p-1], t[p+1])."""
     lo, hi = window
     if not (hi > lo >= 0.0):
         raise ValueError("bad search window")
@@ -97,11 +128,8 @@ def local_optima(d: int, k: int, window: Tuple[float, float] = (0.0, 250.0),
     peaks = np.nonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:]))[0] + 1
     out = []
     for p in peaks:
-        a, b = t[p - 1], t[p + 1]
-        r = minimize_scalar(lambda x: float(vacuum_residual(k, x)),
-                            bounds=(a, b), method="bounded",
-                            options={"xatol": 1e-12})
-        out.append((float(r.x), float(r.fun)))
+        x = _refine_optimum(k, t[p - 1], t[p + 1], t[p])
+        out.append((float(x), float(vacuum_residual(k, x))))
     return out
 
 

@@ -28,6 +28,8 @@ engine paths:
   (`_chiral_block`) then takes V from one eigh of B B^T, half the
   block size, in a gauge where V is real.  Detuned runs diagonalise
   each block whole, and that path is the chiral path's test oracle.
+  Both take numpy's `eigh`, bound here as `eigh` so that the blocks
+  each path diagonalises can be observed.
 
 `evolve_unitary` and `effective_operator` work on dense product-space
 matrices and are a test oracle only.
@@ -41,7 +43,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .errors import ConfigError, SearchFailureError, TruncationError
 from .hamiltonians import CouplingParams, Topology
@@ -146,7 +148,7 @@ def evolve_unitary(h, t: float):
     def expih(m):
         if np.max(np.abs(m - m.conj().T)) > 1e-9:
             raise ValueError("Hamiltonian is not Hermitian")
-        return expm_hermitian(m, t, solver=eigh)
+        return expm_hermitian(m, t)
 
     if isinstance(h, BlockedOperator):
         return BlockedOperator(h.space, {
@@ -380,7 +382,7 @@ def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
     try:
         lam, x = np.linalg.eig(v)
         xinv = np.linalg.inv(x)
-        if np.max(np.abs(x @ np.diag(lam) @ xinv - v)) < 1e-10 * max(1.0, np.max(np.abs(v))) \
+        if np.max(np.abs((x * lam) @ xinv - v)) < 1e-10 * max(1.0, np.max(np.abs(v))) \
                 and np.linalg.cond(x) < 1e8:
             use_eig = True
     except np.linalg.LinAlgError:
@@ -691,7 +693,8 @@ class SweepRecord:
 def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
                     k_list: Sequence[int], report: str = "converged",
                     stop: float = 0.9998, settle_tol: float = 1.2e-5) -> List[SweepRecord]:
-    """(N, F, P) per regulator dimension and measurement level."""
+    """(N, F, P) per regulator dimension and measurement level; cells
+    with k >= d are skipped."""
     out = []
     for d in d_list:
         for k in k_list:

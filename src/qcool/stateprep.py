@@ -17,10 +17,9 @@ from math import factorial
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import TruncationError
-from .hilbert import lowering
+from .hilbert import block_diag, lowering
 from .states import displacement_op, squeezing_op
 
 

@@ -1,3 +1,9 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -267,10 +273,18 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = -1\n",
     "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n[sweep]\nk_list = 0,4\n",
     "[experiment]\nkind = opt-time\n[regulator]\nd = 0\n",
-    "[experiment]\nkind = gaussian\n[gaussian]\nnbar = 0.5,-0.1\n"],
+    "[experiment]\nkind = gaussian\n[gaussian]\nnbar = 0.5,-0.1\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0,5\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 2,3\nk_list = 3\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = -1,0\n",
+    "[experiment]\nkind = network\n[topology]\nkind = star\nmodes = 2\n"
+    "[sweep]\nd_list = 3\nk_list = 0,3\n",
+    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[regulator]\n"
+    "d = 3\nk = 3\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
          "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
-         "opt-time-d", "gaussian-nbar"])
+         "opt-time-d", "gaussian-nbar", "sweep-k-above-d", "sweep-k-equal-d",
+         "sweep-k-negative", "network-k-above-d", "hybrid-k-above-d"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys):
     assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
     assert "config error" in capsys.readouterr().err
@@ -284,3 +298,36 @@ def test_program_errors_are_not_numeric_errors(tmp_path, monkeypatch):
     monkeypatch.setitem(EXPERIMENTS, "cool", (broken, ""))
     with pytest.raises(ValueError, match="bug"):
         main(["run", str(_write(tmp_path, "c.cfg", COOL_CFG))])
+
+
+NO_SCIPY_CONFIGS = ("optimal_times", "network_star_m2", "gaussian_oneshot",
+                    "prep_demo")
+NO_SCIPY_SCRIPT = """
+import sys
+import qcool.cli
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, ("import", loaded)
+for config in sys.argv[1:]:
+    assert qcool.cli.run(config) == 0, config
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, ("run", loaded)
+"""
+
+
+def test_import_and_runs_load_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: neither the import nor a run
+    # of the opt-time, star, Gaussian and prep experiments loads scipy
+    experiments = Path(__file__).resolve().parent.parent / "experiments"
+    configs = []
+    for name in NO_SCIPY_CONFIGS:
+        configs.append(str(tmp_path / f"{name}.cfg"))
+        shutil.copy(experiments / f"{name}.cfg", configs[-1])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *configs],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for config in configs:
+        assert Path(config).with_suffix(".csv").exists()

@@ -3,7 +3,7 @@ import pytest
 
 from qcool.errors import ConservationError
 from qcool.hilbert import (BlockedOperator, Oscillator, Qudit, SpaceSpec,
-                           annihilation, block_decompose, excitation_levels,
+                           annihilation, block_diag, ladder_block, block_decompose, excitation_levels,
                            excitation_number, partial_trace, qudit_transition)
 
 
@@ -84,3 +84,39 @@ def test_partial_trace_product_state():
     joint = np.kron(rho_a, rho_b)
     assert np.max(np.abs(partial_trace(sp, joint, keep=[0]) - rho_a)) < 1e-12
     assert np.max(np.abs(partial_trace(sp, joint, keep=[1]) - rho_b)) < 1e-12
+
+
+@pytest.mark.parametrize("e,levels,lam,detuning", [
+    (0, 3, 1.0, 0.0), (4, 1, 1.0, 0.3), (1, 2, 1.0, 0.0), (5, 4, 1.0, 0.0),
+    (2, 7, 0.7, 0.0), (9, 7, 1.3, -0.4), (6, 3, 1.0, 2.5)],
+    ids=["q0-e0", "q0-levels1", "qubit", "resonant", "e-below-levels",
+         "detuned", "strongly-detuned"])
+def test_ladder_block_matches_dense_eigh(e, levels, lam, detuning):
+    q = min(levels - 1, e)
+    h = np.zeros((q + 1, q + 1))
+    for j in range(q + 1):
+        h[j, j] = j * detuning
+        if j < q:
+            h[j, j + 1] = h[j + 1, j] = lam * np.sqrt(e - j)
+    w_ref, v_ref = np.linalg.eigh(h)
+    w, v = ladder_block(e, levels, lam, detuning)
+    assert w.shape == (q + 1,) and v.shape == (q + 1, q + 1)
+    assert np.max(np.abs(w - w_ref)) < 1e-12
+    # columns agree up to sign; no caller depends on the sign
+    signs = np.sign(np.sum(v * v_ref, axis=0))
+    assert np.all(signs != 0)
+    assert np.max(np.abs(v * signs - v_ref)) < 1e-12
+    assert np.max(np.abs((v * w) @ v.T - h)) < 1e-12
+
+
+def test_block_diag_direct_sum():
+    a = np.arange(4.0).reshape(2, 2)
+    b = np.array([[1j]])
+    c = np.ones((3, 3))
+    out = block_diag(a, b, c)
+    assert out.shape == (6, 6) and out.dtype == complex
+    assert np.array_equal(out[:2, :2], a) and out[2, 2] == 1j
+    assert np.array_equal(out[3:, 3:], c)
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[:2, :2] = mask[2, 2] = mask[3:, 3:] = True
+    assert np.count_nonzero(out[~mask]) == 0

@@ -67,6 +67,38 @@ def test_solve_topt_k5_fails_with_best():
     assert err.value.best_residual == pytest.approx(8.75e-4, rel=0.01)
 
 
+# full-precision optima of the search on [0, 250] at grid step 1e-3, as
+# found by a bounded Brent minimisation of the residual (xatol 1e-12);
+# k = 5 has no admissible optimum and lists its best one
+FROZEN_OPTIMA = {3: (173.60264690654418, 2.2618112447505726e-06),
+                 4: (129.77312750480198, 3.4469948865896715e-05),
+                 5: (157.95200772167505, 8.752140308708051e-04),
+                 6: (108.85278069340552, 2.6800162676392987e-05)}
+
+
+@pytest.mark.parametrize("k", sorted(FROZEN_OPTIMA))
+def test_newton_refinement_frozen_optima(k):
+    t_ref, res_ref = FROZEN_OPTIMA[k]
+    if k == 5:
+        with pytest.raises(SearchFailureError) as err:
+            solve_topt(7, k)
+        t_opt, res = err.value.best_t, err.value.best_residual
+    else:
+        r = solve_topt(7, k)
+        t_opt, res = r.t_opt, r.residual
+    assert abs(t_opt - t_ref) <= 1e-8
+    assert res == pytest.approx(res_ref, rel=1e-9, abs=0.0)
+    assert res == float(vacuum_residual(k, t_opt))
+    # a minimum of the residual, to well below the grid step
+    assert res <= float(vacuum_residual(k, t_opt - 1e-7))
+    assert res <= float(vacuum_residual(k, t_opt + 1e-7))
+    # inside the bracket (t[p-1], t[p+1]) of its grid peak t[p]
+    grid = np.arange(0.0, 250.0 + 1e-3, 1e-3)
+    near = np.nonzero(np.abs(grid - t_opt) < 0.01)[0]
+    p = near[np.argmax(vacuum_lambda(7, k, grid[near]))]
+    assert grid[p - 1] < t_opt < grid[p + 1]
+
+
 def test_local_optima_find_shallow_peaks():
     # the first deep near-revival for k=3 sits near t = 59.25
     opts = local_optima(7, 3, window=(55.0, 62.0))
