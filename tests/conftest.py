@@ -1,8 +1,8 @@
 import os
 
-# One BLAS thread unless the caller chose otherwise: on a 2-vCPU VM the
-# blocked engine runs about twice as slow at OpenBLAS's default two
-# threads.  Set before numpy loads, which reads these once.
+# One BLAS thread, as in the benchmark's runs, unless the caller chose
+# otherwise, so suite timings compare across machines and with the
+# benchmark.  Set before numpy loads, which reads these once.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
