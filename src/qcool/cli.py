@@ -228,9 +228,9 @@ def _run_sweep_energy(cfg, out):
     grid = cfg["sweep"]["nbar_grid"]
     if not grid:
         raise ConfigError("empty grid: nbar_grid must be non-empty")
-    if min(grid) < 0:
+    if not all(np.isfinite(grid)) or min(grid) < 0:
         raise ConfigError(
-            f"[sweep] nbar_grid: nbar must be >= 0, got {min(grid)}")
+            f"[sweep] nbar_grid: nbar must be finite and >= 0, got {grid}")
     recs = protocol.sweep_energy(_protocol_config(cfg), grid)
     emit_csv(("energy", "N", "F", "P"),
              [(r.energy, r.cycles, r.fidelity, r.probability) for r in recs],
@@ -296,6 +296,9 @@ def _run_gaussian(cfg, out):
     g = cfg["gaussian"]
     if not (g["alpha1"] and g["alpha2"] and g["r"] and g["nbar"]):
         raise ConfigError("empty grid: gaussian lists must be non-empty")
+    for key in ("alpha1", "alpha2", "r", "nbar"):
+        if not all(np.isfinite(g[key])):
+            raise ConfigError(f"[gaussian] {key}: must be finite, got {g[key]}")
     if min(g["nbar"]) < 0:
         raise ConfigError(f"[gaussian] nbar: must be >= 0, got {min(g['nbar'])}")
     rows = []

@@ -47,7 +47,7 @@ def expm_hermitian(h: np.ndarray, t: float, rows=None,
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def ladder_block(e: int, levels: int, lam: float = 1.0,
+def ladder_block(e, levels: int, lam: float = 1.0,
                  detuning: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenpairs (w, v) of the total-excitation-e block of one oscillator
     coupled by lam * (a raise_R + h.c.) to a `levels`-level ladder qudit.
@@ -57,11 +57,19 @@ def ladder_block(e: int, levels: int, lam: float = 1.0,
     left to the caller as a phase), off-diagonal lam * sqrt(e - q).  Row q
     of v is the regulator-level-q amplitude.  The block has at most
     `levels` rows, so a dense eigh is cheaper than a tridiagonal solver's
-    call overhead; the sign of each column of v is arbitrary."""
-    q = min(levels - 1, e)
-    off = lam * np.sqrt(e - np.arange(q))
-    return np.linalg.eigh(np.diag(detuning * np.arange(q + 1))
-                          + np.diag(off, 1) + np.diag(off, -1))
+    call overhead; the sign of each column of v is arbitrary.
+
+    An array of e >= levels - 1 gives blocks of one size, `levels`, and
+    they are diagonalised as one stack: w[j], v[j] belong to e[j]."""
+    e = np.asarray(e)
+    if e.ndim and e.min() < levels - 1:
+        raise ValueError("stacked blocks need every e >= levels - 1")
+    q = np.arange(min(levels - 1, int(e.min())) + 1)
+    off = lam * np.sqrt(e[..., None] - q[:-1])
+    h = np.zeros(e.shape + (len(q), len(q)))
+    h[..., q, q] = detuning * q
+    h[..., q[:-1], q[1:]] = h[..., q[1:], q[:-1]] = off
+    return np.linalg.eigh(h)
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

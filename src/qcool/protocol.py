@@ -13,13 +13,16 @@ engine paths:
 
 - single: one oscillator with a qudit regulator.  Each block is the
   tridiagonal `hilbert.ladder_block`, giving the diagonal
-  lambda_{i,d}^k of V directly.
+  lambda_{i,d}^k of V directly, so only the initial state's Fock
+  populations matter: a DSTParams state enters through
+  `states.dst_populations`, a density matrix through its diagonal.
 - star bright mode (`_star_run`): a star of M oscillators with a qudit
   regulator, one omega_f on every leaf, M equal DSTParams factors and
   an excitation cap e_cap <= cutoff - 1.  The regulator sees only the
   bright mode b = sum_i a_i / sqrt(M), at coupling lam sqrt(M), so the
-  single-mode kernel applies; the M-1 dark modes never cool and F
-  saturates at F_inf = p_vac(dark)^(M-1).
+  single-mode kernel applies to the bright and dark populations; the
+  M-1 dark modes never cool and F saturates at
+  F_inf = p_vac(dark)^(M-1).
 - blocked (`_blocked_run`): every other network, the hybrid pair and the
   oscillator regulator, over the composite basis.  It is also the test
   oracle of the star path.  At resonance (omega_a equal to every
@@ -29,7 +32,9 @@ engine paths:
   block size, in a gauge where V is real.  Detuned runs diagonalise
   each block whole, and that path is the chiral path's test oracle.
   Both take numpy's `eigh`, bound here as `eigh` so that the blocks
-  each path diagonalises can be observed.
+  each path diagonalises can be observed.  This is the one path that
+  needs coherences, so it alone builds full initial density matrices
+  (`_resolve_factors`).
 
 `evolve_unitary` and `effective_operator` work on dense product-space
 matrices and are a test oracle only.
@@ -50,7 +55,7 @@ from .hamiltonians import CouplingParams, Topology
 from .hilbert import BlockedOperator, ExcitationBlock, SpaceSpec, expm_hermitian, \
     ladder_block
 from .states import DSTParams, depolarized_qudit, displaced_squeezed_thermal, \
-    dst_mean_energy
+    dst_mean_energy, dst_populations
 from . import opttime
 
 
@@ -186,12 +191,20 @@ def effective_lambdas(d: int, k: int, t: float, count: int, lam: float = 1.0,
 
     Block E = i + k is the tridiagonal `ladder_block`: diagonal
     (E-q) omega_f + q omega_a, off-diagonal lam sqrt(E - q); the common
-    E omega_f is applied as an outer phase."""
-    out = np.empty(count, dtype=complex)
-    for i in range(count):
-        e = i + k
-        w, v = ladder_block(e, d, lam, omega_a - omega_f)
-        out[i] = np.exp(-1j * e * omega_f * t) * (v[k] * np.exp(-1j * w * t) @ v[k])
+    E omega_f is applied as an outer phase.  The blocks with E >= d - 1
+    all have d rows and are diagonalised as one stack; only the smaller
+    head blocks go one by one."""
+    e = np.arange(k, k + count)
+    head = min(count, max(d - 1 - k, 0))
+    amp = np.empty(count, dtype=complex)
+    for i in range(head):
+        w, v = ladder_block(int(e[i]), d, lam, omega_a - omega_f)
+        amp[i] = v[k] * np.exp(-1j * w * t) @ v[k]
+    if head < count:
+        w, v = ladder_block(e[head:], d, lam, omega_a - omega_f)
+        amp[head:] = ((v[:, k] * np.exp(-1j * w * t))[:, None, :]
+                      @ v[:, k, :, None])[:, 0, 0]
+    out = np.exp(-1j * e * omega_f * t) * amp
     out.setflags(write=False)
     return out
 
@@ -449,23 +462,13 @@ def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
     return vac / tr, tr
 
 
-def _resolve_factors(cfg: ProtocolConfig) -> List[np.ndarray]:
-    """Per-system-subsystem density matrices from the configured input."""
+def _factor_inputs(
+        cfg: ProtocolConfig) -> List[Tuple[Union[DSTParams, np.ndarray], int]]:
+    """Per-system-subsystem initial inputs, each a DSTParams or a square
+    density matrix, with the number of levels a DSTParams is built on."""
     topo = cfg.topology
     init = cfg.initial_system
     n_sys = 2 if topo.kind == "hybrid" else topo.modes
-
-    built = {}      # equal DSTParams factors share one build
-
-    def as_matrix(x, dim):
-        if isinstance(x, DSTParams):
-            if (x, dim) not in built:
-                built[x, dim] = displaced_squeezed_thermal(x, dim)
-            return built[x, dim]
-        m = np.asarray(x, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError("initial states must be square density matrices")
-        return m
 
     if isinstance(init, (DSTParams, np.ndarray)):
         init = [init]
@@ -477,21 +480,38 @@ def _resolve_factors(cfg: ProtocolConfig) -> List[np.ndarray]:
     if len(init) != n_sys:
         raise ConfigError(f"{n_sys} initial factors expected, got {len(init)}")
 
-    factors = []
+    out = []
     for m, x in enumerate(init):
-        if topo.kind == "hybrid" and m == 1:
-            factors.append(as_matrix(x, topo.system_levels))
-        else:
-            factors.append(as_matrix(x, cfg.cutoff))
+        if not isinstance(x, DSTParams):
+            x = np.asarray(x, dtype=complex)
+            if x.ndim != 2 or x.shape[0] != x.shape[1]:
+                raise ConfigError("initial states must be square density matrices")
+        hybrid_qudit = topo.kind == "hybrid" and m == 1
+        out.append((x, topo.system_levels if hybrid_qudit else cfg.cutoff))
+    return out
+
+
+def _resolve_factors(cfg: ProtocolConfig) -> List[np.ndarray]:
+    """Per-system-subsystem density matrices from the configured input."""
+    built = {}      # equal DSTParams factors share one build
+    factors = []
+    for x, dim in _factor_inputs(cfg):
+        if isinstance(x, DSTParams):
+            if (x, dim) not in built:
+                built[x, dim] = displaced_squeezed_thermal(x, dim)
+            x = built[x, dim]
+        factors.append(x)
     return factors
 
 
 def _choose_e_cap(factors: List[np.ndarray], e_max: Optional[int],
                   tail_tol: float = 1e-7, hard_tol: float = 1e-6) -> int:
-    """Smallest excitation cap with combined tail below tail_tol."""
+    """Smallest excitation cap with combined tail below tail_tol; each
+    factor is a density matrix or its populations."""
     conv = np.array([1.0])
     for f in factors:
-        conv = np.convolve(conv, np.clip(np.real(np.diag(f)), 0, None))
+        pops = np.real(np.diag(f)) if np.ndim(f) == 2 else f
+        conv = np.convolve(conv, np.clip(pops, 0, None))
     cum = np.cumsum(conv)
     if e_max is not None:
         tail = 1.0 - (cum[e_max] if e_max < len(cum) else cum[-1])
@@ -510,8 +530,8 @@ def _choose_e_cap(factors: List[np.ndarray], e_max: Optional[int],
 
 # ---------------------------------------------------- star bright mode
 
-def _star_run(cfg: ProtocolConfig, k: int, t: float,
-              e_cap: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def _star_run(cfg: ProtocolConfig, k: int,
+              t: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """F_n, P_n of a uniform star through its bright mode; None when the
     reduction does not apply.
 
@@ -520,28 +540,28 @@ def _star_run(cfg: ProtocolConfig, k: int, t: float,
     pick up phases.  M identical Gaussian factors are, in the bright/dark
     basis, a bright factor displaced by sqrt(M) alpha times M-1 centred
     dark factors.  Total excitation is the same in both bases, so the
-    blocked engine's e_b + e_d <= e_cap truncation is kept exactly."""
+    blocked engine's e_b + e_d <= e_cap truncation, with e_cap chosen
+    from the factors' populations as there, is kept exactly.  Only
+    populations are read, so no density matrix is built."""
     topo, c = cfg.topology, cfg.coupling
     m = topo.modes
-    init = cfg.initial_system
-    if isinstance(init, DSTParams):
-        init = [init] * m
     if topo.kind != "star" or topo.regulator_kind != "qudit" \
-            or len(set(c.omega_f_list(m))) != 1 or e_cap > cfg.cutoff - 1 \
-            or isinstance(init, np.ndarray) or len(init) != m \
-            or not all(isinstance(x, DSTParams) for x in init) \
-            or len(set(init)) != 1:
+            or len(set(c.omega_f_list(m))) != 1:
         return None
-    p = init[0]
+    inputs = _factor_inputs(cfg)
+    p = inputs[0][0]
+    if not all(isinstance(x, DSTParams) and x == p for x, _ in inputs):
+        return None
+    e_cap = _choose_e_cap([dst_populations(p, cfg.cutoff)] * m, cfg.e_max)
+    if e_cap > cfg.cutoff - 1:
+        return None
     try:
-        bright = displaced_squeezed_thermal(
+        c_b = dst_populations(
             replace(p, alpha_mag=math.sqrt(m) * p.alpha_mag), cfg.cutoff)
-        dark = displaced_squeezed_thermal(replace(p, alpha_mag=0.0),
-                                          cfg.cutoff)
+        c_d = dst_populations(replace(p, alpha_mag=0.0), cfg.cutoff)
     except TruncationError:
         return None
-    c_b = np.clip(np.real(np.diag(bright))[:e_cap + 1], 0.0, None)
-    c_d = np.clip(np.real(np.diag(dark)), 0.0, None)
+    c_b = c_b[:e_cap + 1]
     p_d = np.eye(1, e_cap + 1)[0]       # dark excitation distribution
     for _ in range(m - 1):
         p_d = np.convolve(p_d, c_d)[:e_cap + 1]
@@ -584,18 +604,22 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
     k = cfg.regulator_level
     t = cfg.cycle_time if cfg.cycle_time is not None else default_cycle_time(topo, k)
 
-    factors = _resolve_factors(cfg)
     if topo.kind == "single" and topo.regulator_kind == "qudit":
         c = cfg.coupling
-        cdiag = np.clip(np.real(np.diag(factors[0])), 0.0, None)
+        x, dim = _factor_inputs(cfg)[0]
+        pops = dst_populations(x, dim) if isinstance(x, DSTParams) \
+            else np.real(np.diag(x))
+        cdiag = np.clip(pops, 0.0, None)
         lams = effective_lambdas(topo.regulator_levels, k, t, len(cdiag),
                                  c.lam, c.omega_a, c.omega_f_list(1)[0])
         fid, prob = _trace_single(lams, cdiag, cfg.n_max)
     else:
-        e_cap = _choose_e_cap(factors, cfg.e_max)
-        star = _star_run(cfg, k, t, e_cap)
-        fid, prob = star if star is not None else _blocked_run(
-            topo, cfg.coupling, k, t, factors, e_cap, cfg.n_max)
+        trace = _star_run(cfg, k, t)
+        if trace is None:
+            factors = _resolve_factors(cfg)
+            trace = _blocked_run(topo, cfg.coupling, k, t, factors,
+                                 _choose_e_cap(factors, cfg.e_max), cfg.n_max)
+        fid, prob = trace
 
     conv = None
     for n in range(1, cfg.n_max + 1):

@@ -1,11 +1,23 @@
 """Initial-state builders: displaced squeezed thermal modes and qudit states.
 
-Displacement and squeezing exponentiate the anti-Hermitian generator G
-as exp(-i H t) with H = -i G and t = -1, through a Hermitian
-eigendecomposition that keeps the truncated operators exactly unitary.
+Displacement and squeezing are exponentials of real symmetric generators
+in a diagonal phase gauge: with X = a + a^dag and Y = a^2 + a^dag^2,
+
+    D(alpha) = P exp(-i |alpha| X) P^dag,  P = diag(e^{i n (arg alpha + pi/2)})
+    S(z)     = Q exp(-i (r/2) Y) Q^dag,    Q = diag(e^{i n (theta/2 - pi/4)})
+
+since P a P^dag = e^{-i(arg alpha + pi/2)} a.  The exponential is a real
+eigendecomposition, which keeps the truncated operators exactly unitary.
+
+A single mode's populations p_n = sum_j |u_nj|^2 w_j (u = D S, w the
+thermal weights) are all the single-oscillator and star bright-mode
+paths read, so `dst_populations` forms them without the density matrix;
+`displaced_squeezed_thermal` builds the full matrix for the blocked
+engine, which needs the coherences.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +40,10 @@ class DSTParams:
     nbar: float = 0.0
 
     def __post_init__(self):
+        values = (self.alpha_mag, self.alpha_phase, self.r, self.theta,
+                  self.nbar)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError(f"state parameters must be finite, got {values}")
         if self.nbar < 0 or self.r < 0 or self.alpha_mag < 0:
             raise ValueError("alpha_mag, r, nbar must be non-negative")
 
@@ -55,10 +71,16 @@ def thermal_state(nbar: float, cutoff: int) -> np.ndarray:
     return np.diag(_thermal_weights(nbar, cutoff)).astype(complex)
 
 
+def _gauged_expm(gen: np.ndarray, s: float, phase: float) -> np.ndarray:
+    """G exp(-i s gen) G^dag with G = diag(e^{i n phase}), gen real symmetric."""
+    g = np.exp(1j * phase * np.arange(gen.shape[0]))
+    return expm_hermitian(gen, s) * np.outer(g, g.conj())
+
+
 def displacement_op(alpha: complex, cutoff: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - alpha* a) on the truncated space."""
-    a = lowering(cutoff)
-    return expm_hermitian(-1j * (alpha * a.conj().T - np.conj(alpha) * a), -1.0)
+    a = lowering(cutoff).real
+    return _gauged_expm(a + a.T, abs(alpha), np.angle(alpha) + np.pi / 2)
 
 
 def squeezing_op(z: complex, cutoff: int) -> np.ndarray:
@@ -67,9 +89,9 @@ def squeezing_op(z: complex, cutoff: int) -> np.ndarray:
     S(r)|0> has Var(x) = exp(-2r)/2 and Var(p) = exp(+2r)/2 in the
     x = (a + a^dag)/sqrt(2) convention.
     """
-    a = lowering(cutoff)
-    gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.conj().T @ a.conj().T))
-    return expm_hermitian(-1j * gen, -1.0)
+    a = np.diagonal(lowering(cutoff), 1).real       # <n-1|a|n>
+    a2 = np.diag(a[:-1] * a[1:], 2)
+    return _gauged_expm(a2 + a2.T, abs(z) / 2, np.angle(z) / 2 - np.pi / 4)
 
 
 @lru_cache(maxsize=1)
@@ -83,6 +105,26 @@ def _gaussian_unitary(alpha: complex, z: complex, dim: int) -> np.ndarray:
     return u
 
 
+def _leak_check(leak: float, cutoff: int, leak_tol: float):
+    if leak > leak_tol:
+        raise TruncationError(
+            f"state leaks {leak:.3e} past cutoff {cutoff}", leakage=leak)
+
+
+def dst_populations(p: DSTParams, cutoff: int,
+                    leak_tol: float = 1e-6) -> np.ndarray:
+    """Fock populations of `displaced_squeezed_thermal(p, cutoff)`, its
+    real diagonal, without forming the density matrix.
+
+    Same margin, leak check and renormalisation on the cutoff."""
+    build = cutoff + 30
+    u = _gaussian_unitary(p.alpha, p.z, build)
+    pops = (u.real ** 2 + u.imag ** 2) @ _thermal_weights(p.nbar, build)
+    _leak_check(float(pops[cutoff:].sum()), cutoff, leak_tol)
+    pops = pops[:cutoff]
+    return pops / pops.sum()
+
+
 def displaced_squeezed_thermal(p: DSTParams, cutoff: int,
                                leak_tol: float = 1e-6) -> np.ndarray:
     """D(alpha) S(z) rho_th(nbar) S(z)^dag D(alpha)^dag, renormalized.
@@ -94,10 +136,8 @@ def displaced_squeezed_thermal(p: DSTParams, cutoff: int,
     build = cutoff + 30
     u = _gaussian_unitary(p.alpha, p.z, build)
     rho = (u * _thermal_weights(p.nbar, build)) @ u.conj().T
-    leak = float(np.real(np.trace(rho[cutoff:, cutoff:])))
-    if leak > leak_tol:
-        raise TruncationError(
-            f"state leaks {leak:.3e} past cutoff {cutoff}", leakage=leak)
+    _leak_check(float(np.real(np.trace(rho[cutoff:, cutoff:]))), cutoff,
+                leak_tol)
     rho = rho[:cutoff, :cutoff]
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.real(np.trace(rho))

@@ -1,11 +1,3 @@
-import os
-
-# One BLAS thread, as in the benchmark's runs, unless the caller chose
-# otherwise, so suite timings compare across machines and with the
-# benchmark.  Set before numpy loads, which reads these once.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
 import numpy as np
 import pytest
 

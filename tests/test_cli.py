@@ -254,8 +254,12 @@ def test_coupling_needs_explicit_time(tmp_path):
 @pytest.mark.parametrize("old,new", [
     ("nbar = 0.4", "nbar = -1"), ("r = 0.1", "r = -0.1"),
     ("[regulator]", "[topology]\nkind = single\nmodes = 2\n[regulator]"),
-    ("[regulator]", "[topology]\nkind = ring\n[regulator]")],
-    ids=["nbar", "r", "single-modes", "kind"])
+    ("[regulator]", "[topology]\nkind = ring\n[regulator]"),
+    ("nbar = 0.4", "nbar = nan"), ("nbar = 0.4", "nbar = inf"),
+    ("r = 0.1", "r = inf"), ("alpha = 0.4", "alpha = nan"),
+    ("alpha_phase = 1.5707963267948966", "alpha_phase = nan")],
+    ids=["nbar", "r", "single-modes", "kind", "nbar-nan", "nbar-inf",
+         "r-inf", "alpha-nan", "alpha-phase-nan"])
 def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     cfg = _write(tmp_path, "bad.cfg", COOL_CFG.replace(old, new))
     assert main(["run", str(cfg)]) == 2
@@ -280,11 +284,17 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = network\n[topology]\nkind = star\nmodes = 2\n"
     "[sweep]\nd_list = 3\nk_list = 0,3\n",
     "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[regulator]\n"
-    "d = 3\nk = 3\n"],
+    "d = 3\nk = 3\n",
+    "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = 1.0,nan\n",
+    "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = inf\n",
+    "[experiment]\nkind = gaussian\n[gaussian]\nnbar = 0.5,nan\n",
+    "[experiment]\nkind = gaussian\n[gaussian]\nr = inf\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
          "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
          "opt-time-d", "gaussian-nbar", "sweep-k-above-d", "sweep-k-equal-d",
-         "sweep-k-negative", "network-k-above-d", "hybrid-k-above-d"])
+         "sweep-k-negative", "network-k-above-d", "hybrid-k-above-d",
+         "nbar-grid-nan", "nbar-grid-inf", "gaussian-nbar-nan",
+         "gaussian-r-inf"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys):
     assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
     assert "config error" in capsys.readouterr().err

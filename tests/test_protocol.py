@@ -4,7 +4,7 @@ import pytest
 from qcool.errors import ConfigError
 from qcool.hamiltonians import CouplingParams, Topology, free_hamiltonian, \
     interaction_linear
-from qcool.hilbert import Oscillator, Qudit, SpaceSpec
+from qcool.hilbert import Oscillator, Qudit, SpaceSpec, ladder_block
 from qcool.protocol import (EffectiveOperator, ProtocolConfig, ProtocolTrace,
                             default_cycle_time, effective_lambdas,
                             effective_operator, evolve_unitary, n_cooled,
@@ -62,6 +62,24 @@ def test_effective_operator_validate_flags_expansion():
     v2 = EffectiveOperator(np.array([[0.5, 0.4], [0.4, 0.5]]), 0, 2)
     with pytest.raises(ValueError):
         v2.validate(system_levels=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("d,k,count,coupling", [
+    (2, 0, 50, ()), (4, 0, 3, ()), (4, 2, 1, ()), (6, 2, 300, ()),
+    (5, 4, 40, ()), (6, 1, 60, (1.3, 1.2, 0.9))],
+    ids=["qubit", "head-only", "k-single", "cutoff300", "k-top", "detuned"])
+def test_effective_lambdas_match_block_loop(d, k, count, coupling):
+    # one ladder block per Fock level, as the stacked blocks must give
+    lam, omega_a, omega_f = coupling or (1.0, 1.0, 1.0)
+    t = 2.1
+    ref = np.empty(count, dtype=complex)
+    for i in range(count):
+        e = i + k
+        w, v = ladder_block(e, d, lam, omega_a - omega_f)
+        ref[i] = np.exp(-1j * e * omega_f * t) * (v[k] * np.exp(-1j * w * t) @ v[k])
+    got = effective_lambdas(d, k, t, count, *coupling)
+    assert got.shape == (count,)
+    assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 def test_effective_lambdas_vacuum_entry():

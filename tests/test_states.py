@@ -3,13 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcool import states
+from qcool import protocol, states
 from qcool.errors import TruncationError
 from qcool.hamiltonians import Topology
-from qcool.protocol import ProtocolConfig, max_coolable_nbar, sweep_energy
+from qcool.hilbert import expm_hermitian, lowering
+from qcool.protocol import (ProtocolConfig, max_coolable_nbar, run_protocol,
+                            sweep_energy)
 from qcool.states import (DSTParams, depolarized_qudit, displacement_op,
                           displaced_squeezed_thermal, dst_mean_energy,
-                          mean_energy, squeezing_op, thermal_state)
+                          dst_populations, mean_energy, squeezing_op,
+                          thermal_state)
 
 from conftest import C00_NETWORK, C00_TABLE, NETWORK_STATE, TABLE_STATE
 
@@ -151,3 +154,78 @@ def test_leak_guard_with_warm_cache():
         displaced_squeezed_thermal(replace(cold, nbar=5.0), 20)
     assert err.value.leakage > 1e-6
     assert states._gaussian_unitary.cache_info().hits == hits + 1
+
+
+# ------------------------------- phase-gauged D, S and the populations
+
+PHASES = [0.0, np.pi / 2, 1.3, -2.2, np.pi]
+
+
+@pytest.mark.parametrize("dim", [25, 90, 330])
+@pytest.mark.parametrize("phase", PHASES)
+def test_gauged_ops_match_complex_generators(dim, phase):
+    # the oracle exponentiates the complex anti-Hermitian generators
+    a = lowering(dim)
+    ad = a.conj().T
+    for mag in (0.3, 1.1):
+        alpha = mag * np.exp(1j * phase)
+        ref = expm_hermitian(-1j * (alpha * ad - np.conj(alpha) * a), -1.0)
+        assert np.max(np.abs(displacement_op(alpha, dim) - ref)) <= 1e-12
+    for r in (0.1, 0.5):
+        z = r * np.exp(1j * phase)
+        ref = expm_hermitian(-1j * 0.5 * (np.conj(z) * (a @ a) - z * (ad @ ad)),
+                             -1.0)
+        assert np.max(np.abs(squeezing_op(z, dim) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("p,cutoff", [
+    (DSTParams(0.4, 1.3, 0.1, 0.8, nbar=0.0), 40),
+    (DSTParams(0.5, -0.7, 0.2, 2.1, nbar=0.5), 40),
+    (DSTParams(0.5, np.pi / 2, 0.2, np.pi / 2, nbar=0.3), 40),
+    (DSTParams(0.4, np.pi / 2, 0.1, nbar=6.0), 300)],
+    ids=["nbar0", "phases", "right-angles", "cutoff300"])
+def test_dst_populations_match_density_diagonal(p, cutoff):
+    ref = np.real(np.diag(displaced_squeezed_thermal(p, cutoff)))
+    states._gaussian_unitary.cache_clear()
+    for _ in range(2):        # cold, then from the cached unitary
+        pops = dst_populations(p, cutoff)
+        assert pops.shape == (cutoff,)
+        assert np.max(np.abs(pops - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("p,cutoff", [
+    (DSTParams(alpha_mag=2.5), 4),
+    (DSTParams(alpha_mag=0.4, r=0.1, nbar=5.0), 20)],
+    ids=["displaced", "warm"])
+def test_dst_populations_leak_guard(p, cutoff):
+    with pytest.raises(TruncationError) as full:
+        displaced_squeezed_thermal(p, cutoff)
+    with pytest.raises(TruncationError) as pops:
+        dst_populations(p, cutoff)
+    assert str(pops.value) == str(full.value)
+    assert pops.value.leakage == pytest.approx(full.value.leakage, abs=1e-14)
+
+
+def _trace_values(trace):
+    return (list(trace.fidelity), list(trace.probability), trace.converged_at)
+
+
+def test_population_paths_build_no_density_matrix(monkeypatch):
+    # single and star bright-mode runs read populations only
+    star = ProtocolConfig(Topology("star", 3, modes=3), DSTParams(
+        alpha_mag=0.1, alpha_phase=0.7, r=0.03, theta=1.1, nbar=0.03),
+        cutoff=20, n_max=30)
+    single = ProtocolConfig(Topology("single", 4), TABLE_STATE, cutoff=60,
+                            n_max=20)
+    runs = [
+        lambda: sweep_energy(single, [0.1, 0.7, 2.0]),
+        lambda: max_coolable_nbar(single, nbar_hi=2.0, iters=4),
+        lambda: _trace_values(run_protocol(star))]
+    before = [run() for run in runs]
+
+    def refuse(*args, **kw):
+        raise AssertionError("density matrix built")
+
+    monkeypatch.setattr(protocol, "displaced_squeezed_thermal", refuse)
+    for run, ref in zip(runs, before):
+        assert run() == ref
