@@ -59,13 +59,14 @@ def ladder_block(e, levels: int, lam: float = 1.0,
     `levels` rows, so a dense eigh is cheaper than a tridiagonal solver's
     call overhead; the sign of each column of v is arbitrary.
 
-    An array of e >= levels - 1 gives blocks of one size, `levels`, and
-    they are diagonalised as one stack: w[j], v[j] belong to e[j]."""
+    An array of e gives a stack of `levels`-row blocks, diagonalised in
+    one call (w[j], v[j] belong to e[j]): the off-diagonal is
+    lam * sqrt(max(e - q, 0)), so a block with e < levels - 1 carries
+    rows q > e that are decoupled from its q <= e rows."""
     e = np.asarray(e)
-    if e.ndim and e.min() < levels - 1:
-        raise ValueError("stacked blocks need every e >= levels - 1")
-    q = np.arange(min(levels - 1, int(e.min())) + 1)
-    off = lam * np.sqrt(e[..., None] - q[:-1])
+    rows = levels if e.ndim else min(levels - 1, int(e)) + 1
+    q = np.arange(rows)
+    off = lam * np.sqrt(np.clip(e[..., None] - q[:-1], 0, None))
     h = np.zeros(e.shape + (len(q), len(q)))
     h[..., q, q] = detuning * q
     h[..., q[:-1], q[1:]] = h[..., q[1:], q[:-1]] = off

@@ -191,19 +191,14 @@ def effective_lambdas(d: int, k: int, t: float, count: int, lam: float = 1.0,
 
     Block E = i + k is the tridiagonal `ladder_block`: diagonal
     (E-q) omega_f + q omega_a, off-diagonal lam sqrt(E - q); the common
-    E omega_f is applied as an outer phase.  The blocks with E >= d - 1
-    all have d rows and are diagonalised as one stack; only the smaller
-    head blocks go one by one."""
+    E omega_f is applied as an outer phase.  All blocks are diagonalised
+    as one stack of d-row blocks; rows q > E of a padded block are
+    decoupled from row k <= E, so lambda = <k|exp(-i H t)|k> =
+    sum_j v_kj^2 e^{-i w_j t} is that of the E-block alone, also when
+    the padding's eigenvalues are degenerate with it."""
     e = np.arange(k, k + count)
-    head = min(count, max(d - 1 - k, 0))
-    amp = np.empty(count, dtype=complex)
-    for i in range(head):
-        w, v = ladder_block(int(e[i]), d, lam, omega_a - omega_f)
-        amp[i] = v[k] * np.exp(-1j * w * t) @ v[k]
-    if head < count:
-        w, v = ladder_block(e[head:], d, lam, omega_a - omega_f)
-        amp[head:] = ((v[:, k] * np.exp(-1j * w * t))[:, None, :]
-                      @ v[:, k, :, None])[:, 0, 0]
+    w, v = ladder_block(e, d, lam, omega_a - omega_f)
+    amp = (v[:, k] ** 2 * np.exp(-1j * w * t)).sum(-1)
     out = np.exp(-1j * e * omega_f * t) * amp
     out.setflags(write=False)
     return out
@@ -504,14 +499,13 @@ def _resolve_factors(cfg: ProtocolConfig) -> List[np.ndarray]:
     return factors
 
 
-def _choose_e_cap(factors: List[np.ndarray], e_max: Optional[int],
+def _choose_e_cap(pops: List[np.ndarray], e_max: Optional[int],
                   tail_tol: float = 1e-7, hard_tol: float = 1e-6) -> int:
-    """Smallest excitation cap with combined tail below tail_tol; each
-    factor is a density matrix or its populations."""
+    """Smallest excitation cap with combined tail below tail_tol, from
+    each factor's Fock populations."""
     conv = np.array([1.0])
-    for f in factors:
-        pops = np.real(np.diag(f)) if np.ndim(f) == 2 else f
-        conv = np.convolve(conv, np.clip(pops, 0, None))
+    for p in pops:
+        conv = np.convolve(conv, np.clip(p, 0, None))
     cum = np.cumsum(conv)
     if e_max is not None:
         tail = 1.0 - (cum[e_max] if e_max < len(cum) else cum[-1])
@@ -617,8 +611,10 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
         trace = _star_run(cfg, k, t)
         if trace is None:
             factors = _resolve_factors(cfg)
-            trace = _blocked_run(topo, cfg.coupling, k, t, factors,
-                                 _choose_e_cap(factors, cfg.e_max), cfg.n_max)
+            e_cap = _choose_e_cap([np.real(np.diag(f)) for f in factors],
+                                  cfg.e_max)
+            trace = _blocked_run(topo, cfg.coupling, k, t, factors, e_cap,
+                                 cfg.n_max)
         fid, prob = trace
 
     conv = None

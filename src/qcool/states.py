@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -94,6 +95,10 @@ def squeezing_op(z: complex, cutoff: int) -> np.ndarray:
     return _gauged_expm(a2 + a2.T, abs(z) / 2, np.angle(z) / 2 - np.pi / 4)
 
 
+_MARGIN = 30       # Fock levels built past the cutoff and truncated away
+_LEAK_TOL = 1e-6   # largest population a builder may lose past the cutoff
+
+
 @lru_cache(maxsize=1)
 def _gaussian_unitary(alpha: complex, z: complex, dim: int) -> np.ndarray:
     """D(alpha) S(z) on `dim` levels, read-only.
@@ -105,37 +110,41 @@ def _gaussian_unitary(alpha: complex, z: complex, dim: int) -> np.ndarray:
     return u
 
 
-def _leak_check(leak: float, cutoff: int, leak_tol: float):
+def _dst_build(p: DSTParams, cutoff: int) -> Tuple[np.ndarray, np.ndarray]:
+    """D(alpha) S(z) and the thermal weights on cutoff + _MARGIN levels."""
+    build = cutoff + _MARGIN
+    return (_gaussian_unitary(p.alpha, p.z, build),
+            _thermal_weights(p.nbar, build))
+
+
+def _leak_check(leak: float, cutoff: int, leak_tol: float = _LEAK_TOL):
     if leak > leak_tol:
         raise TruncationError(
             f"state leaks {leak:.3e} past cutoff {cutoff}", leakage=leak)
 
 
-def dst_populations(p: DSTParams, cutoff: int,
-                    leak_tol: float = 1e-6) -> np.ndarray:
+def dst_populations(p: DSTParams, cutoff: int) -> np.ndarray:
     """Fock populations of `displaced_squeezed_thermal(p, cutoff)`, its
     real diagonal, without forming the density matrix.
 
     Same margin, leak check and renormalisation on the cutoff."""
-    build = cutoff + 30
-    u = _gaussian_unitary(p.alpha, p.z, build)
-    pops = (u.real ** 2 + u.imag ** 2) @ _thermal_weights(p.nbar, build)
-    _leak_check(float(pops[cutoff:].sum()), cutoff, leak_tol)
+    u, w = _dst_build(p, cutoff)
+    pops = (u.real ** 2 + u.imag ** 2) @ w
+    _leak_check(float(pops[cutoff:].sum()), cutoff)
     pops = pops[:cutoff]
     return pops / pops.sum()
 
 
 def displaced_squeezed_thermal(p: DSTParams, cutoff: int,
-                               leak_tol: float = 1e-6) -> np.ndarray:
+                               leak_tol: float = _LEAK_TOL) -> np.ndarray:
     """D(alpha) S(z) rho_th(nbar) S(z)^dag D(alpha)^dag, renormalized.
 
-    Built with a margin of extra Fock levels and truncated back, so the
+    Built with _MARGIN extra Fock levels and truncated back, so the
     retained entries are cutoff-converged; raises TruncationError if the
     discarded tail exceeds leak_tol.
     """
-    build = cutoff + 30
-    u = _gaussian_unitary(p.alpha, p.z, build)
-    rho = (u * _thermal_weights(p.nbar, build)) @ u.conj().T
+    u, w = _dst_build(p, cutoff)
+    rho = (u * w) @ u.conj().T
     _leak_check(float(np.real(np.trace(rho[cutoff:, cutoff:]))), cutoff,
                 leak_tol)
     rho = rho[:cutoff, :cutoff]

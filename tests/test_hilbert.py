@@ -113,18 +113,20 @@ def test_ladder_block_matches_dense_eigh(e, levels, lam, detuning):
     (1, 1.0, 0.0), (2, 1.0, 0.0), (6, 1.0, 0.0), (5, 1.3, -0.4)],
     ids=["levels1", "qubit", "resonant", "detuned"])
 def test_ladder_block_stack_matches_single_blocks(levels, lam, detuning):
-    e = np.arange(levels - 1, levels + 40)
+    e = np.arange(levels + 40)
     w, v = ladder_block(e, levels, lam, detuning)
     assert w.shape == (len(e), levels) and v.shape == (len(e), levels, levels)
     for j, ej in enumerate(e):
         w1, v1 = ladder_block(int(ej), levels, lam, detuning)
-        assert np.max(np.abs(w[j] - w1)) <= 1e-14
-        assert np.max(np.abs(np.abs(v[j]) - np.abs(v1))) <= 1e-14
-
-
-def test_ladder_block_stack_needs_full_blocks():
-    with pytest.raises(ValueError):
-        ladder_block(np.arange(2, 6), 4)
+        if ej >= levels - 1:
+            assert np.max(np.abs(w[j] - w1)) <= 1e-14
+            assert np.max(np.abs(np.abs(v[j]) - np.abs(v1))) <= 1e-14
+        # a padded block (e < levels - 1) keeps the propagator's q <= e
+        # diagonal, also where the padding is degenerate with the block
+        for t in (0.7, 2.1):
+            u = (v[j] * np.exp(-1j * w[j] * t)) @ v[j].T
+            u1 = (v1 * np.exp(-1j * w1 * t)) @ v1.T
+            assert np.max(np.abs(np.diag(u)[:len(w1)] - np.diag(u1))) <= 1e-14
 
 
 def test_block_diag_direct_sum():

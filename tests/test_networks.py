@@ -170,8 +170,9 @@ def _oracle(cfg):
     if t is None:
         t = default_cycle_time(cfg.topology, k)
     factors = _resolve_factors(cfg)
-    return _blocked_run(cfg.topology, cfg.coupling, k, t, factors,
-                        _choose_e_cap(factors, cfg.e_max), cfg.n_max)
+    e_cap = _choose_e_cap([np.real(np.diag(f)) for f in factors], cfg.e_max)
+    return _blocked_run(cfg.topology, cfg.coupling, k, t, factors, e_cap,
+                        cfg.n_max)
 
 
 def _assert_matches_oracle(cfg, f_tol, p_tol=1e-9):
