@@ -181,8 +181,22 @@ def _state_params(cfg) -> DSTParams:
 
 def _coupling(cfg) -> CouplingParams:
     c = cfg["coupling"]
-    return CouplingParams(lam=c["lambda"], lam_tilde=c["lambda_tilde"],
-                          omega_a=c["omega_a"], omega_f=c["omega_f"])
+    try:
+        return CouplingParams(lam=c["lambda"], lam_tilde=c["lambda_tilde"],
+                              omega_a=c["omega_a"], omega_f=c["omega_f"])
+    except ValueError as err:
+        raise ConfigError(f"[coupling]: {err}")
+
+
+def _report_args(cfg):
+    """[sweep] report, stop and settle_tol, range-checked."""
+    s = cfg["sweep"]
+    if not (0 < s["stop"] <= 1):
+        raise ConfigError(f"[sweep] stop must lie in (0, 1], got {s['stop']}")
+    if not (np.isfinite(s["settle_tol"]) and s["settle_tol"] >= 0):
+        raise ConfigError(
+            f"[sweep] settle_tol must be finite and >= 0, got {s['settle_tol']}")
+    return s["report"], s["stop"], s["settle_tol"]
 
 
 def _topology(cfg, d: Optional[int] = None) -> Topology:
@@ -251,9 +265,8 @@ def _write_grid(cfg, out, d_list, k_list):
         raise ConfigError(
             f"measured levels k must lie in 0..{max(d_list) - 1} for d up to "
             f"{max(d_list)}, got {min(k_list)}..{max(k_list)}")
-    s = cfg["sweep"]
     recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
-                                    s["report"], s["stop"], s["settle_tol"])
+                                    *_report_args(cfg))
     emit_csv(("d", "k", "N", "F", "P"),
              [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
              out, key_cols=2)
@@ -277,13 +290,12 @@ def _run_hybrid(cfg, out):
         if min(s["ds_list"]) < 2:
             raise ConfigError(f"[sweep] ds_list: the system qudit needs "
                               f"d_s >= 2, got {min(s['ds_list'])}")
-        rows = []
+        report, rows = _report_args(cfg), []
         for ds in s["ds_list"]:
             pc = _protocol_config(cfg)
             pc = replace(pc, topology=replace(pc.topology, system_levels=ds))
             trace = protocol.run_protocol(pc)
-            n = protocol.report_cycles(trace, s["report"], s["stop"],
-                                       s["settle_tol"])
+            n = protocol.report_cycles(trace, *report)
             rows.append((ds, n, float(trace.fidelity[n]),
                          float(trace.probability[n])))
         emit_csv(("d_s", "N", "F", "P"), rows, out, key_cols=1)

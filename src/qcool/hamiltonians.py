@@ -15,6 +15,7 @@ oracle only: the runners build excitation blocks directly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
@@ -31,6 +32,12 @@ class CouplingParams:
     lam_tilde: float = 1.0    # oscillator-oscillator hopping
     omega_a: float = 1.0      # qudit level spacing
     omega_f: Union[float, Sequence[float]] = 1.0   # per-oscillator frequency
+
+    def __post_init__(self):
+        wf = [self.omega_f] if np.isscalar(self.omega_f) else list(self.omega_f)
+        values = [self.lam, self.lam_tilde, self.omega_a] + wf
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError(f"coupling parameters must be finite, got {values}")
 
     def omega_f_list(self, n_osc: int) -> List[float]:
         if np.isscalar(self.omega_f):

@@ -103,6 +103,9 @@ class ProtocolConfig:
         if not (0 < self.fidelity_target <= 1):
             raise ConfigError(
                 f"fidelity_target must lie in (0, 1], got {self.fidelity_target}")
+        if not (0 <= self.probability_floor <= 1):
+            raise ConfigError(f"probability_floor must lie in [0, 1], got "
+                              f"{self.probability_floor}")
         if not (self.convergence_tol >= 0):
             raise ConfigError(
                 f"convergence_tol must be >= 0, got {self.convergence_tol}")

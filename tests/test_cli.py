@@ -229,11 +229,19 @@ def test_emit_csv_formats(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "t = nan", "t = -1", "fidelity_target = 2.0", "convergence_tol = -1",
-    "e_max = -1"])
-def test_bad_protocol_values_exit_2(tmp_path, line):
-    cfg = _write(tmp_path, "bad.cfg",
-                 COOL_CFG.replace("[protocol]\n", f"[protocol]\n{line}\n"))
+    "e_max = -1", "probability_floor = nan", "probability_floor = 1.5",
+    "probability_floor = -0.1", "t = 1\n[coupling]\nlambda = nan",
+    "t = 1\n[coupling]\nlambda_tilde = inf",
+    "t = 1\n[coupling]\nomega_a = nan", "t = 1\n[coupling]\nomega_f = inf"],
+    ids=["t = nan", "t = -1", "fidelity_target = 2.0", "convergence_tol = -1",
+         "e_max = -1", "probability_floor = nan", "probability_floor = 1.5",
+         "probability_floor = -0.1", "lambda = nan", "lambda_tilde = inf",
+         "omega_a = nan", "omega_f = inf"])
+def test_bad_protocol_values_exit_2(tmp_path, line, capsys):
+    # COOL_CFG ends in [protocol]; a coupling line opens its own section
+    cfg = _write(tmp_path, "bad.cfg", COOL_CFG + line + "\n")
     assert main(["run", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cutoff", [-3, 0])
@@ -288,13 +296,25 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = 1.0,nan\n",
     "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = inf\n",
     "[experiment]\nkind = gaussian\n[gaussian]\nnbar = 0.5,nan\n",
-    "[experiment]\nkind = gaussian\n[gaussian]\nr = inf\n"],
+    "[experiment]\nkind = gaussian\n[gaussian]\nr = inf\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
+    "report = cooled\nstop = nan\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
+    "stop = 1.5\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
+    "stop = 0\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
+    "report = settled\nsettle_tol = nan\n",
+    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
+    "ds_list = 2\nsettle_tol = -1\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
          "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
          "opt-time-d", "gaussian-nbar", "sweep-k-above-d", "sweep-k-equal-d",
          "sweep-k-negative", "network-k-above-d", "hybrid-k-above-d",
          "nbar-grid-nan", "nbar-grid-inf", "gaussian-nbar-nan",
-         "gaussian-r-inf"])
+         "gaussian-r-inf", "sweep-stop-nan", "sweep-stop-above-1",
+         "sweep-stop-zero", "sweep-settle-tol-nan",
+         "hybrid-settle-tol-negative"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys):
     assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
     assert "config error" in capsys.readouterr().err

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from qcool.errors import CheckFailedError, SearchFailureError
-from qcool.opttime import (ANALYTIC_TOPT, analytic_topt, hermite_structure_check,
-                           local_optima, solve_topt, vacuum_lambda,
-                           vacuum_residual)
+from qcool.opttime import (ANALYTIC_TOPT, _vacuum_modes, analytic_topt,
+                           hermite_structure_check, local_optima, solve_topt,
+                           vacuum_lambda, vacuum_residual)
 
 
 def test_analytic_times():
@@ -28,6 +28,23 @@ def test_vacuum_lambda_closed_forms():
     # k = 2: 2/3 + cos(sqrt(3) t)/3
     ref = np.abs(2.0 / 3.0 + np.cos(np.sqrt(3) * t) / 3.0)
     assert np.max(np.abs(vacuum_lambda(3, 2, t) - ref)) < 1e-12
+
+
+def _grid_peaks(mag):
+    return np.nonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:]))[0]
+
+
+def test_vacuum_lambda_cosines_match_exponentials():
+    # the oracle sums the complex exponentials of the block's modes
+    t = np.arange(0.0, 250.0 + 1e-3, 1e-3)
+    for k in range(9):
+        w, c = _vacuum_modes(k)
+        ref = np.concatenate([np.abs(np.exp(-1j * np.outer(t[i:i + 8192], w))
+                                     @ c) for i in range(0, len(t), 8192)])
+        mag = vacuum_lambda(k + 1, k, t)
+        assert np.max(np.abs(mag - ref)) <= 1e-12
+        if 3 <= k <= 6:
+            assert np.array_equal(_grid_peaks(mag), _grid_peaks(ref))
 
 
 def test_vacuum_residual_is_cancellation_free():

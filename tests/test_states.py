@@ -1,3 +1,5 @@
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -101,7 +103,7 @@ def test_depolarized_qudit():
         depolarized_qudit(1)
 
 
-# ------------------------------------------- memoised D(alpha) S(z)
+# ------------------------------------ closed-form builders vs D S rho S^dag D^dag
 
 @pytest.mark.parametrize("p,cutoff", [
     (DSTParams(0.4, 1.3, 0.1, 0.8, nbar=0.0), 40),
@@ -109,15 +111,22 @@ def test_depolarized_qudit():
     (DSTParams(0.4, np.pi / 2, 0.1, nbar=6.0), 300)],
     ids=["nbar0", "phases", "cutoff300"])
 def test_dst_matches_direct_product(p, cutoff):
-    states._gaussian_unitary.cache_clear()
     build = cutoff + 30
     u = displacement_op(p.alpha, build) @ squeezing_op(p.z, build)
     ref = (u @ thermal_state(p.nbar, build) @ u.conj().T)[:cutoff, :cutoff]
     ref = 0.5 * (ref + ref.conj().T)
     ref /= np.real(np.trace(ref))
-    for _ in range(2):        # cold, then from the cached unitary
-        rho = displaced_squeezed_thermal(p, cutoff)
-        assert np.max(np.abs(rho - ref)) <= 1e-14
+    rho = displaced_squeezed_thermal(p, cutoff)
+    assert np.max(np.abs(rho - ref)) <= 1e-14
+
+
+def _called_from_states():
+    frame = sys._getframe(2)
+    while frame is not None:
+        if frame.f_globals.get("__name__") == states.__name__:
+            return True
+        frame = frame.f_back
+    return False
 
 
 @pytest.mark.parametrize("nbar_scan", [
@@ -125,35 +134,32 @@ def test_dst_matches_direct_product(p, cutoff):
     lambda cfg: max_coolable_nbar(cfg, nbar_hi=2.0, iters=6)],
     ids=["sweep-energy-12", "bisection"])
 def test_unitary_built_once_per_nbar_scan(nbar_scan, monkeypatch):
-    real = states.expm_hermitian
-    builds = []
+    # the closed-form builders take no matrix exponential and no eigh
+    real_expm, real_eigh = states.expm_hermitian, np.linalg.eigh
+    builds, eighs = [], []
 
-    def spy(h, *args, **kw):
+    def spy_expm(h, *args, **kw):
         builds.append(h.shape)
-        return real(h, *args, **kw)
+        return real_expm(h, *args, **kw)
 
-    states._gaussian_unitary.cache_clear()
-    monkeypatch.setattr(states, "expm_hermitian", spy)
+    def spy_eigh(h, *args, **kw):
+        if _called_from_states():
+            eighs.append(h.shape)
+        return real_eigh(h, *args, **kw)
+
+    monkeypatch.setattr(states, "expm_hermitian", spy_expm)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
     nbar_scan(ProtocolConfig(Topology("single", 4), TABLE_STATE, cutoff=60,
                              n_max=20))
-    assert builds == [(90, 90), (90, 90)]     # D(alpha), S(z)
-
-
-def test_cached_unitary_is_read_only():
-    u = states._gaussian_unitary(0.3 + 0.1j, 0.1j, 20)
-    assert not u.flags.writeable
-    with pytest.raises(ValueError):
-        u[0, 0] = 0.0
+    assert builds == [] and eighs == []
 
 
 def test_leak_guard_with_warm_cache():
     cold = DSTParams(alpha_mag=0.4, r=0.1, nbar=0.2)
     displaced_squeezed_thermal(cold, 20)
-    hits = states._gaussian_unitary.cache_info().hits
     with pytest.raises(TruncationError) as err:
         displaced_squeezed_thermal(replace(cold, nbar=5.0), 20)
     assert err.value.leakage > 1e-6
-    assert states._gaussian_unitary.cache_info().hits == hits + 1
 
 
 # ------------------------------- phase-gauged D, S and the populations
@@ -186,17 +192,16 @@ def test_gauged_ops_match_complex_generators(dim, phase):
     ids=["nbar0", "phases", "right-angles", "cutoff300"])
 def test_dst_populations_match_density_diagonal(p, cutoff):
     ref = np.real(np.diag(displaced_squeezed_thermal(p, cutoff)))
-    states._gaussian_unitary.cache_clear()
-    for _ in range(2):        # cold, then from the cached unitary
-        pops = dst_populations(p, cutoff)
-        assert pops.shape == (cutoff,)
-        assert np.max(np.abs(pops - ref)) <= 1e-14
+    pops = dst_populations(p, cutoff)
+    assert pops.shape == (cutoff,)
+    assert np.max(np.abs(pops - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("p,cutoff", [
     (DSTParams(alpha_mag=2.5), 4),
-    (DSTParams(alpha_mag=0.4, r=0.1, nbar=5.0), 20)],
-    ids=["displaced", "warm"])
+    (DSTParams(alpha_mag=0.4, r=0.1, nbar=5.0), 20),
+    (DSTParams(nbar=50.0), 300)],
+    ids=["displaced", "warm", "grid-doubles"])
 def test_dst_populations_leak_guard(p, cutoff):
     with pytest.raises(TruncationError) as full:
         displaced_squeezed_thermal(p, cutoff)
@@ -204,6 +209,63 @@ def test_dst_populations_leak_guard(p, cutoff):
         dst_populations(p, cutoff)
     assert str(pops.value) == str(full.value)
     assert pops.value.leakage == pytest.approx(full.value.leakage, abs=1e-14)
+
+
+def test_fft_grid_doubles_until_unaliased(monkeypatch):
+    # nbar 50 keeps (50/51)^1024 ~ 2e-9 in [1024, 2048), the upper half of
+    # the first grid, and (50/51)^2048 ~ 3e-18 in that of the second
+    real, sizes = np.fft.irfft, []
+
+    def spy(g, n, *args, **kw):
+        sizes.append(n)
+        return real(g, n, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    with pytest.raises(TruncationError) as err:
+        dst_populations(DSTParams(nbar=50.0), 300)
+    assert sizes == [2048, 4096]
+    assert err.value.leakage == pytest.approx((50 / 51) ** 300, rel=1e-12)
+
+
+def test_fft_grid_is_capped(monkeypatch):
+    # a far too hot state stops the doubling at the cap and still fails
+    real, sizes = np.fft.irfft, []
+
+    def spy(g, n, *args, **kw):
+        sizes.append(n)
+        return real(g, n, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    with pytest.raises(TruncationError) as err:
+        dst_populations(DSTParams(nbar=1e7), 4)
+    assert max(sizes) == states._FFT_MAX
+    assert err.value.leakage > 0.99
+
+
+def test_fft_populations_match_recursion_diagonal():
+    # seeded states of the energy-sweep box at the sweeps' cutoff
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for _ in range(40):
+        p = DSTParams(rng.uniform(0, 0.6), rng.uniform(-np.pi, np.pi),
+                      rng.uniform(0, 0.3), rng.uniform(-np.pi, np.pi),
+                      rng.uniform(0, 12))
+        ref = np.real(np.diag(displaced_squeezed_thermal(p, 300)))
+        worst = max(worst, np.max(np.abs(dst_populations(p, 300) - ref)))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("p,cutoff,leak", [
+    (DSTParams(nbar=5.0), 20, (5 / 6) ** 20),
+    (DSTParams(nbar=0.4), 8, (0.4 / 1.4) ** 8),
+    (DSTParams(alpha_mag=2.0, alpha_phase=0.9), 6,
+     1 - math.exp(-4.0) * sum(4.0 ** n / math.factorial(n) for n in range(6)))],
+    ids=["thermal", "thermal-cold", "coherent"])
+def test_leakage_is_the_analytic_tail(p, cutoff, leak):
+    for build in (dst_populations, displaced_squeezed_thermal):
+        with pytest.raises(TruncationError) as err:
+            build(p, cutoff)
+        assert err.value.leakage == pytest.approx(leak, rel=1e-12)
 
 
 def _trace_values(trace):
