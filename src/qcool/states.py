@@ -41,7 +41,7 @@ with X = a + a^dag and Y = a^2 + a^dag^2,
     S(z)     = Q exp(-i (r/2) Y) Q^dag,    Q = diag(e^{i n (theta/2 - pi/4)})
 
 since P a P^dag = e^{-i(arg alpha + pi/2)} a.  State preparation uses them,
-and D S rho_th S^dag D^dag on a wider space is the builders' test oracle.
+and D S rho_th S^dag D^dag on a wider space is the test oracle of both kernels.
 """
 from __future__ import annotations
 
@@ -115,7 +115,7 @@ def squeezing_op(z: complex, cutoff: int) -> np.ndarray:
     return _gauged_expm(a2 + a2.T, abs(z) / 2, np.angle(z) / 2 - np.pi / 4)
 
 
-_LEAK_TOL = 1e-6     # largest population a builder may lose past the cutoff
+_LEAK_TOL = 1e-6     # largest population a state may lose past the cutoff
 _ALIAS_TOL = 1e-15   # population the upper half of the FFT grid may hold
 # largest FFT grid: a state with population past 2^17 levels is far past
 # any usable cutoff, and its folded populations still fail the leak check

@@ -103,7 +103,7 @@ def test_depolarized_qudit():
         depolarized_qudit(1)
 
 
-# ------------------------------------ closed-form builders vs D S rho S^dag D^dag
+# ------------------------------------ closed-form states vs D S rho S^dag D^dag
 
 @pytest.mark.parametrize("p,cutoff", [
     (DSTParams(0.4, 1.3, 0.1, 0.8, nbar=0.0), 40),
@@ -134,7 +134,7 @@ def _called_from_states():
     lambda cfg: max_coolable_nbar(cfg, nbar_hi=2.0, iters=6)],
     ids=["sweep-energy-12", "bisection"])
 def test_unitary_built_once_per_nbar_scan(nbar_scan, monkeypatch):
-    # the closed-form builders take no matrix exponential and no eigh
+    # the closed-form states take no matrix exponential and no eigh
     real_expm, real_eigh = states.expm_hermitian, np.linalg.eigh
     builds, eighs = [], []
 
