@@ -191,6 +191,10 @@ def _coupling(cfg) -> CouplingParams:
 def _report_args(cfg):
     """[sweep] report, stop and settle_tol, range-checked."""
     s = cfg["sweep"]
+    if s["report"] not in protocol.REPORT_MODES:
+        raise ConfigError(f"[sweep] report must be one of "
+                          f"{', '.join(protocol.REPORT_MODES)}, "
+                          f"got {s['report']!r}")
     if not (0 < s["stop"] <= 1):
         raise ConfigError(f"[sweep] stop must lie in (0, 1], got {s['stop']}")
     if not (np.isfinite(s["settle_tol"]) and s["settle_tol"] >= 0):

@@ -10,6 +10,7 @@ the measurement protocol without any Fock truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -162,6 +163,15 @@ class OneShotResult:
     conditional: GaussianState
 
 
+@lru_cache(maxsize=1)
+def _swap_transfer(t: float) -> np.ndarray:
+    """Transfer matrix of the resonant swap at time t, read-only; a grid
+    of one-shot runs at one t builds and checks it once."""
+    s = symplectic_from_hamiltonian(swap_coupling_matrix(), t)
+    s.setflags(write=False)
+    return s
+
+
 def theorem3_oneshot(alpha1: float, alpha2: float, r: float, nbar: float,
                      t: float = np.pi / 2) -> OneShotResult:
     """Single swap-and-measure cycle on one Gaussian mode.
@@ -171,8 +181,7 @@ def theorem3_oneshot(alpha1: float, alpha2: float, r: float, nbar: float,
     t = pi/2 the kept state is exact vacuum and the outcome probability
     equals the initial vacuum population of the system mode."""
     joint = product([gaussian_dst(alpha1 + 1j * alpha2, r, nbar), vacuum(1)])
-    s = symplectic_from_hamiltonian(swap_coupling_matrix(), t)
-    out = evolve(joint, s)
+    out = evolve(joint, _swap_transfer(t))
     proj = vacuum_projection_probability(out, [1])
     cond, weight = condition_on_vacuum(out, [1])
     fid = vacuum_projection_probability(cond, [0])

@@ -4,13 +4,15 @@ The protocol works best when the vacuum stays put: the cycle time should
 maximise |lambda_{0,d}^k(t)|, the modulus of the effective-operator entry
 that multiplies the vacuum.  For k <= 2 the maximum is exact and known in
 closed form; for larger k it is found numerically on a search window, a
-grid search whose peaks are refined by bracketed Newton steps.
+grid search whose peaks are refined by bracketed Newton steps.  The grid
+is walked in increasing t, and the search stops at the first admissible
+optimum; only a search that finds none scans the whole window.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -23,7 +25,10 @@ ANALYTIC_TOPT = {
     1: np.pi,
     2: 2 * np.pi / np.sqrt(3),
 }
-_CHUNK = 8192           # grid points per |lambda_0| evaluation in the search
+# grid peaks tested per |lambda_0| evaluation in the search; with one
+# neighbour on each side the temporary is (_CHUNK + 2) x ceil((k+1)/2)
+# doubles, 8194 x 2 at k = 3 and 8194 x 3 at k = 4
+_CHUNK = 8192
 
 
 @dataclass
@@ -46,16 +51,33 @@ def _vacuum_modes(k: int) -> Tuple[np.ndarray, np.ndarray]:
     return w, v[k] ** 2
 
 
+@lru_cache(maxsize=64)
+def _folded_modes(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The modes of `_vacuum_modes` with each +-w pair folded into one
+    cosine: frequencies w_j >= 0 and weights c_j + c_{-j}.
+
+    eigh's ascending order pairs w[i] with w[-1-i]; the zero mode of an
+    odd-sized block (k even) is kept as it is."""
+    w, c = _vacuum_modes(k)
+    n = len(w)
+    i = np.arange(n // 2)
+    wf, cf = w[n - 1 - i], c[i] + c[n - 1 - i]
+    if n % 2:
+        wf, cf = np.append(wf, w[n // 2]), np.append(cf, c[n // 2])
+    return wf, cf
+
+
 def vacuum_lambda(d: int, k: int, t) -> np.ndarray:
     """|lambda_{0,d}^k(t)|, vectorised over t.  Independent of d for
     0 <= k <= d-1 (the block only reaches regulator level k).
 
     The block's zero diagonal makes its spectrum symmetric, w_j and -w_j
-    with equal weights, so sum_j c_j exp(-i w_j t) = sum_j c_j cos(w_j t)."""
+    with equal weights, so sum_j c_j exp(-i w_j t) = sum_j c_j cos(w_j t),
+    summed over ceil((k+1)/2) folded cosines (`_folded_modes`)."""
     if not (0 <= k <= d - 1):
         raise ValueError(f"need 0 <= k <= d-1, got k={k}, d={d}")
     t = np.asarray(t, dtype=float)
-    w, c = _vacuum_modes(k)
+    w, c = _folded_modes(k)
     return np.abs(np.cos(np.outer(t, w)) @ c).reshape(t.shape)
 
 
@@ -120,20 +142,31 @@ def local_optima(d: int, k: int, window: Tuple[float, float] = (0.0, 250.0),
     """(t, residual) at every refined local maximum of |lambda_0| in the
     window, in increasing t order.  Each grid peak t[p] is refined inside
     its neighbours (t[p-1], t[p+1])."""
+    return list(_optima(d, k, window, grid_step))
+
+
+def _optima(d: int, k: int, window: Tuple[float, float],
+            grid_step: float) -> Iterator[Tuple[float, float]]:
+    """The optima of `local_optima`, lazily; the window is checked now."""
     lo, hi = window
     if not (hi > lo >= 0.0):
         raise ValueError("bad search window")
-    t = np.arange(lo, hi + grid_step, grid_step)
-    # in chunks: the whole grid at once makes a (len(t), k+1) real
-    # temporary and its cosine, ~20 MiB at k = 4
-    mag = np.concatenate([vacuum_lambda(d, k, t[i:i + _CHUNK])
-                          for i in range(0, len(t), _CHUNK)])
-    peaks = np.nonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:]))[0] + 1
-    out = []
-    for p in peaks:
-        x = _refine_optimum(k, t[p - 1], t[p + 1], t[p])
-        out.append((float(x), float(vacuum_residual(k, x))))
-    return out
+    return _walk_grid(d, k, np.arange(lo, hi + grid_step, grid_step))
+
+
+def _walk_grid(d: int, k: int, t: np.ndarray) -> Iterator[Tuple[float, float]]:
+    """Yield the refined grid peaks of |lambda_0| on t, in increasing t.
+
+    The grid is evaluated _CHUNK candidate peaks at a time, each piece
+    widened by one neighbour on either side, so every interior point is
+    tested exactly once, against the same neighbours as in one pass."""
+    for s in range(0, len(t), _CHUNK):
+        a = max(s - 1, 0)
+        mag = vacuum_lambda(d, k, t[a:s + _CHUNK + 1])
+        peaks = np.nonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] > mag[2:]))[0]
+        for p in peaks + a + 1:
+            x = _refine_optimum(k, t[p - 1], t[p + 1], t[p])
+            yield float(x), float(vacuum_residual(k, x))
 
 
 def solve_topt(d: int, k: int, window: Tuple[float, float] = (0.0, 250.0),
@@ -141,17 +174,19 @@ def solve_topt(d: int, k: int, window: Tuple[float, float] = (0.0, 250.0),
                grid_step: float = 1e-3) -> OptTimeResult:
     """Smallest in-window time with 1 - |lambda_0| below residual_tol.
 
-    Raises SearchFailureError carrying the best optimum found when no
-    candidate is admissible."""
-    cands = local_optima(d, k, window, grid_step)
-    if not cands:
+    The search stops at the first admissible optimum.  Raises
+    SearchFailureError carrying the best optimum found when no candidate
+    is admissible."""
+    best = None
+    for t, res in _optima(d, k, window, grid_step):
+        if res <= residual_tol:
+            return OptTimeResult(t, res, window, "numeric")
+        if best is None or res < best[1]:
+            best = (t, res)
+    if best is None:
         raise SearchFailureError(
             f"no local optimum of |lambda_0| in window {window}",
             best_t=None, best_residual=None)
-    for t, res in cands:
-        if res <= residual_tol:
-            return OptTimeResult(t, res, window, "numeric")
-    best = min(cands, key=lambda c: c[1])
     raise SearchFailureError(
         f"no optimum with residual <= {residual_tol:g} in window {window}; "
         f"best residual {best[1]:.3e} at t = {best[0]:.6f}",

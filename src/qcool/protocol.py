@@ -209,18 +209,20 @@ def effective_lambdas(d: int, k: int, t: float, count: int, lam: float = 1.0,
 
 def _trace_single(lams: np.ndarray, cdiag: np.ndarray,
                   n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """F_n, P_n for a diagonal effective operator and diagonal weights."""
+    """F_n, P_n for a diagonal effective operator and diagonal weights.
+
+    Row n of pw is |lambda|^(2n), one multiply.accumulate down a row of
+    ones and n_max rows of |lambda|^2, so each row is the one before
+    times |lambda|^2, as cycle by cycle; P_n = sum_i pw[n, i] c_i and
+    F_n = pw[n, 0] c_0 / P_n."""
     mags = np.abs(lams[:len(cdiag)]) ** 2
-    fp = np.empty(n_max + 1)
-    pp = np.empty(n_max + 1)
-    pw = np.ones_like(cdiag)
-    for n in range(n_max + 1):
-        w = pw * cdiag
-        tot = w.sum()
-        pp[n] = tot
-        fp[n] = w[0] / tot
-        pw = pw * mags
-    return fp, pp
+    pw = np.empty((n_max + 1, len(cdiag)))
+    pw[0] = 1.0
+    pw[1:] = mags
+    np.multiply.accumulate(pw, axis=0, out=pw)
+    w = pw * cdiag
+    prob = w.sum(axis=1)
+    return w[:, 0] / prob, prob
 
 
 # --------------------------------------------------- blocked composition
@@ -380,10 +382,12 @@ def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
                         out_tr: np.ndarray):
     """Accumulate tr(V^n rho V^dag^n) for n = 0..n_max into out_tr.
 
-    Uses the eigendecomposition of V when well conditioned, else iterates.
-    With V = X diag(lam) X^-1 and M_ij = Y_ij (X^dag X)_ji, Y = X^-1 rho
-    X^-dag, tr_n = sum_ij M_ij lam_i^n conj(lam_j)^n, one matrix product
-    over the powers L[n, i] = lam_i^n."""
+    Uses the eigendecomposition of V when it reconstructs V and is well
+    conditioned, ||X||_F ||X^-1||_F < 1e8 (an upper bound on cond_2(X)
+    that needs no SVD), else iterates.  With V = X diag(lam) X^-1 and
+    M_ij = Y_ij (X^dag X)_ji, Y = X^-1 rho X^-dag,
+    tr_n = sum_ij M_ij lam_i^n conj(lam_j)^n, one matrix product over the
+    powers L[n, i] = lam_i^n."""
     n = v.shape[0]
     if n == 1:
         mag = np.abs(v[0, 0]) ** 2
@@ -394,7 +398,7 @@ def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
         lam, x = np.linalg.eig(v)
         xinv = np.linalg.inv(x)
         if np.max(np.abs((x * lam) @ xinv - v)) < 1e-10 * max(1.0, np.max(np.abs(v))) \
-                and np.linalg.cond(x) < 1e8:
+                and np.linalg.norm(x) * np.linalg.norm(xinv) < 1e8:
             use_eig = True
     except np.linalg.LinAlgError:
         pass
@@ -662,6 +666,9 @@ def n_settled(fid: np.ndarray, settle_tol: float = 1.2e-5, window: int = 5,
     return None
 
 
+REPORT_MODES = ("converged", "cooled", "settled", "auto")
+
+
 def report_cycles(trace: ProtocolTrace, mode: str = "converged",
                   stop: float = 0.9998, settle_tol: float = 1.2e-5,
                   window: int = 5) -> int:
@@ -673,15 +680,15 @@ def report_cycles(trace: ProtocolTrace, mode: str = "converged",
     auto:      cooled when the stop threshold is reached, else settled,
                else n_max.
     """
+    if mode not in REPORT_MODES:
+        raise ConfigError(f"unknown report mode {mode!r}")
     f = trace.fidelity
     if mode == "converged":
         return trace.converged_at if trace.converged_at is not None else trace.n_max
     if mode == "cooled" or (mode == "auto" and f.max() >= stop):
         return n_cooled(f, stop)
-    if mode in ("settled", "auto"):
-        s = n_settled(f, settle_tol, window)
-        return s if s is not None else trace.n_max
-    raise ConfigError(f"unknown report mode {mode!r}")
+    s = n_settled(f, settle_tol, window)
+    return s if s is not None else trace.n_max
 
 
 # ---------------------------------------------------------------- theory

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcool import protocol
 from qcool.cli import (EXPERIMENTS, canonical_form, emit_csv, load_config,
                        main)
 from qcool.errors import ConfigError
@@ -306,7 +307,9 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
     "report = settled\nsettle_tol = nan\n",
     "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
-    "ds_list = 2\nsettle_tol = -1\n"],
+    "ds_list = 2\nsettle_tol = -1\n",
+    "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
+    "report = bogus\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
          "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
          "opt-time-d", "gaussian-nbar", "sweep-k-above-d", "sweep-k-equal-d",
@@ -314,10 +317,20 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
          "nbar-grid-nan", "nbar-grid-inf", "gaussian-nbar-nan",
          "gaussian-r-inf", "sweep-stop-nan", "sweep-stop-above-1",
          "sweep-stop-zero", "sweep-settle-tol-nan",
-         "hybrid-settle-tol-negative"])
-def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys):
+         "hybrid-settle-tol-negative", "sweep-report-unknown"])
+def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys, monkeypatch):
+    runs = []
+    run_protocol = protocol.run_protocol
+
+    def spy(cfg):
+        runs.append(cfg)
+        return run_protocol(cfg)
+
+    monkeypatch.setattr(protocol, "run_protocol", spy)
     assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
     assert "config error" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_program_errors_are_not_numeric_errors(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qcool import gaussian
+from qcool.cli import main
 from qcool.errors import ConstructionError
 from qcool.gaussian import (GaussianState, condition_on_vacuum, evolve,
                             gaussian_dst, moments_from_density,
@@ -129,3 +131,26 @@ def test_evolve_preserves_purity_class():
     # symplectic evolution preserves det(cov) (purity of the Gaussian state)
     assert np.linalg.det(out.cov) == pytest.approx(np.linalg.det(st.cov),
                                                    rel=1e-10)
+
+
+def test_oneshot_grid_builds_the_swap_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(a_mat, t):
+        calls.append(t)
+        return symplectic_from_hamiltonian(a_mat, t)
+
+    monkeypatch.setattr(gaussian, "symplectic_from_hamiltonian", spy)
+    gaussian._swap_transfer.cache_clear()
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("[experiment]\nkind = gaussian\n[gaussian]\n"
+                   "alpha1 = 0,0.3\nalpha2 = 0.1,0.4\nr = 0.1,0.2\n"
+                   "nbar = 0,0.5\n")
+    assert main(["run", str(cfg)]) == 0
+    assert calls == [np.pi / 2]
+    s = gaussian._swap_transfer(np.pi / 2)
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 0.0
+    assert np.array_equal(
+        s, symplectic_from_hamiltonian(swap_coupling_matrix(), np.pi / 2))

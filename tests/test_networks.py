@@ -360,3 +360,35 @@ def test_chiral_zero_modes():
     # the free part is 2 omega on this block: an outer phase
     v = expm_hermitian(h, t, rows=rows) * np.exp(2j * t)
     assert np.max(np.abs(dph[:, None] * v / dph[None, :] - w)) < 1e-13
+
+
+def _iterated_traces(v, rho, n_max):
+    cur, out = rho.astype(complex), []
+    for _ in range(n_max + 1):
+        out.append(np.real(np.trace(cur)))
+        cur = v @ cur @ v.conj().T
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lower,eig_path", [(1e-18, False), (0.01, True)])
+def test_block_trace_powers_path_choice(lower, eig_path, monkeypatch):
+    # [[a, 1], [1e-18, a]] has eigenvectors parallel to ~1e-9, so it is
+    # iterated; [[a, 1], [0.01, a]] is well conditioned and diagonalised
+    vander = []
+    orig = np.vander
+
+    def spy(*args, **kw):
+        vander.append(1)
+        return orig(*args, **kw)
+
+    monkeypatch.setattr(np, "vander", spy)
+    v = np.array([[0.3, 1.0], [lower, 0.3]], dtype=complex)
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    tr = np.zeros(41)
+    protocol._block_trace_powers(v, rho, 40, tr)
+    ref = _iterated_traces(v, rho, 40)
+    assert len(vander) == int(eig_path)
+    if eig_path:
+        assert np.max(np.abs(tr - ref)) <= 1e-12
+    else:
+        assert np.array_equal(tr, ref)

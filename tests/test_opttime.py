@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qcool import opttime
 from qcool.errors import CheckFailedError, SearchFailureError
-from qcool.opttime import (ANALYTIC_TOPT, _vacuum_modes, analytic_topt,
+from qcool.opttime import (ANALYTIC_TOPT, _CHUNK, _refine_optimum,
+                           _vacuum_modes, analytic_topt,
                            hermite_structure_check, local_optima, solve_topt,
                            vacuum_lambda, vacuum_residual)
 
@@ -148,3 +150,87 @@ def test_hermite_check_d5_tight():
 def test_hermite_check_raises_on_impossible_tolerance():
     with pytest.raises(CheckFailedError):
         hermite_structure_check(8, residual_tol=0.0)
+
+
+def _unfolded_lambda(k, t):
+    """|lambda_0| as the plain sum over all k+1 cosines, one per mode."""
+    w, c = _vacuum_modes(k)
+    return np.concatenate([np.abs(np.cos(np.outer(t[i:i + 8192], w)) @ c)
+                           for i in range(0, len(t), 8192)])
+
+
+def _one_pass_optima(k, window=(0.0, 250.0), step=1e-3):
+    """Refined grid peaks of the unfolded |lambda_0|, all in one scan."""
+    t = np.arange(window[0], window[1] + step, step)
+    w, c = _vacuum_modes(k)
+    mag = np.abs(np.cos(np.outer(t, w)) @ c)
+    out = []
+    for p in _grid_peaks(mag) + 1:
+        x = _refine_optimum(k, t[p - 1], t[p + 1], t[p])
+        out.append((x, float(vacuum_residual(k, x))))
+    return out
+
+
+def _assert_same_optima(got, ref):
+    assert len(got) == len(ref)
+    for (t, res), (t_ref, res_ref) in zip(got, ref):
+        assert abs(t - t_ref) <= 1e-12
+        assert res == res_ref
+
+
+def test_folded_cosines_keep_grid_peaks():
+    t = np.arange(0.0, 250.0 + 1e-3, 1e-3)
+    for k in range(3, 9):
+        assert len(opttime._folded_modes(k)[0]) == (k + 2) // 2
+        assert np.array_equal(_grid_peaks(vacuum_lambda(k + 1, k, t)),
+                              _grid_peaks(_unfolded_lambda(k, t)))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_local_optima_match_one_pass_scan(k):
+    _assert_same_optima(local_optima(7, k), _one_pass_optima(k))
+
+
+def test_chunk_border_peak_found_once(monkeypatch):
+    # real chunks, a window placed so that a grid peak is the last
+    # candidate of the first piece or the first of the second one
+    first = _one_pass_optima(3, (10.0, 20.0))[0][0]
+    for offset in (_CHUNK - 1, _CHUNK):
+        window = (first - offset * 1e-3, first + 12.0)
+        grid = np.arange(window[0], window[1] + 1e-3, 1e-3)
+        assert offset in _grid_peaks(_unfolded_lambda(3, grid)) + 1
+        assert np.argmin(np.abs(grid - first)) == offset
+        got = local_optima(7, 3, window)
+        _assert_same_optima(got, _one_pass_optima(3, window))
+        assert sum(abs(t - first) < 1e-3 for t, _ in got) == 1
+    # tiny chunks put many peaks on chunk borders
+    monkeypatch.setattr(opttime, "_CHUNK", 5)
+    _assert_same_optima(local_optima(7, 4, (0.0, 20.0)),
+                        _one_pass_optima(4, (0.0, 20.0)))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_solve_topt_stops_at_first_admissible(k, monkeypatch):
+    guesses = []
+
+    def spy(kk, a, b, t):
+        guesses.append(t)
+        return _refine_optimum(kk, a, b, t)
+
+    monkeypatch.setattr(opttime, "_refine_optimum", spy)
+    r = solve_topt(5, k)
+    t_ref, res_ref = FROZEN_OPTIMA[k]
+    assert abs(r.t_opt - t_ref) <= 1e-8
+    assert r.residual == pytest.approx(res_ref, rel=1e-9, abs=0.0)
+    refined = [t for t, _ in _one_pass_optima(k) if t <= r.t_opt]
+    assert len(guesses) == len(refined)
+    assert refined[-1] == r.t_opt
+    assert guesses[-1] < 0.7 * 250.0       # well short of the window end
+
+
+def test_failed_search_reports_the_one_pass_best():
+    with pytest.raises(SearchFailureError) as err:
+        solve_topt(7, 5)
+    best_t, best_res = min(_one_pass_optima(5), key=lambda c: c[1])
+    assert err.value.best_t == best_t
+    assert err.value.best_residual == best_res

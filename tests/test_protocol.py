@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcool import protocol
 from qcool.errors import ConfigError
 from qcool.hamiltonians import CouplingParams, Topology, free_hamiltonian, \
     interaction_linear
@@ -11,9 +12,10 @@ from qcool.protocol import (EffectiveOperator, ProtocolConfig, ProtocolTrace,
                             n_settled, qubit_asymptotic_fidelity,
                             report_cycles, run_protocol, sweep_dimension,
                             sweep_energy)
-from qcool.states import DSTParams, displaced_squeezed_thermal
+from qcool.states import DSTParams, displaced_squeezed_thermal, \
+    dst_populations
 
-from conftest import C00_TABLE, TABLE_STATE
+from conftest import C00_TABLE, NETWORK_STATE, TABLE_STATE
 
 
 def _single_cfg(d, k, **kw):
@@ -270,3 +272,44 @@ def test_default_cycle_time_needs_default_coupling():
 def test_bad_inputs_rejected(field, value):
     with pytest.raises(ConfigError):
         run_protocol(_single_cfg(4, 0, **{field: value}))
+
+
+def _cycle_loop(lams, cdiag, n_max):
+    """F_n, P_n one cycle at a time."""
+    mags = np.abs(lams[:len(cdiag)]) ** 2
+    fp, pp = np.empty(n_max + 1), np.empty(n_max + 1)
+    pw = np.ones_like(cdiag)
+    for n in range(n_max + 1):
+        w = pw * cdiag
+        tot = w.sum()
+        pp[n] = tot
+        fp[n] = w[0] / tot
+        pw = pw * mags
+    return fp, pp
+
+
+def test_trace_single_matches_cycle_loop(monkeypatch):
+    seen, trace_single = [], protocol._trace_single
+
+    def spy(lams, w, n_max):
+        seen.append((lams, w, n_max))
+        return trace_single(lams, w, n_max)
+
+    monkeypatch.setattr(protocol, "_trace_single", spy)
+    # cutoff-300 states of the energy sweeps, and star bright-mode weights
+    for nbar in (0.4, 12.0):
+        run_protocol(ProtocolConfig(
+            Topology("single", 5), DSTParams(0.4, np.pi / 2, 0.1, nbar=nbar),
+            regulator_level=2, cutoff=300))
+    run_protocol(ProtocolConfig(Topology("star", 3, modes=3), NETWORK_STATE,
+                                regulator_level=1, cutoff=30))
+    assert [len(w) for _, w, _ in seen[:2]] == [300, 300]
+    assert len(seen) == 3
+    assert not np.array_equal(seen[2][1], dst_populations(
+        NETWORK_STATE, 30)[:len(seen[2][1])])    # star weights, not c_n
+    for lams, w, n_max in seen:
+        fid, prob = trace_single(lams, w, n_max)
+        fid_ref, prob_ref = _cycle_loop(lams, w, n_max)
+        assert n_max == 100
+        assert np.array_equal(fid, fid_ref)
+        assert np.array_equal(prob, prob_ref)
