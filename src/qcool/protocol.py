@@ -36,12 +36,26 @@ engine paths:
   needs coherences, so it alone builds full initial density matrices
   (`_resolve_factors`).
 
+Total excitation is conserved, so the blocked engine's blocks are
+independent: each is one call that returns its trace contribution.
+When at least two CPUs are available and BLAS runs one thread
+(OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1) the calling thread
+and one helper thread share the blocks (`_block_workers`,
+`_map_blocks`); otherwise the caller runs them all.  The contributions
+are summed in ascending block order, so F_n and P_n are bit-identical
+either way.  On a 2-vCPU VM (OpenBLAS 0.3.31) `qcool run
+experiments/network_linear_m3.cfg` took 3.2 s at 104 MiB peak RSS with
+OPENBLAS_NUM_THREADS=1, against 5.0-6.7 s at 86 MiB serially on the
+same setting; with the BLAS threads left at OpenBLAS's default (one
+per core) it runs one worker and took 4.9-5.4 s at 82 MiB.
+
 `evolve_unitary` and `effective_operator` work on dense product-space
 matrices and are a test oracle only.
 """
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -440,13 +454,12 @@ def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
         freqs[-1] = params.omega_a  # oscillator regulator runs at omega_a
     colour = _sublattices(edges, len(caps)) if len(set(freqs)) == 1 else None
 
-    tr = np.zeros(n_max + 1)
-    vac = np.zeros(n_max + 1)
-    for e_s in range(e_cap + 1):
+    def block(e_s):
+        """Trace contribution of system block e_s, None if it is empty."""
         joint, rows, hops = _joint_block(e_s + k, k, caps, bos, edges)
         lev = joint[rows, :-1]
         if len(lev) == 0:
-            continue
+            return None
         rho = np.ones((len(lev), len(lev)), dtype=complex)
         for m, f in enumerate(factors):
             rho *= f[lev[:, m][:, None], lev[:, m][None, :]]
@@ -456,12 +469,81 @@ def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
         else:
             vk, dph = _chiral_block(joint, hops, colour, rows, t)
             rho = dph[:, None] * rho * dph.conj()[None, :]
+        out = np.zeros(n_max + 1)
+        _block_trace_powers(vk, rho, n_max, out)
+        return out
 
-        _block_trace_powers(vk, rho, n_max, tr)
-        if e_s == 0:
-            mag = np.abs(vk[0, 0]) ** 2
-            vac = np.real(rho[0, 0]) * mag ** np.arange(n_max + 1)
-    return vac / tr, tr
+    parts = _map_blocks(block, e_cap + 1, _block_workers())
+    tr = np.zeros(n_max + 1)
+    for part in parts:              # ascending e_s, as a serial loop adds
+        if part is not None:
+            tr += part
+    # block 0 is the system vacuum alone, so its trace is the vacuum weight
+    return parts[0] / tr, tr
+
+
+def _block_workers() -> int:
+    """Workers for the blocked engine's excitation blocks: 2 (the caller
+    and one helper thread) when at least two CPUs are available and BLAS
+    runs one thread, else 1.  The BLAS budget is read as OpenBLAS reads
+    it: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, where only a positive
+    integer counts.  Over a multi-threaded BLAS a second worker nests
+    BLAS threads and runs slower."""
+    budget = 0
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            budget = int(os.environ.get(var, ""))
+        except ValueError:
+            budget = 0
+        if budget > 0:
+            break
+    if budget != 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return 2 if cpus >= 2 else 1
+
+
+def _map_blocks(fn, count: int, workers: int) -> list:
+    """[fn(i) for i in range(count)], computed by the calling thread and,
+    with workers >= 2, one helper thread; never more, since each thread
+    that calls BLAS adds its own buffers to the peak memory.  The caller
+    takes indices from the top, where the blocks are largest, and the
+    helper from the bottom, so the large blocks run next to small ones.
+    An exception in either worker stops both and is raised here, after
+    the helper has ended."""
+    if workers < 2 or count < 2:
+        return [fn(i) for i in range(count)]
+    import threading
+
+    out = [None] * count
+    todo = list(range(count))
+    lock = threading.Lock()
+    errors = []
+
+    def work(take):
+        while True:
+            with lock:
+                if not todo:
+                    return
+                i = take()
+            try:
+                out[i] = fn(i)
+            except BaseException as err:    # re-raised by the caller
+                with lock:
+                    errors.append(err)
+                    todo.clear()
+                return
+
+    helper = threading.Thread(target=work, args=(lambda: todo.pop(0),))
+    helper.start()
+    try:
+        work(todo.pop)
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _factor_inputs(
@@ -784,7 +866,8 @@ def sweep_energy(base_cfg: ProtocolConfig,
 def max_coolable_nbar(base_cfg: ProtocolConfig, nbar_lo: float = 0.05,
                       nbar_hi: float = 14.0, iters: int = 24) -> Optional[float]:
     """Largest thermal occupation still coolable, by bisection; None when
-    even nbar_lo fails."""
+    even nbar_lo fails.  When nbar_hi is itself coolable the threshold is
+    not bracketed: it warns and returns nbar_hi."""
     def coolable(nbar):
         rec = sweep_energy(base_cfg, [nbar])[0]
         return rec.cycles is not None
@@ -792,6 +875,9 @@ def max_coolable_nbar(base_cfg: ProtocolConfig, nbar_lo: float = 0.05,
     if not coolable(nbar_lo):
         return None
     if coolable(nbar_hi):
+        warnings.warn(f"the coolable threshold is at or above nbar_hi = "
+                      f"{nbar_hi:g}; raise nbar_hi to bracket it",
+                      RuntimeWarning, stacklevel=2)
         return nbar_hi
     lo, hi = nbar_lo, nbar_hi
     for _ in range(iters):

@@ -1,6 +1,8 @@
 """Blocked-engine checks: networks, hybrid system, oscillator regulator,
 the star bright-mode path against the blocked engine, and the chiral
 resonant blocks against the full eigh."""
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -316,32 +318,140 @@ def test_chiral_matches_full_eigh(layout, d, k, monkeypatch):
 
 @pytest.mark.parametrize("omega_a", [1.0, 1.2], ids=["resonant", "detuned"])
 def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
-    blocks, eighs, chiral = [], [], []
-
-    def spy(record, fn, size):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            record.append(size(args, out))
-            return out
-        return wrapper
-
-    monkeypatch.setattr(protocol, "_joint_block", spy(
-        blocks, protocol._joint_block, lambda a, out: len(out[0])))
-    monkeypatch.setattr(protocol, "eigh", spy(
-        eighs, protocol.eigh, lambda a, out: len(a[0])))
-    monkeypatch.setattr(protocol, "_chiral_block", spy(
-        chiral, protocol._chiral_block, lambda a, out: 1))
+    # a block's joint build and its eigh run in one worker thread, so the
+    # thread's last joint size pairs each eigh with its block
+    joint_block, eigh, chiral_block = (protocol._joint_block, protocol.eigh,
+                                       protocol._chiral_block)
+    last = threading.local()
     cfg = ProtocolConfig(Topology("linear", 3, modes=2), STAR_STATE,
                          cycle_time=2.1, coupling=CouplingParams(omega_a=omega_a),
                          cutoff=20, n_max=10)
-    run_protocol(cfg)
-    assert len(blocks) == len(eighs) > 3
-    if omega_a == 1.0:
-        assert len(chiral) == len(blocks)
-        assert all(m < n for m, n in zip(eighs, blocks) if n > 1)
-    else:
-        assert chiral == []
-        assert eighs == blocks
+    for workers in (1, 2):
+        blocks, pairs, chiral = [], [], []
+
+        def joint_spy(*args):
+            out = joint_block(*args)
+            last.size = len(out[0])
+            blocks.append(last.size)
+            return out
+
+        def eigh_spy(a, *args, **kwargs):
+            pairs.append((last.size, len(a)))
+            return eigh(a, *args, **kwargs)
+
+        def chiral_spy(*args):
+            chiral.append(1)
+            return chiral_block(*args)
+
+        monkeypatch.setattr(protocol, "_block_workers", lambda: workers)
+        monkeypatch.setattr(protocol, "_joint_block", joint_spy)
+        monkeypatch.setattr(protocol, "eigh", eigh_spy)
+        monkeypatch.setattr(protocol, "_chiral_block", chiral_spy)
+        run_protocol(cfg)
+        assert len(blocks) == len(pairs) > 3
+        if omega_a == 1.0:
+            assert len(chiral) == len(blocks)
+            assert all(m < n for n, m in pairs if n > 1)
+        else:
+            assert chiral == []
+            assert all(m == n for n, m in pairs)
+
+
+WORKER_CASES = {
+    "linear-m3-chiral": ProtocolConfig(
+        Topology("linear", 4, modes=3), NETWORK_STATE, cycle_time=np.pi / 2,
+        cutoff=20, n_max=40),
+    "linear-detuned": ProtocolConfig(
+        Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=2.1,
+        coupling=CouplingParams(omega_a=1.2), cutoff=20, n_max=40),
+    "hybrid": ProtocolConfig(
+        Topology("hybrid", 4, system_levels=3), NETWORK_STATE,
+        regulator_level=1, cutoff=30, n_max=40),
+    "oscillator-regulator": ProtocolConfig(
+        Topology("linear", 20, modes=2, regulator_kind="oscillator"),
+        NETWORK_STATE, cycle_time=np.pi / 2, cutoff=25, n_max=40),
+}
+
+
+@pytest.mark.parametrize("case", list(WORKER_CASES))
+def test_two_workers_bit_identical(case, monkeypatch):
+    cfg = WORKER_CASES[case]
+    monkeypatch.setattr(protocol, "_block_workers", lambda: 1)
+    one = run_protocol(cfg)
+    threads = set()
+    joint_block = protocol._joint_block
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return joint_block(*args)
+
+    monkeypatch.setattr(protocol, "_block_workers", lambda: 2)
+    monkeypatch.setattr(protocol, "_joint_block", spy)
+    two = run_protocol(cfg)
+    assert len(threads) == 2            # the helper took blocks too
+    assert np.array_equal(one.fidelity, two.fidelity)
+    assert np.array_equal(one.probability, two.probability)
+
+
+class _BlockFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [1, 8], ids=["small-block", "top-block"])
+def test_block_error_reaches_caller(failing, monkeypatch):
+    # linear M = 3 block e_s holds (e_s + 1)(e_s + 2)/2 system states
+    size = (failing + 1) * (failing + 2) // 2
+    powers = protocol._block_trace_powers
+
+    def fail(v, *args):
+        if v.shape[0] == size:
+            raise _BlockFailure(f"block {failing}")
+        return powers(v, *args)
+
+    monkeypatch.setattr(protocol, "_block_workers", lambda: 2)
+    monkeypatch.setattr(protocol, "_block_trace_powers", fail)
+    before = threading.active_count()
+    cfg = replace(WORKER_CASES["linear-m3-chiral"], initial_system=STAR_STATE,
+                  e_max=8)
+    with pytest.raises(_BlockFailure, match=f"block {failing}"):
+        run_protocol(cfg)
+    assert threading.active_count() == before
+
+
+def test_map_blocks_takes_each_block_once():
+    # a short switch interval interleaves the two workers' takes; a block
+    # taken twice or lost breaks the call list or the result
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = protocol._map_blocks(lambda i: calls.append(i) or i * i, 3000, 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [i * i for i in range(3000)]
+    assert sorted(calls) == list(range(3000))
+
+
+@pytest.mark.parametrize("openblas,omp,cpus,workers", [
+    (None, None, 2, 1),
+    ("1", None, 2, 2),
+    ("2", None, 2, 1),
+    (None, "1", 2, 2),
+    ("2", "1", 2, 1),       # OPENBLAS_NUM_THREADS wins over OMP_NUM_THREADS
+    ("0", "1", 2, 2),       # a non-positive value falls through, as in OpenBLAS
+    ("1", None, 1, 1),
+], ids=["unset", "openblas-1", "openblas-2", "omp-1", "openblas-over-omp",
+        "openblas-0", "one-cpu"])
+def test_block_workers_rule(openblas, omp, cpus, workers, monkeypatch):
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas),
+                       ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    monkeypatch.setattr(protocol.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    assert protocol._block_workers() == workers
 
 
 def test_chiral_zero_modes():

@@ -291,3 +291,11 @@ def test_population_paths_build_no_density_matrix(monkeypatch):
     monkeypatch.setattr(protocol, "displaced_squeezed_thermal", refuse)
     for run, ref in zip(runs, before):
         assert run() == ref
+
+
+def test_max_coolable_nbar_warns_at_upper_bound():
+    # nbar = 0.3 cools, so the bisection has no upper bracket
+    cfg = ProtocolConfig(Topology("single", 4), TABLE_STATE, cutoff=60,
+                         n_max=60)
+    with pytest.warns(RuntimeWarning, match=r"at or above nbar_hi = 0\.3"):
+        assert max_coolable_nbar(cfg, nbar_hi=0.3, iters=4) == 0.3
