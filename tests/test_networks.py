@@ -359,8 +359,9 @@ def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
 
 WORKER_CASES = {
     "linear-m3-chiral": ProtocolConfig(
-        Topology("linear", 4, modes=3), NETWORK_STATE, cycle_time=np.pi / 2,
-        cutoff=20, n_max=40),
+        Topology("linear", 4, modes=3), DSTParams(
+            alpha_mag=0.25, alpha_phase=0.4, r=0.05, theta=0.3, nbar=0.15),
+        cycle_time=np.pi / 2, cutoff=20, n_max=40, e_max=12),
     "linear-detuned": ProtocolConfig(
         Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=2.1,
         coupling=CouplingParams(omega_a=1.2), cutoff=20, n_max=40),
@@ -380,15 +381,21 @@ def test_two_workers_bit_identical(case, monkeypatch):
     one = run_protocol(cfg)
     threads = set()
     joint_block = protocol._joint_block
+    caller, helper_took = threading.get_ident(), threading.Event()
 
     def spy(*args):
+        # the caller waits for the helper's first block, so both run some
+        if threading.get_ident() == caller:
+            helper_took.wait(timeout=30)
+        else:
+            helper_took.set()
         threads.add(threading.get_ident())
         return joint_block(*args)
 
     monkeypatch.setattr(protocol, "_block_workers", lambda: 2)
     monkeypatch.setattr(protocol, "_joint_block", spy)
     two = run_protocol(cfg)
-    assert len(threads) == 2            # the helper took blocks too
+    assert len(threads) == 2
     assert np.array_equal(one.fidelity, two.fidelity)
     assert np.array_equal(one.probability, two.probability)
 
