@@ -44,10 +44,9 @@ and one helper thread share the blocks (`_block_workers`,
 `_map_blocks`); otherwise the caller runs them all.  The contributions
 are summed in ascending block order, so F_n and P_n are bit-identical
 either way.  On a 2-vCPU VM (OpenBLAS 0.3.31) `qcool run
-experiments/network_linear_m3.cfg` took 3.2 s at 104 MiB peak RSS with
-OPENBLAS_NUM_THREADS=1, against 5.0-6.7 s at 86 MiB serially on the
-same setting; with the BLAS threads left at OpenBLAS's default (one
-per core) it runs one worker and took 4.9-5.4 s at 82 MiB.
+experiments/network_linear_m3.cfg` took 2.5-3.2 s at 103-105 MiB peak
+RSS with OPENBLAS_NUM_THREADS=1, 4.9-5.2 s at 80 MiB pinned to one CPU,
+and 3.6-3.8 s at 81 MiB (one worker) at OpenBLAS's default threads.
 
 `evolve_unitary` and `effective_operator` work on dense product-space
 matrices and are a test oracle only.
@@ -101,13 +100,16 @@ class ProtocolConfig:
 
     def validate(self):
         d = self.topology.regulator_levels
-        if not (0 <= self.regulator_level <= d - 1):
-            raise ConfigError(
-                f"regulator level k={self.regulator_level} outside 0..{d - 1}")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
-        if self.cutoff < 1:
-            raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
+        for name, lo, hi in (("regulator_level", 0, d - 1), ("n_max", 1, None),
+                             ("cutoff", 1, None), ("e_max", 0, None)):
+            value = getattr(self, name)
+            if value is None and name == "e_max":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if not lo <= value <= (value if hi is None else hi):
+                bound = f"be >= {lo}" if hi is None else f"lie in {lo}..{hi}"
+                raise ConfigError(f"{name} must {bound}, got {value}")
         t = self.cycle_time
         if t is not None and not (math.isfinite(t) and t >= 0):
             raise ConfigError(f"cycle time must be finite and >= 0, got {t}")
@@ -123,8 +125,6 @@ class ProtocolConfig:
         if not (self.convergence_tol >= 0):
             raise ConfigError(
                 f"convergence_tol must be >= 0, got {self.convergence_tol}")
-        if self.e_max is not None and self.e_max < 0:
-            raise ConfigError(f"e_max must be >= 0, got {self.e_max}")
         if self.topology.kind == "hybrid" and t is None \
                 and self.regulator_level > 1:
             raise ConfigError("hybrid default cycle times exist for k=0,1 only")
@@ -394,38 +394,36 @@ def _chiral_block(joint: np.ndarray, hops, colour: np.ndarray, rows: slice,
 
 def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
                         out_tr: np.ndarray):
-    """Accumulate tr(V^n rho V^dag^n) for n = 0..n_max into out_tr.
+    """Accumulate P_n = tr(V^n rho V^dag^n) for n = 0..n_max into out_tr.
 
-    Uses the eigendecomposition of V when it reconstructs V and is well
-    conditioned, ||X||_F ||X^-1||_F < 1e8 (an upper bound on cond_2(X)
-    that needs no SVD), else iterates.  With V = X diag(lam) X^-1 and
-    M_ij = Y_ij (X^dag X)_ji, Y = X^-1 rho X^-dag,
-    tr_n = sum_ij M_ij lam_i^n conj(lam_j)^n, one matrix product over the
-    powers L[n, i] = lam_i^n."""
+    Baby and giant steps (Paterson and Stockmeyer 1973): with
+    A = isqrt(n_max) + 1, S_a = V^a^dag V^a (a < A), G = V^A and
+    R_b = G^b rho G^b^dag, P_{a+Ab} = tr(R_b S_a) = sum (R_b * conj(S_a)),
+    one product of the flattened R_b with the kept stack of conj(S_a).
+    That is 2(A-1) + 2(B-1) N x N products, B = n_max // A + 1: 38 at
+    n_max = 100, against 200 by iteration.  With no eigenvectors and no
+    inverse there is no conditioning to guard and no fallback, and V need
+    not be a contraction; a real V and rho keep every product real."""
     n = v.shape[0]
     if n == 1:
         mag = np.abs(v[0, 0]) ** 2
         out_tr += np.real(rho[0, 0]) * mag ** np.arange(n_max + 1)
         return
-    use_eig = False
-    try:
-        lam, x = np.linalg.eig(v)
-        xinv = np.linalg.inv(x)
-        if np.max(np.abs((x * lam) @ xinv - v)) < 1e-10 * max(1.0, np.max(np.abs(v))) \
-                and np.linalg.norm(x) * np.linalg.norm(xinv) < 1e8:
-            use_eig = True
-    except np.linalg.LinAlgError:
-        pass
-    if use_eig:
-        y = xinv @ rho @ xinv.conj().T
-        m = y * (x.conj().T @ x).T
-        powers = np.vander(lam, n_max + 1, increasing=True).T
-        out_tr += np.real(np.sum((powers @ m) * powers.conj(), axis=1))
-    else:
-        cur = rho.astype(complex)
-        for cyc in range(n_max + 1):
-            out_tr[cyc] += np.real(np.trace(cur))
-            cur = v @ cur @ v.conj().T
+    steps = math.isqrt(n_max) + 1
+    stack = np.empty((steps, n * n), dtype=np.result_type(v, rho))
+    stack[0] = np.eye(n).ravel()
+    pw = v
+    for a in range(1, steps):
+        if a > 1:
+            pw = pw @ v
+        stack[a] = (pw.T @ pw.conj()).ravel()       # conj(S_a)
+    giant = pw @ v if n_max >= steps else None
+    cur = rho
+    for start in range(0, n_max + 1, steps):
+        if start:
+            cur = giant @ cur @ giant.conj().T
+        count = min(steps, n_max + 1 - start)
+        out_tr[start:start + count] += np.real(stack[:count] @ cur.ravel())
 
 
 def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
@@ -468,7 +466,8 @@ def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
                                 rows=rows, solver=eigh)
         else:
             vk, dph = _chiral_block(joint, hops, colour, rows, t)
-            rho = dph[:, None] * rho * dph.conj()[None, :]
+            # W is real: the antisymmetric Im(D rho D^dag) adds no trace
+            rho = np.real(dph[:, None] * rho * dph.conj()[None, :])
         out = np.zeros(n_max + 1)
         _block_trace_powers(vk, rho, n_max, out)
         return out

@@ -150,7 +150,7 @@ def dst_populations(p: DSTParams, cutoff: int) -> np.ndarray:
     lam = (p.nbar + 0.5) * np.exp([2 * p.r, -2 * p.r]) - 0.5   # n_s +- |m_s|
     a2 = p.alpha_mag ** 2
     b = n_s * a2 - (m_s * np.conj(p.alpha) ** 2).real
-    k = 1 << max(4 * cutoff - 1, 1).bit_length()
+    k = 1 << int(max(4 * cutoff - 1, 1)).bit_length()
     while True:
         w = 1.0 - np.exp(-2j * np.pi / k * np.arange(k // 2 + 1))
         s_p, s_m = 1.0 + w * lam[0], 1.0 + w * lam[1]

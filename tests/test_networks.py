@@ -487,25 +487,75 @@ def _iterated_traces(v, rho, n_max):
     return np.array(out)
 
 
-@pytest.mark.parametrize("lower,eig_path", [(1e-18, False), (0.01, True)])
-def test_block_trace_powers_path_choice(lower, eig_path, monkeypatch):
-    # [[a, 1], [1e-18, a]] has eigenvectors parallel to ~1e-9, so it is
-    # iterated; [[a, 1], [0.01, a]] is well conditioned and diagonalised
-    vander = []
-    orig = np.vander
-
-    def spy(*args, **kw):
-        vander.append(1)
-        return orig(*args, **kw)
-
-    monkeypatch.setattr(np, "vander", spy)
+@pytest.mark.parametrize("lower", [1e-18, 0.01], ids=["defective", "diagonalisable"])
+def test_block_trace_powers_2x2(lower):
+    # [[a, 1], [1e-18, a]] has eigenvectors parallel to ~1e-9; products
+    # need no eigenvectors, so both blocks match iteration alike
     v = np.array([[0.3, 1.0], [lower, 0.3]], dtype=complex)
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     tr = np.zeros(41)
     protocol._block_trace_powers(v, rho, 40, tr)
-    ref = _iterated_traces(v, rho, 40)
-    assert len(vander) == int(eig_path)
-    if eig_path:
-        assert np.max(np.abs(tr - ref)) <= 1e-12
-    else:
-        assert np.array_equal(tr, ref)
+    assert np.max(np.abs(tr - _iterated_traces(v, rho, 40))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 100, 101, 250])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_block_trace_powers_random(dtype, n_max):
+    # n_max 1..3 and 100/101 sit on the edges of the baby/giant split;
+    # spectral radius 1.01 with a norm above 1, so V is no contraction
+    rng = np.random.default_rng(n_max)
+    draw = (lambda: rng.normal(size=(9, 9))) if dtype is float else \
+        (lambda: rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    v = draw()
+    v *= 1.01 / np.max(np.abs(np.linalg.eigvals(v)))
+    assert np.linalg.norm(v, 2) > 1.0
+    g = draw()
+    rho = g @ g.conj().T / np.linalg.norm(g) ** 2
+    tr = np.zeros(n_max + 1)
+    protocol._block_trace_powers(v, rho, n_max, tr)
+    ref = _iterated_traces(v, rho, n_max)
+    assert np.max(np.abs(tr - ref) / ref) <= 1e-13
+
+
+def test_block_trace_powers_one_state():
+    v, rho = np.array([[0.6 - 0.7j]]), np.array([[0.37 + 0j]])
+    tr = np.zeros(31)
+    protocol._block_trace_powers(v, rho, 30, tr)
+    mag = np.abs(v[0, 0]) ** 2
+    assert np.array_equal(tr, 0.37 * mag ** np.arange(31))
+
+
+@pytest.mark.parametrize("case", list(WORKER_CASES))
+def test_blocked_run_takes_one_trace_path(case, monkeypatch):
+    # no eigendecomposition of V anywhere, and chiral blocks reach the
+    # trace kernel real; the thread's last block kind pairs each call
+    calls, kinds = [], []
+    last = threading.local()
+    for name in ("eig", "inv"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _n=name, **kw: calls.append(_n))
+    monkeypatch.setattr(np, "vander", lambda *a, **kw: calls.append("vander"))
+    joint_block, chiral_block, powers = (protocol._joint_block,
+                                         protocol._chiral_block,
+                                         protocol._block_trace_powers)
+
+    def joint_spy(*args):
+        last.chiral = False
+        return joint_block(*args)
+
+    def chiral_spy(*args):
+        last.chiral = True
+        return chiral_block(*args)
+
+    def powers_spy(v, rho, *args):
+        kinds.append((last.chiral, np.isrealobj(v), np.isrealobj(rho)))
+        return powers(v, rho, *args)
+
+    monkeypatch.setattr(protocol, "_joint_block", joint_spy)
+    monkeypatch.setattr(protocol, "_chiral_block", chiral_spy)
+    monkeypatch.setattr(protocol, "_block_trace_powers", powers_spy)
+    run_protocol(WORKER_CASES[case])
+    assert calls == []
+    assert len(kinds) > 3
+    chiral = case != "linear-detuned"
+    assert all(kind == (chiral, chiral, chiral) for kind in kinds)

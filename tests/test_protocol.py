@@ -171,6 +171,33 @@ def test_config_validation():
     cfg2.validate()
 
 
+
+@pytest.mark.parametrize("field,bad", [
+    ("n_max", 10.5), ("n_max", True), ("cutoff", 30.0), ("cutoff", True),
+    ("e_max", 8.0), ("e_max", False), ("regulator_level", 0.5),
+    ("regulator_level", np.True_)])
+def test_integer_fields_rejected(field, bad):
+    # a float or a bool is no count, even where it compares like one
+    kw = dict(regulator_level=0, n_max=10, cutoff=30)
+    kw[field] = bad
+    cfg = ProtocolConfig(Topology("single", 3), TABLE_STATE, **kw)
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        run_protocol(cfg)
+
+
+@pytest.mark.parametrize("topo", [Topology("single", 3),
+                                  Topology("linear", 3, modes=2)],
+                         ids=["single", "linear"])
+def test_numpy_integer_fields_accepted(topo):
+    def run(cast):
+        return run_protocol(ProtocolConfig(
+            topo, DSTParams(alpha_mag=0.2, alpha_phase=0.3, r=0.05, nbar=0.05),
+            regulator_level=cast(1), cycle_time=2.1, n_max=cast(10),
+            cutoff=cast(20), e_max=cast(10)))
+
+    assert np.array_equal(run(np.int64).fidelity, run(int).fidelity)
+    assert np.array_equal(run(np.int32).probability, run(int).probability)
+
 def test_converged_at_semantics():
     tr = run_protocol(_single_cfg(6, 0, convergence_tol=1e-4))
     c = tr.converged_at
