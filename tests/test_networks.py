@@ -504,12 +504,10 @@ def test_block_trace_powers_random(dtype, n_max):
     # n_max 1..3 and 100/101 sit on the edges of the baby/giant split;
     # spectral radius 1.01 with a norm above 1, so V is no contraction
     rng = np.random.default_rng(n_max)
-    draw = (lambda: rng.normal(size=(9, 9))) if dtype is float else \
-        (lambda: rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
-    v = draw()
+    v, g = rng.normal(size=(2, 9, 9)) + (
+        1j * rng.normal(size=(2, 9, 9)) if dtype is complex else 0)
     v *= 1.01 / np.max(np.abs(np.linalg.eigvals(v)))
     assert np.linalg.norm(v, 2) > 1.0
-    g = draw()
     rho = g @ g.conj().T / np.linalg.norm(g) ** 2
     tr = np.zeros(n_max + 1)
     protocol._block_trace_powers(v, rho, n_max, tr)
@@ -531,10 +529,9 @@ def test_blocked_run_takes_one_trace_path(case, monkeypatch):
     # trace kernel real; the thread's last block kind pairs each call
     calls, kinds = [], []
     last = threading.local()
-    for name in ("eig", "inv"):
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _n=name, **kw: calls.append(_n))
-    monkeypatch.setattr(np, "vander", lambda *a, **kw: calls.append("vander"))
+    for mod, name in ((np.linalg, "eig"), (np.linalg, "inv"), (np, "vander")):
+        monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=getattr(mod, name),
+                            **kw: calls.append(_n) or _f(*a, **kw))
     joint_block, chiral_block, powers = (protocol._joint_block,
                                          protocol._chiral_block,
                                          protocol._block_trace_powers)
