@@ -38,15 +38,19 @@ engine paths:
 
 Total excitation is conserved, so the blocked engine's blocks are
 independent: each is one call that returns its trace contribution.
-When at least two CPUs are available and BLAS runs one thread
-(OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1) the calling thread
-and one helper thread share the blocks (`_block_workers`,
-`_map_blocks`); otherwise the caller runs them all.  The contributions
-are summed in ascending block order, so F_n and P_n are bit-identical
-either way.  On a 2-vCPU VM (OpenBLAS 0.3.31) `qcool run
-experiments/network_linear_m3.cfg` took 2.5-3.2 s at 103-105 MiB peak
-RSS with OPENBLAS_NUM_THREADS=1, 4.9-5.2 s at 80 MiB pinned to one CPU,
-and 3.6-3.8 s at 81 MiB (one worker) at OpenBLAS's default threads.
+`run_protocol` and `sweep_dimension` share one path (`_run_cells`): a
+sweep's blocked cells of one k and cycle time make one pass over the
+blocks, which serves every regulator dimension d of the sweep, and a
+single run is the one-dimension case.  When at least two CPUs are
+available and BLAS runs one thread (OPENBLAS_NUM_THREADS, else
+OMP_NUM_THREADS, is 1) the calling thread and one helper thread share
+the blocks (`_block_workers`, `_map_blocks`); otherwise the caller runs
+them all.  The contributions are summed in ascending block order, so
+F_n and P_n are bit-identical either way, and to a run of each d alone.
+On a 2-vCPU VM (OpenBLAS 0.3.31) `qcool run
+experiments/network_linear_m3.cfg` took 2.4-2.5 s at 109-111 MiB peak
+RSS with OPENBLAS_NUM_THREADS=1, and 3.6-3.9 s at 86 MiB (one worker)
+at OpenBLAS's default threads.
 
 `evolve_unitary` and `effective_operator` work on dense product-space
 matrices and are a test oracle only.
@@ -122,9 +126,9 @@ class ProtocolConfig:
         if not (0 <= self.probability_floor <= 1):
             raise ConfigError(f"probability_floor must lie in [0, 1], got "
                               f"{self.probability_floor}")
-        if not (self.convergence_tol >= 0):
-            raise ConfigError(
-                f"convergence_tol must be >= 0, got {self.convergence_tol}")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+            raise ConfigError(f"convergence_tol must be finite and >= 0, got "
+                              f"{self.convergence_tol}")
         if self.topology.kind == "hybrid" and t is None \
                 and self.regulator_level > 1:
             raise ConfigError("hybrid default cycle times exist for k=0,1 only")
@@ -426,25 +430,38 @@ def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
         out_tr[start:start + count] += np.real(stack[:count] @ cur.ravel())
 
 
-def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
-                 factors: List[np.ndarray], e_cap: int,
-                 n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """F_n, P_n for a product initial state under the blocked protocol.
+def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
+                 t: float, factors: List[np.ndarray], e_cap: int,
+                 n_max: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """F_n, P_n for a product initial state under the blocked protocol,
+    one pair per topology; the topologies differ at most in
+    regulator_levels.
 
     At regulator level q an oscillator holds up to e_s + k - q
     excitations, so the joint basis caps each at e_cap + k (and the
     factor size); the system rows, e_s <= e_cap, are unaffected.
+
+    Every regulator dimension d runs in one pass over the blocks.  Rows
+    of a joint block are ordered by regulator level first, so the basis
+    at d is the prefix of the largest d's block holding levels below d,
+    and its hops are those with both ends in the prefix, in the same
+    order: each d gets the H (or B) and V a build at d alone gives.  The
+    factor product rho depends on no d and is built once per block, and
+    dimensions whose prefixes coincide (every d > e_s + k) share one V
+    and one trace.
 
     With one frequency on every subsystem (resonance) the free part is
     E omega on block E, a phase that drops out of every trace, and a
     bipartite coupling graph makes each block chiral: `_chiral_block`
     then needs one eigh of half size and a real V.  Otherwise each block
     is diagonalised whole."""
-    caps, bos = _sub_caps(topology, e_cap + k)
+    dims = sorted({topo.regulator_levels for topo in topologies})
+    top = max(topologies, key=lambda topo: topo.regulator_levels)
+    caps, bos = _sub_caps(top, e_cap + k)
     for m, f in enumerate(factors):
         caps[m] = min(caps[m], f.shape[0] - 1)  # never index past a factor
-    edges = topology.coupling_edges(params)
-    n_osc = 1 if topology.kind == "hybrid" else topology.modes
+    edges = top.coupling_edges(params)
+    n_osc = 1 if top.kind == "hybrid" else top.modes
     wf = params.omega_f_list(n_osc)
     freqs = [wf[m] if b and m < n_osc else params.omega_a
              for m, b in enumerate(bos)]
@@ -453,7 +470,8 @@ def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
     colour = _sublattices(edges, len(caps)) if len(set(freqs)) == 1 else None
 
     def block(e_s):
-        """Trace contribution of system block e_s, None if it is empty."""
+        """Trace contributions of system block e_s, row i for dims[i];
+        None if the block is empty."""
         joint, rows, hops = _joint_block(e_s + k, k, caps, bos, edges)
         lev = joint[rows, :-1]
         if len(lev) == 0:
@@ -461,24 +479,35 @@ def _blocked_run(topology: Topology, params: CouplingParams, k: int, t: float,
         rho = np.ones((len(lev), len(lev)), dtype=complex)
         for m, f in enumerate(factors):
             rho *= f[lev[:, m][:, None], lev[:, m][None, :]]
-        if colour is None:
-            vk = expm_hermitian(_block_hamiltonian(joint, hops, freqs), t,
-                                rows=rows, solver=eigh)
-        else:
-            vk, dph = _chiral_block(joint, hops, colour, rows, t)
-            # W is real: the antisymmetric Im(D rho D^dag) adds no trace
-            rho = np.real(dph[:, None] * rho * dph.conj()[None, :])
-        out = np.zeros(n_max + 1)
-        _block_trace_powers(vk, rho, n_max, out)
+        ends = np.searchsorted(joint[:, -1], dims)
+        out = np.zeros((len(dims), n_max + 1))
+        for i, end in enumerate(ends):
+            if i and end == ends[i - 1]:
+                out[i] = out[i - 1]         # the same basis as dims[i - 1]
+                continue
+            keep = (hops[0] < end) & (hops[1] < end)
+            sub, sub_hops = joint[:end], tuple(h[keep] for h in hops)
+            if colour is None:
+                vk = expm_hermitian(_block_hamiltonian(sub, sub_hops, freqs),
+                                    t, rows=rows, solver=eigh)
+            else:
+                vk, dph = _chiral_block(sub, sub_hops, colour, rows, t)
+                if np.iscomplexobj(rho):    # D is the same on every prefix
+                    # W is real: the antisymmetric Im(D rho D^dag) adds no trace
+                    rho = np.real(dph[:, None] * rho * dph.conj()[None, :])
+            _block_trace_powers(vk, rho, n_max, out[i])
         return out
 
     parts = _map_blocks(block, e_cap + 1, _block_workers())
-    tr = np.zeros(n_max + 1)
-    for part in parts:              # ascending e_s, as a serial loop adds
-        if part is not None:
-            tr += part
-    # block 0 is the system vacuum alone, so its trace is the vacuum weight
-    return parts[0] / tr, tr
+    traces = {}
+    for i, d in enumerate(dims):
+        tr = np.zeros(n_max + 1)
+        for part in parts:          # ascending e_s, as a serial loop adds
+            if part is not None:
+                tr += part[i]
+        # block 0 is the system vacuum alone, so its trace is the vacuum weight
+        traces[d] = (parts[0][i] / tr, tr)
+    return [traces[topo.regulator_levels] for topo in topologies]
 
 
 def _block_workers() -> int:
@@ -676,42 +705,67 @@ def default_cycle_time(topology: Topology, k: int) -> float:
         return err.best_t
 
 
+def _run_cells(base: ProtocolConfig,
+               cells: Sequence[Tuple[int, int]]) -> List[ProtocolTrace]:
+    """Traces of `base` at each (regulator dimension d, level k) cell, in
+    the order given.
+
+    Every cell is validated before any runs.  Single-mode and star
+    bright-mode cells take their own paths; the other cells of one k and
+    cycle time share one `_blocked_run`, and the factors and e_cap, which
+    depend on no d, are built once."""
+    cfgs = [replace(base, topology=replace(base.topology, regulator_levels=d),
+                    regulator_level=k) for d, k in cells]
+    for cfg in cfgs:
+        cfg.validate()
+    traces: list = [None] * len(cfgs)
+    groups = {}         # (k, t) -> indices of the blocked cells
+    for i, cfg in enumerate(cfgs):
+        topo, k = cfg.topology, cfg.regulator_level
+        t = cfg.cycle_time if cfg.cycle_time is not None \
+            else default_cycle_time(topo, k)
+        if topo.kind == "single" and topo.regulator_kind == "qudit":
+            c = cfg.coupling
+            x, dim = _factor_inputs(cfg)[0]
+            pops = dst_populations(x, dim) if isinstance(x, DSTParams) \
+                else np.real(np.diag(x))
+            cdiag = np.clip(pops, 0.0, None)
+            lams = effective_lambdas(topo.regulator_levels, k, t, len(cdiag),
+                                     c.lam, c.omega_a, c.omega_f_list(1)[0])
+            traces[i] = _trace_single(lams, cdiag, cfg.n_max)
+        else:
+            traces[i] = _star_run(cfg, k, t)
+            if traces[i] is None:
+                groups.setdefault((k, t), []).append(i)
+    if groups:
+        factors = _resolve_factors(base)
+        e_cap = _choose_e_cap([np.real(np.diag(f)) for f in factors],
+                              base.e_max)
+        for (k, t), idx in groups.items():
+            runs = _blocked_run([cfgs[i].topology for i in idx], base.coupling,
+                                k, t, factors, e_cap, base.n_max)
+            for i, trace in zip(idx, runs):
+                traces[i] = trace
+
+    out = []
+    for cfg, (fid, prob) in zip(cfgs, traces):
+        conv = None
+        for n in range(1, cfg.n_max + 1):
+            if abs(fid[n] - fid[n - 1]) < cfg.convergence_tol \
+                    and fid[n] >= cfg.fidelity_target:
+                conv = n
+                break
+        out.append(ProtocolTrace(fid, prob, conv))
+    return out
+
+
 def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
     """Full cooling trace F_n, P_n for n = 0..n_max.
 
     converged_at is the first cycle with |F_n - F_{n-1}| < convergence_tol
     and F_n >= fidelity_target, None if that never happens."""
-    cfg.validate()
-    topo = cfg.topology
-    k = cfg.regulator_level
-    t = cfg.cycle_time if cfg.cycle_time is not None else default_cycle_time(topo, k)
-
-    if topo.kind == "single" and topo.regulator_kind == "qudit":
-        c = cfg.coupling
-        x, dim = _factor_inputs(cfg)[0]
-        pops = dst_populations(x, dim) if isinstance(x, DSTParams) \
-            else np.real(np.diag(x))
-        cdiag = np.clip(pops, 0.0, None)
-        lams = effective_lambdas(topo.regulator_levels, k, t, len(cdiag),
-                                 c.lam, c.omega_a, c.omega_f_list(1)[0])
-        fid, prob = _trace_single(lams, cdiag, cfg.n_max)
-    else:
-        trace = _star_run(cfg, k, t)
-        if trace is None:
-            factors = _resolve_factors(cfg)
-            e_cap = _choose_e_cap([np.real(np.diag(f)) for f in factors],
-                                  cfg.e_max)
-            trace = _blocked_run(topo, cfg.coupling, k, t, factors, e_cap,
-                                 cfg.n_max)
-        fid, prob = trace
-
-    conv = None
-    for n in range(1, cfg.n_max + 1):
-        if abs(fid[n] - fid[n - 1]) < cfg.convergence_tol \
-                and fid[n] >= cfg.fidelity_target:
-            conv = n
-            break
-    return ProtocolTrace(fid, prob, conv)
+    cells = [(cfg.topology.regulator_levels, cfg.regulator_level)]
+    return _run_cells(cfg, cells)[0]
 
 
 def run_hybrid(cfg: ProtocolConfig) -> ProtocolTrace:
@@ -804,20 +858,18 @@ class SweepRecord:
 def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
                     k_list: Sequence[int], report: str = "converged",
                     stop: float = 0.9998, settle_tol: float = 1.2e-5) -> List[SweepRecord]:
-    """(N, F, P) per regulator dimension and measurement level; cells
-    with k >= d are skipped."""
+    """(N, F, P) per regulator dimension and measurement level, in
+    d_list order (repeats kept); cells with k >= d are skipped.
+
+    Every cell is validated before any runs, and the blocked cells of
+    one k and cycle time run in one pass over the excitation blocks
+    (`_run_cells`)."""
+    cells = [(d, k) for d in d_list for k in k_list if k < d]
     out = []
-    for d in d_list:
-        for k in k_list:
-            if k >= d:
-                continue
-            cfg = replace(base_cfg,
-                          topology=replace(base_cfg.topology, regulator_levels=d),
-                          regulator_level=k)
-            trace = run_protocol(cfg)
-            n = report_cycles(trace, report, stop, settle_tol)
-            out.append(SweepRecord(d, k, n, float(trace.fidelity[n]),
-                                   float(trace.probability[n])))
+    for (d, k), trace in zip(cells, _run_cells(base_cfg, cells)):
+        n = report_cycles(trace, report, stop, settle_tol)
+        out.append(SweepRecord(d, k, n, float(trace.fidelity[n]),
+                               float(trace.probability[n])))
     return out
 
 

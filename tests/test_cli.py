@@ -230,14 +230,15 @@ def test_emit_csv_formats(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "t = nan", "t = -1", "fidelity_target = 2.0", "convergence_tol = -1",
-    "e_max = -1", "probability_floor = nan", "probability_floor = 1.5",
-    "probability_floor = -0.1", "t = 1\n[coupling]\nlambda = nan",
+    "convergence_tol = inf", "e_max = -1", "probability_floor = nan",
+    "probability_floor = 1.5", "probability_floor = -0.1",
+    "t = 1\n[coupling]\nlambda = nan",
     "t = 1\n[coupling]\nlambda_tilde = inf",
     "t = 1\n[coupling]\nomega_a = nan", "t = 1\n[coupling]\nomega_f = inf"],
     ids=["t = nan", "t = -1", "fidelity_target = 2.0", "convergence_tol = -1",
-         "e_max = -1", "probability_floor = nan", "probability_floor = 1.5",
-         "probability_floor = -0.1", "lambda = nan", "lambda_tilde = inf",
-         "omega_a = nan", "omega_f = inf"])
+         "convergence_tol = inf", "e_max = -1", "probability_floor = nan",
+         "probability_floor = 1.5", "probability_floor = -0.1", "lambda = nan",
+         "lambda_tilde = inf", "omega_a = nan", "omega_f = inf"])
 def test_bad_protocol_values_exit_2(tmp_path, line, capsys):
     # COOL_CFG ends in [protocol]; a coupling line opens its own section
     cfg = _write(tmp_path, "bad.cfg", COOL_CFG + line + "\n")

@@ -12,10 +12,11 @@ from qcool import protocol
 from qcool.errors import ConfigError, TruncationError
 from qcool.hamiltonians import CouplingParams, Topology, total_hamiltonian
 from qcool.hilbert import SpaceSpec, expm_hermitian, partial_trace
-from qcool.protocol import (ProtocolConfig, _blocked_run, _choose_e_cap,
-                            _resolve_factors, default_cycle_time,
-                            effective_operator, evolve_unitary,
-                            report_cycles, run_hybrid, run_protocol)
+from qcool.protocol import (ProtocolConfig, SweepRecord, _blocked_run,
+                            _choose_e_cap, _resolve_factors,
+                            default_cycle_time, effective_operator,
+                            evolve_unitary, report_cycles, run_hybrid,
+                            run_protocol, sweep_dimension)
 from qcool.states import DSTParams, depolarized_qudit, \
     displaced_squeezed_thermal
 
@@ -157,9 +158,9 @@ def blocked_calls(monkeypatch):
     """Topologies that reached the blocked engine through run_protocol."""
     calls = []
 
-    def spy(topology, *args):
-        calls.append(topology)
-        return _blocked_run(topology, *args)
+    def spy(topologies, *args):
+        calls.extend(topologies)
+        return _blocked_run(topologies, *args)
 
     monkeypatch.setattr(protocol, "_blocked_run", spy)
     return calls
@@ -173,8 +174,8 @@ def _oracle(cfg):
         t = default_cycle_time(cfg.topology, k)
     factors = _resolve_factors(cfg)
     e_cap = _choose_e_cap([np.real(np.diag(f)) for f in factors], cfg.e_max)
-    return _blocked_run(cfg.topology, cfg.coupling, k, t, factors, e_cap,
-                        cfg.n_max)
+    return _blocked_run([cfg.topology], cfg.coupling, k, t, factors, e_cap,
+                        cfg.n_max)[0]
 
 
 def _assert_matches_oracle(cfg, f_tol, p_tol=1e-9):
@@ -423,6 +424,132 @@ def test_block_error_reaches_caller(failing, monkeypatch):
     with pytest.raises(_BlockFailure, match=f"block {failing}"):
         run_protocol(cfg)
     assert threading.active_count() == before
+
+
+# ------------------------------------------- regulator-dimension sweeps
+
+M3_STATE = DSTParams(alpha_mag=0.25, alpha_phase=0.4, r=0.05, theta=0.3,
+                     nbar=0.15)
+
+SWEEP_CASES = {
+    "linear-m3-chiral": (ProtocolConfig(
+        Topology("linear", 3, modes=3), M3_STATE, cycle_time=np.pi / 2,
+        cutoff=20, n_max=40, e_max=12), [3, 4, 5, 6], [0, 1]),
+    "linear-detuned": (ProtocolConfig(
+        Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=2.1,
+        coupling=CouplingParams(omega_a=1.2), cutoff=20, n_max=40),
+        [2, 3, 4], [0, 1]),
+    "hybrid": (ProtocolConfig(
+        Topology("hybrid", 2, system_levels=3), NETWORK_STATE, cutoff=30,
+        n_max=40), [2, 3, 4, 5, 6], [0, 1]),
+    "oscillator-regulator": (ProtocolConfig(
+        Topology("linear", 3, modes=2, regulator_kind="oscillator"),
+        NETWORK_STATE, cycle_time=np.pi / 2, cutoff=25, n_max=40),
+        [3, 6, 20], [0, 1]),
+    "star-unequal-factors": (ProtocolConfig(
+        Topology("star", 3, modes=2),
+        [STAR_STATE, replace(STAR_STATE, nbar=0.06)], cycle_time=2.1,
+        cutoff=20, n_max=40), [2, 3, 5], [0, 1, 2]),
+    "unsorted-d-list": (ProtocolConfig(
+        Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=np.pi / 2,
+        cutoff=25, n_max=40), [5, 2, 4], [0, 1]),
+    "repeated-d-list": (ProtocolConfig(
+        Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=np.pi / 2,
+        cutoff=25, n_max=40), [4, 3, 4, 3], [0]),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_sweep_matches_cell_runs(case, workers, monkeypatch):
+    # one pass over the blocks for every d gives each cell's run alone,
+    # bit for bit, record by record in d_list order
+    base, d_list, k_list = SWEEP_CASES[case]
+    monkeypatch.setattr(protocol, "_block_workers", lambda: 1)
+    cells = [(d, k) for d in d_list for k in k_list if k < d]
+    alone = [run_protocol(replace(base, topology=replace(
+        base.topology, regulator_levels=d), regulator_level=k))
+        for d, k in cells]
+    runs = []
+    run_cells = protocol._run_cells
+
+    def spy(*args):
+        runs.append(run_cells(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(protocol, "_block_workers", lambda: workers)
+    monkeypatch.setattr(protocol, "_run_cells", spy)
+    recs = sweep_dimension(base, d_list, k_list, report="auto")
+    assert len(runs) == 1 and len(runs[0]) == len(alone)
+    for (d, k), rec, one, tr in zip(cells, recs, alone, runs[0]):
+        assert np.array_equal(one.fidelity, tr.fidelity)
+        assert np.array_equal(one.probability, tr.probability)
+        assert one.converged_at == tr.converged_at
+        n = report_cycles(one, "auto")
+        assert rec == SweepRecord(d, k, n, float(one.fidelity[n]),
+                                  float(one.probability[n]))
+
+
+def test_sweep_shares_blocks_across_dimensions(monkeypatch):
+    # linear M = 3, k = 0: block e_s holds regulator levels 0..e_s, so
+    # dimension d sees the prefix of levels below min(d, e_s + 1); each
+    # distinct prefix takes one chiral V, each block one joint build
+    d_list, e_max, k = [3, 4, 5, 6], 16, 0
+    counts = {"joint": 0, "chiral": 0}
+    joint_block, chiral_block = protocol._joint_block, protocol._chiral_block
+
+    def joint_spy(*args):
+        counts["joint"] += 1
+        return joint_block(*args)
+
+    def chiral_spy(*args):
+        counts["chiral"] += 1
+        return chiral_block(*args)
+
+    monkeypatch.setattr(protocol, "_joint_block", joint_spy)
+    monkeypatch.setattr(protocol, "_chiral_block", chiral_spy)
+    base = ProtocolConfig(Topology("linear", 3, modes=3), M3_STATE,
+                          cycle_time=np.pi / 2, cutoff=30, n_max=10,
+                          e_max=e_max)
+    sweep_dimension(base, d_list, [k])
+    prefixes = sum(len({min(d, e_s + k + 1) for d in d_list})
+                   for e_s in range(e_max + 1))
+    assert prefixes == 56
+    assert counts == {"joint": e_max + 1, "chiral": prefixes}
+
+
+@pytest.mark.parametrize("failing", [4, 8], ids=["small-block", "top-block"])
+def test_sweep_error_in_one_dimension_reaches_caller(failing, monkeypatch):
+    # the d = 4 prefix of block e_s = failing fails; d = 3 and 5 do not
+    chiral_block = protocol._chiral_block
+
+    def fail(joint, *args):
+        if joint[:, -1].max() == 3 and joint[0].sum() == failing:
+            raise _BlockFailure(f"block {failing}")
+        return chiral_block(joint, *args)
+
+    monkeypatch.setattr(protocol, "_block_workers", lambda: 2)
+    monkeypatch.setattr(protocol, "_chiral_block", fail)
+    before = threading.active_count()
+    base = replace(SWEEP_CASES["linear-m3-chiral"][0],
+                   initial_system=STAR_STATE, e_max=8)
+    with pytest.raises(_BlockFailure, match=f"block {failing}"):
+        sweep_dimension(base, [3, 4, 5], [0])
+    assert threading.active_count() == before
+
+
+def test_sweep_validates_every_cell_first(monkeypatch):
+    # hybrid default times exist for k <= 1: the (3, 2) cell is invalid,
+    # and no block of the valid (3, 0) cell before it runs
+    calls = []
+    powers = protocol._block_trace_powers
+    monkeypatch.setattr(protocol, "_block_trace_powers",
+                        lambda *args: calls.append(1) or powers(*args))
+    base = ProtocolConfig(Topology("hybrid", 3), NETWORK_STATE, cutoff=30,
+                          n_max=10)
+    with pytest.raises(ConfigError, match="k=0,1 only"):
+        sweep_dimension(base, [3, 4], [0, 2])
+    assert calls == []
 
 
 def test_map_blocks_takes_each_block_once():

@@ -295,7 +295,8 @@ def test_default_cycle_time_needs_default_coupling():
 @pytest.mark.parametrize("field,value", [
     ("cycle_time", float("nan")), ("cycle_time", float("inf")),
     ("cycle_time", -1.0), ("fidelity_target", 2.0),
-    ("fidelity_target", 0.0), ("convergence_tol", -1.0), ("e_max", -1)])
+    ("fidelity_target", 0.0), ("convergence_tol", -1.0),
+    ("convergence_tol", float("inf")), ("e_max", -1)])
 def test_bad_inputs_rejected(field, value):
     with pytest.raises(ConfigError):
         run_protocol(_single_cfg(4, 0, **{field: value}))
