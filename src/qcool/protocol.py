@@ -718,7 +718,7 @@ def _run_cells(base: ProtocolConfig,
                     regulator_level=k) for d, k in cells]
     for cfg in cfgs:
         cfg.validate()
-    traces: list = [None] * len(cfgs)
+    traces = [None] * len(cfgs)
     groups = {}         # (k, t) -> indices of the blocked cells
     for i, cfg in enumerate(cfgs):
         topo, k = cfg.topology, cfg.regulator_level
