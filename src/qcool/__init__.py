@@ -1,21 +1,13 @@
 """Measurement-based cooling of oscillator networks with a qudit regulator."""
 
-from .errors import (CheckFailedError, ConfigError, ConservationError,
-                     ConstructionError, QcoolError, SearchFailureError,
-                     TruncationError)
-from .hilbert import (BlockedOperator, ExcitationBlock, Oscillator, Qudit,
-                      SpaceSpec, annihilation, block_decompose,
-                      excitation_levels, excitation_number, partial_trace,
-                      qudit_transition)
+from .errors import (CheckFailedError, ConfigError, ConstructionError,
+                     QcoolError, SearchFailureError, TruncationError)
 from .states import (DSTParams, depolarized_qudit, displaced_squeezed_thermal,
                      displacement_op, dst_mean_energy, mean_energy,
                      squeezing_op, thermal_state)
-from .hamiltonians import (CouplingParams, Topology, free_hamiltonian,
-                           hamiltonian_hybrid, interaction_linear,
-                           interaction_star, total_hamiltonian)
-from .protocol import (EffectiveOperator, ProtocolConfig, ProtocolTrace,
-                       SweepRecord, EnergyRecord, default_cycle_time,
-                       effective_lambdas, effective_operator, evolve_unitary,
+from .hamiltonians import CouplingParams, Topology
+from .protocol import (ProtocolConfig, ProtocolTrace, SweepRecord,
+                       EnergyRecord, default_cycle_time, effective_lambdas,
                        max_coolable_nbar, qubit_asymptotic_fidelity,
                        report_cycles, run_hybrid, run_protocol,
                        sweep_dimension, sweep_energy)

@@ -17,14 +17,6 @@ class TruncationError(QcoolError):
         self.leakage = leakage
 
 
-class ConservationError(QcoolError):
-    """Operator fails to commute with the total excitation number."""
-
-    def __init__(self, message, max_offblock=None):
-        super().__init__(message)
-        self.max_offblock = max_offblock
-
-
 class SearchFailureError(QcoolError):
     """Optimal-time search found no admissible optimum in the window."""
 

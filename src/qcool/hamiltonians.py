@@ -1,5 +1,5 @@
-"""Hamiltonian builders: single oscillator + regulator, linear and star
-networks, and the hybrid oscillator/qudit system.
+"""Topologies and coupling parameters: single oscillator + regulator,
+linear and star networks, and the hybrid oscillator/qudit system.
 
 All interactions are excitation-conserving ladder exchanges of the form
 w * (lower_i raise_j + h.c.).  Oscillator ladders carry sqrt(n) weights;
@@ -8,10 +8,9 @@ qudit ladders sum_k |k><k-1| are unweighted and truncated at the top level
 the last subsystem; in the linear chain the regulator couples to
 oscillator 1 and the chain is open.
 
-`Topology` and `CouplingParams` drive every runner.  The dense
-product-space builders (`free_hamiltonian`, `interaction_linear`,
-`interaction_star`, `hamiltonian_hybrid`, `total_hamiltonian`) are a test
-oracle only: the runners build excitation blocks directly.
+`Topology` and `CouplingParams` drive every runner; the runners build
+the Hamiltonian one excitation block at a time from
+`Topology.coupling_edges`.
 """
 from __future__ import annotations
 
@@ -20,8 +19,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
-
-from .hilbert import Oscillator, Qudit, SpaceSpec, _embed, lowering
 
 
 @dataclass(frozen=True)
@@ -77,18 +74,6 @@ class Topology:
         if self.kind == "hybrid" and self.system_levels < 2:
             raise ValueError("hybrid system qudit needs d_s >= 2")
 
-    def space(self, cutoff: int) -> SpaceSpec:
-        """Product space with the regulator last."""
-        if self.regulator_kind == "qudit":
-            reg = Qudit(self.regulator_levels)
-        else:
-            reg = Oscillator(self.regulator_levels)
-        if self.kind == "hybrid":
-            subs = (Oscillator(cutoff), Qudit(self.system_levels), reg)
-        else:
-            subs = tuple(Oscillator(cutoff) for _ in range(self.modes)) + (reg,)
-        return SpaceSpec(subs)
-
     def coupling_edges(self, params: CouplingParams) -> List[Tuple[int, int, float]]:
         """(i, j, w) triples meaning w * (lower_i raise_j + h.c.)."""
         reg = self.modes + 1 if self.kind == "hybrid" else self.modes
@@ -102,75 +87,3 @@ class Topology:
             return [(i, reg, params.lam) for i in range(self.modes)]
         # hybrid: oscillator exchanges with both the system qudit and the regulator
         return [(0, 1, params.lam), (0, 2, params.lam)]
-
-
-def free_hamiltonian(space: SpaceSpec, params: CouplingParams) -> np.ndarray:
-    """sum_j omega_f_j a_j^dag a_j + sum_qudits omega_a sum_k k |k><k|."""
-    n_osc = sum(isinstance(s, Oscillator) for s in space.subsystems)
-    wf = iter(params.omega_f_list(n_osc))
-    diag = np.zeros(1)
-    for s in space.subsystems:
-        w = next(wf) if isinstance(s, Oscillator) else params.omega_a
-        diag = (diag[:, None] + w * np.arange(s.dim)[None, :]).ravel()
-    return np.diag(diag.astype(complex))
-
-
-def _interaction(space: SpaceSpec, topology: Topology,
-                 params: CouplingParams) -> np.ndarray:
-    """Sum over coupling edges (i, j, w) of w * (lower_i raise_j + h.c.)."""
-    def lower(m):
-        sub = space.subsystems[m]
-        return _embed(space, m, lowering(sub.dim, isinstance(sub, Oscillator)))
-
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for i, j, w in topology.coupling_edges(params):
-        term = w * (lower(i) @ lower(j).conj().T)
-        h += term + term.conj().T
-    return h
-
-
-def _network_interaction(kind: str, space: SpaceSpec, params: CouplingParams,
-                         modes: int | None) -> np.ndarray:
-    """Interaction of a `kind` network on `space`, regulator last; one mode
-    is the single layout."""
-    m = len(space.subsystems) - 1 if modes is None else modes
-    reg = space.subsystems[-1]
-    topo = Topology(kind if m > 1 else "single", regulator_levels=reg.dim,
-                    modes=m,
-                    regulator_kind="qudit" if isinstance(reg, Qudit) else "oscillator")
-    return _interaction(space, topo, params)
-
-
-def interaction_linear(space: SpaceSpec, params: CouplingParams,
-                       modes: int | None = None) -> np.ndarray:
-    """lam sum_k a_1 |k><k-1|_R + lam_tilde sum_i a_i^dag a_{i+1} + h.c."""
-    return _network_interaction("linear", space, params, modes)
-
-
-def interaction_star(space: SpaceSpec, params: CouplingParams,
-                     modes: int | None = None) -> np.ndarray:
-    """lam sum_i a_i (sum_k |k><k-1|_R) + h.c.; no oscillator-oscillator terms."""
-    return _network_interaction("star", space, params, modes)
-
-
-def hamiltonian_hybrid(space: SpaceSpec, params: CouplingParams) -> np.ndarray:
-    """Free terms plus lam a (raise_s + raise_R) + h.c.
-
-    The oscillator exchanges excitations with both the system qudit and the
-    regulator; the two qudits do not couple directly.
-    """
-    if len(space.subsystems) != 3:
-        raise ValueError("hybrid space is oscillator x qudit(d_s) x regulator")
-    topo = Topology("hybrid", regulator_levels=space.subsystems[2].dim,
-                    system_levels=space.subsystems[1].dim)
-    return free_hamiltonian(space, params) + _interaction(space, topo, params)
-
-
-def total_hamiltonian(topology: Topology, params: CouplingParams,
-                      cutoff: int) -> Tuple[SpaceSpec, np.ndarray]:
-    """Free + interaction for the given topology on its standard space."""
-    space = topology.space(cutoff)
-    if topology.kind == "hybrid":
-        return space, hamiltonian_hybrid(space, params)
-    h = free_hamiltonian(space, params) + _interaction(space, topology, params)
-    return space, h

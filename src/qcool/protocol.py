@@ -8,24 +8,24 @@ V = <k|U(t)|k> applied repeatedly to the system state:
     P_n = Tr[V^n rho V^dag^n]          success probability after n cycles
     F_n = <vac|V^n rho V^dag^n|vac>/P_n  vacuum fidelity of the kept state
 
-Everything is evaluated per total-excitation block, by one of three
+Everything is evaluated per total-excitation block, by one of two
 engine paths:
 
-- single: one oscillator with a qudit regulator.  Each block is the
-  tridiagonal `hilbert.ladder_block`, giving the diagonal
-  lambda_{i,d}^k of V directly, so only the initial state's Fock
-  populations matter: a DSTParams state enters through
-  `states.dst_populations`, a density matrix through its diagonal.
-- star bright mode (`_star_run`): a star of M oscillators with a qudit
-  regulator, one omega_f on every leaf, M equal DSTParams factors and
-  an excitation cap e_cap <= cutoff - 1.  The regulator sees only the
-  bright mode b = sum_i a_i / sqrt(M), at coupling lam sqrt(M), so the
-  single-mode kernel applies to the bright and dark populations; the
-  M-1 dark modes never cool and F saturates at
-  F_inf = p_vac(dark)^(M-1).
+- bright mode (`_bright_mode`): the regulator is a qudit and sees one
+  oscillator mode.  For a single oscillator that mode is the
+  oscillator; for a star of M oscillators with one omega_f on every
+  leaf and M equal DSTParams factors it is b = sum_i a_i / sqrt(M), at
+  coupling lam sqrt(M), with an excitation cap e_cap <= cutoff - 1.
+  Each block of that mode with the regulator is the tridiagonal
+  `hilbert.ladder_block`, giving the diagonal lambda_{i,d}^k of V
+  directly (`effective_lambdas`), so only one-mode weights matter:
+  Fock populations (`states.dst_populations`, or a density matrix's
+  diagonal) for the single oscillator, bright populations times the
+  dark modes' cumulative distribution for the star, whose M-1 dark
+  modes never cool, so F saturates at F_inf = p_vac(dark)^(M-1).
 - blocked (`_blocked_run`): every other network, the hybrid pair and the
   oscillator regulator, over the composite basis.  It is also the test
-  oracle of the star path.  At resonance (omega_a equal to every
+  oracle of the bright-mode path.  At resonance (omega_a equal to every
   omega_f) block E is E omega I plus a coupling that is bipartite on
   the coupling tree, H_int = [[0, B], [B^T, 0]]; the chiral sub-path
   (`_chiral_block`) then takes V from one eigh of B B^T, half the
@@ -38,9 +38,10 @@ engine paths:
 
 Total excitation is conserved, so the blocked engine's blocks are
 independent: each is one call that returns its trace contribution.
-`run_protocol` and `sweep_dimension` share one path (`_run_cells`): a
-sweep's blocked cells of one k and cycle time make one pass over the
-blocks, which serves every regulator dimension d of the sweep, and a
+`run_protocol` and `sweep_dimension` share one path (`_run_cells`),
+which builds a sweep's bright-mode weights once.  A sweep's blocked
+cells of one k and cycle time make one pass over the blocks, which
+serves every regulator dimension d of the sweep, and a
 single run is the one-dimension case.  When at least two CPUs are
 available and BLAS runs one thread (OPENBLAS_NUM_THREADS, else
 OMP_NUM_THREADS, is 1) the calling thread and one helper thread share
@@ -51,9 +52,6 @@ On a 2-vCPU VM (OpenBLAS 0.3.31) `qcool run
 experiments/network_linear_m3.cfg` took 2.4-2.5 s at 109-111 MiB peak
 RSS with OPENBLAS_NUM_THREADS=1, and 3.6-3.9 s at 86 MiB (one worker)
 at OpenBLAS's default threads.
-
-`evolve_unitary` and `effective_operator` work on dense product-space
-matrices and are a test oracle only.
 """
 from __future__ import annotations
 
@@ -69,8 +67,7 @@ from numpy.linalg import eigh
 
 from .errors import ConfigError, SearchFailureError, TruncationError
 from .hamiltonians import CouplingParams, Topology
-from .hilbert import BlockedOperator, ExcitationBlock, SpaceSpec, expm_hermitian, \
-    ladder_block
+from .hilbert import expm_hermitian, ladder_block
 from .states import DSTParams, depolarized_qudit, displaced_squeezed_thermal, \
     dst_mean_energy, dst_populations
 from . import opttime
@@ -88,7 +85,10 @@ class ProtocolConfig:
     times assume the default coupling, so any other coupling needs an
     explicit cycle_time.
     e_max None picks the excitation cap adaptively from the initial-state
-    populations (kept tail weight <= 1e-7).
+    populations (kept tail weight <= 1e-7); a single oscillator then
+    keeps every level below cutoff.  An explicit e_max caps the total
+    excitation on every path, the single oscillator's included: more
+    than 1e-6 of population above it raises TruncationError.
     """
     topology: Topology
     initial_system: Union[DSTParams, np.ndarray, Sequence]
@@ -146,64 +146,7 @@ class ProtocolTrace:
         return len(self.fidelity) - 1
 
 
-@dataclass
-class EffectiveOperator:
-    """V = <k|U(t)|k> on the system space: a contraction, block-diagonal
-    in the total system excitation."""
-    matrix: np.ndarray
-    level: int
-    dimension: int
-    time: Optional[float] = None
-
-    def validate(self, system_levels: Optional[np.ndarray] = None,
-                 tol_sv: float = 1e-9, tol_block: float = 1e-10):
-        sv = np.linalg.svd(self.matrix, compute_uv=False)
-        if sv.size and sv[0] > 1.0 + tol_sv:
-            raise ValueError(f"not a contraction: max singular value {sv[0]}")
-        if system_levels is not None:
-            mask = system_levels[:, None] != system_levels[None, :]
-            off = np.max(np.abs(self.matrix[mask])) if mask.any() else 0.0
-            if off > tol_block:
-                raise ValueError(f"off-block magnitude {off:.3e}")
-
-
-# ------------------------------------------------- unitary / compression
-
-def evolve_unitary(h, t: float):
-    """exp(-i H t) via Hermitian eigendecomposition, dense or blocked."""
-    def expih(m):
-        if np.max(np.abs(m - m.conj().T)) > 1e-9:
-            raise ValueError("Hamiltonian is not Hermitian")
-        return expm_hermitian(m, t)
-
-    if isinstance(h, BlockedOperator):
-        return BlockedOperator(h.space, {
-            e: ExcitationBlock(eb.indices, expih(eb.block))
-            for e, eb in h.blocks.items()})
-    return expih(np.asarray(h))
-
-
-def effective_operator(u, k: int, space: Optional[SpaceSpec] = None,
-                       time: Optional[float] = None) -> EffectiveOperator:
-    """Compress a joint unitary to V = <k|U|k> on the system space.
-
-    The regulator must be the last subsystem of `space` (taken from the
-    BlockedOperator when one is passed).
-    """
-    if isinstance(u, BlockedOperator):
-        space = u.space
-        u = u.reassemble()
-    if space is None:
-        raise ValueError("space required for a dense unitary")
-    d = space.subsystems[-1].dim
-    if not (0 <= k < d):
-        raise IndexError(f"measurement level k={k} outside regulator range 0..{d - 1}")
-    sysdim = space.dim // d
-    v = np.asarray(u).reshape(sysdim, d, sysdim, d)[:, k, :, k]
-    return EffectiveOperator(v, k, d, time)
-
-
-# ------------------------------------------------ single-oscillator path
+# ------------------------------------------------------ one-mode kernel
 
 @lru_cache(maxsize=256)
 def effective_lambdas(d: int, k: int, t: float, count: int, lam: float = 1.0,
@@ -639,27 +582,46 @@ def _choose_e_cap(pops: List[np.ndarray], e_max: Optional[int],
     return int(ok[0])
 
 
-# ---------------------------------------------------- star bright mode
+# ----------------------------------------------------------- bright mode
 
-def _star_run(cfg: ProtocolConfig, k: int,
-              t: float) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """F_n, P_n of a uniform star through its bright mode; None when the
-    reduction does not apply.
+def _bright_mode(cfg: ProtocolConfig) -> Optional[
+        Tuple[np.ndarray, float, float, float]]:
+    """The one mode the regulator sees, as (weights, F scale, coupling,
+    omega_f) for `effective_lambdas` and `_trace_single`; None when the
+    reduction does not apply.  Only populations are read, so no density
+    matrix is built, and nothing here depends on d or k.
 
-    With one lam and omega_f on every leaf the regulator couples only to
-    b = sum_i a_i / sqrt(M), at lam sqrt(M), and the M-1 dark modes just
-    pick up phases.  M identical Gaussian factors are, in the bright/dark
-    basis, a bright factor displaced by sqrt(M) alpha times M-1 centred
-    dark factors.  Total excitation is the same in both bases, so the
-    blocked engine's e_b + e_d <= e_cap truncation, with e_cap chosen
-    from the factors' populations as there, is kept exactly.  Only
-    populations are read, so no density matrix is built."""
+    A single oscillator with a qudit regulator is its own bright mode:
+    the weights are its Fock populations (`states.dst_populations`, or
+    a density matrix's diagonal), cut at e_max when one is set, after
+    the same tail check as every other path.
+
+    A star with a qudit regulator, one lam and omega_f on every leaf and
+    M equal DSTParams factors couples only to b = sum_i a_i / sqrt(M),
+    at lam sqrt(M); the M-1 dark modes just pick up phases.  M identical
+    Gaussian factors are, in the bright/dark basis, a bright factor
+    displaced by sqrt(M) alpha times M-1 centred dark factors.  Total
+    excitation is the same in both bases, so the blocked engine's
+    e_b + e_d <= e_cap truncation, with e_cap chosen from the factors'
+    populations as there, is kept exactly: the weights are
+    c_b[e_b] S_d[e_cap - e_b], S_d the cumulative dark distribution, and
+    the dark vacuum scales F by p_d[0] / S_d[e_cap]."""
     topo, c = cfg.topology, cfg.coupling
     m = topo.modes
-    if topo.kind != "star" or topo.regulator_kind != "qudit" \
+    if topo.kind not in ("single", "star") or topo.regulator_kind != "qudit" \
             or len(set(c.omega_f_list(m))) != 1:
         return None
     inputs = _factor_inputs(cfg)
+    omega_f = c.omega_f_list(m)[0]
+    if topo.kind == "single":
+        x, dim = inputs[0]
+        pops = dst_populations(x, dim) if isinstance(x, DSTParams) \
+            else np.real(np.diag(x))
+        w = np.clip(pops, 0.0, None)
+        if cfg.e_max is not None:
+            _choose_e_cap([pops], cfg.e_max)
+            w = w[:cfg.e_max + 1]
+        return w, 1.0, c.lam, omega_f
     p = inputs[0][0]
     if not all(isinstance(x, DSTParams) and x == p for x, _ in inputs):
         return None
@@ -672,17 +634,12 @@ def _star_run(cfg: ProtocolConfig, k: int,
         c_d = dst_populations(replace(p, alpha_mag=0.0), cfg.cutoff)
     except TruncationError:
         return None
-    c_b = c_b[:e_cap + 1]
     p_d = np.eye(1, e_cap + 1)[0]       # dark excitation distribution
     for _ in range(m - 1):
         p_d = np.convolve(p_d, c_d)[:e_cap + 1]
     s_d = np.cumsum(p_d)
-    w = c_b * s_d[::-1]                 # w[e_b] = c_b[e_b] S_d[e_cap - e_b]
-    lams = effective_lambdas(topo.regulator_levels, k, t, e_cap + 1,
-                             c.lam * math.sqrt(m), c.omega_a,
-                             c.omega_f_list(m)[0])
-    fid, prob = _trace_single(lams, w, cfg.n_max)
-    return fid * (p_d[0] / s_d[-1]), prob
+    return (c_b[:e_cap + 1] * s_d[::-1], p_d[0] / s_d[-1],
+            c.lam * math.sqrt(m), omega_f)
 
 
 # ------------------------------------------------------------ main entry
@@ -710,33 +667,30 @@ def _run_cells(base: ProtocolConfig,
     """Traces of `base` at each (regulator dimension d, level k) cell, in
     the order given.
 
-    Every cell is validated before any runs.  Single-mode and star
-    bright-mode cells take their own paths; the other cells of one k and
-    cycle time share one `_blocked_run`, and the factors and e_cap, which
-    depend on no d, are built once."""
+    Every cell is validated before any runs.  The bright-mode weights
+    (`_bright_mode`) and, failing those, the blocked engine's factors and
+    e_cap depend on no d or k, so each is built once; a bright-mode cell
+    is then one `effective_lambdas` and one `_trace_single` call, and the
+    blocked cells of one k and cycle time share one `_blocked_run`."""
     cfgs = [replace(base, topology=replace(base.topology, regulator_levels=d),
                     regulator_level=k) for d, k in cells]
     for cfg in cfgs:
         cfg.validate()
+    bright = _bright_mode(base) if cfgs else None
     traces = [None] * len(cfgs)
     groups = {}         # (k, t) -> indices of the blocked cells
     for i, cfg in enumerate(cfgs):
         topo, k = cfg.topology, cfg.regulator_level
         t = cfg.cycle_time if cfg.cycle_time is not None \
             else default_cycle_time(topo, k)
-        if topo.kind == "single" and topo.regulator_kind == "qudit":
-            c = cfg.coupling
-            x, dim = _factor_inputs(cfg)[0]
-            pops = dst_populations(x, dim) if isinstance(x, DSTParams) \
-                else np.real(np.diag(x))
-            cdiag = np.clip(pops, 0.0, None)
-            lams = effective_lambdas(topo.regulator_levels, k, t, len(cdiag),
-                                     c.lam, c.omega_a, c.omega_f_list(1)[0])
-            traces[i] = _trace_single(lams, cdiag, cfg.n_max)
-        else:
-            traces[i] = _star_run(cfg, k, t)
-            if traces[i] is None:
-                groups.setdefault((k, t), []).append(i)
+        if bright is None:
+            groups.setdefault((k, t), []).append(i)
+            continue
+        w, scale, lam, omega_f = bright
+        lams = effective_lambdas(topo.regulator_levels, k, t, len(w), lam,
+                                 base.coupling.omega_a, omega_f)
+        fid, prob = _trace_single(lams, w, base.n_max)
+        traces[i] = fid * scale, prob
     if groups:
         factors = _resolve_factors(base)
         e_cap = _choose_e_cap([np.real(np.diag(f)) for f in factors],

@@ -10,16 +10,16 @@ import pytest
 
 from qcool import protocol
 from qcool.errors import ConfigError, TruncationError
-from qcool.hamiltonians import CouplingParams, Topology, total_hamiltonian
-from qcool.hilbert import SpaceSpec, expm_hermitian, partial_trace
+from qcool.hamiltonians import CouplingParams, Topology
+from qcool.hilbert import expm_hermitian
 from qcool.protocol import (ProtocolConfig, SweepRecord, _blocked_run,
                             _choose_e_cap, _resolve_factors,
-                            default_cycle_time, effective_operator,
-                            evolve_unitary, report_cycles, run_hybrid,
+                            default_cycle_time, report_cycles, run_hybrid,
                             run_protocol, sweep_dimension)
 from qcool.states import DSTParams, depolarized_qudit, \
     displaced_squeezed_thermal
 
+import oracle
 from conftest import C00_NETWORK, NETWORK_STATE
 
 
@@ -77,9 +77,8 @@ def test_block_vs_dense_small_network():
                          cutoff=cutoff, n_max=5, e_max=4)
     tr = run_protocol(cfg)
 
-    space, h = total_hamiltonian(topo, CouplingParams(), cutoff)
-    u = evolve_unitary(h, np.pi / 2)
-    v = effective_operator(u, 0, space).matrix
+    space, h = oracle.hamiltonian(topo, CouplingParams(), cutoff)
+    v = oracle.compress(oracle.evolve(h, np.pi / 2), 0, space)
     cur = np.kron(f1, f2)
     for n in range(6):
         pn = float(np.real(np.trace(cur)))
@@ -235,8 +234,8 @@ def test_block_vs_dense_k1_tight_cap(kind, regulator):
                          cutoff=cutoff, n_max=5, e_max=2)
     tr = run_protocol(cfg)
 
-    space, h = total_hamiltonian(topo, CouplingParams(), cutoff)
-    v = effective_operator(evolve_unitary(h, 1.3), 1, space).matrix
+    space, h = oracle.hamiltonian(topo, CouplingParams(), cutoff)
+    v = oracle.compress(oracle.evolve(h, 1.3), 1, space)
     cur = np.kron(f1, f2)
     for n in range(6):
         pn = float(np.real(np.trace(cur)))
@@ -456,7 +455,16 @@ SWEEP_CASES = {
     "repeated-d-list": (ProtocolConfig(
         Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=np.pi / 2,
         cutoff=25, n_max=40), [4, 3, 4, 3], [0]),
+    "single": (ProtocolConfig(
+        Topology("single", 2), NETWORK_STATE, cutoff=50, n_max=40),
+        [2, 3, 4, 5, 6], [0, 1, 2]),
+    "star-m3-bright": (ProtocolConfig(
+        Topology("star", 3, modes=3), STAR_STATE, cycle_time=2.1,
+        cutoff=20, n_max=40), [2, 3, 5], [0, 1, 2]),
 }
+# populations a sweep builds: one state for a single oscillator; the
+# factors, bright and dark modes for a star; none on the blocked engine
+SWEEP_DST_CALLS = {"single": 1, "star-m3-bright": 3}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -470,17 +478,23 @@ def test_sweep_matches_cell_runs(case, workers, monkeypatch):
     alone = [run_protocol(replace(base, topology=replace(
         base.topology, regulator_levels=d), regulator_level=k))
         for d, k in cells]
-    runs = []
-    run_cells = protocol._run_cells
+    runs, dst_calls = [], []
+    run_cells, dst_populations = protocol._run_cells, protocol.dst_populations
 
     def spy(*args):
         runs.append(run_cells(*args))
         return runs[-1]
 
+    def dst_spy(*args):
+        dst_calls.append(args)
+        return dst_populations(*args)
+
     monkeypatch.setattr(protocol, "_block_workers", lambda: workers)
     monkeypatch.setattr(protocol, "_run_cells", spy)
+    monkeypatch.setattr(protocol, "dst_populations", dst_spy)
     recs = sweep_dimension(base, d_list, k_list, report="auto")
     assert len(runs) == 1 and len(runs[0]) == len(alone)
+    assert len(dst_calls) == SWEEP_DST_CALLS.get(case, 0)
     for (d, k), rec, one, tr in zip(cells, recs, alone, runs[0]):
         assert np.array_equal(one.fidelity, tr.fidelity)
         assert np.array_equal(one.probability, tr.probability)

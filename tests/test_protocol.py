@@ -1,20 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qcool import protocol
 from qcool.errors import ConfigError
-from qcool.hamiltonians import CouplingParams, Topology, free_hamiltonian, \
-    interaction_linear
-from qcool.hilbert import Oscillator, Qudit, SpaceSpec, ladder_block
-from qcool.protocol import (EffectiveOperator, ProtocolConfig, ProtocolTrace,
-                            default_cycle_time, effective_lambdas,
-                            effective_operator, evolve_unitary, n_cooled,
-                            n_settled, qubit_asymptotic_fidelity,
-                            report_cycles, run_protocol, sweep_dimension,
-                            sweep_energy)
+from qcool.errors import TruncationError
+from qcool.hamiltonians import CouplingParams, Topology
+from qcool.hilbert import ladder_block
+from qcool.protocol import (ProtocolConfig, ProtocolTrace, default_cycle_time,
+                            effective_lambdas, n_cooled, n_settled,
+                            qubit_asymptotic_fidelity, report_cycles,
+                            run_protocol, sweep_dimension, sweep_energy)
 from qcool.states import DSTParams, displaced_squeezed_thermal, \
     dst_populations
 
+import oracle
 from conftest import C00_TABLE, NETWORK_STATE, TABLE_STATE
 
 
@@ -24,46 +25,27 @@ def _single_cfg(d, k, **kw):
 
 
 def test_evolution_is_unitary():
-    sp = SpaceSpec((Oscillator(6), Qudit(3)))
-    h = free_hamiltonian(sp, CouplingParams()) + interaction_linear(sp, CouplingParams())
-    u = evolve_unitary(h, 1.3)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(sp.dim))) < 1e-12
+    sp, h = oracle.hamiltonian(Topology("single", 3), CouplingParams(), 6)
+    u = oracle.evolve(h, 1.3)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(18))) < 1e-12
 
 
 def test_evolve_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        evolve_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        oracle.evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 def test_effective_operator_is_diagonal_for_single_oscillator():
-    sp = SpaceSpec((Oscillator(12), Qudit(3)))
-    h = free_hamiltonian(sp, CouplingParams()) + interaction_linear(sp, CouplingParams())
-    u = evolve_unitary(h, np.pi / 2)
-    v = effective_operator(u, 0, sp, np.pi / 2)
-    off = v.matrix - np.diag(np.diag(v.matrix))
+    sp, h = oracle.hamiltonian(Topology("single", 3), CouplingParams(), 12)
+    v = oracle.compress(oracle.evolve(h, np.pi / 2), 0, sp)
+    off = v - np.diag(np.diag(v))
     assert np.max(np.abs(off)) < 1e-12
     # interior entries match the cutoff-free lambdas (edge rows feel truncation)
     lams = effective_lambdas(3, 0, np.pi / 2, 12)
-    assert np.max(np.abs(np.diag(v.matrix)[:9] - lams[:9])) < 1e-12
-    v.validate(system_levels=np.arange(12))
-
-
-def test_effective_operator_level_range():
-    sp = SpaceSpec((Oscillator(4), Qudit(3)))
-    u = np.eye(sp.dim)
-    with pytest.raises(IndexError):
-        effective_operator(u, 3, sp)
-    with pytest.raises(ValueError):
-        effective_operator(u, 0, None)
-
-
-def test_effective_operator_validate_flags_expansion():
-    v = EffectiveOperator(np.diag([1.0, 1.2]), level=0, dimension=2)
-    with pytest.raises(ValueError):
-        v.validate()
-    v2 = EffectiveOperator(np.array([[0.5, 0.4], [0.4, 0.5]]), 0, 2)
-    with pytest.raises(ValueError):
-        v2.validate(system_levels=np.array([0, 1]))
+    assert np.max(np.abs(np.diag(v)[:9] - lams[:9])) < 1e-12
+    # a contraction, block-diagonal in the system excitation
+    assert np.linalg.norm(v, 2) <= 1.0 + 1e-9
+    assert oracle.offblock(v, (12,)) <= 1e-10
 
 
 @pytest.mark.parametrize("d,k,count,coupling", [
@@ -94,11 +76,8 @@ def test_effective_lambdas_vacuum_entry():
 def test_trace_matches_dense_joint_iteration():
     # fast path against an explicit <0|U|0> iteration on the joint space
     cutoff, d, k = 25, 3, 0
-    sp = SpaceSpec((Oscillator(cutoff), Qudit(d)))
-    p = CouplingParams()
-    h = free_hamiltonian(sp, p) + interaction_linear(sp, p)
-    u = evolve_unitary(h, np.pi / 2)
-    v = effective_operator(u, k, sp).matrix
+    sp, h = oracle.hamiltonian(Topology("single", d), CouplingParams(), cutoff)
+    v = oracle.compress(oracle.evolve(h, np.pi / 2), k, sp)
     rho = displaced_squeezed_thermal(TABLE_STATE, cutoff)
     cfg = _single_cfg(d, k, cycle_time=np.pi / 2, n_max=8, cutoff=cutoff)
     tr = run_protocol(cfg)
@@ -266,7 +245,7 @@ def test_matrix_initial_state_accepted():
 @pytest.mark.parametrize("coupling", [CouplingParams(lam=2.0),
                                       CouplingParams(omega_a=1.3)])
 def test_single_path_honours_coupling(coupling):
-    # the tridiagonal single-mode path against the blocked engine on the
+    # the tridiagonal bright-mode path against the blocked engine on the
     # same one-mode physics
     state = DSTParams(alpha_mag=0.3, r=0.1, nbar=0.2)
     kw = dict(regulator_level=1, cycle_time=2.0, n_max=10, cutoff=40,
@@ -300,6 +279,35 @@ def test_default_cycle_time_needs_default_coupling():
 def test_bad_inputs_rejected(field, value):
     with pytest.raises(ConfigError):
         run_protocol(_single_cfg(4, 0, **{field: value}))
+
+
+@pytest.mark.parametrize("e_max", [2, 16])
+def test_single_e_max_leak_guard(e_max):
+    # the state holds 8.7e-2 above two excitations, 2.0e-6 above 16
+    cfg = ProtocolConfig(Topology("single", 4), NETWORK_STATE, cutoff=50,
+                         e_max=e_max)
+    with pytest.raises(TruncationError, match=f"excitation cap {e_max}$"):
+        run_protocol(cfg)
+
+
+def test_single_e_max_cuts_the_weights():
+    # 9.9e-7 of the state lies above 17 excitations: the cut run loses at
+    # most that much P, and F rises by at most that over P
+    tail = 1.0 - dst_populations(NETWORK_STATE, 50)[:18].sum()
+    assert 9e-7 < tail <= 1e-6
+    cfg = ProtocolConfig(Topology("single", 4), NETWORK_STATE, cutoff=50)
+    full = run_protocol(cfg)
+    cut = run_protocol(replace(cfg, e_max=17))
+    assert not np.array_equal(cut.probability, full.probability)
+    dp = full.probability - cut.probability
+    assert np.all(dp >= -1e-15) and np.all(dp <= tail + 1e-15)
+    df = cut.fidelity - full.fidelity
+    assert np.all(df >= -1e-15)
+    assert np.all(df <= tail / cut.probability + 1e-15)
+    # an e_max at or above the cutoff keeps every level
+    whole = run_protocol(replace(cfg, e_max=60))
+    assert np.array_equal(whole.fidelity, full.fidelity)
+    assert np.array_equal(whole.probability, full.probability)
 
 
 def _cycle_loop(lams, cdiag, n_max):
