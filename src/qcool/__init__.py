@@ -13,9 +13,10 @@ from .protocol import (ProtocolConfig, ProtocolTrace, SweepRecord,
                        sweep_dimension, sweep_energy)
 from .opttime import (OptTimeResult, analytic_topt, hermite_structure_check,
                       local_optima, solve_topt, vacuum_lambda)
-from .gaussian import (GaussianState, OneShotResult, condition_on_vacuum,
-                       evolve, gaussian_dst, moments_from_density,
-                       oneshot_probability_formula, product,
+from .gaussian import (GaussianState, OneShotResult, OneShotStack,
+                       condition_on_vacuum, evolve, gaussian_dst,
+                       moments_from_density, oneshot_probability_formula,
+                       oneshot_stack, product,
                        symplectic_from_hamiltonian, theorem3_oneshot, vacuum,
                        vacuum_projection_probability)
 from .stateprep import (PrepResult, conditional_displacement, hadamard_qudit,

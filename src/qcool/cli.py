@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -243,13 +244,8 @@ def _run_cool(cfg, out):
 
 
 def _run_sweep_energy(cfg, out):
-    grid = cfg["sweep"]["nbar_grid"]
-    if not grid:
-        raise ConfigError("empty grid: nbar_grid must be non-empty")
-    if not all(np.isfinite(grid)) or min(grid) < 0:
-        raise ConfigError(
-            f"[sweep] nbar_grid: nbar must be finite and >= 0, got {grid}")
-    recs = protocol.sweep_energy(_protocol_config(cfg), grid)
+    recs = protocol.sweep_energy(_protocol_config(cfg),
+                                 cfg["sweep"]["nbar_grid"])
     emit_csv(("energy", "N", "F", "P"),
              [(r.energy, r.cycles, r.fidelity, r.probability) for r in recs],
              out, key_cols=1)
@@ -317,14 +313,11 @@ def _run_gaussian(cfg, out):
             raise ConfigError(f"[gaussian] {key}: must be finite, got {g[key]}")
     if min(g["nbar"]) < 0:
         raise ConfigError(f"[gaussian] nbar: must be >= 0, got {min(g['nbar'])}")
-    rows = []
-    for a1 in g["alpha1"]:
-        for a2 in g["alpha2"]:
-            for r in g["r"]:
-                for nb in g["nbar"]:
-                    res = gaussmod.theorem3_oneshot(a1, a2, r, nb)
-                    rows.append((a1, a2, r, nb, res.fidelity,
-                                 res.prob_formula, res.prob_projector))
+    points = list(itertools.product(g["alpha1"], g["alpha2"], g["r"],
+                                    g["nbar"]))
+    res = gaussmod.oneshot_stack(*zip(*points))
+    rows = [p + v for p, v in zip(points, zip(
+        res.fidelity, res.prob_formula, res.prob_projector))]
     emit_csv(("alpha1", "alpha2", "r", "nbar", "fidelity", "prob_formula",
               "prob_projector"), rows, out, key_cols=4)
 

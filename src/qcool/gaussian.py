@@ -6,6 +6,12 @@ H = sum_ij A_ij a_i^dag a_j act as symplectic rotations on the
 quadratures; conditioning a subset of modes on a vacuum measurement is a
 Schur-complement update.  This reproduces the one-shot cooling limit of
 the measurement protocol without any Fock truncation.
+
+The vacuum projection and the conditioning have one implementation
+each (`_vacuum_weight`, `_condition`), over moments stacked along any
+leading axes, so a grid of one-shot runs (`oneshot_stack`) is one pass
+of (n, 2, 2) `solve`, `det` and `inv` calls, and a single state is the
+unstacked case.
 """
 from __future__ import annotations
 
@@ -102,11 +108,7 @@ def evolve(state: GaussianState, s: np.ndarray) -> GaussianState:
 def vacuum_projection_probability(state: GaussianState,
                                   modes: Sequence[int]) -> float:
     """Tr[rho |0><0|] over the listed modes (marginal of the rest)."""
-    idx = _quad_indices(modes)
-    sig = state.cov[np.ix_(idx, idx)] + 0.5 * np.eye(len(idx))
-    d = state.mean[idx]
-    return float(np.exp(-0.5 * d @ np.linalg.solve(sig, d))
-                 / np.sqrt(np.linalg.det(sig)))
+    return float(_vacuum_weight(state.mean, state.cov, _quad_indices(modes)))
 
 
 def condition_on_vacuum(state: GaussianState,
@@ -117,16 +119,38 @@ def condition_on_vacuum(state: GaussianState,
     The weight carries a 1/pi per measured mode on top of the projector
     expectation (the heterodyne density at the origin); the normalised
     projector probability is available separately."""
-    midx = _quad_indices(modes)
-    keep_modes = [m for m in range(state.modes) if m not in set(modes)]
-    kidx = _quad_indices(keep_modes)
-    sig_b = state.cov[np.ix_(midx, midx)] + 0.5 * np.eye(len(midx))
-    sig_ab = state.cov[np.ix_(kidx, midx)]
+    keep = [m for m in range(state.modes) if m not in set(modes)]
+    mean, cov, prob = _condition(state.mean, state.cov, _quad_indices(modes),
+                                 _quad_indices(keep))
+    return GaussianState(mean, cov), float(prob) / np.pi ** len(modes)
+
+
+def _vacuum_weight(mean: np.ndarray, cov: np.ndarray,
+                   idx: List[int]) -> np.ndarray:
+    """Tr[rho |0><0|] over quadratures idx, for moments stacked over any
+    leading axes: exp(-d^T sig^-1 d / 2) / sqrt(det sig) with
+    sig = cov[idx, idx] + I/2 and d = mean[idx]."""
+    idx = np.asarray(idx)
+    sig = cov[..., idx[:, None], idx] + 0.5 * np.eye(len(idx))
+    d = mean[..., idx]
+    quad = d[..., None, :] @ np.linalg.solve(sig, d[..., None])
+    return np.exp(-0.5 * quad[..., 0, 0]) / np.sqrt(np.linalg.det(sig))
+
+
+def _condition(mean: np.ndarray, cov: np.ndarray, midx: List[int],
+               kidx: List[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Moments of quadratures kidx conditioned on vacuum at quadratures
+    midx, stacked over any leading axes, and the projector probability:
+    the Schur complement cov_kk - G cov_km^T, G = cov_km (cov_mm + I/2)^-1,
+    mean_k - G mean_m, with the covariance symmetrised."""
+    midx, kidx = np.asarray(midx), np.asarray(kidx)
+    sig_b = cov[..., midx[:, None], midx] + 0.5 * np.eye(len(midx))
+    sig_ab = cov[..., kidx[:, None], midx]
     gain = sig_ab @ np.linalg.inv(sig_b)
-    cov = state.cov[np.ix_(kidx, kidx)] - gain @ sig_ab.T
-    mean = state.mean[kidx] - gain @ state.mean[midx]
-    weight = vacuum_projection_probability(state, modes) / np.pi ** len(modes)
-    return GaussianState(mean, 0.5 * (cov + cov.T)), weight
+    out = cov[..., kidx[:, None], kidx] - gain @ np.swapaxes(sig_ab, -1, -2)
+    shift = (gain @ mean[..., midx, None])[..., 0]
+    return (mean[..., kidx] - shift, 0.5 * (out + np.swapaxes(out, -1, -2)),
+            _vacuum_weight(mean, cov, midx))
 
 
 def _quad_indices(modes: Sequence[int]) -> List[int]:
@@ -163,6 +187,23 @@ class OneShotResult:
     conditional: GaussianState
 
 
+@dataclass
+class OneShotStack:
+    """One-shot results at stacked points: arrays over the points, and
+    the conditional system moments, mean (n, 2) and cov (n, 2, 2)."""
+    fidelity: np.ndarray
+    prob_formula: np.ndarray
+    prob_projector: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def point(self, i: int) -> OneShotResult:
+        return OneShotResult(float(self.fidelity[i]),
+                             float(self.prob_formula[i]),
+                             float(self.prob_projector[i]),
+                             GaussianState(self.mean[i], self.cov[i]))
+
+
 @lru_cache(maxsize=1)
 def _swap_transfer(t: float) -> np.ndarray:
     """Transfer matrix of the resonant swap at time t, read-only; a grid
@@ -172,20 +213,52 @@ def _swap_transfer(t: float) -> np.ndarray:
     return s
 
 
+def oneshot_stack(alpha1, alpha2, r, nbar,
+                  t: float = np.pi / 2) -> OneShotStack:
+    """`theorem3_oneshot` at every point (alpha1[i], alpha2[i], r[i],
+    nbar[i]) of equal-length 1-D inputs, in one pass over the stacked
+    moments: one transfer matrix, and the vacuum projection and the
+    conditioning of `_vacuum_weight` and `_condition` on (n, 2, 2)
+    stacks.  Every point gives what it gives alone, bit for bit.
+
+    Raises ConstructionError, before any evolution, on a non-finite
+    parameter, a negative nbar, or a non-finite or negative t."""
+    a1, a2, r, nbar = (np.asarray(x, dtype=float).ravel()
+                       for x in (alpha1, alpha2, r, nbar))
+    if not len(a1) == len(a2) == len(r) == len(nbar):
+        raise ConstructionError("one-shot parameters must have equal lengths")
+    if not all(np.all(np.isfinite(x)) for x in (a1, a2, r, nbar)):
+        raise ConstructionError("one-shot parameters must be finite")
+    if np.any(nbar < 0):
+        raise ConstructionError("nbar must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ConstructionError(f"swap time must be finite and >= 0, got {t}")
+    n = len(a1)
+    # system mode displaced-squeezed-thermal (as `gaussian_dst`), regulator
+    # in vacuum
+    mean = np.zeros((n, 4))
+    mean[:, 0], mean[:, 1] = np.sqrt(2.0) * a1, np.sqrt(2.0) * a2
+    cov = np.zeros((n, 4, 4))
+    cov[:, 0, 0] = (nbar + 0.5) * np.exp(2 * r)
+    cov[:, 1, 1] = (nbar + 0.5) * np.exp(-2 * r)
+    cov[:, 2, 2] = cov[:, 3, 3] = 0.5
+    s = _swap_transfer(t)
+    mean, cov = (s @ mean[..., None])[..., 0], s @ cov @ s.T
+    c_mean, c_cov, proj = _condition(mean, cov, [2, 3], [0, 1])
+    return OneShotStack(_vacuum_weight(c_mean, c_cov, [0, 1]), proj / np.pi,
+                        proj, c_mean, c_cov)
+
+
 def theorem3_oneshot(alpha1: float, alpha2: float, r: float, nbar: float,
                      t: float = np.pi / 2) -> OneShotResult:
-    """Single swap-and-measure cycle on one Gaussian mode.
+    """Single swap-and-measure cycle on one Gaussian mode: the one-point
+    case of `oneshot_stack`.
 
     The system mode starts displaced-squeezed-thermal, the regulator mode
     in vacuum; after a time-t exchange the regulator is measured.  At
     t = pi/2 the kept state is exact vacuum and the outcome probability
     equals the initial vacuum population of the system mode."""
-    joint = product([gaussian_dst(alpha1 + 1j * alpha2, r, nbar), vacuum(1)])
-    out = evolve(joint, _swap_transfer(t))
-    proj = vacuum_projection_probability(out, [1])
-    cond, weight = condition_on_vacuum(out, [1])
-    fid = vacuum_projection_probability(cond, [0])
-    return OneShotResult(fid, weight, proj, cond)
+    return oneshot_stack([alpha1], [alpha2], [r], [nbar], t).point(0)
 
 
 # -------------------------------------------- Fock-side moment extraction

@@ -46,9 +46,10 @@ def _vacuum_modes(k: int) -> Tuple[np.ndarray, np.ndarray]:
 
     The excitation block containing |0>|k> is tridiagonal with zero
     diagonal and off-diagonal sqrt(k), ..., sqrt(1); the weights are the
-    squared |k>-components of its eigenvectors."""
+    squared |k>-components of its eigenvectors.  The cached arrays are
+    read-only."""
     w, v = ladder_block(k, k + 1)
-    return w, v[k] ** 2
+    return _read_only(w, v[k] ** 2)
 
 
 @lru_cache(maxsize=64)
@@ -64,7 +65,15 @@ def _folded_modes(k: int) -> Tuple[np.ndarray, np.ndarray]:
     wf, cf = w[n - 1 - i], c[i] + c[n - 1 - i]
     if n % 2:
         wf, cf = np.append(wf, w[n // 2]), np.append(cf, c[n // 2])
-    return wf, cf
+    return _read_only(wf, cf)
+
+
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The arrays, flagged read-only: a cached result is shared by every
+    caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def vacuum_lambda(d: int, k: int, t) -> np.ndarray:
@@ -94,11 +103,13 @@ def vacuum_residual(k: int, t) -> np.ndarray:
     return 2.0 * s2 / (1.0 + vacuum_lambda(k + 1, k, t))
 
 
+@lru_cache(maxsize=64)
 def _mode_pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Gaps w_j - w_l and weights c_j c_l over all mode pairs (j, l), the
     terms of s2(t) = sum c_j c_l sin^2((w_j - w_l) t / 2)."""
     w, c = _vacuum_modes(k)
-    return (w[:, None] - w[None, :]).ravel(), (c[:, None] * c[None, :]).ravel()
+    return _read_only((w[:, None] - w[None, :]).ravel(),
+                      (c[:, None] * c[None, :]).ravel())
 
 
 def _refine_optimum(k: int, a: float, b: float, t: float) -> float:

@@ -36,18 +36,24 @@ engine paths:
   needs coherences, so it alone builds full initial density matrices
   (`_resolve_factors`).
 
+`run_protocol`, `sweep_dimension` and `sweep_energy` share one path
+(`_run_cells`), whose cells are (d, k, initial system) triples; a
+single run is the one-cell case.  It builds each initial system's
+bright-mode weights once.  The bright-mode cells of one (d, k, t), such
+as every nbar of an energy sweep, share one `effective_lambdas` call
+and one power table |lambda_i|^(2n) (`_power_table`), and each cell
+weights its own columns of it (`_trace_single`).
+
 Total excitation is conserved, so the blocked engine's blocks are
-independent: each is one call that returns its trace contribution.
-`run_protocol` and `sweep_dimension` share one path (`_run_cells`),
-which builds a sweep's bright-mode weights once.  A sweep's blocked
-cells of one k and cycle time make one pass over the blocks, which
-serves every regulator dimension d of the sweep, and a
-single run is the one-dimension case.  When at least two CPUs are
-available and BLAS runs one thread (OPENBLAS_NUM_THREADS, else
-OMP_NUM_THREADS, is 1) the calling thread and one helper thread share
-the blocks (`_block_workers`, `_map_blocks`); otherwise the caller runs
-them all.  The contributions are summed in ascending block order, so
-F_n and P_n are bit-identical either way, and to a run of each d alone.
+independent: each is one call that returns its trace contribution.  A
+sweep's blocked cells of one initial system, k and cycle time make one
+pass over the blocks, which serves every regulator dimension d of the
+sweep.  When at least two CPUs are available and BLAS runs one thread
+(OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1) the calling thread
+and one helper thread share the blocks (`_block_workers`,
+`_map_blocks`); otherwise the caller runs them all.  The contributions
+are summed in ascending block order, so F_n and P_n are bit-identical
+either way, and to a run of each d alone.
 On a 2-vCPU VM (OpenBLAS 0.3.31) `qcool run
 experiments/network_linear_m3.cfg` took 2.4-2.5 s at 109-111 MiB peak
 RSS with OPENBLAS_NUM_THREADS=1, and 3.6-3.9 s at 86 MiB (one worker)
@@ -60,6 +66,7 @@ import os
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Real
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -168,20 +175,30 @@ def effective_lambdas(d: int, k: int, t: float, count: int, lam: float = 1.0,
     return out
 
 
-def _trace_single(lams: np.ndarray, cdiag: np.ndarray,
-                  n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """F_n, P_n for a diagonal effective operator and diagonal weights.
+def _power_table(lams: np.ndarray, n_max: int) -> np.ndarray:
+    """|lambda_i|^(2n) at row n, column i, for n = 0..n_max.
 
-    Row n of pw is |lambda|^(2n), one multiply.accumulate down a row of
-    ones and n_max rows of |lambda|^2, so each row is the one before
-    times |lambda|^2, as cycle by cycle; P_n = sum_i pw[n, i] c_i and
-    F_n = pw[n, 0] c_0 / P_n."""
-    mags = np.abs(lams[:len(cdiag)]) ** 2
-    pw = np.empty((n_max + 1, len(cdiag)))
+    One multiply.accumulate down a row of ones and n_max rows of
+    |lambda|^2, so each row is the one before times |lambda|^2, as cycle
+    by cycle."""
+    pw = np.empty((n_max + 1, len(lams)))
     pw[0] = 1.0
-    pw[1:] = mags
+    pw[1:] = np.abs(lams) ** 2
     np.multiply.accumulate(pw, axis=0, out=pw)
-    w = pw * cdiag
+    return pw
+
+
+def _trace_single(pw: np.ndarray,
+                  cdiag: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """F_n, P_n for a diagonal effective operator and diagonal weights,
+    from the first len(cdiag) columns of its power table `pw`:
+    P_n = sum_i pw[n, i] c_i and F_n = pw[n, 0] c_0 / P_n.
+
+    The weights are not zero-padded to the table's width: padding would
+    regroup the pairwise sum over i, so a table shared by cells of
+    different weight lengths would no longer give each cell's own run
+    bit for bit."""
+    w = pw[:, :len(cdiag)] * cdiag
     prob = w.sum(axis=1)
     return w[:, 0] / prob, prob
 
@@ -651,7 +668,7 @@ def default_cycle_time(topology: Topology, k: int) -> float:
     if topology.kind == "hybrid":
         return np.pi / np.sqrt(2) if k == 0 else np.sqrt(2) * np.pi
     if k <= 2:
-        return opttime.analytic_topt(k).t_opt
+        return opttime.ANALYTIC_TOPT[k]
     d = topology.regulator_levels
     try:
         return opttime.solve_topt(d, k).t_opt
@@ -662,54 +679,69 @@ def default_cycle_time(topology: Topology, k: int) -> float:
         return err.best_t
 
 
-def _run_cells(base: ProtocolConfig,
-               cells: Sequence[Tuple[int, int]]) -> List[ProtocolTrace]:
-    """Traces of `base` at each (regulator dimension d, level k) cell, in
-    the order given.
+def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
+        int, int, Union[DSTParams, np.ndarray, Sequence]]]) -> List[ProtocolTrace]:
+    """Traces of `base` at each (regulator dimension d, level k, initial
+    system) cell, in the order given.
 
     Every cell is validated before any runs.  The bright-mode weights
     (`_bright_mode`) and, failing those, the blocked engine's factors and
-    e_cap depend on no d or k, so each is built once; a bright-mode cell
-    is then one `effective_lambdas` and one `_trace_single` call, and the
-    blocked cells of one k and cycle time share one `_blocked_run`."""
+    e_cap depend on no d or k, so each is built once per initial system.
+    The bright-mode cells of one (d, k, t) share one `effective_lambdas`
+    call and one power table, sized for the longest weights among them;
+    each cell weights its own columns of it (`_trace_single`).  The
+    blocked cells of one initial system, k and cycle time share one
+    `_blocked_run`."""
     cfgs = [replace(base, topology=replace(base.topology, regulator_levels=d),
-                    regulator_level=k) for d, k in cells]
+                    regulator_level=k, initial_system=init)
+            for d, k, init in cells]
     for cfg in cfgs:
         cfg.validate()
-    bright = _bright_mode(base) if cfgs else None
-    traces = [None] * len(cfgs)
-    groups = {}         # (k, t) -> indices of the blocked cells
+    times = {}          # (d, k) -> cycle time
+    bright = {}         # id(initial system) -> its `_bright_mode`
+    tables = {}         # (d, k, t, lam, omega_f) -> bright-mode cells
+    groups = {}         # (id(initial system), k, t) -> blocked cells
     for i, cfg in enumerate(cfgs):
         topo, k = cfg.topology, cfg.regulator_level
-        t = cfg.cycle_time if cfg.cycle_time is not None \
-            else default_cycle_time(topo, k)
-        if bright is None:
-            groups.setdefault((k, t), []).append(i)
-            continue
-        w, scale, lam, omega_f = bright
-        lams = effective_lambdas(topo.regulator_levels, k, t, len(w), lam,
+        d, sid = topo.regulator_levels, id(cfg.initial_system)
+        if (d, k) not in times:
+            times[d, k] = cfg.cycle_time if cfg.cycle_time is not None \
+                else default_cycle_time(topo, k)
+        if sid not in bright:
+            bright[sid] = _bright_mode(cfg)
+        if bright[sid] is None:
+            groups.setdefault((sid, k, times[d, k]), []).append(i)
+        else:
+            lam, omega_f = bright[sid][2:]
+            tables.setdefault((d, k, times[d, k], lam, omega_f), []).append(i)
+
+    traces = [None] * len(cfgs)
+    for (d, k, t, lam, omega_f), idx in tables.items():
+        modes = [bright[id(cfgs[i].initial_system)] for i in idx]
+        lams = effective_lambdas(d, k, t, max(len(m[0]) for m in modes), lam,
                                  base.coupling.omega_a, omega_f)
-        fid, prob = _trace_single(lams, w, base.n_max)
-        traces[i] = fid * scale, prob
-    if groups:
-        factors = _resolve_factors(base)
-        e_cap = _choose_e_cap([np.real(np.diag(f)) for f in factors],
-                              base.e_max)
-        for (k, t), idx in groups.items():
-            runs = _blocked_run([cfgs[i].topology for i in idx], base.coupling,
-                                k, t, factors, e_cap, base.n_max)
-            for i, trace in zip(idx, runs):
-                traces[i] = trace
+        pw = _power_table(lams, base.n_max)
+        for i, (w, scale, _, _) in zip(idx, modes):
+            fid, prob = _trace_single(pw, w)
+            traces[i] = fid * scale, prob
+    blocked = {}        # id(initial system) -> (factors, e_cap)
+    for (sid, k, t), idx in groups.items():
+        if sid not in blocked:
+            factors = _resolve_factors(cfgs[idx[0]])
+            blocked[sid] = factors, _choose_e_cap(
+                [np.real(np.diag(f)) for f in factors], base.e_max)
+        factors, e_cap = blocked[sid]
+        runs = _blocked_run([cfgs[i].topology for i in idx], base.coupling,
+                            k, t, factors, e_cap, base.n_max)
+        for i, trace in zip(idx, runs):
+            traces[i] = trace
 
     out = []
-    for cfg, (fid, prob) in zip(cfgs, traces):
-        conv = None
-        for n in range(1, cfg.n_max + 1):
-            if abs(fid[n] - fid[n - 1]) < cfg.convergence_tol \
-                    and fid[n] >= cfg.fidelity_target:
-                conv = n
-                break
-        out.append(ProtocolTrace(fid, prob, conv))
+    for fid, prob in traces:
+        conv = np.nonzero((np.abs(np.diff(fid)) < base.convergence_tol)
+                          & (fid[1:] >= base.fidelity_target))[0]
+        out.append(ProtocolTrace(fid, prob,
+                                 int(conv[0]) + 1 if len(conv) else None))
     return out
 
 
@@ -718,7 +750,8 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
 
     converged_at is the first cycle with |F_n - F_{n-1}| < convergence_tol
     and F_n >= fidelity_target, None if that never happens."""
-    cells = [(cfg.topology.regulator_levels, cfg.regulator_level)]
+    cells = [(cfg.topology.regulator_levels, cfg.regulator_level,
+              cfg.initial_system)]
     return _run_cells(cfg, cells)[0]
 
 
@@ -818,9 +851,10 @@ def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
     Every cell is validated before any runs, and the blocked cells of
     one k and cycle time run in one pass over the excitation blocks
     (`_run_cells`)."""
-    cells = [(d, k) for d in d_list for k in k_list if k < d]
+    cells = [(d, k, base_cfg.initial_system)
+             for d in d_list for k in k_list if k < d]
     out = []
-    for (d, k), trace in zip(cells, _run_cells(base_cfg, cells)):
+    for (d, k, _), trace in zip(cells, _run_cells(base_cfg, cells)):
         n = report_cycles(trace, report, stop, settle_tol)
         out.append(SweepRecord(d, k, n, float(trace.fidelity[n]),
                                float(trace.probability[n])))
@@ -842,6 +876,13 @@ def _first_cooled(trace: ProtocolTrace, target: float,
     return int(ok[0]) + 1 if len(ok) else None
 
 
+def _check_nbar(nbar, name: str) -> None:
+    """ConfigError unless nbar is a finite, non-negative real (no bool)."""
+    if isinstance(nbar, bool) or not isinstance(nbar, Real) \
+            or not (math.isfinite(nbar) and nbar >= 0):
+        raise ConfigError(f"{name} must be a finite real >= 0, got {nbar!r}")
+
+
 def sweep_energy(base_cfg: ProtocolConfig,
                  nbar_grid: Sequence[float]) -> List[EnergyRecord]:
     """Cycles needed to reach the fidelity target with admissible success
@@ -849,19 +890,23 @@ def sweep_energy(base_cfg: ProtocolConfig,
 
     The swept state keeps the displacement and squeezing of the configured
     initial DSTParams; cycles is None when the target is unreachable
-    within n_max."""
+    within n_max.  The whole grid is checked before any runs, and every
+    nbar is one cell of a single `_run_cells` call."""
     if not isinstance(base_cfg.initial_system, DSTParams):
         raise ConfigError("sweep_energy needs a DSTParams initial state")
     if len(nbar_grid) == 0:
         raise ConfigError("empty grid")
-    base = base_cfg.initial_system
-    out = []
     for nbar in nbar_grid:
-        p = replace(base, nbar=float(nbar))
-        cfg = replace(base_cfg, initial_system=p)
-        trace = run_protocol(cfg)
-        n = _first_cooled(trace, cfg.fidelity_target, cfg.probability_floor)
-        at = n if n is not None else cfg.n_max
+        _check_nbar(nbar, "nbar_grid: nbar")
+    states = [replace(base_cfg.initial_system, nbar=float(nbar))
+              for nbar in nbar_grid]
+    d, k = base_cfg.topology.regulator_levels, base_cfg.regulator_level
+    traces = _run_cells(base_cfg, [(d, k, p) for p in states])
+    out = []
+    for p, trace in zip(states, traces):
+        n = _first_cooled(trace, base_cfg.fidelity_target,
+                          base_cfg.probability_floor)
+        at = n if n is not None else base_cfg.n_max
         out.append(EnergyRecord(dst_mean_energy(p), n,
                                 float(trace.fidelity[at]),
                                 float(trace.probability[at])))
@@ -872,7 +917,16 @@ def max_coolable_nbar(base_cfg: ProtocolConfig, nbar_lo: float = 0.05,
                       nbar_hi: float = 14.0, iters: int = 24) -> Optional[float]:
     """Largest thermal occupation still coolable, by bisection; None when
     even nbar_lo fails.  When nbar_hi is itself coolable the threshold is
-    not bracketed: it warns and returns nbar_hi."""
+    not bracketed: it warns and returns nbar_hi.  Needs finite
+    0 <= nbar_lo < nbar_hi and a positive integer iters."""
+    _check_nbar(nbar_lo, "nbar_lo")
+    _check_nbar(nbar_hi, "nbar_hi")
+    if not nbar_lo < nbar_hi:
+        raise ConfigError(f"need nbar_lo < nbar_hi, got {nbar_lo} and {nbar_hi}")
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) \
+            or iters < 1:
+        raise ConfigError(f"iters must be a positive integer, got {iters!r}")
+
     def coolable(nbar):
         rec = sweep_energy(base_cfg, [nbar])[0]
         return rec.cycles is not None

@@ -7,8 +7,9 @@ from qcool.errors import ConstructionError
 from qcool.gaussian import (GaussianState, condition_on_vacuum, evolve,
                             gaussian_dst, moments_from_density,
                             oneshot_probability_formula, product,
-                            swap_coupling_matrix, symplectic_from_hamiltonian,
-                            theorem3_oneshot, vacuum,
+                            oneshot_stack, swap_coupling_matrix,
+                            symplectic_from_hamiltonian, theorem3_oneshot,
+                            vacuum,
                             vacuum_projection_probability)
 from qcool.states import DSTParams, displaced_squeezed_thermal
 
@@ -154,3 +155,55 @@ def test_oneshot_grid_builds_the_swap_once(tmp_path, monkeypatch):
         s[0, 0] = 0.0
     assert np.array_equal(
         s, symplectic_from_hamiltonian(swap_coupling_matrix(), np.pi / 2))
+
+
+@pytest.mark.parametrize("t", [np.pi / 2, 0.7])
+def test_oneshot_stack_matches_points(t, rng, monkeypatch):
+    # every stacked point is the one-point run bit for bit, from one
+    # transfer-matrix build for the whole grid
+    calls = []
+
+    def spy(a_mat, t):
+        calls.append(t)
+        return symplectic_from_hamiltonian(a_mat, t)
+
+    monkeypatch.setattr(gaussian, "symplectic_from_hamiltonian", spy)
+    gaussian._swap_transfer.cache_clear()
+    n = 40
+    a1, a2 = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    r, nbar = rng.uniform(-0.6, 0.6, n), rng.uniform(0.0, 2.0, n)
+    nbar[:4] = 0.0
+    res = oneshot_stack(a1, a2, r, nbar, t)
+    assert calls == [t]
+    assert res.mean.shape == (n, 2) and res.cov.shape == (n, 2, 2)
+    for i in range(n):
+        one = theorem3_oneshot(a1[i], a2[i], r[i], nbar[i], t)
+        got = res.point(i)
+        assert (got.fidelity, got.prob_formula, got.prob_projector) \
+            == (one.fidelity, one.prob_formula, one.prob_projector)
+        assert np.array_equal(got.conditional.mean, one.conditional.mean)
+        assert np.array_equal(got.conditional.cov, one.conditional.cov)
+    assert calls == [t]
+
+
+@pytest.mark.parametrize("args", [
+    (np.nan, 0.0, 0.0, 0.0), (0.0, np.inf, 0.0, 0.0), (0.0, 0.0, np.nan, 0.0),
+    (0.0, 0.0, 0.0, np.nan), (0.0, 0.0, 0.0, -0.5), (0.0, 0.0, 0.0, 0.0, -1.0),
+    (0.0, 0.0, 0.0, 0.0, np.nan), (0.0, 0.0, 0.0, 0.0, np.inf)],
+    ids=["alpha1-nan", "alpha2-inf", "r-nan", "nbar-nan", "nbar-negative",
+         "t-negative", "t-nan", "t-inf"])
+def test_oneshot_rejects_bad_inputs(args, monkeypatch):
+    def refuse(t):
+        raise AssertionError("evolved")
+
+    monkeypatch.setattr(gaussian, "_swap_transfer", refuse)
+    with pytest.raises(ConstructionError):
+        theorem3_oneshot(*args)
+    point, t = args[:4], args[4:]
+    with pytest.raises(ConstructionError):
+        oneshot_stack(*[[0.1, x] for x in point], *t)
+
+
+def test_oneshot_stack_rejects_unequal_lengths():
+    with pytest.raises(ConstructionError, match="equal lengths"):
+        oneshot_stack([0.1, 0.2], [0.0], [0.0], [0.0])

@@ -234,3 +234,19 @@ def test_failed_search_reports_the_one_pass_best():
     best_t, best_res = min(_one_pass_optima(5), key=lambda c: c[1])
     assert err.value.best_t == best_t
     assert err.value.best_residual == best_res
+
+
+def test_cached_modes_are_read_only():
+    # each cache hands the same arrays to every caller
+    for fn in (opttime._vacuum_modes, opttime._folded_modes,
+               opttime._mode_pairs):
+        first = fn(4)
+        assert all(a is b for a, b in zip(first, fn(4)))
+        for a in first:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    dw, cc = opttime._mode_pairs(3)
+    w, c = opttime._vacuum_modes(3)
+    assert np.array_equal(dw, (w[:, None] - w[None, :]).ravel())
+    assert np.array_equal(cc, (c[:, None] * c[None, :]).ravel())

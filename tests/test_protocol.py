@@ -3,17 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcool import protocol
+from qcool import opttime, protocol
 from qcool.errors import ConfigError
 from qcool.errors import TruncationError
 from qcool.hamiltonians import CouplingParams, Topology
 from qcool.hilbert import ladder_block
-from qcool.protocol import (ProtocolConfig, ProtocolTrace, default_cycle_time,
-                            effective_lambdas, n_cooled, n_settled,
+from qcool.protocol import (EnergyRecord, ProtocolConfig, ProtocolTrace,
+                            default_cycle_time, effective_lambdas,
+                            max_coolable_nbar, n_cooled, n_settled,
                             qubit_asymptotic_fidelity, report_cycles,
                             run_protocol, sweep_dimension, sweep_energy)
 from qcool.states import DSTParams, displaced_squeezed_thermal, \
-    dst_populations
+    dst_mean_energy, dst_populations
 
 import oracle
 from conftest import C00_TABLE, NETWORK_STATE, TABLE_STATE
@@ -130,6 +131,18 @@ def test_default_cycle_times():
     assert default_cycle_time(Topology("hybrid", 3), 1) == pytest.approx(np.sqrt(2) * np.pi)
 
 
+def test_default_cycle_time_reads_the_closed_form(monkeypatch):
+    # k <= 2 is the tabulated optimum itself: no residual is evaluated
+    def refuse(*args):
+        raise AssertionError("residual evaluated")
+
+    monkeypatch.setattr(opttime, "analytic_topt", refuse)
+    monkeypatch.setattr(opttime, "vacuum_residual", refuse)
+    for k in range(3):
+        assert default_cycle_time(Topology("single", 4), k) \
+            == opttime.ANALYTIC_TOPT[k]
+
+
 def test_inadmissible_default_time_warns():
     with pytest.warns(RuntimeWarning, match=r"d=7, k=5.*t=157\.95"):
         t = default_cycle_time(Topology("single", 7), 5)
@@ -234,6 +247,101 @@ def test_sweep_energy_contract():
         sweep_energy(bad, [0.1])
 
 
+# (base config, nbar grid): single-mode and star sweeps take the bright
+# mode, whose weights on the star follow an adaptive e_cap that moves
+# with nbar; the linear chain takes the blocked engine
+STAR_STATE = DSTParams(alpha_mag=0.1, alpha_phase=0.7, r=0.03, theta=1.1,
+                       nbar=0.03)
+ENERGY_CASES = {
+    "single": (ProtocolConfig(Topology("single", 4), TABLE_STATE, cutoff=60,
+                              n_max=60), [0.05, 0.4, 1.3, 3.0]),
+    "single-e-max": (ProtocolConfig(
+        Topology("single", 5), TABLE_STATE, regulator_level=1, cutoff=60,
+        n_max=60, e_max=40), [0.05, 0.4, 1.3, 2.0]),
+    "star-m2": (ProtocolConfig(Topology("star", 3, modes=2), STAR_STATE,
+                               cutoff=20, n_max=40), [0.01, 0.05, 0.1]),
+    "star-m3-k1": (ProtocolConfig(
+        Topology("star", 4, modes=3), STAR_STATE, regulator_level=1,
+        cycle_time=2.1, cutoff=30, n_max=40), [0.0, 0.02, 0.08, 0.2]),
+    "linear-m2": (ProtocolConfig(
+        Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=np.pi / 2,
+        cutoff=20, n_max=30), [0.02, 0.1]),
+}
+# bright-mode weight lengths per nbar: the full cutoff, e_max + 1, or
+# the star's e_cap + 1
+ENERGY_WEIGHTS = {"single": [60] * 4, "single-e-max": [41] * 4,
+                  "star-m2": [5, 7, 9], "star-m3-k1": [5, 6, 9, 12],
+                  "linear-m2": []}
+
+
+@pytest.mark.parametrize("case", list(ENERGY_CASES))
+def test_sweep_energy_matches_runs(case, monkeypatch):
+    # one _run_cells call for the grid gives each nbar's run alone, bit
+    # for bit; a bright-mode sweep takes one effective_lambdas call and
+    # one power table, a blocked sweep one _blocked_run per state
+    base, grid = ENERGY_CASES[case]
+    states = [replace(base.initial_system, nbar=nb) for nb in grid]
+    alone = [run_protocol(replace(base, initial_system=p)) for p in states]
+    calls = {name: [] for name in ("effective_lambdas", "_power_table",
+                                   "_trace_single", "_blocked_run")}
+    for name, seen in calls.items():
+        def spy(*args, _fn=getattr(protocol, name), _seen=seen):
+            _seen.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(protocol, name, spy)
+    runs, run_cells = [], protocol._run_cells
+
+    def cells_spy(*args):
+        runs.append(run_cells(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(protocol, "_run_cells", cells_spy)
+    recs = sweep_energy(base, grid)
+    bright = bool(ENERGY_WEIGHTS[case])
+    assert len(runs) == 1
+    assert len(calls["effective_lambdas"]) == len(calls["_power_table"]) \
+        == int(bright)
+    assert [len(a[1]) for a in calls["_trace_single"]] == ENERGY_WEIGHTS[case]
+    assert len(calls["_blocked_run"]) == (0 if bright else len(grid))
+    for p, rec, one, tr in zip(states, recs, alone, runs[0]):
+        assert np.array_equal(one.fidelity, tr.fidelity)
+        assert np.array_equal(one.probability, tr.probability)
+        assert one.converged_at == tr.converged_at
+        ok = np.nonzero((one.fidelity[1:] >= base.fidelity_target)
+                        & (one.probability[1:] >= base.probability_floor))[0]
+        n = int(ok[0]) + 1 if len(ok) else None
+        at = base.n_max if n is None else n
+        assert rec == EnergyRecord(dst_mean_energy(p), n,
+                                   float(one.fidelity[at]),
+                                   float(one.probability[at]))
+
+
+@pytest.mark.parametrize("grid", [[0.1, -0.5], [0.1, np.nan], [np.inf],
+                                  [True], [0.2, False], ["0.5"], [None],
+                                  [1 + 0j]])
+def test_sweep_energy_rejects_bad_grid_before_running(grid, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cells ran")
+
+    monkeypatch.setattr(protocol, "_run_cells", refuse)
+    with pytest.raises(ConfigError, match="nbar_grid: nbar must be"):
+        sweep_energy(_single_cfg(4, 0), grid)
+
+
+@pytest.mark.parametrize("kw", [
+    {"nbar_lo": 0.5, "nbar_hi": 0.1}, {"nbar_lo": 0.3, "nbar_hi": 0.3},
+    {"nbar_lo": -0.1}, {"nbar_lo": np.nan}, {"nbar_hi": np.inf},
+    {"nbar_hi": True}, {"iters": 0}, {"iters": -2}, {"iters": 2.5},
+    {"iters": True}], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_max_coolable_nbar_rejects_bad_bracket(kw, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cells ran")
+
+    monkeypatch.setattr(protocol, "_run_cells", refuse)
+    with pytest.raises(ConfigError):
+        max_coolable_nbar(_single_cfg(4, 0), **kw)
+
+
 def test_matrix_initial_state_accepted():
     rho = displaced_squeezed_thermal(TABLE_STATE, 20)
     cfg = ProtocolConfig(Topology("single", 4), rho, cutoff=20, n_max=10)
@@ -325,12 +433,18 @@ def _cycle_loop(lams, cdiag, n_max):
 
 
 def test_trace_single_matches_cycle_loop(monkeypatch):
-    seen, trace_single = [], protocol._trace_single
+    seen, power_table = [], protocol._power_table
+    trace_single = protocol._trace_single
 
-    def spy(lams, w, n_max):
-        seen.append((lams, w, n_max))
-        return trace_single(lams, w, n_max)
+    def table_spy(lams, n_max):
+        seen.append([lams, n_max])
+        return power_table(lams, n_max)
 
+    def spy(pw, w):
+        seen[-1].append(w)
+        return trace_single(pw, w)
+
+    monkeypatch.setattr(protocol, "_power_table", table_spy)
     monkeypatch.setattr(protocol, "_trace_single", spy)
     # cutoff-300 states of the energy sweeps, and star bright-mode weights
     for nbar in (0.4, 12.0):
@@ -339,12 +453,12 @@ def test_trace_single_matches_cycle_loop(monkeypatch):
             regulator_level=2, cutoff=300))
     run_protocol(ProtocolConfig(Topology("star", 3, modes=3), NETWORK_STATE,
                                 regulator_level=1, cutoff=30))
-    assert [len(w) for _, w, _ in seen[:2]] == [300, 300]
+    assert [len(w) for _, _, w in seen[:2]] == [300, 300]
     assert len(seen) == 3
-    assert not np.array_equal(seen[2][1], dst_populations(
-        NETWORK_STATE, 30)[:len(seen[2][1])])    # star weights, not c_n
-    for lams, w, n_max in seen:
-        fid, prob = trace_single(lams, w, n_max)
+    assert not np.array_equal(seen[2][2], dst_populations(
+        NETWORK_STATE, 30)[:len(seen[2][2])])    # star weights, not c_n
+    for lams, n_max, w in seen:
+        fid, prob = trace_single(power_table(lams, n_max), w)
         fid_ref, prob_ref = _cycle_loop(lams, w, n_max)
         assert n_max == 100
         assert np.array_equal(fid, fid_ref)
