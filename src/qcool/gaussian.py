@@ -59,11 +59,20 @@ def gaussian_dst(alpha: complex, r: float, nbar: float = 0.0) -> GaussianState:
 
     Covariance (nbar + 1/2) diag(e^{2r}, e^{-2r}): positive r widens the
     x quadrature and narrows p."""
-    if nbar < 0:
+    return GaussianState(*_dst_moments(np.real(alpha), np.imag(alpha), r, nbar))
+
+
+def _dst_moments(re_alpha, im_alpha, r, nbar) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean (..., 2) and covariance (..., 2, 2) of `gaussian_dst`, over
+    parameters of any equal shape."""
+    nbar = np.asarray(nbar, dtype=float)
+    if np.any(nbar < 0):
         raise ConstructionError("nbar must be >= 0")
-    mean = np.sqrt(2.0) * np.array([np.real(alpha), np.imag(alpha)])
-    cov = (nbar + 0.5) * np.diag([np.exp(2 * r), np.exp(-2 * r)])
-    return GaussianState(mean, cov)
+    mean = np.sqrt(2.0) * np.stack([re_alpha, im_alpha], axis=-1)
+    cov = np.zeros(nbar.shape + (2, 2))
+    cov[..., 0, 0] = (nbar + 0.5) * np.exp(2 * np.asarray(r))
+    cov[..., 1, 1] = (nbar + 0.5) * np.exp(-2 * np.asarray(r))
+    return mean, cov
 
 
 def product(states: Sequence[GaussianState]) -> GaussianState:
@@ -229,18 +238,13 @@ def oneshot_stack(alpha1, alpha2, r, nbar,
         raise ConstructionError("one-shot parameters must have equal lengths")
     if not all(np.all(np.isfinite(x)) for x in (a1, a2, r, nbar)):
         raise ConstructionError("one-shot parameters must be finite")
-    if np.any(nbar < 0):
-        raise ConstructionError("nbar must be >= 0")
     if not (np.isfinite(t) and t >= 0):
         raise ConstructionError(f"swap time must be finite and >= 0, got {t}")
-    n = len(a1)
-    # system mode displaced-squeezed-thermal (as `gaussian_dst`), regulator
-    # in vacuum
-    mean = np.zeros((n, 4))
-    mean[:, 0], mean[:, 1] = np.sqrt(2.0) * a1, np.sqrt(2.0) * a2
-    cov = np.zeros((n, 4, 4))
-    cov[:, 0, 0] = (nbar + 0.5) * np.exp(2 * r)
-    cov[:, 1, 1] = (nbar + 0.5) * np.exp(-2 * r)
+    # the system mode's moments, then the regulator's vacuum
+    sys_mean, sys_cov = _dst_moments(a1, a2, r, nbar)
+    mean = np.zeros((len(a1), 4))
+    cov = np.zeros((len(a1), 4, 4))
+    mean[:, :2], cov[:, :2, :2] = sys_mean, sys_cov
     cov[:, 2, 2] = cov[:, 3, 3] = 0.5
     s = _swap_transfer(t)
     mean, cov = (s @ mean[..., None])[..., 0], s @ cov @ s.T
