@@ -20,7 +20,7 @@ from qcool.states import DSTParams, depolarized_qudit, \
     displaced_squeezed_thermal
 
 import oracle
-from conftest import C00_NETWORK, NETWORK_STATE
+from conftest import C00_NETWORK, NETWORK_STATE, STAR_STATE
 
 
 def _net_cfg(kind, d, modes, **kw):
@@ -146,9 +146,6 @@ def test_oscillator_regulator_matches_qudit_saturation():
 
 # ------------------------------------------------ star bright-mode route
 
-# generic phases, cold enough that M = 4 blocked runs stay cheap
-STAR_STATE = DSTParams(alpha_mag=0.1, alpha_phase=0.7, r=0.03, theta=1.1,
-                       nbar=0.03)
 ODD_COUPLING = CouplingParams(lam=1.3, omega_a=1.2, omega_f=0.9)
 
 

@@ -17,7 +17,7 @@ from qcool.states import DSTParams, displaced_squeezed_thermal, \
     dst_mean_energy, dst_populations
 
 import oracle
-from conftest import C00_TABLE, NETWORK_STATE, TABLE_STATE
+from conftest import C00_TABLE, NETWORK_STATE, STAR_STATE, TABLE_STATE
 
 
 def _single_cfg(d, k, **kw):
@@ -250,8 +250,6 @@ def test_sweep_energy_contract():
 # (base config, nbar grid): single-mode and star sweeps take the bright
 # mode, whose weights on the star follow an adaptive e_cap that moves
 # with nbar; the linear chain takes the blocked engine
-STAR_STATE = DSTParams(alpha_mag=0.1, alpha_phase=0.7, r=0.03, theta=1.1,
-                       nbar=0.03)
 ENERGY_CASES = {
     "single": (ProtocolConfig(Topology("single", 4), TABLE_STATE, cutoff=60,
                               n_max=60), [0.05, 0.4, 1.3, 3.0]),
