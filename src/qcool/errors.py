@@ -26,13 +26,5 @@ class SearchFailureError(QcoolError):
         self.best_residual = best_residual
 
 
-class CheckFailedError(QcoolError):
-    """A structural self-check exceeded its residual threshold."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class ConstructionError(QcoolError):
     """A constructed matrix violates its defining invariant."""

@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConstructionError
-from .hilbert import block_diag, expm_hermitian, lowering
+from .hilbert import block_diag, expm_hermitian
 
 
 def _omega(modes: int) -> np.ndarray:
@@ -189,28 +189,14 @@ def oneshot_probability_formula(alpha1: float, alpha2: float, r: float,
 
 
 @dataclass
-class OneShotResult:
-    fidelity: float            # vacuum fidelity of the conditional state
-    prob_formula: float        # closed form, includes the 1/pi
-    prob_projector: float      # Tr[rho_reg |0><0|] before conditioning
-    conditional: GaussianState
-
-
-@dataclass
 class OneShotStack:
     """One-shot results at stacked points: arrays over the points, and
     the conditional system moments, mean (n, 2) and cov (n, 2, 2)."""
-    fidelity: np.ndarray
-    prob_formula: np.ndarray
-    prob_projector: np.ndarray
+    fidelity: np.ndarray       # vacuum fidelity of the conditional state
+    prob_formula: np.ndarray   # closed form, includes the 1/pi
+    prob_projector: np.ndarray  # Tr[rho_reg |0><0|] before conditioning
     mean: np.ndarray
     cov: np.ndarray
-
-    def point(self, i: int) -> OneShotResult:
-        return OneShotResult(float(self.fidelity[i]),
-                             float(self.prob_formula[i]),
-                             float(self.prob_projector[i]),
-                             GaussianState(self.mean[i], self.cov[i]))
 
 
 @lru_cache(maxsize=1)
@@ -224,11 +210,16 @@ def _swap_transfer(t: float) -> np.ndarray:
 
 def oneshot_stack(alpha1, alpha2, r, nbar,
                   t: float = np.pi / 2) -> OneShotStack:
-    """`theorem3_oneshot` at every point (alpha1[i], alpha2[i], r[i],
-    nbar[i]) of equal-length 1-D inputs, in one pass over the stacked
-    moments: one transfer matrix, and the vacuum projection and the
-    conditioning of `_vacuum_weight` and `_condition` on (n, 2, 2)
-    stacks.  Every point gives what it gives alone, bit for bit.
+    """Single swap-and-measure cycle on one Gaussian mode (Theorem 3) at
+    every point (alpha1[i], alpha2[i], r[i], nbar[i]) of equal-length 1-D
+    inputs, in one pass over the stacked moments: one transfer matrix,
+    and `_vacuum_weight` and `_condition` on (n, 2, 2) stacks.  Every
+    point gives what its length-1 run gives, bit for bit.
+
+    The system mode starts displaced-squeezed-thermal, the regulator mode
+    in vacuum; after a time-t exchange the regulator is measured.  At
+    t = pi/2 the kept state is exact vacuum and the outcome probability
+    equals the initial vacuum population of the system mode.
 
     Raises ConstructionError, before any evolution, on a non-finite
     parameter, a negative nbar, or a non-finite or negative t."""
@@ -251,32 +242,3 @@ def oneshot_stack(alpha1, alpha2, r, nbar,
     c_mean, c_cov, proj = _condition(mean, cov, [2, 3], [0, 1])
     return OneShotStack(_vacuum_weight(c_mean, c_cov, [0, 1]), proj / np.pi,
                         proj, c_mean, c_cov)
-
-
-def theorem3_oneshot(alpha1: float, alpha2: float, r: float, nbar: float,
-                     t: float = np.pi / 2) -> OneShotResult:
-    """Single swap-and-measure cycle on one Gaussian mode: the one-point
-    case of `oneshot_stack`.
-
-    The system mode starts displaced-squeezed-thermal, the regulator mode
-    in vacuum; after a time-t exchange the regulator is measured.  At
-    t = pi/2 the kept state is exact vacuum and the outcome probability
-    equals the initial vacuum population of the system mode."""
-    return oneshot_stack([alpha1], [alpha2], [r], [nbar], t).point(0)
-
-
-# -------------------------------------------- Fock-side moment extraction
-
-def moments_from_density(rho: np.ndarray) -> GaussianState:
-    """First and second quadrature moments of a single-mode density
-    matrix, for comparison against the covariance description."""
-    a = lowering(rho.shape[0])
-    x = (a + a.conj().T) / np.sqrt(2.0)
-    p = (a - a.conj().T) / (1j * np.sqrt(2.0))
-    ex = np.real(np.trace(rho @ x))
-    ep = np.real(np.trace(rho @ p))
-    vxx = np.real(np.trace(rho @ x @ x)) - ex ** 2
-    vpp = np.real(np.trace(rho @ p @ p)) - ep ** 2
-    vxp = 0.5 * np.real(np.trace(rho @ (x @ p + p @ x))) - ex * ep
-    return GaussianState(np.array([ex, ep]),
-                         np.array([[vxx, vxp], [vxp, vpp]]))

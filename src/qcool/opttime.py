@@ -15,9 +15,8 @@ from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
-from .errors import CheckFailedError, SearchFailureError
+from .errors import SearchFailureError
 from .hilbert import ladder_block
 
 ANALYTIC_TOPT = {
@@ -202,32 +201,3 @@ def solve_topt(d: int, k: int, window: Tuple[float, float] = (0.0, 250.0),
         f"no optimum with residual <= {residual_tol:g} in window {window}; "
         f"best residual {best[1]:.3e} at t = {best[0]:.6f}",
         best_t=best[0], best_residual=best[1])
-
-
-def hermite_structure_check(d: int, residual_tol: float = 1e-6,
-                            t_max: float = 20.0, n_samples: int = 4001) -> float:
-    """Verify that exp(i(d-1)t) * lambda_{0,d}^{d-1}(t) is a real weighted
-    sum of d cosines at the roots of the probabilists' Hermite polynomial
-    He_d.  Returns the relative fit residual; raises CheckFailedError when
-    it exceeds residual_tol."""
-    if not (2 <= d <= 8):
-        raise ValueError("supported for 2 <= d <= 8")
-    t = np.linspace(0.0, t_max, n_samples)
-    y = np.exp(1j * (d - 1) * t) * _vacuum_series(d - 1, t)
-    if np.max(np.abs(y.imag)) > 1e-9:
-        raise CheckFailedError("phase-corrected vacuum amplitude is not real",
-                               residual=float(np.max(np.abs(y.imag))))
-    roots = hermite_e.hermegauss(d)[0]
-    a = np.cos(np.outer(t, roots))
-    coef, *_ = np.linalg.lstsq(a, y.real, rcond=None)
-    res = float(np.linalg.norm(y.real - a @ coef) / np.linalg.norm(y.real))
-    if res > residual_tol:
-        raise CheckFailedError(
-            f"cosine fit residual {res:.3e} above {residual_tol:g}",
-            residual=res)
-    return res
-
-
-def _vacuum_series(k: int, t: np.ndarray) -> np.ndarray:
-    w, c = _vacuum_modes(k)
-    return (np.exp(-1j * np.outer(t, w)) @ c) * np.exp(-1j * k * t)

@@ -88,9 +88,10 @@ class ProtocolConfig:
 
     initial_system: a DSTParams, a density matrix, or (for networks and
     the hybrid system) a per-subsystem list of these, regulator excluded.
-    cycle_time None picks the optimal time for the configured k; those
-    times assume the default coupling, so any other coupling needs an
-    explicit cycle_time.
+    cycle_time None picks `default_cycle_time` for the configured k.
+    Those times assume the default coupling, so any other coupling needs
+    an explicit cycle_time, as do a linear chain at k >= 1 and an
+    oscillator regulator at k >= 2, where they would empty the vacuum.
     e_max None picks the excitation cap adaptively from the initial-state
     populations (kept tail weight <= 1e-7); a single oscillator then
     keeps every level below cutoff.  An explicit e_max caps the total
@@ -136,9 +137,16 @@ class ProtocolConfig:
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
             raise ConfigError(f"convergence_tol must be finite and >= 0, got "
                               f"{self.convergence_tol}")
-        if self.topology.kind == "hybrid" and t is None \
-                and self.regulator_level > 1:
+        topo, k = self.topology, self.regulator_level
+        if t is None and topo.kind == "hybrid" and k > 1:
             raise ConfigError("hybrid default cycle times exist for k=0,1 only")
+        # the one-mode optimum misses the vacuum revival of a chain and of
+        # the sqrt(q)-weighted ladder of an oscillator regulator
+        if t is None and (topo.kind == "linear" and topo.modes > 1 and k >= 1
+                          or topo.regulator_kind == "oscillator" and k >= 2):
+            raise ConfigError(f"no default cycle time at k = {k} for a "
+                              f"{topo.kind} topology ({topo.regulator_kind} "
+                              f"regulator); set [protocol] t")
 
 
 @dataclass
@@ -576,25 +584,29 @@ def _resolve_factors(cfg: ProtocolConfig) -> List[np.ndarray]:
     return factors
 
 
-def _choose_e_cap(pops: List[np.ndarray], e_max: Optional[int],
-                  tail_tol: float = 1e-7, hard_tol: float = 1e-6) -> int:
-    """Smallest excitation cap with combined tail below tail_tol, from
-    each factor's Fock populations."""
+_TAIL_TOL = 1e-7    # population an adaptive excitation cap may leave above it
+_HARD_TOL = 1e-6    # population allowed above an explicit e_max
+
+
+def _choose_e_cap(pops: List[np.ndarray], e_max: Optional[int]) -> int:
+    """Smallest excitation cap with combined tail below _TAIL_TOL, from
+    each factor's Fock populations; an explicit e_max is kept when at
+    most _HARD_TOL lies above it."""
     conv = np.array([1.0])
     for p in pops:
         conv = np.convolve(conv, np.clip(p, 0, None))
     cum = np.cumsum(conv)
     if e_max is not None:
         tail = 1.0 - (cum[e_max] if e_max < len(cum) else cum[-1])
-        if tail > hard_tol:
+        if tail > _HARD_TOL:
             raise TruncationError(
                 f"population {tail:.3e} above excitation cap {e_max}",
                 leakage=float(tail))
         return e_max
-    ok = np.nonzero(cum >= 1.0 - tail_tol)[0]
+    ok = np.nonzero(cum >= 1.0 - _TAIL_TOL)[0]
     if len(ok) == 0:
         raise TruncationError(
-            f"initial state tail stays above {tail_tol:.1e} within the "
+            f"initial state tail stays above {_TAIL_TOL:.1e} within the "
             f"retained levels", leakage=float(1.0 - cum[-1]))
     return int(ok[0])
 
@@ -664,19 +676,23 @@ def _bright_mode(cfg: ProtocolConfig) -> Optional[
 def default_cycle_time(topology: Topology, k: int) -> float:
     """Optimal cycle time for the configured measurement level, at the
     default coupling lambda = omega_a = omega_f = 1.  When no admissible
-    optimum exists (k >= 3) it warns and returns the best one found."""
+    optimum exists (k >= 3) it warns and returns the best one found.
+
+    A star of M oscillators couples the regulator to its bright mode at
+    lambda sqrt(M), so its time is the single oscillator's over sqrt(M)."""
     if topology.kind == "hybrid":
         return np.pi / np.sqrt(2) if k == 0 else np.sqrt(2) * np.pi
+    scale = math.sqrt(topology.modes) if topology.kind == "star" else 1.0
     if k <= 2:
-        return opttime.ANALYTIC_TOPT[k]
+        return opttime.ANALYTIC_TOPT[k] / scale
     d = topology.regulator_levels
     try:
-        return opttime.solve_topt(d, k).t_opt
+        return opttime.solve_topt(d, k).t_opt / scale
     except SearchFailureError as err:
         warnings.warn(f"no admissible cycle time for d={d}, k={k}; using "
                       f"the best found t={err.best_t:.6g} (residual "
                       f"{err.best_residual:.3g})", RuntimeWarning, stacklevel=2)
-        return err.best_t
+        return err.best_t / scale
 
 
 def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
@@ -755,35 +771,26 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
     return _run_cells(cfg, cells)[0]
 
 
-def run_hybrid(cfg: ProtocolConfig) -> ProtocolTrace:
-    """Cooling of the oscillator + system-qudit pair toward |0_V, 0_s>."""
-    if cfg.topology.kind != "hybrid":
-        raise ConfigError("run_hybrid needs a hybrid topology")
-    return run_protocol(cfg)
-
-
 # ------------------------------------------------------- reported cycles
 
-def n_cooled(fid: np.ndarray, stop: float = 0.9998,
-             n_max: Optional[int] = None) -> int:
-    """Last cycle with F below `stop`; n_max when the threshold is never
-    crossed (or already satisfied at n=0)."""
-    n_max = len(fid) - 1 if n_max is None else n_max
-    above = np.nonzero(fid[:n_max + 1] >= stop)[0]
+def n_cooled(fid: np.ndarray, stop: float = 0.9998) -> int:
+    """Last cycle with F below `stop`; the last cycle n_max when the
+    threshold is never crossed (or already satisfied at n=0)."""
+    above = np.nonzero(fid >= stop)[0]
     if len(above) == 0 or above[0] == 0:
-        return n_max
+        return len(fid) - 1
     return int(above[0]) - 1
 
 
-def n_settled(fid: np.ndarray, settle_tol: float = 1.2e-5, window: int = 5,
-              n_max: Optional[int] = None) -> Optional[int]:
-    """First cycle opening a window of `window` consecutive fidelity
+_SETTLE_WINDOW = 5  # consecutive quiet increments that make a trace settled
+
+
+def n_settled(fid: np.ndarray, settle_tol: float = 1.2e-5) -> Optional[int]:
+    """First cycle opening a window of _SETTLE_WINDOW consecutive fidelity
     increments all below settle_tol; None if the trace never settles."""
-    n_max = len(fid) - 1 if n_max is None else n_max
-    df = np.abs(np.diff(fid[:n_max + 1]))
-    for n in range(1, n_max + 1):
-        seg = df[n - 1:min(n - 1 + window, n_max)]
-        if np.all(seg < settle_tol):
+    df = np.abs(np.diff(fid))
+    for n in range(1, len(fid)):
+        if np.all(df[n - 1:n - 1 + _SETTLE_WINDOW] < settle_tol):
             return n
     return None
 
@@ -792,8 +799,7 @@ REPORT_MODES = ("converged", "cooled", "settled", "auto")
 
 
 def report_cycles(trace: ProtocolTrace, mode: str = "converged",
-                  stop: float = 0.9998, settle_tol: float = 1.2e-5,
-                  window: int = 5) -> int:
+                  stop: float = 0.9998, settle_tol: float = 1.2e-5) -> int:
     """Cycle count N to report for a finished trace.
 
     converged: the trace's converged_at (n_max when absent).
@@ -809,26 +815,8 @@ def report_cycles(trace: ProtocolTrace, mode: str = "converged",
         return trace.converged_at if trace.converged_at is not None else trace.n_max
     if mode == "cooled" or (mode == "auto" and f.max() >= stop):
         return n_cooled(f, stop)
-    s = n_settled(f, settle_tol, window)
+    s = n_settled(f, settle_tol)
     return s if s is not None else trace.n_max
-
-
-# ---------------------------------------------------------------- theory
-
-def qubit_asymptotic_fidelity(rho_v: np.ndarray, k: int) -> float:
-    """Large-N fidelity limit for a qubit regulator at its optimal time.
-
-    Only Fock levels whose effective eigenvalue keeps unit modulus survive:
-    i = 4 m^2 for k=0 (t = pi/2), i = m^2 - 1 for k=1 (t = pi)."""
-    if k not in (0, 1):
-        raise ValueError("qubit regulator: k must be 0 or 1")
-    c = np.clip(np.real(np.diag(rho_v)), 0.0, None)
-    n = len(c)
-    if k == 0:
-        idx = [4 * m * m for m in range(int(np.sqrt(n / 4)) + 2) if 4 * m * m < n]
-    else:
-        idx = [m * m - 1 for m in range(1, int(np.sqrt(n + 1)) + 2) if m * m - 1 < n]
-    return float(c[0] / c[idx].sum())
 
 
 # ---------------------------------------------------------------- sweeps

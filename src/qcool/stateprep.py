@@ -79,17 +79,18 @@ def _fid(a: np.ndarray, b: np.ndarray) -> float:
 
 # ------------------------------------------------------------ cat states
 
-def make_cat(alpha: complex, n_components: int, d: Optional[int] = None,
+def make_cat(alpha: complex, n_components: int,
              cutoff: int = 60) -> PrepResult:
     """Even cat of n_components coherent components on the circle.
 
-    Circuit: H_d on the qudit, conditional displacement, then projection
-    of the qudit on the uniform row (1/sqrt d) sum_k <k|.  The kept
-    oscillator state matches the normalised sum_k |alpha w^k>; the
-    success probability is the squared norm of the projected branch."""
-    d = n_components if d is None else d
-    if d != n_components or d % 2 or d < 2:
-        raise ValueError("cat preparation needs d = n_components, even, >= 2")
+    Circuit: H_d on a qudit of d = n_components levels, conditional
+    displacement, then projection of the qudit on the uniform row
+    (1/sqrt d) sum_k <k|.  The kept oscillator state matches the
+    normalised sum_k |alpha w^k>; the success probability is the squared
+    norm of the projected branch."""
+    d = n_components
+    if d % 2 or d < 2:
+        raise ValueError("cat preparation needs an even n_components >= 2")
     dc = conditional_displacement(d, alpha, n_components, cutoff)
     joint = np.zeros(d * cutoff, dtype=complex)
     joint[::cutoff] = hadamard_qudit(d)[:, 0]    # H_d |0>, oscillator vacuum

@@ -84,14 +84,6 @@ class DSTParams:
         return self.r * np.exp(1j * self.theta)
 
 
-def thermal_state(nbar: float, cutoff: int) -> np.ndarray:
-    """Thermal state, diagonal nbar^m/(1+nbar)^(m+1), renormalized on cutoff."""
-    if nbar < 0:
-        raise ValueError("nbar must be non-negative")
-    w = (nbar / (1.0 + nbar)) ** np.arange(cutoff)
-    return np.diag(w / w.sum()).astype(complex)
-
-
 def _gauged_expm(gen: np.ndarray, s: float, phase: float) -> np.ndarray:
     """G exp(-i s gen) G^dag with G = diag(e^{i n phase}), gen real symmetric."""
     g = np.exp(1j * phase * np.arange(gen.shape[0]))
@@ -129,8 +121,8 @@ def _moments(p: DSTParams) -> Tuple[float, complex]:
     return n_s, m_s
 
 
-def _leak_check(leak: float, cutoff: int, leak_tol: float = _LEAK_TOL):
-    if leak > leak_tol:
+def _leak_check(leak: float, cutoff: int):
+    if leak > _LEAK_TOL:
         raise TruncationError(
             f"state leaks {leak:.3e} past cutoff {cutoff}", leakage=leak)
 
@@ -165,14 +157,13 @@ def dst_populations(p: DSTParams, cutoff: int) -> np.ndarray:
     return pops / pops.sum()
 
 
-def displaced_squeezed_thermal(p: DSTParams, cutoff: int,
-                               leak_tol: float = _LEAK_TOL) -> np.ndarray:
+def displaced_squeezed_thermal(p: DSTParams, cutoff: int) -> np.ndarray:
     """D(alpha) S(z) rho_th(nbar) S(z)^dag D(alpha)^dag on the cutoff,
     renormalized.
 
     Every entry is the untruncated state's, from the Hermite recursion;
     raises TruncationError if the population past the cutoff,
-    1 - tr, exceeds leak_tol."""
+    1 - tr, exceeds _LEAK_TOL."""
     n_s, m_s = _moments(p)
     big = n_s + 1.0
     det = big * big - abs(m_s) ** 2
@@ -194,7 +185,7 @@ def displaced_squeezed_thermal(p: DSTParams, cutoff: int,
         if m > 1:
             row += s * sq[m - 1] * rho[m - 2]
         rho[m] = row / sq[m]
-    _leak_check(1.0 - float(np.trace(rho).real), cutoff, leak_tol)
+    _leak_check(1.0 - float(np.trace(rho).real), cutoff)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.real(np.trace(rho))
 
@@ -206,11 +197,6 @@ def depolarized_qudit(d_s: int) -> np.ndarray:
     rho = np.eye(d_s, dtype=complex) / (2.0 * d_s)
     rho[0, 0] += 0.5
     return rho
-
-
-def mean_energy(rho: np.ndarray) -> float:
-    """<n> = Tr(rho a^dag a) for a single-mode state in the Fock basis."""
-    return float(np.real(np.sum(np.diag(rho) * np.arange(rho.shape[0]))))
 
 
 def dst_mean_energy(p: DSTParams) -> float:

@@ -320,14 +320,15 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
          "sweep-stop-zero", "sweep-settle-tol-nan",
          "hybrid-settle-tol-negative", "sweep-report-unknown"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys, monkeypatch):
+    # every cooling run, sweep or single, goes through _run_cells
     runs = []
-    run_protocol = protocol.run_protocol
+    run_cells = protocol._run_cells
 
-    def spy(cfg):
-        runs.append(cfg)
-        return run_protocol(cfg)
+    def spy(base, cells):
+        runs.append(cells)
+        return run_cells(base, cells)
 
-    monkeypatch.setattr(protocol, "run_protocol", spy)
+    monkeypatch.setattr(protocol, "_run_cells", spy)
     assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
     assert "config error" in capsys.readouterr().err
     assert runs == []
@@ -349,18 +350,22 @@ NO_SCIPY_CONFIGS = ("optimal_times", "network_star_m2", "gaussian_oneshot",
 NO_SCIPY_SCRIPT = """
 import sys
 import qcool.cli
-loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-assert not loaded, ("import", loaded)
+
+def loaded():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"
+            or m.startswith("numpy.polynomial")]
+
+assert not loaded(), ("import", loaded())
 for config in sys.argv[1:]:
     assert qcool.cli.run(config) == 0, config
-loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
-assert not loaded, ("run", loaded)
+assert not loaded(), ("run", loaded())
 """
 
 
 def test_import_and_runs_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: neither the import nor a run
-    # of the opt-time, star, Gaussian and prep experiments loads scipy
+    # of the opt-time, star, Gaussian and prep experiments loads scipy,
+    # nor numpy.polynomial, which only the tests' Hermite check uses
     experiments = Path(__file__).resolve().parent.parent / "experiments"
     configs = []
     for name in NO_SCIPY_CONFIGS:

@@ -5,13 +5,13 @@ from qcool import gaussian
 from qcool.cli import main
 from qcool.errors import ConstructionError
 from qcool.gaussian import (GaussianState, condition_on_vacuum, evolve,
-                            gaussian_dst, moments_from_density,
-                            oneshot_probability_formula, product,
-                            oneshot_stack, swap_coupling_matrix,
-                            symplectic_from_hamiltonian, theorem3_oneshot,
-                            vacuum,
+                            gaussian_dst, oneshot_probability_formula,
+                            oneshot_stack, product, swap_coupling_matrix,
+                            symplectic_from_hamiltonian, vacuum,
                             vacuum_projection_probability)
 from qcool.states import DSTParams, displaced_squeezed_thermal
+
+import oracle
 
 
 def _omega(m):
@@ -71,34 +71,34 @@ def test_coherent_state_projection():
 def test_oneshot_cools_to_exact_vacuum():
     for a1, a2, r, nb in ((0.0, 0.0, 0.0, 0.0), (0.4, 0.0, 0.1, 0.4),
                           (1.0, 0.5, 0.5, 1.0), (0.3, -0.2, 0.25, 0.7)):
-        res = theorem3_oneshot(a1, a2, r, nb)
-        assert np.max(np.abs(res.conditional.mean)) < 1e-9
-        assert np.max(np.abs(res.conditional.cov - 0.5 * np.eye(2))) < 1e-9
-        assert res.fidelity == pytest.approx(1.0, abs=1e-9)
+        res = oneshot_stack([a1], [a2], [r], [nb])
+        assert np.max(np.abs(res.mean[0])) < 1e-9
+        assert np.max(np.abs(res.cov[0] - 0.5 * np.eye(2))) < 1e-9
+        assert res.fidelity[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_oneshot_formula_matches_projector_over_pi():
     for a1, a2, r, nb in ((0.0, 0.0, 0.0, 0.0), (0.4, 0.0, 0.1, 0.4),
                           (1.0, 0.5, 0.5, 1.0), (0.2, 0.3, 0.45, 0.9)):
-        res = theorem3_oneshot(a1, a2, r, nb)
+        res = oneshot_stack([a1], [a2], [r], [nb])
         ref = oneshot_probability_formula(a1, a2, r, nb)
-        assert res.prob_formula == pytest.approx(ref, rel=1e-12)
-        assert res.prob_formula == pytest.approx(res.prob_projector / np.pi,
-                                                 rel=1e-12)
+        assert res.prob_formula[0] == pytest.approx(ref, rel=1e-12)
+        assert res.prob_formula[0] == pytest.approx(
+            res.prob_projector[0] / np.pi, rel=1e-12)
 
 
 def test_oneshot_probability_equals_initial_vacuum_population():
     # at t = pi/2 the regulator carries exactly the initial system state
     p = DSTParams(0.4, np.pi / 2, 0.1, theta=np.pi, nbar=0.4)
     rho = displaced_squeezed_thermal(p, 60)
-    res = theorem3_oneshot(0.0, 0.4, 0.1, 0.4)
-    assert res.prob_projector == pytest.approx(float(np.real(rho[0, 0])),
-                                               abs=1e-9)
+    res = oneshot_stack([0.0], [0.4], [0.1], [0.4])
+    assert res.prob_projector[0] == pytest.approx(
+        float(np.real(rho[0, 0])), abs=1e-9)
 
 
 def test_partial_swap_leaves_thermal_noise():
-    res = theorem3_oneshot(0.5, 0.0, 0.2, 0.5, t=0.7)
-    assert res.fidelity < 0.999
+    res = oneshot_stack([0.5], [0.0], [0.2], [0.5], t=0.7)
+    assert res.fidelity[0] < 0.999
 
 
 def test_moments_match_fock_engine():
@@ -108,7 +108,7 @@ def test_moments_match_fock_engine():
         p = DSTParams(abs(alpha), float(np.angle(alpha)) if alpha else 0.0,
                       r, theta=np.pi, nbar=nb)
         rho = displaced_squeezed_thermal(p, 80)
-        got = moments_from_density(rho)
+        got = oracle.moments_from_density(rho)
         ref = gaussian_dst(alpha, r, nb)
         assert np.max(np.abs(got.mean - ref.mean)) < 1e-6
         assert np.max(np.abs(got.cov - ref.cov)) < 1e-6
@@ -159,7 +159,7 @@ def test_oneshot_grid_builds_the_swap_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("t", [np.pi / 2, 0.7])
 def test_oneshot_stack_matches_points(t, rng, monkeypatch):
-    # every stacked point is the one-point run bit for bit, from one
+    # every stacked point is its length-1 run bit for bit, from one
     # transfer-matrix build for the whole grid
     calls = []
 
@@ -177,12 +177,12 @@ def test_oneshot_stack_matches_points(t, rng, monkeypatch):
     assert calls == [t]
     assert res.mean.shape == (n, 2) and res.cov.shape == (n, 2, 2)
     for i in range(n):
-        one = theorem3_oneshot(a1[i], a2[i], r[i], nbar[i], t)
-        got = res.point(i)
-        assert (got.fidelity, got.prob_formula, got.prob_projector) \
-            == (one.fidelity, one.prob_formula, one.prob_projector)
-        assert np.array_equal(got.conditional.mean, one.conditional.mean)
-        assert np.array_equal(got.conditional.cov, one.conditional.cov)
+        one = oneshot_stack(a1[i:i + 1], a2[i:i + 1], r[i:i + 1],
+                            nbar[i:i + 1], t)
+        for name in ("fidelity", "prob_formula", "prob_projector", "mean",
+                     "cov"):
+            assert np.array_equal(getattr(res, name)[i],
+                                  getattr(one, name)[0])
     assert calls == [t]
 
 
@@ -197,9 +197,9 @@ def test_oneshot_rejects_bad_inputs(args, monkeypatch):
         raise AssertionError("evolved")
 
     monkeypatch.setattr(gaussian, "_swap_transfer", refuse)
-    with pytest.raises(ConstructionError):
-        theorem3_oneshot(*args)
     point, t = args[:4], args[4:]
+    with pytest.raises(ConstructionError):
+        oneshot_stack(*[[x] for x in point], *t)
     with pytest.raises(ConstructionError):
         oneshot_stack(*[[0.1, x] for x in point], *t)
 

@@ -14,8 +14,8 @@ from qcool.hamiltonians import CouplingParams, Topology
 from qcool.hilbert import expm_hermitian
 from qcool.protocol import (ProtocolConfig, SweepRecord, _blocked_run,
                             _choose_e_cap, _resolve_factors,
-                            default_cycle_time, report_cycles, run_hybrid,
-                            run_protocol, sweep_dimension)
+                            default_cycle_time, report_cycles, run_protocol,
+                            sweep_dimension)
 from qcool.states import DSTParams, depolarized_qudit, \
     displaced_squeezed_thermal
 
@@ -91,13 +91,13 @@ def test_block_vs_dense_small_network():
 def test_hybrid_frozen_cells():
     cfg = ProtocolConfig(Topology("hybrid", 4, system_levels=2), NETWORK_STATE,
                          regulator_level=1, cutoff=35)
-    tr = run_hybrid(cfg)
+    tr = run_protocol(cfg)
     assert tr.fidelity[85] == pytest.approx(0.9997878914, abs=1e-9)
     assert tr.probability[85] == pytest.approx(0.3968285621, abs=1e-9)
 
     cfg = ProtocolConfig(Topology("hybrid", 2, system_levels=2), NETWORK_STATE,
                          regulator_level=0, cutoff=35)
-    tr = run_hybrid(cfg)
+    tr = run_protocol(cfg)
     n = report_cycles(tr, "auto", stop=0.9998, settle_tol=1.2e-5)
     assert n == 58
     assert tr.fidelity[n] == pytest.approx(0.6645655933, abs=1e-9)
@@ -112,11 +112,6 @@ def test_hybrid_auto_appends_depolarized_qudit():
                               regulator_level=0, cutoff=25, n_max=10)
     ti, te = run_protocol(implicit), run_protocol(explicit)
     assert np.max(np.abs(ti.fidelity - te.fidelity)) < 1e-14
-
-
-def test_run_hybrid_rejects_other_topologies():
-    with pytest.raises(ConfigError):
-        run_hybrid(_net_cfg("linear", 3, 2))
 
 
 def test_factor_count_mismatch():
@@ -561,6 +556,37 @@ def test_sweep_validates_every_cell_first(monkeypatch):
     with pytest.raises(ConfigError, match="k=0,1 only"):
         sweep_dimension(base, [3, 4], [0, 2])
     assert calls == []
+
+
+def test_star_default_time_keeps_the_vacuum():
+    # the bright mode couples at sqrt(3): at the single-oscillator time pi
+    # its vacuum amplitude would be |cos(sqrt(3) pi)| = 0.67 per cycle,
+    # and F would end near 1e-14
+    state = DSTParams(alpha_mag=0.1, r=0.03, nbar=0.2)
+    tr = run_protocol(ProtocolConfig(Topology("star", 4, modes=3), state,
+                                     regulator_level=1, cutoff=30, n_max=40))
+    assert tr.fidelity[-1] > 0.5
+
+
+@pytest.mark.parametrize("topo,k", [
+    (Topology("linear", 3, modes=2), 1), (Topology("linear", 3, modes=3), 1),
+    (Topology("single", 3, regulator_kind="oscillator"), 2),
+    (Topology("single", 4, regulator_kind="oscillator"), 3)],
+    ids=["linear-m2-k1", "linear-m3-k1", "oscillator-k2", "oscillator-k3"])
+def test_default_time_rejected_where_it_empties_the_vacuum(topo, k,
+                                                           monkeypatch):
+    # the single-oscillator optimum leaves |lambda_0| at 0.37, 0.16, 0.78
+    # and 0.32 on these runs; each k = 0 cell before the bad one is valid
+    def refuse(*args, **kw):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(protocol, "_blocked_run", refuse)
+    monkeypatch.setattr(protocol, "effective_lambdas", refuse)
+    base = ProtocolConfig(topo, NETWORK_STATE, cutoff=20, n_max=10)
+    with pytest.raises(ConfigError, match=r"set \[protocol\] t"):
+        sweep_dimension(base, [topo.regulator_levels], [0, k])
+    with pytest.raises(ConfigError, match=r"set \[protocol\] t"):
+        run_protocol(replace(base, regulator_level=k))
 
 
 def test_map_blocks_takes_each_block_once():

@@ -11,8 +11,8 @@ from qcool.hilbert import ladder_block
 from qcool.protocol import (EnergyRecord, ProtocolConfig, ProtocolTrace,
                             default_cycle_time, effective_lambdas,
                             max_coolable_nbar, n_cooled, n_settled,
-                            qubit_asymptotic_fidelity, report_cycles,
-                            run_protocol, sweep_dimension, sweep_energy)
+                            report_cycles, run_protocol, sweep_dimension,
+                            sweep_energy)
 from qcool.states import DSTParams, displaced_squeezed_thermal, \
     dst_mean_energy, dst_populations
 
@@ -126,9 +126,17 @@ def test_default_cycle_times():
     assert default_cycle_time(Topology("single", 4), 1) == pytest.approx(np.pi)
     assert default_cycle_time(Topology("single", 4), 2) == pytest.approx(2 * np.pi / np.sqrt(3))
     # k = 5 has no admissible optimum; the best-found time is used instead
-    assert default_cycle_time(Topology("single", 7), 5) == pytest.approx(157.952, abs=1e-3)
+    with pytest.warns(RuntimeWarning):
+        t = default_cycle_time(Topology("single", 7), 5)
+    assert t == pytest.approx(157.952, abs=1e-3)
     assert default_cycle_time(Topology("hybrid", 3), 0) == pytest.approx(np.pi / np.sqrt(2))
     assert default_cycle_time(Topology("hybrid", 3), 1) == pytest.approx(np.sqrt(2) * np.pi)
+    # a star's regulator sees the bright mode at lambda sqrt(M)
+    for m in range(2, 7):
+        for k in range(3):
+            assert default_cycle_time(Topology("star", 4, modes=m), k) \
+                == pytest.approx(opttime.ANALYTIC_TOPT[k] / np.sqrt(m),
+                                 rel=0, abs=1e-12)
 
 
 def test_default_cycle_time_reads_the_closed_form(monkeypatch):
@@ -205,9 +213,9 @@ def test_qubit_asymptotic_limits():
     for k in (0, 1):
         tr = run_protocol(_single_cfg(2, k, n_max=2000))
         assert tr.fidelity[-1] == pytest.approx(
-            qubit_asymptotic_fidelity(rho, k), abs=1e-8)
+            oracle.qubit_asymptotic_fidelity(rho, k), abs=1e-8)
     with pytest.raises(ValueError):
-        qubit_asymptotic_fidelity(rho, 2)
+        oracle.qubit_asymptotic_fidelity(rho, 2)
 
 
 def test_report_cycle_rules():
@@ -216,7 +224,7 @@ def test_report_cycle_rules():
     assert n_cooled(f, stop=0.9998) == 2
     assert n_cooled(f, stop=0.99999) == len(f) - 1       # never crossed
     assert n_cooled(np.full(6, 0.9999), stop=0.9998) == 5  # crossed at n=0
-    assert n_settled(f, settle_tol=1.2e-5, window=5) == 4
+    assert n_settled(f, settle_tol=1.2e-5) == 4
     assert n_settled(np.linspace(0, 1, 8), settle_tol=1e-3) is None
     tr = ProtocolTrace(f, np.ones_like(f), converged_at=None)
     assert report_cycles(tr, "converged") == len(f) - 1
