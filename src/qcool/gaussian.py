@@ -24,6 +24,9 @@ import numpy as np
 from .errors import ConstructionError
 from .hilbert import block_diag, expm_hermitian
 
+_SWAP_OMEGA = 1.0   # frequency of both modes of the one-shot swap
+_SWAP_LAM = 1.0     # their exchange coupling
+
 
 def _omega(modes: int) -> np.ndarray:
     blk = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -171,10 +174,11 @@ def _quad_indices(modes: Sequence[int]) -> List[int]:
 
 # ------------------------------------------------------- one-shot result
 
-def swap_coupling_matrix(omega: float = 1.0, lam: float = 1.0) -> np.ndarray:
-    """Two resonant modes with an excitation-exchange coupling; at
-    lam = omega = 1 and t = pi/2 the modes swap exactly."""
-    return np.array([[omega, lam], [lam, omega]], dtype=float)
+def swap_coupling_matrix() -> np.ndarray:
+    """Two resonant modes of frequency _SWAP_OMEGA with an
+    excitation-exchange coupling _SWAP_LAM; at t = pi/2 the modes swap
+    exactly."""
+    return np.array([[_SWAP_OMEGA, _SWAP_LAM], [_SWAP_LAM, _SWAP_OMEGA]])
 
 
 def oneshot_probability_formula(alpha1: float, alpha2: float, r: float,

@@ -786,10 +786,11 @@ _SETTLE_WINDOW = 5  # consecutive quiet increments that make a trace settled
 
 
 def n_settled(fid: np.ndarray, settle_tol: float = 1.2e-5) -> Optional[int]:
-    """First cycle opening a window of _SETTLE_WINDOW consecutive fidelity
-    increments all below settle_tol; None if the trace never settles."""
+    """First cycle opening a full window of _SETTLE_WINDOW consecutive
+    fidelity increments all below settle_tol; None if the trace never
+    settles (a window cut short by the trace's end does not count)."""
     df = np.abs(np.diff(fid))
-    for n in range(1, len(fid)):
+    for n in range(1, len(df) - _SETTLE_WINDOW + 2):
         if np.all(df[n - 1:n - 1 + _SETTLE_WINDOW] < settle_tol):
             return n
     return None

@@ -22,6 +22,9 @@ from .errors import TruncationError
 from .hilbert import block_diag, lowering
 from .states import displacement_op, squeezing_op
 
+_TAIL_TOL = 1e-6   # largest population a Fock truncation may cut off
+_TAIL_SPAN = 3     # top Fock levels whose share of a branch is bounded
+
 
 @dataclass
 class PrepResult:
@@ -53,12 +56,13 @@ def conditional_displacement(d: int, alpha: complex, n_components: int,
                         for k in range(d)])
 
 
-def _coherent_tail_check(alpha: complex, cutoff: int, tol: float = 1e-6):
+def _coherent_tail_check(alpha: complex, cutoff: int):
     n = np.arange(cutoff)
+    log_fact = np.cumsum(np.log(np.maximum(n, 1)))     # log n!
     logw = -abs(alpha) ** 2 + 2 * n * np.log(np.maximum(abs(alpha), 1e-300)) \
-        - np.array([sum(np.log(np.arange(1, m + 1))) for m in n])
+        - log_fact
     tail = 1.0 - np.exp(logw).sum() if abs(alpha) > 0 else 0.0
-    if tail > tol:
+    if tail > _TAIL_TOL:
         raise TruncationError(
             f"coherent amplitude |alpha|={abs(alpha):.3g} leaks {tail:.2e} "
             f"past cutoff {cutoff}", leakage=float(tail))
@@ -152,10 +156,10 @@ def _photon_added_branches(d: int, r: float, cutoff: int) -> np.ndarray:
     return rows
 
 
-def _branch_tail_check(rows: np.ndarray, span: int = 3, tol: float = 1e-6):
-    tail = np.max(np.sum(np.abs(rows[:, -span:]) ** 2, axis=1)
+def _branch_tail_check(rows: np.ndarray):
+    tail = np.max(np.sum(np.abs(rows[:, -_TAIL_SPAN:]) ** 2, axis=1)
                   / np.sum(np.abs(rows) ** 2, axis=1))
-    if tail > tol:
+    if tail > _TAIL_TOL:
         raise TruncationError(
             f"branch population {tail:.2e} in the top Fock levels",
             leakage=float(tail))

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -160,16 +162,41 @@ def _unfolded_lambda(k, t):
                            for i in range(0, len(t), 8192)])
 
 
-def _one_pass_optima(k, window=(0.0, 250.0), step=1e-3):
-    """Refined grid peaks of the unfolded |lambda_0|, all in one scan."""
-    t = np.arange(window[0], window[1] + step, step)
+def _grid(window=(0.0, 250.0)):
+    return np.arange(window[0], window[1] + 1e-3, 1e-3)
+
+
+@lru_cache(maxsize=None)
+def _one_pass_peaks(k, window=(0.0, 250.0)):
+    """(p, t, residual) at every grid peak t[p] of the unfolded
+    |lambda_0|, refined, all in one scan."""
+    t = _grid(window)
     w, c = _vacuum_modes(k)
     mag = np.abs(np.cos(np.outer(t, w)) @ c)
     out = []
     for p in _grid_peaks(mag) + 1:
         x = _refine_optimum(k, t[p - 1], t[p + 1], t[p])
-        out.append((x, float(vacuum_residual(k, x))))
-    return out
+        out.append((int(p), x, float(vacuum_residual(k, x))))
+    return tuple(out)
+
+
+def _one_pass_optima(k, window=(0.0, 250.0)):
+    """Refined grid peaks of the unfolded |lambda_0|, all in one scan."""
+    return [(x, res) for _, x, res in _one_pass_peaks(k, window)]
+
+
+def _in_windows(k, tau, window=(0.0, 250.0)):
+    """The one-pass peaks that a walk at tau refines: grid peak and both
+    its neighbours in tau's windows, and 1 - |lambda_0| at the grid peak
+    at most tau' = tau + h sum_j c_j |w_j| + 1e-12."""
+    t = _grid(window)
+    inside = np.zeros(len(t), dtype=bool)
+    inside[opttime._windows(k, t, tau)] = True
+    w, c = _vacuum_modes(k)
+    tau_grid = tau + 1e-3 * float(c @ np.abs(w)) + 1e-12
+    return [(p, x, res) for p, x, res in _one_pass_peaks(k, window)
+            if inside[p - 1:p + 2].all()
+            and 1.0 - _unfolded_lambda(k, t[p:p + 1])[0] <= tau_grid]
 
 
 def _assert_same_optima(got, ref):
@@ -208,6 +235,29 @@ def test_chunk_border_peak_found_once(monkeypatch):
     monkeypatch.setattr(opttime, "_CHUNK", 5)
     _assert_same_optima(local_optima(7, 4, (0.0, 20.0)),
                         _one_pass_optima(4, (0.0, 20.0)))
+    # and on the borders of pieces that span gaps between search windows
+    grid = _grid((0.0, 20.0))
+    assert np.count_nonzero(np.diff(opttime._windows(4, grid, 0.1)) > 1) >= 5
+    ref = [(x, res) for _, x, res in _in_windows(4, 0.1, (0.0, 20.0))]
+    assert len(ref) >= 3
+    _assert_same_optima(list(opttime._walk_grid(7, 4, grid, 0.1)), ref)
+
+
+def test_walk_tests_only_points_with_both_neighbours(monkeypatch):
+    # a point next to a gap in the windows is no candidate: with the right
+    # neighbour of every other grid peak left out, and no floor, only the
+    # other peaks remain, tested as in one pass
+    grid = _grid((0.0, 30.0))
+    for k in (3, 4):
+        peaks = _one_pass_peaks(k, (0.0, 30.0))
+        keep = np.ones(len(grid), dtype=bool)
+        keep[[p + 1 for p, _, _ in peaks[::2]]] = False
+        monkeypatch.setattr(opttime, "_windows",
+                            lambda k, t, tau: np.flatnonzero(keep))
+        ref = [(x, res) for _, x, res in peaks[1::2]]
+        assert ref
+        _assert_same_optima(list(opttime._walk_grid(7, k, grid, np.inf)),
+                            ref)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -223,9 +273,12 @@ def test_solve_topt_stops_at_first_admissible(k, monkeypatch):
     t_ref, res_ref = FROZEN_OPTIMA[k]
     assert abs(r.t_opt - t_ref) <= 1e-8
     assert r.residual == pytest.approx(res_ref, rel=1e-9, abs=0.0)
-    refined = [t for t, _ in _one_pass_optima(k) if t <= r.t_opt]
-    assert len(guesses) == len(refined)
-    assert refined[-1] == r.t_opt
+    # only the peaks up to t_opt that a walk at the tolerance refines
+    grid = _grid()
+    refined = [(grid[p], x) for p, x, _ in _in_windows(k, 1e-4)
+               if x <= r.t_opt]
+    assert guesses == [g for g, _ in refined]
+    assert refined[-1][1] == r.t_opt
     assert guesses[-1] < 0.7 * 250.0       # well short of the window end
 
 
@@ -235,6 +288,59 @@ def test_failed_search_reports_the_one_pass_best():
     best_t, best_res = min(_one_pass_optima(5), key=lambda c: c[1])
     assert err.value.best_t == best_t
     assert err.value.best_residual == best_res
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_windows_hold_every_peak_below_tau(k):
+    grid = _grid()
+    for tau in (1e-4, 1e-3, 1e-2):
+        idx = opttime._windows(k, grid, tau)
+        assert np.all(np.diff(idx) > 0)
+        assert len(idx) < len(grid) // 4
+        inside = np.zeros(len(grid), dtype=bool)
+        inside[idx] = True
+        below = [p for p, _, res in _one_pass_peaks(k) if res <= tau]
+        assert all(inside[p - 1:p + 2].all() for p in below)
+        assert {p for p, _, _ in _in_windows(k, tau)} >= set(below)
+    assert below                           # tau = 1e-2 holds some peak
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_solve_topt_matches_one_pass_scan(k):
+    opts = _one_pass_optima(k)
+    admissible = [o for o in opts if o[1] <= opttime._RESIDUAL_TOL]
+    if admissible:
+        r = solve_topt(k + 1, k)
+        assert (r.t_opt, r.residual) == admissible[0]
+    else:
+        with pytest.raises(SearchFailureError) as err:
+            solve_topt(k + 1, k)
+        best = min(opts, key=lambda o: o[1])
+        assert (err.value.best_t, err.value.best_residual) == best
+    assert opttime._windows(k, _grid(), np.inf).tolist() == \
+        list(range(len(_grid())))
+
+
+def test_search_without_a_peak_fails(monkeypatch):
+    # k = 0: |lambda_0| = 1 everywhere and no mode with w > 0, so every
+    # window is the whole grid; k = 3 on (1.0, 1.5): no grid peak, and the
+    # windows grow from none of the grid to all of it
+    walks = []
+
+    def spy(k, t, tau):
+        idx = windows(k, t, tau)
+        walks.append(len(idx) == len(t))
+        return idx
+
+    windows = opttime._windows
+    monkeypatch.setattr(opttime, "_windows", spy)
+    for k, window in ((0, (0.0, 10.0)), (3, (1.0, 1.5))):
+        walks.clear()
+        with pytest.raises(SearchFailureError,
+                           match="no local optimum") as err:
+            solve_topt(7, k, window)
+        assert err.value.best_t is None and err.value.best_residual is None
+        assert walks[-1] and walks[0] == (k == 0) and len(walks) > 10
 
 
 def test_cached_modes_are_read_only():

@@ -226,6 +226,11 @@ def test_report_cycle_rules():
     assert n_cooled(np.full(6, 0.9999), stop=0.9998) == 5  # crossed at n=0
     assert n_settled(f, settle_tol=1.2e-5) == 4
     assert n_settled(np.linspace(0, 1, 8), settle_tol=1e-3) is None
+    # two quiet increments at the end are not a window of five
+    assert n_settled(np.array([0.1, 0.3, 0.6, 0.9, 0.95, 0.96, 0.96,
+                               0.96])) is None
+    assert n_settled(np.array([0.1, 0.3, 0.6, 0.9, 0.95, 0.96, 0.96,
+                               0.96, 0.96, 0.96, 0.96])) == 6
     tr = ProtocolTrace(f, np.ones_like(f), converged_at=None)
     assert report_cycles(tr, "converged") == len(f) - 1
     assert report_cycles(tr, "cooled") == 2
