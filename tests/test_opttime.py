@@ -303,6 +303,9 @@ def test_windows_hold_every_peak_below_tau(k):
         assert all(inside[p - 1:p + 2].all() for p in below)
         assert {p for p, _, _ in _in_windows(k, tau)} >= set(below)
     assert below                           # tau = 1e-2 holds some peak
+    # tau = inf, the walk of local_optima: the whole grid
+    assert np.array_equal(opttime._windows(k, grid, np.inf),
+                          np.arange(len(grid)))
 
 
 @pytest.mark.parametrize("k", range(3, 9))
@@ -317,8 +320,6 @@ def test_solve_topt_matches_one_pass_scan(k):
             solve_topt(k + 1, k)
         best = min(opts, key=lambda o: o[1])
         assert (err.value.best_t, err.value.best_residual) == best
-    assert opttime._windows(k, _grid(), np.inf).tolist() == \
-        list(range(len(_grid())))
 
 
 def test_search_without_a_peak_fails(monkeypatch):
