@@ -8,8 +8,8 @@ from .hamiltonians import CouplingParams, Topology
 from .protocol import (ProtocolConfig, ProtocolTrace, SweepRecord,
                        EnergyRecord, default_cycle_time, effective_lambdas,
                        max_coolable_nbar, report_cycles, run_protocol,
-                       sweep_dimension, sweep_energy)
-from .opttime import (OptTimeResult, analytic_topt, local_optima, solve_topt,
+                       sweep_dimension, sweep_energy, vacuum_modes)
+from .opttime import (OptTimeResult, VacuumModes, local_optima, solve_topt,
                       vacuum_lambda)
 from .gaussian import (GaussianState, OneShotStack, condition_on_vacuum,
                        evolve, gaussian_dst, oneshot_probability_formula,

@@ -12,13 +12,14 @@ import argparse
 import configparser
 import itertools
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, QcoolError, SearchFailureError
+from .errors import ConfigError, QcoolError
 from .hamiltonians import CouplingParams, Topology
 from .states import DSTParams
 from . import gaussian as gaussmod
@@ -192,16 +193,9 @@ def _coupling(cfg) -> CouplingParams:
 def _report_args(cfg):
     """[sweep] report, stop and settle_tol, range-checked."""
     s = cfg["sweep"]
-    if s["report"] not in protocol.REPORT_MODES:
-        raise ConfigError(f"[sweep] report must be one of "
-                          f"{', '.join(protocol.REPORT_MODES)}, "
-                          f"got {s['report']!r}")
-    if not (0 < s["stop"] <= 1):
-        raise ConfigError(f"[sweep] stop must lie in (0, 1], got {s['stop']}")
-    if not (np.isfinite(s["settle_tol"]) and s["settle_tol"] >= 0):
-        raise ConfigError(
-            f"[sweep] settle_tol must be finite and >= 0, got {s['settle_tol']}")
-    return s["report"], s["stop"], s["settle_tol"]
+    args = s["report"], s["stop"], s["settle_tol"]
+    protocol.check_report(*args)
+    return args
 
 
 def _topology(cfg, d: Optional[int] = None) -> Topology:
@@ -323,24 +317,17 @@ def _run_gaussian(cfg, out):
 
 
 def _run_opt_time(cfg, out):
-    d = cfg["regulator"]["d"]
-    if d < 2:
-        raise ConfigError(f"[regulator] d: a regulator needs d >= 2, got {d}")
-    ks = cfg["sweep"]["k_list"] or list(range(d))
-    if min(ks) < 0 or max(ks) > d - 1:
-        raise ConfigError(f"[sweep] k_list: measured levels must lie in "
-                          f"0..{d - 1} for d = {d}, got {min(ks)}..{max(ks)}")
+    base = _protocol_config(cfg)
     rows = []
-    for k in ks:
-        if k in opttime.ANALYTIC_TOPT:
-            res = opttime.analytic_topt(k)
-            rows.append((k, res.t_opt, res.residual))
-        else:
-            try:
-                res = opttime.solve_topt(d, k)
-                rows.append((k, res.t_opt, res.residual))
-            except SearchFailureError as err:
-                rows.append((k, err.best_t, err.best_residual))
+    for k in cfg["sweep"]["k_list"] or range(base.topology.regulator_levels):
+        pc = replace(base, regulator_level=k)
+        pc.validate()
+        with warnings.catch_warnings():
+            # the row's residual shows a fallback to an inadmissible time
+            warnings.simplefilter("ignore", RuntimeWarning)
+            t = protocol.default_cycle_time(pc.topology, k, pc.coupling)
+        modes = protocol.vacuum_modes(pc.topology, pc.coupling, k)
+        rows.append((k, t, float(opttime.vacuum_residual(modes, t))))
     emit_csv(("k", "t_opt", "residual"), rows, out, key_cols=1)
 
 

@@ -31,6 +31,8 @@ class CouplingParams:
     omega_f: Union[float, Sequence[float]] = 1.0   # per-oscillator frequency
 
     def __post_init__(self):
+        if not np.isscalar(self.omega_f):       # hashable, as the caches need
+            object.__setattr__(self, "omega_f", tuple(self.omega_f))
         wf = [self.omega_f] if np.isscalar(self.omega_f) else list(self.omega_f)
         values = [self.lam, self.lam_tilde, self.omega_a] + wf
         if not all(math.isfinite(x) for x in values):

@@ -88,10 +88,9 @@ class ProtocolConfig:
 
     initial_system: a DSTParams, a density matrix, or (for networks and
     the hybrid system) a per-subsystem list of these, regulator excluded.
-    cycle_time None picks `default_cycle_time` for the configured k.
-    Those times assume the default coupling, so any other coupling needs
-    an explicit cycle_time, as do a linear chain at k >= 1 and an
-    oscillator regulator at k >= 2, where they would empty the vacuum.
+    cycle_time None picks `default_cycle_time` for the configured
+    topology, coupling and k; its k = 0 times assume the default
+    coupling, so k = 0 with any other coupling needs a cycle_time.
     e_max None picks the excitation cap adaptively from the initial-state
     populations (kept tail weight <= 1e-7); a single oscillator then
     keeps every level below cutoff.  An explicit e_max caps the total
@@ -125,9 +124,6 @@ class ProtocolConfig:
         t = self.cycle_time
         if t is not None and not (math.isfinite(t) and t >= 0):
             raise ConfigError(f"cycle time must be finite and >= 0, got {t}")
-        if t is None and self.coupling != CouplingParams():
-            raise ConfigError("default cycle times assume lambda = omega_a = "
-                              "omega_f = 1; set [protocol] t for this coupling")
         if not (0 < self.fidelity_target <= 1):
             raise ConfigError(
                 f"fidelity_target must lie in (0, 1], got {self.fidelity_target}")
@@ -137,16 +133,10 @@ class ProtocolConfig:
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
             raise ConfigError(f"convergence_tol must be finite and >= 0, got "
                               f"{self.convergence_tol}")
-        topo, k = self.topology, self.regulator_level
-        if t is None and topo.kind == "hybrid" and k > 1:
-            raise ConfigError("hybrid default cycle times exist for k=0,1 only")
-        # the one-mode optimum misses the vacuum revival of a chain and of
-        # the sqrt(q)-weighted ladder of an oscillator regulator
-        if t is None and (topo.kind == "linear" and topo.modes > 1 and k >= 1
-                          or topo.regulator_kind == "oscillator" and k >= 2):
-            raise ConfigError(f"no default cycle time at k = {k} for a "
-                              f"{topo.kind} topology ({topo.regulator_kind} "
-                              f"regulator); set [protocol] t")
+        if t is None and self.regulator_level == 0 \
+                and self.coupling != CouplingParams():
+            raise ConfigError("the k = 0 default cycle time needs the default "
+                              "coupling; set [protocol] t")
 
 
 @dataclass
@@ -247,6 +237,14 @@ def _sub_caps(topology: Topology, e_cap: int) -> Tuple[List[int], List[bool]]:
         caps.append(min(e_cap, topology.regulator_levels - 1))
         bos.append(True)
     return caps, bos
+
+
+def _frequencies(topology: Topology, params: CouplingParams) -> List[float]:
+    """Per-subsystem frequencies, regulator last: omega_f on each
+    oscillator, omega_a on every qudit and on the regulator."""
+    if topology.kind == "hybrid":
+        return params.omega_f_list(1) + [params.omega_a] * 2
+    return params.omega_f_list(topology.modes) + [params.omega_a]
 
 
 def _sublattices(edges: List[Tuple[int, int, float]],
@@ -429,12 +427,7 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     for m, f in enumerate(factors):
         caps[m] = min(caps[m], f.shape[0] - 1)  # never index past a factor
     edges = top.coupling_edges(params)
-    n_osc = 1 if top.kind == "hybrid" else top.modes
-    wf = params.omega_f_list(n_osc)
-    freqs = [wf[m] if b and m < n_osc else params.omega_a
-             for m, b in enumerate(bos)]
-    if bos[-1]:
-        freqs[-1] = params.omega_a  # oscillator regulator runs at omega_a
+    freqs = _frequencies(top, params)
     colour = _sublattices(edges, len(caps)) if len(set(freqs)) == 1 else None
 
     def block(e_s):
@@ -673,26 +666,56 @@ def _bright_mode(cfg: ProtocolConfig) -> Optional[
 
 # ------------------------------------------------------------ main entry
 
-def default_cycle_time(topology: Topology, k: int) -> float:
-    """Optimal cycle time for the configured measurement level, at the
-    default coupling lambda = omega_a = omega_f = 1.  When no admissible
-    optimum exists (k >= 3) it warns and returns the best one found.
+@lru_cache(maxsize=64)
+def vacuum_modes(topology: Topology, coupling: CouplingParams,
+                 k: int) -> opttime.VacuumModes:
+    """The modes of lambda_0 at measurement level k: the eigenpairs of the
+    excitation block e = k holding |0...0>|k>, built as the blocked
+    engine builds it (the same block at every d > k), less the vacuum's
+    energy k omega_a, a phase of lambda_0.  Folded when the block is
+    chiral (resonant and bipartite), whose spectrum is symmetric."""
+    if not 0 <= k < topology.regulator_levels:
+        raise ValueError(f"need 0 <= k <= d-1, got k={k}, "
+                         f"d={topology.regulator_levels}")
+    caps, bos = _sub_caps(topology, k)
+    edges = topology.coupling_edges(coupling)
+    freqs = _frequencies(topology, coupling)
+    joint, rows, hops = _joint_block(k, k, caps, bos, edges)
+    h = _block_hamiltonian(joint, hops, freqs)
+    vac = rows.start                # the block's one regulator-level-k row
+    w, v = eigh(h - h[vac, vac] * np.eye(len(h)))
+    chiral = len(set(freqs)) == 1 and _sublattices(edges, len(caps)) is not None
+    return opttime.VacuumModes(w, v[vac] ** 2, chiral)
 
-    A star of M oscillators couples the regulator to its bright mode at
-    lambda sqrt(M), so its time is the single oscillator's over sqrt(M)."""
-    if topology.kind == "hybrid":
-        return np.pi / np.sqrt(2) if k == 0 else np.sqrt(2) * np.pi
-    scale = math.sqrt(topology.modes) if topology.kind == "star" else 1.0
-    if k <= 2:
-        return opttime.ANALYTIC_TOPT[k] / scale
-    d = topology.regulator_levels
+
+def default_cycle_time(topology: Topology, k: int,
+                       coupling: CouplingParams = CouplingParams()) -> float:
+    """Cycle time for measurement level k when none is set.
+
+    k >= 1: the first optimum of |lambda_0| on the run's own vacuum block
+    (`vacuum_modes`, `opttime.solve_topt`).  With no admissible optimum
+    it warns and returns the best one found; a vacuum that never moves
+    (lambda = 0) has no optimum, a ConfigError.
+    k = 0: |0...0>|0> is stationary, with no optimum to derive.  The time
+    is pi/2, which empties level 1 of a single oscillator, over sqrt(M)
+    on a star of M (the full swap of one bright excitation), and
+    pi/sqrt(2) for the hybrid pair, at the default coupling only."""
+    if k == 0:
+        if topology.kind == "hybrid":
+            return np.pi / np.sqrt(2)
+        return np.pi / 2 / math.sqrt(topology.modes) \
+            if topology.kind == "star" else np.pi / 2
     try:
-        return opttime.solve_topt(d, k).t_opt / scale
+        return opttime.solve_topt(vacuum_modes(topology, coupling, k)).t_opt
     except SearchFailureError as err:
-        warnings.warn(f"no admissible cycle time for d={d}, k={k}; using "
-                      f"the best found t={err.best_t:.6g} (residual "
-                      f"{err.best_residual:.3g})", RuntimeWarning, stacklevel=2)
-        return err.best_t / scale
+        if err.best_t is None:
+            raise ConfigError(f"no default cycle time at k = {k} ({err}); "
+                              f"set [protocol] t")
+        warnings.warn(f"no admissible cycle time for {topology.kind} at "
+                      f"k={k}; using the best found t={err.best_t:.6g} "
+                      f"(residual {err.best_residual:.3g})", RuntimeWarning,
+                      stacklevel=2)
+        return err.best_t
 
 
 def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
@@ -722,7 +745,7 @@ def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
         d, sid = topo.regulator_levels, id(cfg.initial_system)
         if (d, k) not in times:
             times[d, k] = cfg.cycle_time if cfg.cycle_time is not None \
-                else default_cycle_time(topo, k)
+                else default_cycle_time(topo, k, cfg.coupling)
         if sid not in bright:
             bright[sid] = _bright_mode(cfg)
         if bright[sid] is None:
@@ -799,6 +822,18 @@ def n_settled(fid: np.ndarray, settle_tol: float = 1.2e-5) -> Optional[int]:
 REPORT_MODES = ("converged", "cooled", "settled", "auto")
 
 
+def check_report(mode: str, stop: float, settle_tol: float) -> None:
+    """ConfigError unless mode is one of REPORT_MODES, stop lies in
+    (0, 1] and settle_tol is finite and >= 0."""
+    if mode not in REPORT_MODES:
+        raise ConfigError(f"report must be one of {', '.join(REPORT_MODES)}, "
+                          f"got {mode!r}")
+    if not (0 < stop <= 1):
+        raise ConfigError(f"stop must lie in (0, 1], got {stop}")
+    if not (math.isfinite(settle_tol) and settle_tol >= 0):
+        raise ConfigError(f"settle_tol must be finite and >= 0, got {settle_tol}")
+
+
 def report_cycles(trace: ProtocolTrace, mode: str = "converged",
                   stop: float = 0.9998, settle_tol: float = 1.2e-5) -> int:
     """Cycle count N to report for a finished trace.
@@ -809,8 +844,7 @@ def report_cycles(trace: ProtocolTrace, mode: str = "converged",
     auto:      cooled when the stop threshold is reached, else settled,
                else n_max.
     """
-    if mode not in REPORT_MODES:
-        raise ConfigError(f"unknown report mode {mode!r}")
+    check_report(mode, stop, settle_tol)
     f = trace.fidelity
     if mode == "converged":
         return trace.converged_at if trace.converged_at is not None else trace.n_max
@@ -837,9 +871,10 @@ def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
     """(N, F, P) per regulator dimension and measurement level, in
     d_list order (repeats kept); cells with k >= d are skipped.
 
-    Every cell is validated before any runs, and the blocked cells of
-    one k and cycle time run in one pass over the excitation blocks
-    (`_run_cells`)."""
+    The report rule and every cell are checked before any runs, and the
+    blocked cells of one k and cycle time run in one pass over the
+    excitation blocks (`_run_cells`)."""
+    check_report(report, stop, settle_tol)
     cells = [(d, k, base_cfg.initial_system)
              for d in d_list for k in k_list if k < d]
     out = []

@@ -11,15 +11,15 @@ reductions, which is what makes it a check on them.
 The other references are closed forms and structure checks the package
 itself never needs: the thermal state and the Fock-basis mean energy,
 the quadrature moments of a density matrix, the large-N fidelity of a
-qubit regulator and the Hermite-root structure of the vacuum amplitude.
+qubit regulator, the closed-form optimal cycle times of one oscillator
+and the Hermite-root structure of its vacuum amplitude.
 """
 import numpy as np
 from numpy.polynomial import hermite_e
 
 from qcool.gaussian import GaussianState
 from qcool.hamiltonians import CouplingParams, Topology
-from qcool.hilbert import expm_hermitian, lowering
-from qcool.opttime import _vacuum_modes
+from qcool.hilbert import expm_hermitian, ladder_block, lowering
 
 
 def dims(topo: Topology, cutoff: int) -> tuple:
@@ -75,6 +75,15 @@ def compress(u: np.ndarray, k: int, space: tuple) -> np.ndarray:
     d = space[-1]
     n = u.shape[0] // d
     return u.reshape(n, d, n, d)[:, k, :, k]
+
+
+def vacuum_amplitude(topo: Topology, params: CouplingParams, k: int,
+                     t: float) -> float:
+    """|<0...0, k|exp(-iHt)|0...0, k>| on the dense space, every oscillator
+    cut at k + 1 levels: no state reachable from |0...0>|k> holds more."""
+    space, h = hamiltonian(topo, params, k + 1)
+    vac = np.ravel_multi_index((0,) * (len(space) - 1) + (k,), space)
+    return float(abs(evolve(h, t)[vac, vac]))
 
 
 def offblock(op: np.ndarray, space: tuple) -> float:
@@ -144,6 +153,18 @@ def qubit_asymptotic_fidelity(rho_v: np.ndarray, k: int) -> float:
 
 # ------------------------------------------- vacuum-amplitude structure
 
+# the optima of one oscillator's |lambda_0| at lambda = omega_a = omega_f = 1
+ANALYTIC_TOPT = {0: np.pi / 2, 1: np.pi, 2: 2 * np.pi / np.sqrt(3)}
+
+
+def single_modes(k: int) -> tuple:
+    """Eigenfrequencies w_j and weights c_j, lambda_0(t) = exp(-i k t)
+    sum_j c_j exp(-i w_j t), of one oscillator: the tridiagonal
+    excitation block k holding |0>|k>, and its |k> components squared."""
+    w, v = ladder_block(k, k + 1)
+    return w, v[k] ** 2
+
+
 class CheckFailedError(Exception):
     """A structural self-check exceeded its residual threshold."""
 
@@ -161,7 +182,7 @@ def hermite_structure_check(d: int, residual_tol: float = 1e-6,
     if not (2 <= d <= 8):
         raise ValueError("supported for 2 <= d <= 8")
     t = np.linspace(0.0, t_max, n_samples)
-    y = np.exp(1j * (d - 1) * t) * _vacuum_series(d - 1, t)
+    y = np.exp(1j * (d - 1) * t) * vacuum_series(d - 1, t)
     if np.max(np.abs(y.imag)) > 1e-9:
         raise CheckFailedError("phase-corrected vacuum amplitude is not real",
                                residual=float(np.max(np.abs(y.imag))))
@@ -176,7 +197,7 @@ def hermite_structure_check(d: int, residual_tol: float = 1e-6,
     return res
 
 
-def _vacuum_series(k: int, t: np.ndarray) -> np.ndarray:
+def vacuum_series(k: int, t: np.ndarray) -> np.ndarray:
     """lambda_0^k(t) = exp(-i k t) sum_j c_j exp(-i w_j t), unfolded."""
-    w, c = _vacuum_modes(k)
+    w, c = single_modes(k)
     return (np.exp(-1j * np.outer(t, w)) @ c) * np.exp(-1j * k * t)

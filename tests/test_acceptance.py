@@ -14,9 +14,10 @@ import pytest
 from qcool.gaussian import (gaussian_dst, oneshot_probability_formula,
                             oneshot_stack, symplectic_from_hamiltonian)
 from qcool.hamiltonians import CouplingParams, Topology
-from qcool.opttime import ANALYTIC_TOPT, analytic_topt, local_optima
-from qcool.protocol import (ProtocolConfig, max_coolable_nbar, report_cycles,
-                            run_protocol, sweep_dimension, sweep_energy)
+from qcool.opttime import local_optima
+from qcool.protocol import (ProtocolConfig, default_cycle_time,
+                            max_coolable_nbar, report_cycles, run_protocol,
+                            sweep_dimension, sweep_energy, vacuum_modes)
 from qcool.states import (DSTParams, displaced_squeezed_thermal,
                           dst_mean_energy)
 from qcool.stateprep import (make_cat, make_hybrid_entangled, make_noon,
@@ -77,12 +78,14 @@ def test_criterion_01_single_oscillator_table():
 def test_criterion_02_optimal_times():
     failures = []
     for k, exact in ((0, np.pi / 2), (1, np.pi), (2, 2 * np.pi / np.sqrt(3))):
-        r = analytic_topt(k)
-        _check(failures, abs(r.t_opt - exact) < 1e-9, f"analytic k={k}")
+        t = default_cycle_time(Topology("single", 7), k)
+        _check(failures, abs(t - exact) < 1e-9, f"analytic k={k}")
     # deep near-revivals at the published locations; the residual bound
     # 1e-4 is not met there (see README discrepancies)
     for k, t_ref in ((3, 59.25), (4, 88.05), (5, 157.95), (6, 217.71)):
-        opts = local_optima(7, k, window=(t_ref - 0.5, t_ref + 0.5))
+        opts = local_optima(vacuum_modes(Topology("single", 7),
+                                         CouplingParams(), k),
+                            window=(t_ref - 0.5, t_ref + 0.5))
         if not opts:
             failures.append(f"k={k}: no optimum near {t_ref}")
             continue

@@ -156,6 +156,35 @@ k_list = 0,1,2
     assert t == pytest.approx([np.pi / 2, np.pi, 2 * np.pi / np.sqrt(3)])
 
 
+def test_opt_time_reads_topology_and_coupling(tmp_path, capsys):
+    # the rule of the default cycle time: a star of M = 3 at lambda = 2
+    # sees its bright mode at 2 sqrt(3), so k = 1 takes pi / (2 sqrt(3))
+    text = ("[experiment]\nkind = opt-time\n[topology]\nkind = star\n"
+            "modes = 3\n[coupling]\nlambda = 2\n[regulator]\nd = 3\n"
+            "[sweep]\nk_list = {}\n")
+    cfg = _write(tmp_path, "ot.cfg", text.format("1,2"))
+    assert main(["run", str(cfg)]) == 0
+    rows = [l.split(",") for l in (tmp_path / "ot.csv").read_text().splitlines()]
+    assert [r[0] for r in rows[1:]] == ["1", "2"]
+    assert float(rows[1][1]) == pytest.approx(np.pi / (2 * np.sqrt(3)),
+                                              rel=1e-8)
+    # k = 2: the single oscillator's 2 pi / sqrt(3), over 2 sqrt(3)
+    assert float(rows[2][1]) == pytest.approx(np.pi / 3, rel=1e-8)
+    # k = 0 has no time of its own at this coupling
+    cfg = _write(tmp_path, "ot.cfg", text.format("0,1"))
+    assert main(["run", str(cfg)]) == 2
+    assert "set [protocol] t" in capsys.readouterr().err
+
+
+def test_zero_coupling_without_time_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "z.cfg", COOL_CFG.replace(
+        "k = 0", "k = 1") + "[coupling]\nlambda = 0\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "set [protocol] t" in err
+    assert not (tmp_path / "z.csv").exists()
+
+
 def test_opt_time_default_levels(tmp_path):
     # an empty k_list measures every level of the configured regulator
     cfg = _write(tmp_path, "ot.cfg",

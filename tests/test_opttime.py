@@ -5,34 +5,89 @@ import pytest
 
 from qcool import opttime
 from qcool.errors import SearchFailureError
-from qcool.opttime import (ANALYTIC_TOPT, _CHUNK, _refine_optimum,
-                           _vacuum_modes, analytic_topt, local_optima,
-                           solve_topt, vacuum_lambda, vacuum_residual)
+from qcool.hamiltonians import CouplingParams, Topology
+from qcool.opttime import (_CHUNK, _refine_optimum, local_optima, solve_topt,
+                           vacuum_lambda, vacuum_residual)
+from qcool.protocol import vacuum_modes
 
 import oracle
+from oracle import ANALYTIC_TOPT
+
+
+def _modes(k):
+    """The package's vacuum modes of one oscillator at level k."""
+    return vacuum_modes(Topology("single", k + 2), CouplingParams(), k)
 
 
 def test_analytic_times():
-    assert ANALYTIC_TOPT[0] == pytest.approx(np.pi / 2)
-    assert ANALYTIC_TOPT[1] == pytest.approx(np.pi)
-    assert ANALYTIC_TOPT[2] == pytest.approx(2 * np.pi / np.sqrt(3))
-    for k in range(3):
-        r = analytic_topt(k)
+    # one positive folded frequency w: the exact first optimum, bit for
+    # bit the closed form; k = 1 has no zero mode, so |g(pi/w)| = 1, and
+    # k = 2 has |g(pi/w)| = |2/3 - 1/3|, so it takes 2 pi/w
+    for k in (1, 2):
+        r = solve_topt(_modes(k))
+        assert r.t_opt == ANALYTIC_TOPT[k]
         assert r.method == "analytic"
         assert abs(r.residual) < 1e-12
-    with pytest.raises(ValueError):
-        analytic_topt(3)
+        assert float(vacuum_residual(_modes(k), r.t_opt)) < 1e-12
+    assert len(_modes(2).w) == 2 and 0.0 in _modes(2).w
+    # two positive frequencies: searched
+    assert solve_topt(_modes(3)).method == "numeric"
+
+
+def test_single_modes_are_the_ladder_block():
+    # the joint block of one oscillator is the tridiagonal ladder block
+    # bit for bit; folding pairs w[i] with w[-1-i] and keeps the zero mode
+    # of an odd block at exactly 0
+    for k in range(1, 9):
+        w, c = oracle.single_modes(k)
+        m = _modes(k)
+        assert np.array_equal(m.dw, (w[:, None] - w[None, :]).ravel())
+        assert np.array_equal(m.cc, (c[:, None] * c[None, :]).ravel())
+        n, i = k + 1, np.arange((k + 1) // 2)
+        wf, cf = w[n - 1 - i], c[i] + c[n - 1 - i]
+        if n % 2:
+            wf, cf = np.append(wf, 0.0), np.append(cf, c[n // 2])
+        assert m.folded
+        assert np.array_equal(m.w, wf) and np.array_equal(m.c, cf)
 
 
 def test_vacuum_lambda_closed_forms():
     t = np.linspace(0.0, 12.0, 301)
     # k = 0: nothing to exchange, amplitude is 1 at all times
-    assert np.max(np.abs(vacuum_lambda(2, 0, t) - 1.0)) < 1e-14
+    assert np.max(np.abs(vacuum_lambda(_modes(0), t) - 1.0)) < 1e-14
     # k = 1: two-level exchange, |cos t|
-    assert np.max(np.abs(vacuum_lambda(3, 1, t) - np.abs(np.cos(t)))) < 1e-12
+    assert np.max(np.abs(vacuum_lambda(_modes(1), t) - np.abs(np.cos(t)))) < 1e-12
     # k = 2: 2/3 + cos(sqrt(3) t)/3
     ref = np.abs(2.0 / 3.0 + np.cos(np.sqrt(3) * t) / 3.0)
-    assert np.max(np.abs(vacuum_lambda(3, 2, t) - ref)) < 1e-12
+    assert np.max(np.abs(vacuum_lambda(_modes(2), t) - ref)) < 1e-12
+
+
+def test_vacuum_lambda_range_check():
+    # the block of |0...0>|k> needs a regulator level k
+    for k in (3, -1):
+        with pytest.raises(ValueError):
+            vacuum_modes(Topology("single", 3), CouplingParams(), k)
+
+
+def test_unfolded_modes_search_the_whole_grid():
+    # detuned: no symmetric spectrum, so the exponentials are summed and
+    # searched on the whole grid; the Rabi formula |lambda_0|^2 =
+    # 1 - (4 lambda^2 / W^2) sin^2(W t / 2), W = sqrt(delta^2 + 4 lambda^2),
+    # returns to 1 at 2 pi / W
+    coupling = CouplingParams(omega_a=1.3)
+    m = vacuum_modes(Topology("single", 3), coupling, 1)
+    assert not m.folded and len(m.w) == 2
+    t = np.linspace(0.0, 12.0, 301)
+    big_w = np.sqrt(0.3 ** 2 + 4)
+    ref = np.sqrt(1.0 - 4.0 / big_w ** 2 * np.sin(big_w * t / 2) ** 2)
+    assert np.max(np.abs(vacuum_lambda(m, t) - ref)) < 1e-12
+    grid = np.arange(0.0, 250.0 + 1e-3, 1e-3)
+    assert np.array_equal(opttime._windows(m, grid, 1e-4), np.arange(len(grid)))
+    r = solve_topt(m)
+    assert r.method == "numeric"
+    assert r.t_opt == pytest.approx(2 * np.pi / big_w, abs=1e-9)
+    assert abs(oracle.vacuum_amplitude(Topology("single", 3), coupling, 1,
+                                       r.t_opt) - 1.0) <= 1e-4
 
 
 def _grid_peaks(mag):
@@ -43,10 +98,10 @@ def test_vacuum_lambda_cosines_match_exponentials():
     # the oracle sums the complex exponentials of the block's modes
     t = np.arange(0.0, 250.0 + 1e-3, 1e-3)
     for k in range(9):
-        w, c = _vacuum_modes(k)
+        w, c = oracle.single_modes(k)
         ref = np.concatenate([np.abs(np.exp(-1j * np.outer(t[i:i + 8192], w))
                                      @ c) for i in range(0, len(t), 8192)])
-        mag = vacuum_lambda(k + 1, k, t)
+        mag = vacuum_lambda(_modes(k), t)
         assert np.max(np.abs(mag - ref)) <= 1e-12
         if 3 <= k <= 6:
             assert np.array_equal(_grid_peaks(mag), _grid_peaks(ref))
@@ -57,36 +112,13 @@ def test_vacuum_residual_is_cancellation_free():
     # wherever that difference does not cancel
     t = np.linspace(0.05, 60.0, 2001)
     for k in range(1, 7):
-        res = vacuum_residual(k, t)
+        res = vacuum_residual(_modes(k), t)
         assert np.all(res >= 0.0)
         far = res > 1e-3
         assert far.sum() > 1000
-        assert np.max(np.abs(res[far] - (1.0 - vacuum_lambda(k + 1, k, t[far])))) < 1e-12
-    assert vacuum_residual(0, t).max() == 0.0
-    assert float(vacuum_residual(1, np.pi)) < 1e-30
-
-
-def test_vacuum_lambda_range_check():
-    with pytest.raises(ValueError):
-        vacuum_lambda(3, 3, 1.0)
-    with pytest.raises(ValueError):
-        vacuum_lambda(3, -1, 1.0)
-
-
-def test_solve_topt_frozen_numeric():
-    cases = {3: (173.6026, 1e-5), 4: (129.7731, 1e-4), 6: (108.8528, 1e-4)}
-    for k, (t_ref, res_cap) in cases.items():
-        r = solve_topt(7, k)
-        assert r.method == "numeric"
-        assert r.t_opt == pytest.approx(t_ref, abs=5e-4)
-        assert r.residual <= res_cap
-
-
-def test_solve_topt_k5_fails_with_best():
-    with pytest.raises(SearchFailureError) as err:
-        solve_topt(7, 5)
-    assert err.value.best_t == pytest.approx(157.9520, abs=5e-4)
-    assert err.value.best_residual == pytest.approx(8.75e-4, rel=0.01)
+        assert np.max(np.abs(res[far] - (1.0 - vacuum_lambda(_modes(k), t[far])))) < 1e-12
+    assert vacuum_residual(_modes(0), t).max() == 0.0
+    assert float(vacuum_residual(_modes(1), np.pi)) < 1e-30
 
 
 # full-precision optima of the search on [0, 250] at grid step 1e-3, as
@@ -101,29 +133,31 @@ FROZEN_OPTIMA = {3: (173.60264690654418, 2.2618112447505726e-06),
 @pytest.mark.parametrize("k", sorted(FROZEN_OPTIMA))
 def test_newton_refinement_frozen_optima(k):
     t_ref, res_ref = FROZEN_OPTIMA[k]
+    m = _modes(k)
     if k == 5:
         with pytest.raises(SearchFailureError) as err:
-            solve_topt(7, k)
+            solve_topt(m)
         t_opt, res = err.value.best_t, err.value.best_residual
     else:
-        r = solve_topt(7, k)
+        r = solve_topt(m)
+        assert r.method == "numeric"
         t_opt, res = r.t_opt, r.residual
     assert abs(t_opt - t_ref) <= 1e-8
     assert res == pytest.approx(res_ref, rel=1e-9, abs=0.0)
-    assert res == float(vacuum_residual(k, t_opt))
+    assert res == float(vacuum_residual(m, t_opt))
     # a minimum of the residual, to well below the grid step
-    assert res <= float(vacuum_residual(k, t_opt - 1e-7))
-    assert res <= float(vacuum_residual(k, t_opt + 1e-7))
+    assert res <= float(vacuum_residual(m, t_opt - 1e-7))
+    assert res <= float(vacuum_residual(m, t_opt + 1e-7))
     # inside the bracket (t[p-1], t[p+1]) of its grid peak t[p]
     grid = np.arange(0.0, 250.0 + 1e-3, 1e-3)
     near = np.nonzero(np.abs(grid - t_opt) < 0.01)[0]
-    p = near[np.argmax(vacuum_lambda(7, k, grid[near]))]
+    p = near[np.argmax(vacuum_lambda(m, grid[near]))]
     assert grid[p - 1] < t_opt < grid[p + 1]
 
 
 def test_local_optima_find_shallow_peaks():
     # the first deep near-revival for k=3 sits near t = 59.25
-    opts = local_optima(7, 3, window=(55.0, 62.0))
+    opts = local_optima(_modes(3), window=(55.0, 62.0))
     t_best, res_best = min(opts, key=lambda c: c[1])
     assert t_best == pytest.approx(59.25, abs=0.05)
     assert res_best == pytest.approx(5.150e-4, rel=0.01)
@@ -131,9 +165,9 @@ def test_local_optima_find_shallow_peaks():
 
 def test_local_optima_window_validation():
     with pytest.raises(ValueError):
-        local_optima(7, 3, window=(5.0, 5.0))
+        local_optima(_modes(3), window=(5.0, 5.0))
     with pytest.raises(ValueError):
-        local_optima(7, 3, window=(-1.0, 5.0))
+        local_optima(_modes(3), window=(-1.0, 5.0))
 
 
 def test_hermite_structure_small_d():
@@ -157,7 +191,7 @@ def test_hermite_check_raises_on_impossible_tolerance():
 
 def _unfolded_lambda(k, t):
     """|lambda_0| as the plain sum over all k+1 cosines, one per mode."""
-    w, c = _vacuum_modes(k)
+    w, c = oracle.single_modes(k)
     return np.concatenate([np.abs(np.cos(np.outer(t[i:i + 8192], w)) @ c)
                            for i in range(0, len(t), 8192)])
 
@@ -171,12 +205,12 @@ def _one_pass_peaks(k, window=(0.0, 250.0)):
     """(p, t, residual) at every grid peak t[p] of the unfolded
     |lambda_0|, refined, all in one scan."""
     t = _grid(window)
-    w, c = _vacuum_modes(k)
+    w, c = oracle.single_modes(k)
     mag = np.abs(np.cos(np.outer(t, w)) @ c)
     out = []
     for p in _grid_peaks(mag) + 1:
-        x = _refine_optimum(k, t[p - 1], t[p + 1], t[p])
-        out.append((int(p), x, float(vacuum_residual(k, x))))
+        x = _refine_optimum(_modes(k), t[p - 1], t[p + 1], t[p])
+        out.append((int(p), x, float(vacuum_residual(_modes(k), x))))
     return tuple(out)
 
 
@@ -191,8 +225,8 @@ def _in_windows(k, tau, window=(0.0, 250.0)):
     at most tau' = tau + h sum_j c_j |w_j| + 1e-12."""
     t = _grid(window)
     inside = np.zeros(len(t), dtype=bool)
-    inside[opttime._windows(k, t, tau)] = True
-    w, c = _vacuum_modes(k)
+    inside[opttime._windows(_modes(k), t, tau)] = True
+    w, c = oracle.single_modes(k)
     tau_grid = tau + 1e-3 * float(c @ np.abs(w)) + 1e-12
     return [(p, x, res) for p, x, res in _one_pass_peaks(k, window)
             if inside[p - 1:p + 2].all()
@@ -209,14 +243,14 @@ def _assert_same_optima(got, ref):
 def test_folded_cosines_keep_grid_peaks():
     t = np.arange(0.0, 250.0 + 1e-3, 1e-3)
     for k in range(3, 9):
-        assert len(opttime._folded_modes(k)[0]) == (k + 2) // 2
-        assert np.array_equal(_grid_peaks(vacuum_lambda(k + 1, k, t)),
+        assert len(_modes(k).w) == (k + 2) // 2
+        assert np.array_equal(_grid_peaks(vacuum_lambda(_modes(k), t)),
                               _grid_peaks(_unfolded_lambda(k, t)))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_local_optima_match_one_pass_scan(k):
-    _assert_same_optima(local_optima(7, k), _one_pass_optima(k))
+    _assert_same_optima(local_optima(_modes(k)), _one_pass_optima(k))
 
 
 def test_chunk_border_peak_found_once(monkeypatch):
@@ -228,19 +262,19 @@ def test_chunk_border_peak_found_once(monkeypatch):
         grid = np.arange(window[0], window[1] + 1e-3, 1e-3)
         assert offset in _grid_peaks(_unfolded_lambda(3, grid)) + 1
         assert np.argmin(np.abs(grid - first)) == offset
-        got = local_optima(7, 3, window)
+        got = local_optima(_modes(3), window)
         _assert_same_optima(got, _one_pass_optima(3, window))
         assert sum(abs(t - first) < 1e-3 for t, _ in got) == 1
     # tiny chunks put many peaks on chunk borders
     monkeypatch.setattr(opttime, "_CHUNK", 5)
-    _assert_same_optima(local_optima(7, 4, (0.0, 20.0)),
+    _assert_same_optima(local_optima(_modes(4), (0.0, 20.0)),
                         _one_pass_optima(4, (0.0, 20.0)))
     # and on the borders of pieces that span gaps between search windows
     grid = _grid((0.0, 20.0))
-    assert np.count_nonzero(np.diff(opttime._windows(4, grid, 0.1)) > 1) >= 5
+    assert np.count_nonzero(np.diff(opttime._windows(_modes(4), grid, 0.1)) > 1) >= 5
     ref = [(x, res) for _, x, res in _in_windows(4, 0.1, (0.0, 20.0))]
     assert len(ref) >= 3
-    _assert_same_optima(list(opttime._walk_grid(7, 4, grid, 0.1)), ref)
+    _assert_same_optima(list(opttime._walk_grid(_modes(4), grid, 0.1, {})), ref)
 
 
 def test_walk_tests_only_points_with_both_neighbours(monkeypatch):
@@ -253,23 +287,23 @@ def test_walk_tests_only_points_with_both_neighbours(monkeypatch):
         keep = np.ones(len(grid), dtype=bool)
         keep[[p + 1 for p, _, _ in peaks[::2]]] = False
         monkeypatch.setattr(opttime, "_windows",
-                            lambda k, t, tau: np.flatnonzero(keep))
+                            lambda modes, t, tau: np.flatnonzero(keep))
         ref = [(x, res) for _, x, res in peaks[1::2]]
         assert ref
-        _assert_same_optima(list(opttime._walk_grid(7, k, grid, np.inf)),
-                            ref)
+        _assert_same_optima(
+            list(opttime._walk_grid(_modes(k), grid, np.inf, {})), ref)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_solve_topt_stops_at_first_admissible(k, monkeypatch):
     guesses = []
 
-    def spy(kk, a, b, t):
+    def spy(modes, a, b, t):
         guesses.append(t)
-        return _refine_optimum(kk, a, b, t)
+        return _refine_optimum(modes, a, b, t)
 
     monkeypatch.setattr(opttime, "_refine_optimum", spy)
-    r = solve_topt(5, k)
+    r = solve_topt(_modes(k))
     t_ref, res_ref = FROZEN_OPTIMA[k]
     assert abs(r.t_opt - t_ref) <= 1e-8
     assert r.residual == pytest.approx(res_ref, rel=1e-9, abs=0.0)
@@ -282,19 +316,29 @@ def test_solve_topt_stops_at_first_admissible(k, monkeypatch):
     assert guesses[-1] < 0.7 * 250.0       # well short of the window end
 
 
-def test_failed_search_reports_the_one_pass_best():
+@pytest.mark.parametrize("k", [5, 8])
+def test_failing_search_refines_each_peak_once(k, monkeypatch):
+    # the second walk takes the first walk's refined peaks as they are,
+    # and the failure's best is still the one-pass best
+    guesses = []
+
+    def spy(modes, a, b, t):
+        guesses.append(t)
+        return _refine_optimum(modes, a, b, t)
+
+    best = min(_one_pass_optima(k), key=lambda o: o[1])
+    monkeypatch.setattr(opttime, "_refine_optimum", spy)
     with pytest.raises(SearchFailureError) as err:
-        solve_topt(7, 5)
-    best_t, best_res = min(_one_pass_optima(5), key=lambda c: c[1])
-    assert err.value.best_t == best_t
-    assert err.value.best_residual == best_res
+        solve_topt(_modes(k))
+    assert guesses and len(set(guesses)) == len(guesses)
+    assert (err.value.best_t, err.value.best_residual) == best
 
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_windows_hold_every_peak_below_tau(k):
     grid = _grid()
     for tau in (1e-4, 1e-3, 1e-2):
-        idx = opttime._windows(k, grid, tau)
+        idx = opttime._windows(_modes(k), grid, tau)
         assert np.all(np.diff(idx) > 0)
         assert len(idx) < len(grid) // 4
         inside = np.zeros(len(grid), dtype=bool)
@@ -304,7 +348,7 @@ def test_windows_hold_every_peak_below_tau(k):
         assert {p for p, _, _ in _in_windows(k, tau)} >= set(below)
     assert below                           # tau = 1e-2 holds some peak
     # tau = inf, the walk of local_optima: the whole grid
-    assert np.array_equal(opttime._windows(k, grid, np.inf),
+    assert np.array_equal(opttime._windows(_modes(k), grid, np.inf),
                           np.arange(len(grid)))
 
 
@@ -313,11 +357,11 @@ def test_solve_topt_matches_one_pass_scan(k):
     opts = _one_pass_optima(k)
     admissible = [o for o in opts if o[1] <= opttime._RESIDUAL_TOL]
     if admissible:
-        r = solve_topt(k + 1, k)
+        r = solve_topt(_modes(k))
         assert (r.t_opt, r.residual) == admissible[0]
     else:
         with pytest.raises(SearchFailureError) as err:
-            solve_topt(k + 1, k)
+            solve_topt(_modes(k))
         best = min(opts, key=lambda o: o[1])
         assert (err.value.best_t, err.value.best_residual) == best
 
@@ -328,8 +372,8 @@ def test_search_without_a_peak_fails(monkeypatch):
     # windows grow from none of the grid to all of it
     walks = []
 
-    def spy(k, t, tau):
-        idx = windows(k, t, tau)
+    def spy(modes, t, tau):
+        idx = windows(modes, t, tau)
         walks.append(len(idx) == len(t))
         return idx
 
@@ -339,22 +383,16 @@ def test_search_without_a_peak_fails(monkeypatch):
         walks.clear()
         with pytest.raises(SearchFailureError,
                            match="no local optimum") as err:
-            solve_topt(7, k, window)
+            solve_topt(_modes(k), window)
         assert err.value.best_t is None and err.value.best_residual is None
         assert walks[-1] and walks[0] == (k == 0) and len(walks) > 10
 
 
 def test_cached_modes_are_read_only():
-    # each cache hands the same arrays to every caller
-    for fn in (opttime._vacuum_modes, opttime._folded_modes,
-               opttime._mode_pairs):
-        first = fn(4)
-        assert all(a is b for a, b in zip(first, fn(4)))
-        for a in first:
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0] = 0.0
-    dw, cc = opttime._mode_pairs(3)
-    w, c = opttime._vacuum_modes(3)
-    assert np.array_equal(dw, (w[:, None] - w[None, :]).ravel())
-    assert np.array_equal(cc, (c[:, None] * c[None, :]).ravel())
+    # one instance per block, shared by every caller
+    first = _modes(4)
+    assert vacuum_modes(Topology("single", 6), CouplingParams(), 4) is first
+    for a in (first.w, first.c, first.dw, first.cc):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0

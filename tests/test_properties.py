@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from qcool.cli import canonical_form, load_config
 from qcool.gaussian import gaussian_dst, symplectic_from_hamiltonian
 from qcool.hamiltonians import CouplingParams, Topology
-from qcool.opttime import vacuum_lambda
 from qcool.protocol import ProtocolConfig, run_protocol
 from qcool.states import DSTParams, displaced_squeezed_thermal
 from qcool.stateprep import make_cat, make_hybrid_entangled, make_noon, \
@@ -28,14 +27,14 @@ def dk_pairs(draw, d_max=6):
 @given(dk_pairs(), st.floats(0.05, 8.0), st.floats(0.0, 0.8), st.floats(0.0, 0.3))
 def test_product_identity_against_independent_lambda(dk, t, nbar, alpha):
     # F_n P_n must equal C00 |lambda_0|^{2n}, with |lambda_0| taken from the
-    # optimal-time module's independent tridiagonal evaluation
+    # oracle's independent tridiagonal evaluation
     d, k = dk
     p = DSTParams(alpha_mag=alpha, nbar=nbar)
     cfg = ProtocolConfig(Topology("single", d), p, regulator_level=k,
                          cycle_time=t, n_max=15, cutoff=40)
     tr = run_protocol(cfg)
     c00 = float(np.real(displaced_squeezed_thermal(p, 40)[0, 0]))
-    mag = float(vacuum_lambda(d, k, np.array([t]))[0])
+    mag = float(np.abs(oracle.vacuum_series(k, np.array([t]))[0]))
     ref = c00 * mag ** (2 * np.arange(16))
     assert np.max(np.abs(tr.fidelity * tr.probability - ref)) < 1e-9
 

@@ -135,24 +135,65 @@ def test_default_cycle_times():
     for m in range(2, 7):
         for k in range(3):
             assert default_cycle_time(Topology("star", 4, modes=m), k) \
-                == pytest.approx(opttime.ANALYTIC_TOPT[k] / np.sqrt(m),
+                == pytest.approx(oracle.ANALYTIC_TOPT[k] / np.sqrt(m),
                                  rel=0, abs=1e-12)
 
 
 def test_default_cycle_time_reads_the_closed_form(monkeypatch):
-    # k <= 2 is the tabulated optimum itself: no residual is evaluated
+    # k <= 2 is the closed-form optimum itself: no residual is evaluated
+    # and no grid is searched
     def refuse(*args):
         raise AssertionError("residual evaluated")
 
-    monkeypatch.setattr(opttime, "analytic_topt", refuse)
     monkeypatch.setattr(opttime, "vacuum_residual", refuse)
+    monkeypatch.setattr(opttime, "_walk_grid", refuse)
     for k in range(3):
         assert default_cycle_time(Topology("single", 4), k) \
-            == opttime.ANALYTIC_TOPT[k]
+            == oracle.ANALYTIC_TOPT[k]
+    assert default_cycle_time(Topology("hybrid", 3), 0) == np.pi / np.sqrt(2)
+    assert default_cycle_time(Topology("hybrid", 3), 1) == np.sqrt(2) * np.pi
+
+
+# (topology, k, coupling, expected default time); the linear chain and
+# the oscillator regulator are in test_networks
+SEARCHED_TIMES = {
+    "single-lam2-k1": (Topology("single", 3), 1, CouplingParams(lam=2.0),
+                       np.pi / 2),
+    "single-detuned-k1": (Topology("single", 3), 1,
+                          CouplingParams(omega_a=1.3),
+                          2 * np.pi / np.sqrt(0.3 ** 2 + 4)),
+    "hybrid-k2": (Topology("hybrid", 3), 2, CouplingParams(), 83.516),
+    "star-m3-lam2-k1": (Topology("star", 3, modes=3), 1,
+                        CouplingParams(lam=2.0), np.pi / (2 * np.sqrt(3))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCHED_TIMES))
+def test_default_time_of_the_runs_own_block(case):
+    # every k >= 1 time comes from the run's own vacuum block, for any
+    # topology and coupling; each keeps the dense oracle's |lambda_0|
+    # within 1e-4 of 1
+    topo, k, coupling, t_ref = SEARCHED_TIMES[case]
+    t = default_cycle_time(topo, k, coupling)
+    assert t == pytest.approx(t_ref, abs=1e-3 if case == "hybrid-k2" else 1e-9)
+    assert abs(oracle.vacuum_amplitude(topo, coupling, k, t) - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("topo,k", [
+    (Topology("single", 5), 1), (Topology("single", 5), 2),
+    (Topology("single", 5), 3), (Topology("single", 5), 4),
+    (Topology("single", 7), 6), (Topology("hybrid", 3), 1),
+    (Topology("hybrid", 3, system_levels=3), 1)]
+    + [(Topology("star", 3, modes=m), 1) for m in range(2, 7)]
+    + [(Topology("star", 3, modes=m), 2) for m in range(2, 5)])
+def test_admissible_default_times_keep_the_vacuum(topo, k):
+    t = default_cycle_time(topo, k)
+    assert abs(oracle.vacuum_amplitude(topo, CouplingParams(), k, t) - 1.0) \
+        <= 1e-4
 
 
 def test_inadmissible_default_time_warns():
-    with pytest.warns(RuntimeWarning, match=r"d=7, k=5.*t=157\.95"):
+    with pytest.warns(RuntimeWarning, match=r"single at k=5.*t=157\.95"):
         t = default_cycle_time(Topology("single", 7), 5)
     assert t == pytest.approx(157.952, abs=1e-3)
 
@@ -162,13 +203,9 @@ def test_config_validation():
         run_protocol(_single_cfg(3, 3))
     with pytest.raises(ConfigError):
         run_protocol(_single_cfg(3, 0, n_max=0))
-    cfg = ProtocolConfig(Topology("hybrid", 4), TABLE_STATE, regulator_level=2)
-    with pytest.raises(ConfigError):
-        cfg.validate()
-    # explicit cycle time lifts the hybrid k >= 2 restriction
-    cfg2 = ProtocolConfig(Topology("hybrid", 4), TABLE_STATE, regulator_level=2,
-                          cycle_time=1.0)
-    cfg2.validate()
+    # the hybrid at k >= 2 has a default time now (SEARCHED_TIMES)
+    ProtocolConfig(Topology("hybrid", 4), TABLE_STATE,
+                   regulator_level=2).validate()
 
 
 
@@ -388,6 +425,41 @@ def test_default_cycle_time_needs_default_coupling():
                                     coupling=CouplingParams(omega_a=1.3)))
     run_protocol(_single_cfg(4, 0, n_max=3, cycle_time=1.0,
                              coupling=CouplingParams(lam=2.0)))
+    # k >= 1 derives its time from the coupling itself
+    run_protocol(_single_cfg(4, 1, n_max=3, coupling=CouplingParams(lam=2.0)))
+
+
+def test_zero_coupling_needs_a_time(monkeypatch):
+    # lambda = 0: the vacuum never moves, so there is no optimum to take
+    def refuse(*args, **kw):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(protocol, "effective_lambdas", refuse)
+    monkeypatch.setattr(protocol, "_blocked_run", refuse)
+    for topo in (Topology("single", 4), Topology("linear", 3, modes=2)):
+        for coupling in (CouplingParams(lam=0.0),
+                         CouplingParams(lam=0.0, omega_a=1.3)):
+            cfg = ProtocolConfig(topo, NETWORK_STATE, regulator_level=1,
+                                 coupling=coupling, cutoff=20, n_max=3)
+            with pytest.raises(ConfigError, match=r"set \[protocol\] t"):
+                run_protocol(cfg)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(mode="bogus"), dict(stop=2.0), dict(stop=-1.0), dict(stop=0.0),
+    dict(stop=float("nan")), dict(settle_tol=float("nan")),
+    dict(settle_tol=-1.0)], ids=lambda kw: "-".join(map(str, kw.items())))
+def test_report_rule_checked_before_any_run(kw, monkeypatch):
+    trace = run_protocol(_single_cfg(3, 0, n_max=10))
+    with pytest.raises(ConfigError):
+        report_cycles(trace, **{"mode": "auto", **kw})
+    runs = []
+    monkeypatch.setattr(protocol, "_run_cells",
+                        lambda *args: runs.append(args) or [])
+    kw["report"] = kw.pop("mode", "auto")
+    with pytest.raises(ConfigError):
+        sweep_dimension(_single_cfg(3, 0), [3, 4], [0, 1], **kw)
+    assert runs == []
 
 
 @pytest.mark.parametrize("field,value", [
