@@ -12,7 +12,6 @@ import argparse
 import configparser
 import itertools
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -23,7 +22,6 @@ from .errors import ConfigError, QcoolError
 from .hamiltonians import CouplingParams, Topology
 from .states import DSTParams
 from . import gaussian as gaussmod
-from . import opttime
 from . import protocol
 from . import stateprep
 
@@ -281,6 +279,9 @@ def _run_hybrid(cfg, out):
         raise ConfigError("hybrid experiment needs topology kind = hybrid")
     s = cfg["sweep"]
     if s["ds_list"]:
+        if s["d_list"] or s["k_list"]:
+            raise ConfigError("[sweep] ds_list runs at [regulator] d and k; "
+                              "it takes no d_list or k_list")
         if min(s["ds_list"]) < 2:
             raise ConfigError(f"[sweep] ds_list: the system qudit needs "
                               f"d_s >= 2, got {min(s['ds_list'])}")
@@ -317,17 +318,16 @@ def _run_gaussian(cfg, out):
 
 
 def _run_opt_time(cfg, out):
+    if cfg["protocol"]["t"] is not None:
+        raise ConfigError("opt-time writes the default cycle times; "
+                          "it takes no [protocol] t")
     base = _protocol_config(cfg)
     rows = []
     for k in cfg["sweep"]["k_list"] or range(base.topology.regulator_levels):
         pc = replace(base, regulator_level=k)
         pc.validate()
-        with warnings.catch_warnings():
-            # the row's residual shows a fallback to an inadmissible time
-            warnings.simplefilter("ignore", RuntimeWarning)
-            t = protocol.default_cycle_time(pc.topology, k, pc.coupling)
-        modes = protocol.vacuum_modes(pc.topology, pc.coupling, k)
-        rows.append((k, t, float(opttime.vacuum_residual(modes, t))))
+        res = protocol.default_cycle_time(pc.topology, k, pc.coupling)
+        rows.append((k, res.t_opt, res.residual))
     emit_csv(("k", "t_opt", "residual"), rows, out, key_cols=1)
 
 

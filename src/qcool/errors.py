@@ -18,12 +18,7 @@ class TruncationError(QcoolError):
 
 
 class SearchFailureError(QcoolError):
-    """Optimal-time search found no admissible optimum in the window."""
-
-    def __init__(self, message, best_t=None, best_residual=None):
-        super().__init__(message)
-        self.best_t = best_t
-        self.best_residual = best_residual
+    """Optimal-time search found no local optimum at all in the window."""
 
 
 class ConstructionError(QcoolError):

@@ -16,7 +16,6 @@ unstacked case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -197,19 +196,10 @@ class OneShotStack:
     """One-shot results at stacked points: arrays over the points, and
     the conditional system moments, mean (n, 2) and cov (n, 2, 2)."""
     fidelity: np.ndarray       # vacuum fidelity of the conditional state
-    prob_formula: np.ndarray   # closed form, includes the 1/pi
+    prob_formula: np.ndarray   # prob_projector / pi, the closed form at pi/2
     prob_projector: np.ndarray  # Tr[rho_reg |0><0|] before conditioning
     mean: np.ndarray
     cov: np.ndarray
-
-
-@lru_cache(maxsize=1)
-def _swap_transfer(t: float) -> np.ndarray:
-    """Transfer matrix of the resonant swap at time t, read-only; a grid
-    of one-shot runs at one t builds and checks it once."""
-    s = symplectic_from_hamiltonian(swap_coupling_matrix(), t)
-    s.setflags(write=False)
-    return s
 
 
 def oneshot_stack(alpha1, alpha2, r, nbar,
@@ -241,7 +231,7 @@ def oneshot_stack(alpha1, alpha2, r, nbar,
     cov = np.zeros((len(a1), 4, 4))
     mean[:, :2], cov[:, :2, :2] = sys_mean, sys_cov
     cov[:, 2, 2] = cov[:, 3, 3] = 0.5
-    s = _swap_transfer(t)
+    s = symplectic_from_hamiltonian(swap_coupling_matrix(), t)
     mean, cov = (s @ mean[..., None])[..., 0], s @ cov @ s.T
     c_mean, c_cov, proj = _condition(mean, cov, [2, 3], [0, 1])
     return OneShotStack(_vacuum_weight(c_mean, c_cov, [0, 1]), proj / np.pi,

@@ -32,14 +32,10 @@ the whole grid when tau'/c_* >= 1, no w_j > 0 or the modes are not
 folded; `local_optima` is the walk at tau = inf, every grid peak.
 
 `solve_topt` walks at tau = _RESIDUAL_TOL and stops at the first
-admissible optimum.  When there is none, it walks again at a larger tau
-until some refined peak has residual <= tau; that walk holds every such
-peak, so the least residual among them (earliest t on ties) is the
-global best.  The next tau is the least residual the last walk found,
-whose peak the new walk must hold, so a failing search walks twice once
-it has seen any peak, reusing each peak it refined; a walk that finds
-none doubles tau.  At tau >= 1 the walk covers every peak, so a search
-that finds none there fails with no optimum at all.
+admissible optimum.  Failing that, a second walk at the least residual
+the first found (tau = inf if none), reusing its refined peaks, holds
+every peak of that residual or less; the least (earliest t on ties) is
+the global best, the "fallback".
 """
 from __future__ import annotations
 
@@ -62,8 +58,8 @@ _WEIGHT_TOL = 1e-20    # weights at or below this are rounding noise
 @dataclass
 class OptTimeResult:
     t_opt: float
-    residual: float            # 1 - |lambda_0| at t_opt (`vacuum_residual`)
-    method: str                # "analytic" or "numeric"
+    residual: float     # 1 - |lambda_0| at t_opt (`vacuum_residual`)
+    method: str         # "fixed" (k = 0), "analytic", "numeric", "fallback"
 
 
 class VacuumModes:
@@ -136,6 +132,8 @@ def _refine_optimum(modes: VacuumModes, a: float, b: float, t: float) -> float:
             a = t
         curv = float(g2 @ np.cos(dw * t))
         step = -grad / curv if curv > 0.0 else np.inf
+        if t + step == t:               # converged to the last bit
+            return t
         nxt = t + step if a < t + step < b else 0.5 * (a + b)
         if abs(nxt - t) <= 1e-12:
             return nxt
@@ -224,40 +222,29 @@ def _walk_grid(modes: VacuumModes, t: np.ndarray, tau: float,
 
 def solve_topt(modes: VacuumModes, window: Tuple[float, float] = (0.0, 250.0)
                ) -> OptTimeResult:
-    """First optimum of |lambda_0| with 1 - |lambda_0| below _RESIDUAL_TOL.
-
-    The exact optimum when the folded modes have one positive frequency
-    (the window is not searched); otherwise the first in the window.
-    Walks the windows of tau = _RESIDUAL_TOL and stops at the first
-    admissible optimum.  Otherwise tau grows until some refined peak in
-    its windows has residual <= tau, and SearchFailureError carries the
-    best of them, the global best (module docstring)."""
+    """First optimum of |lambda_0| with 1 - |lambda_0| below _RESIDUAL_TOL:
+    exact when the folded modes have one positive frequency, else the
+    first in the window, or the best there as a "fallback" (module
+    docstring).  SearchFailureError when the window holds no optimum."""
     pos = modes.w > 0
     if modes.folded and np.count_nonzero(pos) == 1:
         # g = c_0 + c_1 cos(w t): the exact first optimum
         w = float(modes.w[pos][0])
         res = 1.0 - abs(float(modes.c[~pos].sum() - modes.c[pos][0]))
-        if res <= _RESIDUAL_TOL:
-            return OptTimeResult(np.pi / w, res, "analytic")
-        return OptTimeResult(2 * np.pi / w, 0.0, "analytic")
+        t_opt = np.pi / w if res <= _RESIDUAL_TOL else 2 * np.pi / w
+        return OptTimeResult(t_opt, float(vacuum_residual(modes, t_opt)),
+                             "analytic")
     t = _grid(window)
-    refined = {}        # grid peak -> its refined (t, residual), every walk
-    tau = _RESIDUAL_TOL
-    while True:
-        found = []
-        for x, res in _walk_grid(modes, t, tau, refined):
-            if res <= _RESIDUAL_TOL:
-                return OptTimeResult(x, res, "numeric")
-            found.append((x, res))
-        if tau >= 1.0 or any(res <= tau for _, res in found):
-            break
-        tau = min(res for _, res in found) if found else 2.0 * tau
+    refined = {}        # grid peak -> its refined (t, residual), both walks
+    found = []
+    for x, res in _walk_grid(modes, t, _RESIDUAL_TOL, refined):
+        if res <= _RESIDUAL_TOL:
+            return OptTimeResult(x, res, "numeric")
+        found.append((x, res))
+    tau = min(res for _, res in found) if found else np.inf
+    found = list(_walk_grid(modes, t, tau, refined))
     if not found:
         raise SearchFailureError(
-            f"no local optimum of |lambda_0| in window {window}",
-            best_t=None, best_residual=None)
-    best = min(found, key=lambda o: o[1])      # the earliest on ties
-    raise SearchFailureError(
-        f"no optimum with residual <= {_RESIDUAL_TOL:g} in window {window}; "
-        f"best residual {best[1]:.3e} at t = {best[0]:.6f}",
-        best_t=best[0], best_residual=best[1])
+            f"no local optimum of |lambda_0| in window {window}")
+    x, res = min(found, key=lambda o: o[1])     # the earliest on ties
+    return OptTimeResult(x, res, "fallback")

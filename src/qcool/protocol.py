@@ -606,6 +606,21 @@ def _choose_e_cap(pops: List[np.ndarray], e_max: Optional[int]) -> int:
 
 # ----------------------------------------------------------- bright mode
 
+def _bright_oscillator(topology: Topology, coupling: CouplingParams
+                       ) -> Optional[Tuple[Topology, CouplingParams]]:
+    """The one oscillator any regulator sees, as a single topology and its
+    coupling: a single oscillator, or the bright mode sum_i a_i / sqrt(M)
+    of a star with one omega_f on every leaf, at lam sqrt(M); else None."""
+    if topology.kind not in ("single", "star"):
+        return None
+    omega_f = set(coupling.omega_f_list(topology.modes))
+    if len(omega_f) != 1:
+        return None
+    return replace(topology, kind="single", modes=1), CouplingParams(
+        lam=coupling.lam * math.sqrt(topology.modes),
+        omega_a=coupling.omega_a, omega_f=omega_f.pop())
+
+
 def _bright_mode(cfg: ProtocolConfig) -> Optional[
         Tuple[np.ndarray, float, float, float]]:
     """The one mode the regulator sees, as (weights, F scale, coupling,
@@ -618,23 +633,21 @@ def _bright_mode(cfg: ProtocolConfig) -> Optional[
     a density matrix's diagonal), cut at e_max when one is set, after
     the same tail check as every other path.
 
-    A star with a qudit regulator, one lam and omega_f on every leaf and
-    M equal DSTParams factors couples only to b = sum_i a_i / sqrt(M),
-    at lam sqrt(M); the M-1 dark modes just pick up phases.  M identical
-    Gaussian factors are, in the bright/dark basis, a bright factor
-    displaced by sqrt(M) alpha times M-1 centred dark factors.  Total
+    A star with a qudit regulator, one omega_f on every leaf and M equal
+    DSTParams factors couples only to b (`_bright_oscillator`); the M-1
+    dark modes just pick up phases.  M identical Gaussian factors are,
+    in the bright/dark basis, a bright factor displaced by sqrt(M) alpha
+    times M-1 centred dark factors.  Total
     excitation is the same in both bases, so the blocked engine's
     e_b + e_d <= e_cap truncation, with e_cap chosen from the factors'
     populations as there, is kept exactly: the weights are
     c_b[e_b] S_d[e_cap - e_b], S_d the cumulative dark distribution, and
     the dark vacuum scales F by p_d[0] / S_d[e_cap]."""
-    topo, c = cfg.topology, cfg.coupling
-    m = topo.modes
-    if topo.kind not in ("single", "star") or topo.regulator_kind != "qudit" \
-            or len(set(c.omega_f_list(m))) != 1:
+    topo, bright = cfg.topology, _bright_oscillator(cfg.topology, cfg.coupling)
+    if bright is None or topo.regulator_kind != "qudit":
         return None
+    m, lam, omega_f = topo.modes, bright[1].lam, bright[1].omega_f
     inputs = _factor_inputs(cfg)
-    omega_f = c.omega_f_list(m)[0]
     if topo.kind == "single":
         x, dim = inputs[0]
         pops = dst_populations(x, dim) if isinstance(x, DSTParams) \
@@ -643,7 +656,7 @@ def _bright_mode(cfg: ProtocolConfig) -> Optional[
         if cfg.e_max is not None:
             _choose_e_cap([pops], cfg.e_max)
             w = w[:cfg.e_max + 1]
-        return w, 1.0, c.lam, omega_f
+        return w, 1.0, lam, omega_f
     p = inputs[0][0]
     if not all(isinstance(x, DSTParams) and x == p for x, _ in inputs):
         return None
@@ -660,23 +673,34 @@ def _bright_mode(cfg: ProtocolConfig) -> Optional[
     for _ in range(m - 1):
         p_d = np.convolve(p_d, c_d)[:e_cap + 1]
     s_d = np.cumsum(p_d)
-    return (c_b[:e_cap + 1] * s_d[::-1], p_d[0] / s_d[-1],
-            c.lam * math.sqrt(m), omega_f)
+    return c_b[:e_cap + 1] * s_d[::-1], p_d[0] / s_d[-1], lam, omega_f
 
 
 # ------------------------------------------------------------ main entry
 
-@lru_cache(maxsize=64)
 def vacuum_modes(topology: Topology, coupling: CouplingParams,
                  k: int) -> opttime.VacuumModes:
     """The modes of lambda_0 at measurement level k: the eigenpairs of the
     excitation block e = k holding |0...0>|k>, built as the blocked
-    engine builds it (the same block at every d > k), less the vacuum's
-    energy k omega_a, a phase of lambda_0.  Folded when the block is
-    chiral (resonant and bipartite), whose spectrum is symmetric."""
+    engine builds it, less the vacuum's energy k omega_a, a phase of
+    lambda_0.  Folded when the block is chiral (resonant and bipartite),
+    whose spectrum is symmetric.  Cached at d = k + 1, as every d > k has
+    the same block; a uniform star's is its bright mode's (k + 1 states,
+    not about C(k + M, M): the dark modes stay empty)."""
     if not 0 <= k < topology.regulator_levels:
         raise ValueError(f"need 0 <= k <= d-1, got k={k}, "
                          f"d={topology.regulator_levels}")
+    bright = _bright_oscillator(topology, coupling)
+    if bright is not None:
+        topology, coupling = bright
+    return _vacuum_block(replace(topology, regulator_levels=max(k + 1, 2)),
+                         coupling, k)
+
+
+@lru_cache(maxsize=64)
+def _vacuum_block(topology: Topology, coupling: CouplingParams,
+                  k: int) -> opttime.VacuumModes:
+    """`vacuum_modes` of the block e = k of this topology as it stands."""
     caps, bos = _sub_caps(topology, k)
     edges = topology.coupling_edges(coupling)
     freqs = _frequencies(topology, coupling)
@@ -689,33 +713,28 @@ def vacuum_modes(topology: Topology, coupling: CouplingParams,
 
 
 def default_cycle_time(topology: Topology, k: int,
-                       coupling: CouplingParams = CouplingParams()) -> float:
-    """Cycle time for measurement level k when none is set.
+                       coupling: CouplingParams = CouplingParams()
+                       ) -> opttime.OptTimeResult:
+    """Cycle time for measurement level k when none is set, with its
+    residual and method (`opttime.OptTimeResult`).
 
-    k >= 1: the first optimum of |lambda_0| on the run's own vacuum block
-    (`vacuum_modes`, `opttime.solve_topt`).  With no admissible optimum
-    it warns and returns the best one found; a vacuum that never moves
-    (lambda = 0) has no optimum, a ConfigError.
-    k = 0: |0...0>|0> is stationary, with no optimum to derive.  The time
-    is pi/2, which empties level 1 of a single oscillator, over sqrt(M)
-    on a star of M (the full swap of one bright excitation), and
-    pi/sqrt(2) for the hybrid pair, at the default coupling only."""
+    k >= 1: `opttime.solve_topt` on the run's own vacuum block; the run
+    that uses a "fallback" warns (`_run_cells`).  A vacuum that never
+    moves (lambda = 0) has no optimum, a ConfigError.
+    k = 0: |0...0>|0> is stationary, so the time is "fixed": pi/2, which
+    empties level 1 of a single oscillator, over sqrt(M) on a star of M
+    (the full swap of one bright excitation), and pi/sqrt(2) for the
+    hybrid pair, at the default coupling only."""
     if k == 0:
-        if topology.kind == "hybrid":
-            return np.pi / np.sqrt(2)
-        return np.pi / 2 / math.sqrt(topology.modes) \
-            if topology.kind == "star" else np.pi / 2
+        t = np.pi / np.sqrt(2) if topology.kind == "hybrid" else np.pi / 2
+        if topology.kind == "star":
+            t /= math.sqrt(topology.modes)
+        return opttime.OptTimeResult(t, 0.0, "fixed")
     try:
-        return opttime.solve_topt(vacuum_modes(topology, coupling, k)).t_opt
+        return opttime.solve_topt(vacuum_modes(topology, coupling, k))
     except SearchFailureError as err:
-        if err.best_t is None:
-            raise ConfigError(f"no default cycle time at k = {k} ({err}); "
-                              f"set [protocol] t")
-        warnings.warn(f"no admissible cycle time for {topology.kind} at "
-                      f"k={k}; using the best found t={err.best_t:.6g} "
-                      f"(residual {err.best_residual:.3g})", RuntimeWarning,
-                      stacklevel=2)
-        return err.best_t
+        raise ConfigError(f"no default cycle time at k = {k} ({err}); "
+                          f"set [protocol] t")
 
 
 def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
@@ -736,23 +755,29 @@ def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
             for d, k, init in cells]
     for cfg in cfgs:
         cfg.validate()
-    times = {}          # (d, k) -> cycle time
+    times = {}          # k -> cycle time, the same at every d
     bright = {}         # id(initial system) -> its `_bright_mode`
     tables = {}         # (d, k, t, lam, omega_f) -> bright-mode cells
     groups = {}         # (id(initial system), k, t) -> blocked cells
     for i, cfg in enumerate(cfgs):
         topo, k = cfg.topology, cfg.regulator_level
         d, sid = topo.regulator_levels, id(cfg.initial_system)
-        if (d, k) not in times:
-            times[d, k] = cfg.cycle_time if cfg.cycle_time is not None \
-                else default_cycle_time(topo, k, cfg.coupling)
+        if k not in times and cfg.cycle_time is None:
+            res = default_cycle_time(topo, k, cfg.coupling)
+            if res.method == "fallback":
+                warnings.warn(f"no admissible cycle time for {topo.kind} at "
+                              f"k={k}; using the best found t={res.t_opt:.6g} "
+                              f"(residual {res.residual:.3g})", RuntimeWarning,
+                              stacklevel=3)
+            times[k] = res.t_opt
+        times.setdefault(k, cfg.cycle_time)
         if sid not in bright:
             bright[sid] = _bright_mode(cfg)
         if bright[sid] is None:
-            groups.setdefault((sid, k, times[d, k]), []).append(i)
+            groups.setdefault((sid, k, times[k]), []).append(i)
         else:
             lam, omega_f = bright[sid][2:]
-            tables.setdefault((d, k, times[d, k], lam, omega_f), []).append(i)
+            tables.setdefault((d, k, times[k], lam, omega_f), []).append(i)
 
     traces = [None] * len(cfgs)
     for (d, k, t, lam, omega_f), idx in tables.items():

@@ -95,6 +95,9 @@ def make_cat(alpha: complex, n_components: int,
     d = n_components
     if d % 2 or d < 2:
         raise ValueError("cat preparation needs an even n_components >= 2")
+    if not (np.isfinite(alpha) and cutoff >= 1):
+        raise ValueError(f"cat needs a finite alpha and a cutoff >= 1, got "
+                         f"alpha = {alpha}, cutoff = {cutoff}")
     dc = conditional_displacement(d, alpha, n_components, cutoff)
     joint = np.zeros(d * cutoff, dtype=complex)
     joint[::cutoff] = hadamard_qudit(d)[:, 0]    # H_d |0>, oscillator vacuum
@@ -176,8 +179,8 @@ def make_hybrid_entangled(d: int, r: float = 0.0,
     the uniform sum_k |k, k> and the Schmidt spectrum."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    if r < 0:
-        raise ValueError("squeezing assist must be >= 0")
+    if not (np.isfinite(r) and r >= 0):
+        raise ValueError(f"squeezing assist must be finite and >= 0, got {r}")
     if cutoff is None:
         # squeezed tail plus the d-1 level shift from photon addition
         cutoff = max(3 * (d - 1), 8 + 2 * (d - 1) + int(40 * r))

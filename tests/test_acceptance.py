@@ -78,7 +78,7 @@ def test_criterion_01_single_oscillator_table():
 def test_criterion_02_optimal_times():
     failures = []
     for k, exact in ((0, np.pi / 2), (1, np.pi), (2, 2 * np.pi / np.sqrt(3))):
-        t = default_cycle_time(Topology("single", 7), k)
+        t = default_cycle_time(Topology("single", 7), k).t_opt
         _check(failures, abs(t - exact) < 1e-9, f"analytic k={k}")
     # deep near-revivals at the published locations; the residual bound
     # 1e-4 is not met there (see README discrepancies)

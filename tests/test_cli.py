@@ -339,7 +339,16 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
     "ds_list = 2\nsettle_tol = -1\n",
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
-    "report = bogus\n"],
+    "report = bogus\n",
+    "[experiment]\nkind = opt-time\n[regulator]\nd = 3\n[protocol]\nt = 1.0\n",
+    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
+    "ds_list = 2,3\nd_list = 3,4\n",
+    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
+    "ds_list = 2,3\nk_list = 0,1\n",
+    "[experiment]\nkind = prep\n[prep]\nkinds = cat\nalpha = nan\n",
+    "[experiment]\nkind = prep\n[prep]\nkinds = odd-cat\nalpha = inf\n",
+    "[experiment]\nkind = prep\n[prep]\nkinds = hybrid-entangled\nr = nan\n",
+    "[experiment]\nkind = prep\n[prep]\nkinds = cat\ncutoff = 0\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
          "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
          "opt-time-d", "gaussian-nbar", "sweep-k-above-d", "sweep-k-equal-d",
@@ -347,7 +356,9 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
          "nbar-grid-nan", "nbar-grid-inf", "gaussian-nbar-nan",
          "gaussian-r-inf", "sweep-stop-nan", "sweep-stop-above-1",
          "sweep-stop-zero", "sweep-settle-tol-nan",
-         "hybrid-settle-tol-negative", "sweep-report-unknown"])
+         "hybrid-settle-tol-negative", "sweep-report-unknown", "opt-time-t",
+         "ds-list-with-d-list", "ds-list-with-k-list", "prep-alpha-nan",
+         "prep-alpha-inf", "prep-r-nan", "prep-cutoff-zero"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys, monkeypatch):
     # every cooling run, sweep or single, goes through _run_cells
     runs = []

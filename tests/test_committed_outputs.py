@@ -5,7 +5,6 @@ Integer and text cells must match exactly, floats to an absolute 1e-8
 the BLAS build)."""
 import configparser
 import math
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -85,11 +84,15 @@ def test_every_config_validates(config):
     # the one inadmissible default is optimal_times' k = 5 row
     runs = _runs(load_config(config))
     assert runs
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        for pc in runs:
-            pc.validate()
-            t = pc.cycle_time if pc.cycle_time is not None else \
-                default_cycle_time(pc.topology, pc.regulator_level, pc.coupling)
-            assert math.isfinite(t) and t > 0
-    assert len(caught) == (config.stem == "optimal_times")
+    fallbacks = []
+    for pc in runs:
+        pc.validate()
+        t = pc.cycle_time
+        if t is None:
+            r = default_cycle_time(pc.topology, pc.regulator_level, pc.coupling)
+            assert (r.method == "fixed") == (pc.regulator_level == 0)
+            if r.method == "fallback":
+                fallbacks.append(pc.regulator_level)
+            t = r.t_opt
+        assert math.isfinite(t) and t > 0
+    assert fallbacks == ([5] if config.stem == "optimal_times" else [])

@@ -162,7 +162,7 @@ def _oracle(cfg):
     k = cfg.regulator_level
     t = cfg.cycle_time
     if t is None:
-        t = default_cycle_time(cfg.topology, k, cfg.coupling)
+        t = default_cycle_time(cfg.topology, k, cfg.coupling).t_opt
     factors = _resolve_factors(cfg)
     e_cap = _choose_e_cap([np.real(np.diag(f)) for f in factors], cfg.e_max)
     return _blocked_run([cfg.topology], cfg.coupling, k, t, factors, e_cap,
@@ -578,18 +578,24 @@ def test_default_time_rejected_where_it_empties_the_vacuum(topo, k, t_ref):
     # the single-oscillator optimum leaves the dense oracle's |lambda_0| at
     # 0.37, 0.16, 0.78 and 0.32 on these runs; each takes the optimum of
     # its own vacuum block instead.  Linear M = 3 has the golden-ratio
-    # frequencies 1.618 and 0.618, so no exact revival: it warns and takes
-    # its best optimum, residual 1.7e-4
+    # frequencies 1.618 and 0.618, so no exact revival: it takes its best
+    # optimum, residual 1.7e-4, and a run at that time warns once
     coupling = CouplingParams()
     single = default_cycle_time(Topology("single", topo.regulator_levels), k)
-    assert oracle.vacuum_amplitude(topo, coupling, k, single) < 0.8
+    assert oracle.vacuum_amplitude(topo, coupling, k, single.t_opt) < 0.8
+    r = default_cycle_time(topo, k)
+    t = r.t_opt
     if topo.modes == 3:
-        with pytest.warns(RuntimeWarning, match=r"residual 0\.000171"):
-            t = default_cycle_time(topo, k)
+        assert r.method == "fallback" and f"{r.residual:.3g}" == "0.000171"
         assert t == pytest.approx(t_ref, abs=1e-3)
         tol = 2e-4
+        with pytest.warns(RuntimeWarning, match=r"linear at k=1.*t=106\.777.*"
+                          r"residual 0\.000171") as caught:
+            run_protocol(ProtocolConfig(topo, DSTParams(alpha_mag=0.1),
+                                        regulator_level=k, cutoff=8, n_max=2))
+        assert len(caught) == 1
     else:
-        t = default_cycle_time(topo, k)
+        assert r.method != "fallback"
         assert t == pytest.approx(t_ref, rel=0, abs=1e-12 if k == 1 else 1e-9)
         tol = 1e-4
     assert abs(oracle.vacuum_amplitude(topo, coupling, k, t) - 1.0) <= tol

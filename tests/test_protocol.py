@@ -10,6 +10,7 @@ from qcool.hamiltonians import CouplingParams, Topology
 from qcool.hilbert import ladder_block
 from qcool.protocol import (EnergyRecord, ProtocolConfig, ProtocolTrace,
                             default_cycle_time, effective_lambdas,
+                            vacuum_modes,
                             max_coolable_nbar, n_cooled, n_settled,
                             report_cycles, run_protocol, sweep_dimension,
                             sweep_energy)
@@ -122,36 +123,38 @@ def test_single_frozen_cells():
 
 
 def test_default_cycle_times():
-    assert default_cycle_time(Topology("single", 4), 0) == pytest.approx(np.pi / 2)
-    assert default_cycle_time(Topology("single", 4), 1) == pytest.approx(np.pi)
-    assert default_cycle_time(Topology("single", 4), 2) == pytest.approx(2 * np.pi / np.sqrt(3))
+    assert default_cycle_time(Topology("single", 4), 0).t_opt == pytest.approx(np.pi / 2)
+    assert default_cycle_time(Topology("single", 4), 1).t_opt == pytest.approx(np.pi)
+    assert default_cycle_time(Topology("single", 4), 2).t_opt == pytest.approx(2 * np.pi / np.sqrt(3))
     # k = 5 has no admissible optimum; the best-found time is used instead
-    with pytest.warns(RuntimeWarning):
-        t = default_cycle_time(Topology("single", 7), 5)
-    assert t == pytest.approx(157.952, abs=1e-3)
-    assert default_cycle_time(Topology("hybrid", 3), 0) == pytest.approx(np.pi / np.sqrt(2))
-    assert default_cycle_time(Topology("hybrid", 3), 1) == pytest.approx(np.sqrt(2) * np.pi)
+    r = default_cycle_time(Topology("single", 7), 5)
+    assert r.method == "fallback"
+    assert r.t_opt == pytest.approx(157.952, abs=1e-3)
+    assert default_cycle_time(Topology("hybrid", 3), 0).t_opt == pytest.approx(np.pi / np.sqrt(2))
+    assert default_cycle_time(Topology("hybrid", 3), 1).t_opt == pytest.approx(np.sqrt(2) * np.pi)
     # a star's regulator sees the bright mode at lambda sqrt(M)
     for m in range(2, 7):
         for k in range(3):
-            assert default_cycle_time(Topology("star", 4, modes=m), k) \
+            assert default_cycle_time(Topology("star", 4, modes=m), k).t_opt \
                 == pytest.approx(oracle.ANALYTIC_TOPT[k] / np.sqrt(m),
                                  rel=0, abs=1e-12)
 
 
 def test_default_cycle_time_reads_the_closed_form(monkeypatch):
-    # k <= 2 is the closed-form optimum itself: no residual is evaluated
-    # and no grid is searched
+    # k <= 2 is the closed-form optimum itself: no grid is searched, and
+    # the residual is the one vacuum_residual gives there; k = 0 is fixed
     def refuse(*args):
-        raise AssertionError("residual evaluated")
+        raise AssertionError("grid walked")
 
-    monkeypatch.setattr(opttime, "vacuum_residual", refuse)
     monkeypatch.setattr(opttime, "_walk_grid", refuse)
     for k in range(3):
-        assert default_cycle_time(Topology("single", 4), k) \
-            == oracle.ANALYTIC_TOPT[k]
-    assert default_cycle_time(Topology("hybrid", 3), 0) == np.pi / np.sqrt(2)
-    assert default_cycle_time(Topology("hybrid", 3), 1) == np.sqrt(2) * np.pi
+        r = default_cycle_time(Topology("single", 4), k)
+        assert r.t_opt == oracle.ANALYTIC_TOPT[k]
+        assert r.method == ("fixed" if k == 0 else "analytic")
+        modes = vacuum_modes(Topology("single", 4), CouplingParams(), k)
+        assert r.residual == float(opttime.vacuum_residual(modes, r.t_opt))
+    assert default_cycle_time(Topology("hybrid", 3), 0).t_opt == np.pi / np.sqrt(2)
+    assert default_cycle_time(Topology("hybrid", 3), 1).t_opt == np.sqrt(2) * np.pi
 
 
 # (topology, k, coupling, expected default time); the linear chain and
@@ -174,7 +177,7 @@ def test_default_time_of_the_runs_own_block(case):
     # topology and coupling; each keeps the dense oracle's |lambda_0|
     # within 1e-4 of 1
     topo, k, coupling, t_ref = SEARCHED_TIMES[case]
-    t = default_cycle_time(topo, k, coupling)
+    t = default_cycle_time(topo, k, coupling).t_opt
     assert t == pytest.approx(t_ref, abs=1e-3 if case == "hybrid-k2" else 1e-9)
     assert abs(oracle.vacuum_amplitude(topo, coupling, k, t) - 1.0) <= 1e-4
 
@@ -187,15 +190,85 @@ def test_default_time_of_the_runs_own_block(case):
     + [(Topology("star", 3, modes=m), 1) for m in range(2, 7)]
     + [(Topology("star", 3, modes=m), 2) for m in range(2, 5)])
 def test_admissible_default_times_keep_the_vacuum(topo, k):
-    t = default_cycle_time(topo, k)
+    t = default_cycle_time(topo, k).t_opt
     assert abs(oracle.vacuum_amplitude(topo, CouplingParams(), k, t) - 1.0) \
         <= 1e-4
 
 
+@pytest.mark.parametrize("regulator_kind", ["qudit", "oscillator"])
+@pytest.mark.parametrize("coupling", [CouplingParams(),
+                                      CouplingParams(lam=0.7, omega_a=1.3)],
+                         ids=["resonant", "detuned"])
+def test_star_vacuum_modes_are_the_bright_oscillator(regulator_kind, coupling):
+    # the star's whole e = k block, built here as the blocked engine
+    # builds it, has the |lambda_0| of the one oscillator at lam sqrt(M)
+    # that vacuum_modes builds
+    t = np.linspace(0.0, 40.0, 801)
+    for m in range(2, 5):
+        for k in range(1, 5):
+            topo = Topology("star", k + 1, modes=m, regulator_kind=regulator_kind)
+            caps, bos = protocol._sub_caps(topo, k)
+            joint, rows, hops = protocol._joint_block(
+                k, k, caps, bos, topo.coupling_edges(coupling))
+            w, v = np.linalg.eigh(protocol._block_hamiltonian(
+                joint, hops, protocol._frequencies(topo, coupling)))
+            ref = np.abs(np.exp(-1j * np.outer(t, w)) @ v[rows.start] ** 2)
+            got = opttime.vacuum_lambda(vacuum_modes(topo, coupling, k), t)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_uniform_star_builds_the_bright_block(monkeypatch):
+    # k + 1 rows where the star's whole block holds C(k + M, M), and no
+    # block at all for the fixed k = 0 time
+    sizes = []
+    joint_block = protocol._joint_block
+
+    def spy(*args):
+        out = joint_block(*args)
+        sizes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(protocol, "_joint_block", spy)
+    protocol._vacuum_block.cache_clear()
+    for k in (0, 1, 5, 8):
+        default_cycle_time(Topology("star", k + 2, modes=8), k)
+    assert sizes == [2, 6, 9]
+
+
+def test_star_default_time_is_the_single_time_over_sqrt_m():
+    for k in range(1, 7):
+        single = default_cycle_time(Topology("single", k + 1), k)
+        for m in range(2, 9):
+            star = default_cycle_time(Topology("star", k + 1, modes=m), k)
+            assert star.method == single.method
+            assert star.t_opt == pytest.approx(single.t_opt / np.sqrt(m),
+                                               rel=0, abs=1e-12)
+    assert single.method == "numeric"
+    assert default_cycle_time(Topology("single", 6), 5).method == "fallback"
+
+
+def test_vacuum_block_is_built_once_per_k():
+    # the block is the same at every d > k: a d = 3..6 sweep builds it
+    # once, and so do direct calls at each d
+    protocol._vacuum_block.cache_clear()
+    sweep_dimension(_single_cfg(3, 2, n_max=5, cutoff=20), [3, 4, 5, 6], [2])
+    assert protocol._vacuum_block.cache_info().misses == 1
+    first = vacuum_modes(Topology("hybrid", 3), CouplingParams(), 2)
+    for d in (4, 5, 6):
+        assert vacuum_modes(Topology("hybrid", d), CouplingParams(), 2) is first
+    assert protocol._vacuum_block.cache_info().misses == 2
+
+
 def test_inadmissible_default_time_warns():
-    with pytest.warns(RuntimeWarning, match=r"single at k=5.*t=157\.95"):
-        t = default_cycle_time(Topology("single", 7), 5)
-    assert t == pytest.approx(157.952, abs=1e-3)
+    # the time itself is a quiet fallback result; the run that uses it warns
+    r = default_cycle_time(Topology("single", 7), 5)
+    assert r.method == "fallback"
+    assert r.t_opt == pytest.approx(157.952, abs=1e-3)
+    with pytest.warns(RuntimeWarning,
+                      match=r"single at k=5.*t=157\.95.*residual 0\.000875") \
+            as caught:
+        run_protocol(_single_cfg(7, 5, n_max=3))
+    assert len(caught) == 1
 
 
 def test_config_validation():
