@@ -11,10 +11,8 @@ from .protocol import (ProtocolConfig, ProtocolTrace, SweepRecord,
                        sweep_dimension, sweep_energy, vacuum_modes)
 from .opttime import (OptTimeResult, VacuumModes, local_optima, solve_topt,
                       vacuum_lambda)
-from .gaussian import (GaussianState, OneShotStack, condition_on_vacuum,
-                       evolve, gaussian_dst, oneshot_probability_formula,
-                       oneshot_stack, product, symplectic_from_hamiltonian,
-                       vacuum, vacuum_projection_probability)
+from .gaussian import (OneShotStack, dst_moments, oneshot_probability_formula,
+                       oneshot_stack, symplectic_from_hamiltonian)
 from .stateprep import (PrepResult, conditional_displacement, hadamard_qudit,
                         make_cat, make_hybrid_entangled, make_noon,
                         make_odd_cat, parity_expectation, subspace_rotation)

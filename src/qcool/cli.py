@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import sys
 from dataclasses import replace
@@ -45,7 +46,7 @@ _fl, _il, _sl = _list(float), _list(int), _list(str)
 _opt_f, _opt_i = _optional(float), _optional(int)
 
 
-# section -> key -> (caster, default-as-string)
+# section -> key -> (caster, default-as-string), in canonical order
 SCHEMA: Dict[str, Dict[str, tuple]] = {
     "experiment": {"kind": (_s, "cool")},
     "state": {
@@ -82,9 +83,6 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
     },
     "output": {"path": (_s, "")},
 }
-
-SECTION_ORDER = ("experiment", "state", "topology", "coupling", "regulator",
-                 "protocol", "sweep", "gaussian", "prep", "output")
 
 
 def load_config(path) -> Dict[str, Dict]:
@@ -123,9 +121,9 @@ def load_config(path) -> Dict[str, Dict]:
 def canonical_form(cfg: Dict[str, Dict]) -> str:
     """Deterministic full serialization; parsing it back is a fixed point."""
     lines = []
-    for section in SECTION_ORDER:
+    for section, keys in SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, (cast, default) in SCHEMA[section].items():
+        for key in keys:
             lines.append(f"{key} = {_fmt_value(cfg[section][key])}")
         lines.append("")
     return "\n".join(lines)
@@ -144,13 +142,12 @@ def _fmt_value(v) -> str:
 # ---------------------------------------------------------- CSV emission
 
 def emit_csv(header: Sequence[str], rows: List[tuple], path,
-             key_cols: Optional[int] = None) -> None:
+             key_cols: int) -> None:
     """Write rows with 9-significant-digit floats, sorted lexicographically
-    by the first key_cols columns (all columns when None)."""
-    nkey = len(header) if key_cols is None else key_cols
+    by the first key_cols columns."""
 
     def sort_key(row):
-        return tuple((v is None, v) for v in row[:nkey])
+        return tuple((v is None, v) for v in row[:key_cols])
 
     out = [",".join(header)]
     for row in sorted(rows, key=sort_key):
@@ -244,19 +241,8 @@ def _run_sweep_energy(cfg, out):
 
 
 def _write_grid(cfg, out, d_list, k_list):
-    """One (d, k, N, F, P) row per cell of the (d, k) grid with k < d.
-
-    Cells with k >= d are skipped (a triangular grid); a k that no d in
-    the list can measure is a config error."""
-    if not d_list or not k_list:
-        raise ConfigError("empty grid: d_list and k_list must be non-empty")
-    if min(d_list) < 2:
-        raise ConfigError(
-            f"[sweep] d_list: a regulator needs d >= 2, got {min(d_list)}")
-    if min(k_list) < 0 or max(k_list) >= max(d_list):
-        raise ConfigError(
-            f"measured levels k must lie in 0..{max(d_list) - 1} for d up to "
-            f"{max(d_list)}, got {min(k_list)}..{max(k_list)}")
+    """One (d, k, N, F, P) row per cell of the (d, k) grid with k < d
+    (`protocol.sweep_dimension` checks the grid)."""
     recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
                                     *_report_args(cfg))
     emit_csv(("d", "k", "N", "F", "P"),
@@ -303,11 +289,6 @@ def _run_gaussian(cfg, out):
     g = cfg["gaussian"]
     if not (g["alpha1"] and g["alpha2"] and g["r"] and g["nbar"]):
         raise ConfigError("empty grid: gaussian lists must be non-empty")
-    for key in ("alpha1", "alpha2", "r", "nbar"):
-        if not all(np.isfinite(g[key])):
-            raise ConfigError(f"[gaussian] {key}: must be finite, got {g[key]}")
-    if min(g["nbar"]) < 0:
-        raise ConfigError(f"[gaussian] nbar: must be >= 0, got {min(g['nbar'])}")
     points = list(itertools.product(g["alpha1"], g["alpha2"], g["r"],
                                     g["nbar"]))
     res = gaussmod.oneshot_stack(*zip(*points))
@@ -331,13 +312,12 @@ def _run_opt_time(cfg, out):
     emit_csv(("k", "t_opt", "residual"), rows, out, key_cols=1)
 
 
-def _prep_one(kind, p) -> stateprep.PrepResult:
+def _prep_one(kind, p, cat) -> stateprep.PrepResult:
+    """One prep row; cat() gives the even cat, which odd-cat starts from."""
     if kind == "cat":
-        return stateprep.make_cat(p["alpha"], p["n_components"],
-                                  cutoff=p["cutoff"])
+        return cat()
     if kind == "odd-cat":
-        return stateprep.make_odd_cat(stateprep.make_cat(
-            p["alpha"], p["n_components"], cutoff=p["cutoff"]))
+        return stateprep.make_odd_cat(cat())
     if kind == "hybrid-entangled":
         return stateprep.make_hybrid_entangled(p["d"], p["r"],
                                                cutoff=p["cutoff"])
@@ -348,10 +328,13 @@ def _prep_one(kind, p) -> stateprep.PrepResult:
 
 def _run_prep(cfg, out):
     p = cfg["prep"]
+    # the even cat, built at most once for the cat and odd-cat rows
+    cat = functools.cache(lambda: stateprep.make_cat(
+        p["alpha"], p["n_components"], cutoff=p["cutoff"]))
     rows = []
     for kind in p["kinds"]:
         try:
-            res = _prep_one(kind, p)
+            res = _prep_one(kind, p, cat)
         except ValueError as err:     # the circuits' d/cutoff/r checks
             raise ConfigError(f"[prep] {kind}: {err}")
         rows.append((res.kind, res.d, res.param, res.target_fidelity,

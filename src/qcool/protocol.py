@@ -54,10 +54,6 @@ and one helper thread share the blocks (`_block_workers`,
 `_map_blocks`); otherwise the caller runs them all.  The contributions
 are summed in ascending block order, so F_n and P_n are bit-identical
 either way, and to a run of each d alone.
-On a 2-vCPU VM (OpenBLAS 0.3.31) `qcool run
-experiments/network_linear_m3.cfg` took 2.4-2.5 s at 109-111 MiB peak
-RSS with OPENBLAS_NUM_THREADS=1, and 3.6-3.9 s at 86 MiB (one worker)
-at OpenBLAS's default threads.
 """
 from __future__ import annotations
 
@@ -96,6 +92,9 @@ class ProtocolConfig:
     keeps every level below cutoff.  An explicit e_max caps the total
     excitation on every path, the single oscillator's included: more
     than 1e-6 of population above it raises TruncationError.
+    `validate` rejects settings a run would ignore: a non-default
+    coupling lam_tilde off a linear chain of M >= 2, and a non-default
+    topology system_levels off the hybrid.
     """
     topology: Topology
     initial_system: Union[DSTParams, np.ndarray, Sequence]
@@ -137,6 +136,18 @@ class ProtocolConfig:
                 and self.coupling != CouplingParams():
             raise ConfigError("the k = 0 default cycle time needs the default "
                               "coupling; set [protocol] t")
+        topo = self.topology
+        if self.coupling.lam_tilde != CouplingParams.lam_tilde \
+                and not (topo.kind == "linear" and topo.modes > 1):
+            raise ConfigError(
+                f"lambda_tilde is the oscillator-oscillator hop of a linear "
+                f"chain; a {topo.kind} topology with {topo.modes} "
+                f"oscillator(s) has none, got {self.coupling.lam_tilde}")
+        if topo.system_levels != Topology.system_levels \
+                and topo.kind != "hybrid":
+            raise ConfigError(
+                f"system_levels is the hybrid system qudit's dimension; a "
+                f"{topo.kind} topology has none, got {topo.system_levels}")
 
 
 @dataclass
@@ -894,12 +905,22 @@ def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
                     k_list: Sequence[int], report: str = "converged",
                     stop: float = 0.9998, settle_tol: float = 1.2e-5) -> List[SweepRecord]:
     """(N, F, P) per regulator dimension and measurement level, in
-    d_list order (repeats kept); cells with k >= d are skipped.
+    d_list order (repeats kept); cells with k >= d are skipped (a
+    triangular grid).
 
-    The report rule and every cell are checked before any runs, and the
-    blocked cells of one k and cycle time run in one pass over the
-    excitation blocks (`_run_cells`)."""
+    The report rule, the grid and every cell are checked before any
+    runs: both lists must be non-empty, every d >= 2, and every k must
+    lie in 0..max(d_list) - 1.  The blocked cells of one k and cycle
+    time run in one pass over the excitation blocks (`_run_cells`)."""
     check_report(report, stop, settle_tol)
+    if len(d_list) == 0 or len(k_list) == 0:
+        raise ConfigError("empty grid: d_list and k_list must be non-empty")
+    if min(d_list) < 2:
+        raise ConfigError(f"d_list: a regulator needs d >= 2, got {min(d_list)}")
+    if min(k_list) < 0 or max(k_list) >= max(d_list):
+        raise ConfigError(
+            f"measured levels k must lie in 0..{max(d_list) - 1} for d up to "
+            f"{max(d_list)}, got {min(k_list)}..{max(k_list)}")
     cells = [(d, k, base_cfg.initial_system)
              for d in d_list for k in k_list if k < d]
     out = []

@@ -17,7 +17,6 @@ and the Hermite-root structure of its vacuum amplitude.
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from qcool.gaussian import GaussianState
 from qcool.hamiltonians import CouplingParams, Topology
 from qcool.hilbert import expm_hermitian, ladder_block, lowering
 
@@ -120,9 +119,9 @@ def mean_energy(rho: np.ndarray) -> float:
     return float(np.real(np.sum(np.diag(rho) * np.arange(rho.shape[0]))))
 
 
-def moments_from_density(rho: np.ndarray) -> GaussianState:
-    """First and second quadrature moments of a single-mode density
-    matrix, for comparison against the covariance description."""
+def moments_from_density(rho: np.ndarray) -> tuple:
+    """First and second quadrature moments (mean, cov) of a single-mode
+    density matrix, for comparison against the covariance description."""
     a = lowering(rho.shape[0])
     x = (a + a.conj().T) / np.sqrt(2.0)
     p = (a - a.conj().T) / (1j * np.sqrt(2.0))
@@ -131,8 +130,7 @@ def moments_from_density(rho: np.ndarray) -> GaussianState:
     vxx = np.real(np.trace(rho @ x @ x)) - ex ** 2
     vpp = np.real(np.trace(rho @ p @ p)) - ep ** 2
     vxp = 0.5 * np.real(np.trace(rho @ (x @ p + p @ x))) - ex * ep
-    return GaussianState(np.array([ex, ep]),
-                         np.array([[vxx, vxp], [vxp, vpp]]))
+    return np.array([ex, ep]), np.array([[vxx, vxp], [vxp, vpp]])
 
 
 def qubit_asymptotic_fidelity(rho_v: np.ndarray, k: int) -> float:

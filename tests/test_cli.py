@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcool import protocol
+from qcool import protocol, stateprep
 from qcool.cli import (EXPERIMENTS, canonical_form, emit_csv, load_config,
                        main)
 from qcool.errors import ConfigError
@@ -233,6 +233,24 @@ n_components = 2
     assert kinds == ["cat", "hybrid-entangled", "noon", "odd-cat"]
 
 
+def test_prep_builds_the_cat_once(tmp_path, monkeypatch):
+    # the cat and odd-cat rows share one even cat
+    calls = []
+    make_cat = stateprep.make_cat
+
+    def spy(*args, **kw):
+        calls.append((args, kw))
+        return make_cat(*args, **kw)
+
+    monkeypatch.setattr(stateprep, "make_cat", spy)
+    exp = Path(__file__).resolve().parents[1] / "experiments"
+    shutil.copy(exp / "prep_demo.cfg", tmp_path)
+    assert main(["run", str(tmp_path / "prep_demo.cfg")]) == 0
+    assert calls == [((1.2, 2), {"cutoff": 60})]
+    assert (tmp_path / "prep_demo.csv").read_bytes() == \
+        (exp / "prep_demo.csv").read_bytes()
+
+
 def test_network_requires_network_topology(tmp_path):
     cfg = _write(tmp_path, "n.cfg", """
 [experiment]
@@ -263,11 +281,13 @@ def test_emit_csv_formats(tmp_path):
     "probability_floor = 1.5", "probability_floor = -0.1",
     "t = 1\n[coupling]\nlambda = nan",
     "t = 1\n[coupling]\nlambda_tilde = inf",
-    "t = 1\n[coupling]\nomega_a = nan", "t = 1\n[coupling]\nomega_f = inf"],
+    "t = 1\n[coupling]\nomega_a = nan", "t = 1\n[coupling]\nomega_f = inf",
+    "t = 1\n[coupling]\nlambda_tilde = 3", "t = 1\n[topology]\nsystem_levels = 7"],
     ids=["t = nan", "t = -1", "fidelity_target = 2.0", "convergence_tol = -1",
          "convergence_tol = inf", "e_max = -1", "probability_floor = nan",
          "probability_floor = 1.5", "probability_floor = -0.1", "lambda = nan",
-         "lambda_tilde = inf", "omega_a = nan", "omega_f = inf"])
+         "lambda_tilde = inf", "omega_a = nan", "omega_f = inf",
+         "single-lambda_tilde = 3", "single-system_levels = 7"])
 def test_bad_protocol_values_exit_2(tmp_path, line, capsys):
     # COOL_CFG ends in [protocol]; a coupling line opens its own section
     cfg = _write(tmp_path, "bad.cfg", COOL_CFG + line + "\n")
@@ -348,7 +368,11 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = prep\n[prep]\nkinds = cat\nalpha = nan\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = odd-cat\nalpha = inf\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = hybrid-entangled\nr = nan\n",
-    "[experiment]\nkind = prep\n[prep]\nkinds = cat\ncutoff = 0\n"],
+    "[experiment]\nkind = prep\n[prep]\nkinds = cat\ncutoff = 0\n",
+    "[experiment]\nkind = opt-time\n[topology]\nkind = star\nmodes = 2\n"
+    "[coupling]\nlambda_tilde = 3\n[regulator]\nd = 3\n[sweep]\nk_list = 1\n",
+    "[experiment]\nkind = opt-time\n[topology]\nkind = star\nmodes = 2\n"
+    "system_levels = 7\n[regulator]\nd = 3\n[sweep]\nk_list = 1\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
          "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
          "opt-time-d", "gaussian-nbar", "sweep-k-above-d", "sweep-k-equal-d",
@@ -358,7 +382,8 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
          "sweep-stop-zero", "sweep-settle-tol-nan",
          "hybrid-settle-tol-negative", "sweep-report-unknown", "opt-time-t",
          "ds-list-with-d-list", "ds-list-with-k-list", "prep-alpha-nan",
-         "prep-alpha-inf", "prep-r-nan", "prep-cutoff-zero"])
+         "prep-alpha-inf", "prep-r-nan", "prep-cutoff-zero",
+         "star-lambda-tilde", "star-system-levels"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys, monkeypatch):
     # every cooling run, sweep or single, goes through _run_cells
     runs = []

@@ -3,12 +3,10 @@ import pytest
 
 from qcool import gaussian
 from qcool.cli import main
-from qcool.errors import ConstructionError
-from qcool.gaussian import (GaussianState, condition_on_vacuum, evolve,
-                            gaussian_dst, oneshot_probability_formula,
-                            oneshot_stack, product, swap_coupling_matrix,
-                            symplectic_from_hamiltonian, vacuum,
-                            vacuum_projection_probability)
+from qcool.errors import ConfigError, ConstructionError
+from qcool.gaussian import (_condition, _vacuum_weight, dst_moments,
+                            oneshot_probability_formula, oneshot_stack,
+                            swap_coupling_matrix, symplectic_from_hamiltonian)
 from qcool.states import DSTParams, displaced_squeezed_thermal
 
 import oracle
@@ -46,25 +44,22 @@ def test_rejects_non_hermitian_coupling():
 
 
 def test_state_validation():
-    with pytest.raises(ConstructionError):
-        GaussianState(np.zeros(3), np.eye(3))
-    bad = np.eye(2)
-    bad[0, 1] = 0.3
-    with pytest.raises(ConstructionError):
-        GaussianState(np.zeros(2), bad)
-    with pytest.raises(ConstructionError):
-        gaussian_dst(0.0, 0.0, nbar=-0.5)
+    with pytest.raises(ConfigError, match="nbar must be >= 0"):
+        dst_moments(0.0, 0.0, 0.0, -0.5)
+    with pytest.raises(ConfigError, match="finite"):
+        dst_moments(0.0, 0.0, np.inf, 0.0)
 
 
 def test_vacuum_projection_of_vacuum():
-    assert vacuum_projection_probability(vacuum(2), [0, 1]) == pytest.approx(1.0)
-    assert vacuum_projection_probability(vacuum(2), [1]) == pytest.approx(1.0)
+    mean, cov = np.zeros(4), 0.5 * np.eye(4)
+    assert _vacuum_weight(mean, cov, [0, 1, 2, 3]) == pytest.approx(1.0)
+    assert _vacuum_weight(mean, cov, [2, 3]) == pytest.approx(1.0)
 
 
 def test_coherent_state_projection():
     # |<0|alpha>|^2 = exp(-|alpha|^2)
-    st = gaussian_dst(0.7 + 0.2j, 0.0, 0.0)
-    assert vacuum_projection_probability(st, [0]) == pytest.approx(
+    mean, cov = dst_moments(0.7, 0.2, 0.0, 0.0)
+    assert _vacuum_weight(mean, cov, [0, 1]) == pytest.approx(
         np.exp(-(0.7 ** 2 + 0.2 ** 2)), abs=1e-12)
 
 
@@ -102,36 +97,44 @@ def test_partial_swap_leaves_thermal_noise():
 
 
 def test_moments_match_fock_engine():
-    # gaussian_dst widens x; the Fock builder does that at theta = pi
+    # dst_moments widens x; the Fock builder does that at theta = pi
     for alpha, r, nb in ((0.4 + 0.0j, 0.1, 0.4), (0.3 + 0.5j, 0.3, 0.0),
                          (0.0, 0.45, 0.8)):
         p = DSTParams(abs(alpha), float(np.angle(alpha)) if alpha else 0.0,
                       r, theta=np.pi, nbar=nb)
         rho = displaced_squeezed_thermal(p, 80)
         got = oracle.moments_from_density(rho)
-        ref = gaussian_dst(alpha, r, nb)
-        assert np.max(np.abs(got.mean - ref.mean)) < 1e-6
-        assert np.max(np.abs(got.cov - ref.cov)) < 1e-6
+        ref = dst_moments(alpha.real, alpha.imag, r, nb)
+        assert np.max(np.abs(got[0] - ref[0])) < 1e-6
+        assert np.max(np.abs(got[1] - ref[1])) < 1e-6
 
 
 def test_conditioning_consistency_random(rng):
-    # weight times pi equals the projector probability on any Gaussian state
-    cov = rng.normal(size=(4, 4))
-    cov = cov @ cov.T + 2.0 * np.eye(4)
-    st = GaussianState(rng.normal(size=4), cov)
-    cond, w = condition_on_vacuum(st, [1])
-    assert w * np.pi == pytest.approx(vacuum_projection_probability(st, [1]),
-                                      rel=1e-12)
-    assert cond.modes == 1
+    # the Schur-complement moments, stacked, equal the information form:
+    # the vacuum projector adds precision 2 I on the measured quadratures,
+    # and the kept moments are the marginal of (V^-1 + 2 E E^T)^-1
+    n = 5
+    mean = rng.normal(size=(n, 4))
+    cov = rng.normal(size=(n, 4, 4))
+    cov = cov @ np.swapaxes(cov, -1, -2) + 2.0 * np.eye(4)
+    c_mean, c_cov, prob = _condition(mean, cov, [2, 3], [0, 1])
+    assert c_mean.shape == (n, 2) and c_cov.shape == (n, 2, 2)
+    for i in range(n):
+        prec = np.linalg.inv(cov[i])
+        joint = np.linalg.inv(prec + np.diag([0.0, 0.0, 2.0, 2.0]))
+        assert np.allclose(c_cov[i], joint[:2, :2], rtol=0, atol=1e-12)
+        assert np.allclose(c_mean[i], (joint @ prec @ mean[i])[:2], rtol=0,
+                           atol=1e-12)
+        assert prob[i] == _vacuum_weight(mean[i], cov[i], [2, 3])
 
 
 def test_evolve_preserves_purity_class():
-    st = product([gaussian_dst(0.3, 0.2, 0.0), vacuum(1)])
-    s = symplectic_from_hamiltonian(swap_coupling_matrix(), 0.9)
-    out = evolve(st, s)
     # symplectic evolution preserves det(cov) (purity of the Gaussian state)
-    assert np.linalg.det(out.cov) == pytest.approx(np.linalg.det(st.cov),
-                                                   rel=1e-10)
+    cov = 0.5 * np.eye(4)
+    cov[:2, :2] = dst_moments(0.3, 0.0, 0.2, 0.0)[1]
+    s = symplectic_from_hamiltonian(swap_coupling_matrix(), 0.9)
+    assert np.linalg.det(s @ cov @ s.T) == pytest.approx(np.linalg.det(cov),
+                                                         rel=1e-10)
 
 
 def test_oneshot_grid_builds_the_swap_once(tmp_path, monkeypatch):
@@ -190,12 +193,12 @@ def test_oneshot_rejects_bad_inputs(args, monkeypatch):
 
     monkeypatch.setattr(gaussian, "symplectic_from_hamiltonian", refuse)
     point, t = args[:4], args[4:]
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConfigError):
         oneshot_stack(*[[x] for x in point], *t)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ConfigError):
         oneshot_stack(*[[0.1, x] for x in point], *t)
 
 
 def test_oneshot_stack_rejects_unequal_lengths():
-    with pytest.raises(ConstructionError, match="equal lengths"):
+    with pytest.raises(ConfigError, match="equal lengths"):
         oneshot_stack([0.1, 0.2], [0.0], [0.0], [0.0])

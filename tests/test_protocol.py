@@ -357,6 +357,22 @@ def test_sweep_dimension_skips_invalid_levels():
     assert [(r.d, r.k) for r in recs] == [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 
 
+@pytest.mark.parametrize("d_list,k_list", [
+    ([3], [5]), ([2, 3], [3]), ([3], [-1, 0]), ([], [0]), ([3], []),
+    ([1], [0]), ([1, 3], [0])],
+    ids=["k-above-d", "k-equal-max-d", "k-negative", "no-d", "no-k",
+         "d-below-2", "one-d-below-2"])
+def test_sweep_dimension_rejects_unrunnable_grid(d_list, k_list, monkeypatch):
+    # a grid with no runnable cell, or a cell no regulator can measure,
+    # is refused before any cell runs
+    runs = []
+    monkeypatch.setattr(protocol, "_run_cells",
+                        lambda *args: runs.append(args) or [])
+    with pytest.raises(ConfigError):
+        sweep_dimension(_single_cfg(3, 0), d_list, k_list)
+    assert runs == []
+
+
 def test_sweep_energy_contract():
     base = _single_cfg(4, 0, n_max=30)
     recs = sweep_energy(base, [0.0, 0.4])
@@ -488,6 +504,38 @@ def test_single_path_honours_coupling(coupling):
     default = run_protocol(ProtocolConfig(Topology("single", 4), state,
                                           **{**kw, "coupling": CouplingParams()}))
     assert abs(single.probability[10] - default.probability[10]) > 1e-3
+
+
+@pytest.mark.parametrize("topo,coupling", [
+    (Topology("single", 3), CouplingParams(lam_tilde=3.0)),
+    (Topology("star", 3, modes=2), CouplingParams(lam_tilde=3.0)),
+    (Topology("hybrid", 3), CouplingParams(lam_tilde=0.5)),
+    (Topology("linear", 3, modes=1), CouplingParams(lam_tilde=3.0)),
+    (Topology("single", 3, system_levels=3), CouplingParams()),
+    (Topology("star", 3, modes=2, system_levels=7), CouplingParams()),
+    (Topology("linear", 3, modes=2, system_levels=3), CouplingParams())],
+    ids=["single-lam-tilde", "star-lam-tilde", "hybrid-lam-tilde",
+         "linear-m1-lam-tilde", "single-system-levels", "star-system-levels",
+         "linear-system-levels"])
+def test_settings_a_run_ignores_are_rejected(topo, coupling):
+    # lam_tilde acts only on a linear chain's hops, system_levels only on
+    # the hybrid's qudit; elsewhere either would be silently ignored
+    cfg = ProtocolConfig(topo, NETWORK_STATE, regulator_level=1,
+                         cycle_time=1.0, coupling=coupling)
+    with pytest.raises(ConfigError, match="lambda_tilde|system_levels"):
+        cfg.validate()
+    if coupling != CouplingParams():
+        replace(cfg, coupling=CouplingParams()).validate()
+    else:
+        replace(cfg, topology=replace(topo, system_levels=2)).validate()
+
+
+def test_settings_a_run_uses_are_accepted():
+    ProtocolConfig(Topology("linear", 3, modes=2), NETWORK_STATE,
+                   cycle_time=1.0,
+                   coupling=CouplingParams(lam_tilde=0.7)).validate()
+    ProtocolConfig(Topology("hybrid", 3, system_levels=4), NETWORK_STATE,
+                   regulator_level=1).validate()
 
 
 def test_default_cycle_time_needs_default_coupling():
