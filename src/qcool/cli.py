@@ -2,9 +2,17 @@
 
 Three commands: `qcool run <config>` executes an experiment described by
 an INI-style config and writes CSV, `qcool validate <config>` checks the
-schema and prints the canonical form, `qcool list-experiments` shows the
+config and prints its canonical form, `qcool list-experiments` shows the
 available experiment kinds.  Exit codes: 0 success, 2 config error,
 3 numeric error.
+
+`EXPERIMENTS` is the one table of experiment kinds.  Each entry holds
+the runner, its help line, the (section, key) pairs the kind reads and
+the `[topology] kind` values it accepts.  `load_config` rejects a key
+the kind does not read and a topology it does not accept, so `validate`
+and `run` fail on the same configs, before anything runs.  A loaded
+config holds exactly the keys its kind reads, defaults filled in, and
+`canonical_form` prints exactly those.
 """
 from __future__ import annotations
 
@@ -15,12 +23,12 @@ import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, QcoolError
-from .hamiltonians import CouplingParams, Topology
+from .hamiltonians import TOPOLOGY_KINDS, CouplingParams, Topology
 from .states import DSTParams
 from . import gaussian as gaussmod
 from . import protocol
@@ -86,7 +94,10 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
 
 
 def load_config(path) -> Dict[str, Dict]:
-    """Parse and schema-check a config file; unknown keys are rejected."""
+    """Parse and check a config file.  Unknown sections and keys, keys
+    the experiment kind does not read and a topology it does not accept
+    are config errors; the result holds every key the kind reads, and
+    only those, defaults filled in, in schema order."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#",))
     try:
@@ -97,34 +108,46 @@ def load_config(path) -> Dict[str, Dict]:
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}")
 
-    cfg: Dict[str, Dict] = {}
+    kind = _s(parser.get("experiment", "kind",
+                         fallback=SCHEMA["experiment"]["kind"][1]))
+    if kind not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment kind '{kind}'")
+    spec = EXPERIMENTS[kind]
     for section in parser.sections():
         if section not in SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser[section]:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
+            if (section, key) not in spec.reads:
+                raise ConfigError(
+                    f"the {kind} experiment does not read [{section}] {key}")
+
+    cfg: Dict[str, Dict] = {}
     for section, keys in SCHEMA.items():
-        cfg[section] = {}
         for key, (cast, default) in keys.items():
+            if (section, key) not in spec.reads:
+                continue
             raw = parser.get(section, key, fallback=default)
             try:
-                cfg[section][key] = cast(raw)
+                cfg.setdefault(section, {})[key] = cast(raw)
             except (TypeError, ValueError):
                 raise ConfigError(f"bad value for '{key}' in [{section}]: {raw!r}")
-    kind = cfg["experiment"]["kind"]
-    if kind not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment kind '{kind}'")
+    if spec.topologies and cfg["topology"]["kind"] not in spec.topologies:
+        raise ConfigError(
+            f"the {kind} experiment needs [topology] kind in "
+            f"{{{', '.join(spec.topologies)}}}, got '{cfg['topology']['kind']}'")
     return cfg
 
 
 def canonical_form(cfg: Dict[str, Dict]) -> str:
-    """Deterministic full serialization; parsing it back is a fixed point."""
+    """Deterministic serialization of a loaded config, every key its kind
+    reads; parsing it back is a fixed point."""
     lines = []
-    for section, keys in SCHEMA.items():
+    for section, keys in cfg.items():
         lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {_fmt_value(cfg[section][key])}")
+        for key, value in keys.items():
+            lines.append(f"{key} = {_fmt_value(value)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -152,7 +175,10 @@ def emit_csv(header: Sequence[str], rows: List[tuple], path,
     out = [",".join(header)]
     for row in sorted(rows, key=sort_key):
         out.append(",".join(_fmt_cell(v) for v in row))
-    Path(path).write_text("\n".join(out) + "\n")
+    try:
+        Path(path).write_text("\n".join(out) + "\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}")
 
 
 def _fmt_cell(v) -> str:
@@ -168,7 +194,10 @@ def _fmt_cell(v) -> str:
 # ------------------------------------------------------------- execution
 
 def _state_params(cfg) -> DSTParams:
-    s = cfg["state"]
+    """The [state] of a kind that reads it; the vacuum otherwise."""
+    s = cfg.get("state")
+    if s is None:
+        return DSTParams()
     try:
         return DSTParams(alpha_mag=s["alpha"], alpha_phase=s["alpha_phase"],
                          r=s["r"], theta=s["theta"], nbar=s["nbar"])
@@ -193,35 +222,39 @@ def _report_args(cfg):
     return args
 
 
-def _topology(cfg, d: Optional[int] = None) -> Topology:
-    t = cfg["topology"]
-    d = cfg["regulator"]["d"] if d is None else d
+def _protocol_config(cfg) -> protocol.ProtocolConfig:
+    """The ProtocolConfig of the keys a kind reads; a field it does not
+    read keeps ProtocolConfig's default.  sweep-dim and network read no
+    [regulator]: each grid cell sets its own d and k, and the base holds
+    d = 2 only because a Topology needs one."""
+    t, reg = cfg["topology"], cfg.get("regulator", {})
     try:
-        return Topology(kind=t["kind"], regulator_levels=d, modes=t["modes"],
-                        system_levels=t["system_levels"],
-                        regulator_kind=t["regulator_kind"])
+        topology = Topology(kind=t["kind"], regulator_levels=reg.get("d", 2),
+                            modes=t["modes"], system_levels=t["system_levels"],
+                            regulator_kind=t["regulator_kind"])
     except ValueError as err:
         raise ConfigError(f"[topology]: {err}")
-
-
-def _protocol_config(cfg, **overrides) -> protocol.ProtocolConfig:
-    p = cfg["protocol"]
-    base = dict(
-        topology=_topology(cfg), initial_system=_state_params(cfg),
-        regulator_level=cfg["regulator"]["k"], cycle_time=p["t"],
-        n_max=p["n_max"], fidelity_target=p["fidelity_target"],
-        probability_floor=p["probability_floor"],
-        convergence_tol=p["convergence_tol"], coupling=_coupling(cfg),
-        cutoff=p["cutoff"], e_max=p["e_max"])
-    base.update(overrides)
-    return protocol.ProtocolConfig(**base)
+    fields = {("cycle_time" if key == "t" else key): value
+              for key, value in cfg.get("protocol", {}).items()}
+    return protocol.ProtocolConfig(
+        topology=topology, initial_system=_state_params(cfg),
+        regulator_level=reg.get("k", 0), coupling=_coupling(cfg), **fields)
 
 
 def _out_path(cfg, config_path) -> Path:
+    """[output] path, or the config's own path with a .csv suffix; its
+    directory must exist and the path must not name a directory."""
     p = cfg["output"]["path"]
-    if p:
-        return Path(p)
-    return Path(config_path).with_suffix(".csv")
+    out = Path(p) if p else Path(config_path).with_suffix(".csv")
+    try:
+        is_dir, in_dir = out.is_dir(), out.parent.is_dir()
+    except OSError as err:      # a name too long, say
+        raise ConfigError(f"cannot write {out}: {err.strerror or err}")
+    if is_dir:
+        raise ConfigError(f"cannot write {out}: it is a directory")
+    if not in_dir:
+        raise ConfigError(f"cannot write {out}: no directory {out.parent}")
+    return out
 
 
 def _run_cool(cfg, out):
@@ -240,49 +273,38 @@ def _run_sweep_energy(cfg, out):
              out, key_cols=1)
 
 
-def _write_grid(cfg, out, d_list, k_list):
-    """One (d, k, N, F, P) row per cell of the (d, k) grid with k < d
-    (`protocol.sweep_dimension` checks the grid)."""
-    recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
-                                    *_report_args(cfg))
-    emit_csv(("d", "k", "N", "F", "P"),
-             [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
-             out, key_cols=2)
-
-
-def _run_sweep_dim(cfg, out):
-    _write_grid(cfg, out, cfg["sweep"]["d_list"], cfg["sweep"]["k_list"])
-
-
-def _run_network(cfg, out):
-    if cfg["topology"]["kind"] not in ("linear", "star"):
-        raise ConfigError("network experiment needs a linear or star topology")
-    _run_sweep_dim(cfg, out)
-
-
-def _run_hybrid(cfg, out):
-    if cfg["topology"]["kind"] != "hybrid":
-        raise ConfigError("hybrid experiment needs topology kind = hybrid")
-    s = cfg["sweep"]
-    if s["ds_list"]:
+def _run_grid(cfg, out):
+    """sweep-dim, network and hybrid: one (d, k, N, F, P) row per cell of
+    the (d, k) grid with k < d (`protocol.sweep_dimension` checks the
+    grid), or one (d_s, N, F, P) row per system qudit dimension of a
+    hybrid `ds_list`, at [regulator] d and k.  The kinds differ only in
+    what they read (EXPERIMENTS): hybrid alone reads `ds_list`, and its
+    [regulator] d and k stand in for an empty `d_list` or `k_list`."""
+    s, reg = cfg["sweep"], cfg.get("regulator")
+    report = _report_args(cfg)
+    if s.get("ds_list"):
         if s["d_list"] or s["k_list"]:
             raise ConfigError("[sweep] ds_list runs at [regulator] d and k; "
                               "it takes no d_list or k_list")
         if min(s["ds_list"]) < 2:
             raise ConfigError(f"[sweep] ds_list: the system qudit needs "
                               f"d_s >= 2, got {min(s['ds_list'])}")
-        report, rows = _report_args(cfg), []
+        base, rows = _protocol_config(cfg), []
         for ds in s["ds_list"]:
-            pc = _protocol_config(cfg)
-            pc = replace(pc, topology=replace(pc.topology, system_levels=ds))
-            trace = protocol.run_protocol(pc)
+            trace = protocol.run_protocol(replace(
+                base, topology=replace(base.topology, system_levels=ds)))
             n = protocol.report_cycles(trace, *report)
             rows.append((ds, n, float(trace.fidelity[n]),
                          float(trace.probability[n])))
         emit_csv(("d_s", "N", "F", "P"), rows, out, key_cols=1)
         return
-    _write_grid(cfg, out, s["d_list"] or [cfg["regulator"]["d"]],
-                s["k_list"] or [cfg["regulator"]["k"]])
+    d_list = s["d_list"] or ([reg["d"]] if reg else [])
+    k_list = s["k_list"] or ([reg["k"]] if reg else [])
+    recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
+                                    *report)
+    emit_csv(("d", "k", "N", "F", "P"),
+             [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
+             out, key_cols=2)
 
 
 def _run_gaussian(cfg, out):
@@ -299,9 +321,6 @@ def _run_gaussian(cfg, out):
 
 
 def _run_opt_time(cfg, out):
-    if cfg["protocol"]["t"] is not None:
-        raise ConfigError("opt-time writes the default cycle times; "
-                          "it takes no [protocol] t")
     base = _protocol_config(cfg)
     rows = []
     for k in cfg["sweep"]["k_list"] or range(base.topology.regulator_levels):
@@ -343,16 +362,55 @@ def _run_prep(cfg, out):
              key_cols=3)
 
 
-# experiment kind -> (runner, help line)
-EXPERIMENTS = {
-    "cool": (_run_cool, "single cooling run, per-cycle trace CSV"),
-    "sweep-dim": (_run_sweep_dim, "cycle counts over regulator dimension and level"),
-    "sweep-energy": (_run_sweep_energy, "cooling cycles versus initial mean energy"),
-    "network": (_run_network, "linear/star oscillator-network cooling"),
-    "hybrid": (_run_hybrid, "oscillator + qudit pair cooling"),
-    "gaussian": (_run_gaussian, "covariance-matrix one-shot cooling"),
-    "opt-time": (_run_opt_time, "optimal cycle times per measurement level"),
-    "prep": (_run_prep, "state-preparation circuits on the cooled pair"),
+class Experiment(NamedTuple):
+    """One experiment kind: its runner, its help line, the (section, key)
+    pairs it reads and the [topology] kind values it accepts (none when
+    it reads no [topology])."""
+    runner: Callable
+    help: str
+    reads: FrozenSet[Tuple[str, str]]
+    topologies: Tuple[str, ...] = ()
+
+
+def _reads(*sections, **keys) -> FrozenSet[Tuple[str, str]]:
+    """Every key of the named sections and the listed keys of the keyword
+    ones; every kind also reads [experiment] and [output]."""
+    whole = sections + ("experiment", "output")
+    return frozenset([(s, k) for s in whole for k in SCHEMA[s]]
+                     + [(s, k) for s, ks in keys.items() for k in ks])
+
+
+_COOL = _reads("state", "topology", "coupling", "regulator",
+               protocol=("t", "n_max", "cutoff", "e_max"))
+_GRID = _reads("state", "topology", "coupling",
+               protocol=("t", "n_max", "cutoff", "e_max", "fidelity_target",
+                         "convergence_tol"),
+               sweep=("d_list", "k_list", "report", "stop", "settle_tol"))
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "cool": Experiment(_run_cool, "single cooling run, per-cycle trace CSV",
+                       _COOL, TOPOLOGY_KINDS),
+    "sweep-dim": Experiment(
+        _run_grid, "cycle counts over regulator dimension and level",
+        _GRID, TOPOLOGY_KINDS),
+    "sweep-energy": Experiment(
+        _run_sweep_energy, "cooling cycles versus initial mean energy",
+        _COOL | _reads(protocol=("fidelity_target", "probability_floor"),
+                       sweep=("nbar_grid",)), TOPOLOGY_KINDS),
+    "network": Experiment(_run_grid, "linear/star oscillator-network cooling",
+                          _GRID, ("linear", "star")),
+    "hybrid": Experiment(_run_grid, "oscillator + qudit pair cooling",
+                         _GRID | _reads("regulator", sweep=("ds_list",)),
+                         ("hybrid",)),
+    "gaussian": Experiment(_run_gaussian, "covariance-matrix one-shot cooling",
+                           _reads("gaussian")),
+    "opt-time": Experiment(
+        _run_opt_time, "optimal cycle times per measurement level",
+        _reads("topology", "coupling", regulator=("d",), sweep=("k_list",)),
+        TOPOLOGY_KINDS),
+    "prep": Experiment(_run_prep,
+                       "state-preparation circuits on the cooled pair",
+                       _reads("prep")),
 }
 
 
@@ -361,7 +419,7 @@ def run(config_path) -> int:
     try:
         cfg = load_config(config_path)
         out = _out_path(cfg, config_path)
-        EXPERIMENTS[cfg["experiment"]["kind"]][0](cfg, out)
+        EXPERIMENTS[cfg["experiment"]["kind"]].runner(cfg, out)
         print(f"wrote {out}")
         return 0
     except ConfigError as err:
@@ -383,8 +441,8 @@ def validate(config_path) -> int:
 
 
 def list_experiments() -> int:
-    for kind, (_, text) in EXPERIMENTS.items():
-        print(f"{kind:14s} {text}")
+    for kind, spec in EXPERIMENTS.items():
+        print(f"{kind:14s} {spec.help}")
     exp_dir = Path("experiments")
     if exp_dir.is_dir():
         cfgs = sorted(exp_dir.glob("*.cfg"))

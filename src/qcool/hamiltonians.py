@@ -47,6 +47,9 @@ class CouplingParams:
         return wf
 
 
+TOPOLOGY_KINDS = ("single", "linear", "star", "hybrid")
+
+
 @dataclass(frozen=True)
 class Topology:
     """Layout of the system: which subsystems exist and how they couple.
@@ -63,7 +66,7 @@ class Topology:
     regulator_kind: str = "qudit"
 
     def __post_init__(self):
-        if self.kind not in ("single", "linear", "star", "hybrid"):
+        if self.kind not in TOPOLOGY_KINDS:
             raise ValueError(f"unknown topology kind {self.kind!r}")
         if self.regulator_kind not in ("qudit", "oscillator"):
             raise ValueError(f"unknown regulator kind {self.regulator_kind!r}")

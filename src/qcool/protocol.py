@@ -367,8 +367,9 @@ def _chiral_block(joint: np.ndarray, hops, colour: np.ndarray, rows: slice,
     cb = b[:, pos[rk[ib]]].T @ q
     w = np.empty((len(rk), len(rk)))
     w[np.ix_(ia, ia)] = (qa * np.cos(x)) @ qa.T
-    w[np.ix_(ia, ib)] = -(qa * f) @ cb.T
-    w[np.ix_(ib, ia)] = (cb * f) @ qa.T
+    w_ab = (qa * f) @ cb.T          # H is real symmetric: W_ba = -W_ab^T
+    w[np.ix_(ia, ib)] = -w_ab
+    w[np.ix_(ib, ia)] = w_ab.T
     w[np.ix_(ib, ib)] = np.eye(len(ib)) + (cb * g) @ cb.T
     return w, np.where(in_b, 1j, 1.0)
 

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcool import protocol, stateprep
-from qcool.cli import (EXPERIMENTS, canonical_form, emit_csv, load_config,
-                       main)
+from qcool import gaussian, protocol, stateprep
+from qcool.cli import (EXPERIMENTS, SCHEMA, canonical_form, emit_csv,
+                       load_config, main)
 from qcool.errors import ConfigError
 
 
@@ -262,6 +262,163 @@ k_list = 0
     assert main(["run", str(cfg)]) == 2
 
 
+def _forbid(monkeypatch, *targets):
+    """Replace each (module, name) by a recorder; returns the calls."""
+    calls = []
+    for module, name in targets:
+        monkeypatch.setattr(module, name,
+                            lambda *a, _name=name, **kw: calls.append(_name))
+    return calls
+
+
+@pytest.mark.parametrize("text,unread", [
+    ("kind = cool\n[protocol]\nfidelity_target = 0.99\n",
+     "[protocol] fidelity_target"),
+    ("kind = sweep-energy\n[protocol]\nconvergence_tol = 1e-4\n",
+     "[protocol] convergence_tol"),
+    ("kind = sweep-dim\n[regulator]\nd = 3\n", "[regulator] d"),
+    ("kind = network\n[topology]\nkind = star\n[sweep]\nds_list = 2\n",
+     "[sweep] ds_list"),
+    ("kind = hybrid\n[topology]\nkind = hybrid\n[protocol]\n"
+     "probability_floor = 0.2\n", "[protocol] probability_floor"),
+    ("kind = gaussian\n[state]\nalpha = 1\n", "[state] alpha"),
+    ("kind = opt-time\n[regulator]\nk = 1\n", "[regulator] k"),
+    # whole sections the kind never reads; the first one set is named
+    ("kind = opt-time\n[regulator]\nd = 4\n[state]\nalpha = 3\nnbar = 2\n"
+     "[protocol]\nn_max = 7\ncutoff = 5\n[gaussian]\nnbar = 4\n",
+     "[state] alpha"),
+    ("kind = prep\n[topology]\nkind = single\n", "[topology] kind")],
+    ids=["cool", "sweep-energy", "sweep-dim", "network", "hybrid",
+         "gaussian", "opt-time", "opt-time-sections", "prep"])
+def test_every_kind_rejects_a_key_it_does_not_read(tmp_path, text, unread,
+                                                    capsys, monkeypatch):
+    calls = _forbid(monkeypatch, (protocol, "_run_cells"),
+                    (protocol, "default_cycle_time"),
+                    (gaussian, "oneshot_stack"), (stateprep, "make_cat"))
+    cfg = _write(tmp_path, "u.cfg", "[experiment]\n" + text)
+    kind = text.split("\n")[0].split(" = ")[1]
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: the {kind} experiment does not read {unread}\n"
+    assert calls == []
+    assert not (tmp_path / "u.csv").exists()
+
+
+@pytest.mark.parametrize("kind,topology,accepted", [
+    ("network", "hybrid", "{linear, star}"),
+    ("network", "single", "{linear, star}"),
+    ("hybrid", "star\nmodes = 2", "{hybrid}"),
+    ("sweep-dim", "ring", "{single, linear, star, hybrid}")])
+def test_topology_outside_the_kind_rejected(tmp_path, kind, topology,
+                                            accepted, capsys, monkeypatch):
+    calls = _forbid(monkeypatch, (protocol, "_run_cells"))
+    cfg = _write(tmp_path, "t.cfg", f"[experiment]\nkind = {kind}\n"
+                 f"[topology]\nkind = {topology}\n[sweep]\nd_list = 3\n"
+                 f"k_list = 0\n")
+    got = topology.split("\n")[0]
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the {kind} experiment needs [topology] kind in "
+            f"{accepted}, got '{got}'\n")
+    assert calls == []
+
+
+def test_loaded_config_holds_only_read_keys(tmp_path, capsys):
+    # the table is the whole story: each kind loads exactly its read set,
+    # and validate prints exactly that
+    for kind, spec in EXPERIMENTS.items():
+        text = f"[experiment]\nkind = {kind}\n"
+        if spec.topologies:
+            text += f"[topology]\nkind = {spec.topologies[0]}\n"
+        cfg = load_config(_write(tmp_path, "k.cfg", text))
+        assert {(s, k) for s in cfg for k in cfg[s]} == spec.reads, kind
+    cfg = _write(tmp_path, "ot.cfg",
+                 "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n")
+    assert main(["validate", str(cfg)]) == 0
+    assert capsys.readouterr().out == (
+        "[experiment]\nkind = opt-time\n\n"
+        "[topology]\nkind = single\nmodes = 1\nsystem_levels = 2\n"
+        "regulator_kind = qudit\n\n"
+        "[coupling]\nlambda = 1.0\nlambda_tilde = 1.0\nomega_a = 1.0\n"
+        "omega_f = 1.0\n\n"
+        "[regulator]\nd = 4\n\n[sweep]\nk_list = \n\n[output]\npath = \n")
+
+
+def test_read_sets_cover_the_schema():
+    # every schema key is read by some kind, and every read key exists
+    read = set().union(*(spec.reads for spec in EXPERIMENTS.values()))
+    assert read == {(s, k) for s in SCHEMA for k in SCHEMA[s]}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("kind = sweep-energy\n[sweep]\nnbar_grid = 0.4\n[protocol]\n"
+     "fidelity_target = 2.0\n", "fidelity_target must lie in (0, 1], got 2.0"),
+    ("kind = sweep-energy\n[sweep]\nnbar_grid = 0.4\n[protocol]\n"
+     "probability_floor = nan\n",
+     "probability_floor must lie in [0, 1], got nan"),
+    ("kind = sweep-energy\n[sweep]\nnbar_grid = 0.4\n[protocol]\n"
+     "probability_floor = -0.1\n",
+     "probability_floor must lie in [0, 1], got -0.1"),
+    ("kind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n[protocol]\n"
+     "convergence_tol = -1\n",
+     "convergence_tol must be finite and >= 0, got -1.0"),
+    ("kind = network\n[topology]\nkind = star\nmodes = 2\n[sweep]\n"
+     "d_list = 3\nk_list = 0\n[protocol]\nconvergence_tol = inf\n",
+     "convergence_tol must be finite and >= 0, got inf"),
+    ("kind = hybrid\n[topology]\nkind = hybrid\n[protocol]\n"
+     "fidelity_target = 0\n", "fidelity_target must lie in (0, 1], got 0.0")],
+    ids=["energy-target", "energy-floor-nan", "energy-floor-negative",
+         "grid-tol-negative", "network-tol-inf", "hybrid-target-zero"])
+def test_read_protocol_values_are_range_checked(tmp_path, text, message,
+                                                capsys, monkeypatch):
+    # the target, floor and tolerance keys reach ProtocolConfig.validate
+    # on the kinds that read them, before any cell's state is built
+    calls = _forbid(monkeypatch, (protocol, "_bright_mode"))
+    cfg = _write(tmp_path, "r.cfg", "[experiment]\n" + text)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+
+
+def test_unwritable_output_exits_2_before_the_run(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = _forbid(monkeypatch, (protocol, "_run_cells"),
+                    (protocol, "default_cycle_time"))
+    # the path names an existing directory
+    cfg = _write(tmp_path, "c.cfg", COOL_CFG + f"[output]\npath = {tmp_path}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {tmp_path}: it is a directory\n"
+    # the path's directory does not exist
+    missing = tmp_path / "missing" / "x.csv"
+    cfg = _write(tmp_path, "ot.cfg", "[experiment]\nkind = opt-time\n"
+                 f"[regulator]\nd = 4\n[output]\npath = {missing}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot write {missing}: "
+                                       f"no directory {missing.parent}\n")
+    # a name too long to look up
+    long = tmp_path / ("x" * 300 + ".csv")
+    cfg = _write(tmp_path, "c.cfg", COOL_CFG + f"[output]\npath = {long}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {long}: File name too long\n"
+    assert calls == []
+    assert not missing.parent.exists()
+
+
+def test_failed_write_exits_2(tmp_path, capsys):
+    # the checks pass, the write itself fails: a link to a missing file
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "missing" / "g.csv")
+    cfg = _write(tmp_path, "g.cfg", "[experiment]\nkind = gaussian\n"
+                 f"[gaussian]\nnbar = 0.5\n[output]\npath = {link}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {link}: No such file or directory\n"
+
+
 def test_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     out = capsys.readouterr().out
@@ -405,7 +562,8 @@ def test_program_errors_are_not_numeric_errors(tmp_path, monkeypatch):
     def broken(cfg, out):
         raise ValueError("bug")
 
-    monkeypatch.setitem(EXPERIMENTS, "cool", (broken, ""))
+    monkeypatch.setitem(EXPERIMENTS, "cool",
+                        EXPERIMENTS["cool"]._replace(runner=broken))
     with pytest.raises(ValueError, match="bug"):
         main(["run", str(_write(tmp_path, "c.cfg", COOL_CFG))])
 

@@ -62,11 +62,13 @@ def test_committed_csv_reproduces(tmp_path, config):
 
 
 def _runs(cfg):
-    """The protocol config of every run, or time, a config asks for."""
-    kind, s, reg = cfg["experiment"]["kind"], cfg["sweep"], cfg["regulator"]
+    """The protocol config of every run, or time, a config asks for; a
+    loaded config holds only the sections and keys its kind reads."""
+    kind = cfg["experiment"]["kind"]
+    s, reg = cfg.get("sweep", {}), cfg.get("regulator", {})
     if kind == "opt-time":
         grid = [(reg["d"], k) for k in s["k_list"] or range(reg["d"])]
-    elif kind in ("cool", "sweep-energy") or s["ds_list"]:
+    elif kind in ("cool", "sweep-energy") or s.get("ds_list"):
         grid = [(reg["d"], reg["k"])]
     else:
         grid = [(d, k) for d in s["d_list"] or [reg["d"]]
@@ -74,7 +76,7 @@ def _runs(cfg):
     base = _protocol_config(cfg)
     return [replace(base, regulator_level=k, topology=replace(
                 base.topology, regulator_levels=d, system_levels=ds))
-            for ds in s["ds_list"] or [base.topology.system_levels]
+            for ds in s.get("ds_list") or [base.topology.system_levels]
             for d, k in grid]
 
 

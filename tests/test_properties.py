@@ -1,9 +1,11 @@
 """Randomized invariant checks."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcool.cli import canonical_form, load_config
+from qcool.cli import EXPERIMENTS, canonical_form, load_config
 from qcool.gaussian import dst_moments, symplectic_from_hamiltonian
 from qcool.hamiltonians import CouplingParams, Topology
 from qcool.protocol import ProtocolConfig, run_protocol
@@ -145,3 +147,42 @@ def test_config_roundtrip(alpha, r, nbar, dk, n_max, explicit_t):
         assert canonical_form(load_config(path)) == canon
     finally:
         os.unlink(path)
+
+
+# a minimal config of every experiment kind
+MINIMAL = {
+    "cool": "",
+    "sweep-energy": "[sweep]\nnbar_grid = 0.5,1\n",
+    "sweep-dim": "[sweep]\nd_list = 2,3\nk_list = 0\n",
+    "network": "[topology]\nkind = star\nmodes = 2\n[sweep]\nd_list = 3\n",
+    "hybrid": "[topology]\nkind = hybrid\n[sweep]\nds_list = 2,3\n",
+    "gaussian": "[gaussian]\nr = 0.1,0.2\n",
+    "opt-time": "[regulator]\nd = 3\n",
+    "prep": "[prep]\nkinds = cat,noon\n",
+}
+COMMITTED = sorted((Path(__file__).resolve().parent.parent
+                    / "experiments").glob("*.cfg"))
+
+
+def test_minimal_configs_cover_every_kind():
+    assert set(MINIMAL) == set(EXPERIMENTS)
+    assert len(COMMITTED) == 14
+
+
+@pytest.mark.parametrize("source", [f"kind:{k}" for k in MINIMAL]
+                         + [c.name for c in COMMITTED])
+def test_config_roundtrip_every_kind(tmp_path, source):
+    # canonical_form is a fixed point for each kind's read set
+    if source.startswith("kind:"):
+        kind = source[len("kind:"):]
+        text = f"[experiment]\nkind = {kind}\n" + MINIMAL[kind]
+    else:
+        text = (COMMITTED[0].parent / source).read_text()
+    first = tmp_path / "a.cfg"
+    first.write_text(text)
+    cfg = load_config(first)
+    canon = canonical_form(cfg)
+    again = tmp_path / "b.cfg"
+    again.write_text(canon)
+    assert load_config(again) == cfg
+    assert canonical_form(load_config(again)) == canon
