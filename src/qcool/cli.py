@@ -7,12 +7,14 @@ available experiment kinds.  Exit codes: 0 success, 2 config error,
 3 numeric error.
 
 `EXPERIMENTS` is the one table of experiment kinds.  Each entry holds
-the runner, its help line, the (section, key) pairs the kind reads and
-the `[topology] kind` values it accepts.  `load_config` rejects a key
-the kind does not read and a topology it does not accept, so `validate`
-and `run` fail on the same configs, before anything runs.  A loaded
-config holds exactly the keys its kind reads, defaults filled in, and
-`canonical_form` prints exactly those.
+the runner, its help line, the (section, key) pairs the kind reads, the
+`[topology] kind` values it accepts and the keys a non-empty list
+overrides (a hybrid's [regulator] d beside [sweep] d_list, k beside
+k_list).  `load_config` rejects a key the kind does not read, a
+topology it does not accept and an overridden key the file sets, so
+`validate` and `run` fail on the same configs, before anything runs.  A
+loaded config holds exactly the keys its kind reads and uses, defaults
+filled in, and `canonical_form` prints exactly those.
 """
 from __future__ import annotations
 
@@ -95,9 +97,11 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
 
 def load_config(path) -> Dict[str, Dict]:
     """Parse and check a config file.  Unknown sections and keys, keys
-    the experiment kind does not read and a topology it does not accept
-    are config errors; the result holds every key the kind reads, and
-    only those, defaults filled in, in schema order."""
+    the experiment kind does not read, a topology it does not accept and
+    a key set beside a non-empty list that overrides it (`shadowed`) are
+    config errors; the result holds every key the kind reads, and only
+    those, defaults filled in, in schema order, less the overridden
+    ones."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#",))
     try:
@@ -137,6 +141,16 @@ def load_config(path) -> Dict[str, Dict]:
         raise ConfigError(
             f"the {kind} experiment needs [topology] kind in "
             f"{{{', '.join(spec.topologies)}}}, got '{cfg['topology']['kind']}'")
+    for (section, key), (lsection, lkey) in spec.shadowed:
+        if not cfg[lsection][lkey]:
+            continue
+        if parser.has_option(section, key):
+            raise ConfigError(
+                f"the {kind} experiment never uses [{section}] {key} beside "
+                f"a non-empty [{lsection}] {lkey}")
+        del cfg[section][key]
+        if not cfg[section]:
+            del cfg[section]
     return cfg
 
 
@@ -321,12 +335,15 @@ def _run_gaussian(cfg, out):
 
 
 def _run_opt_time(cfg, out):
+    """One (k, t_opt, residual) row per level of `k_list` (all levels of
+    [regulator] d when empty); every k is checked before any search."""
     base = _protocol_config(cfg)
+    levels = cfg["sweep"]["k_list"] or range(base.topology.regulator_levels)
+    for k in levels:
+        replace(base, regulator_level=k).validate()
     rows = []
-    for k in cfg["sweep"]["k_list"] or range(base.topology.regulator_levels):
-        pc = replace(base, regulator_level=k)
-        pc.validate()
-        res = protocol.default_cycle_time(pc.topology, k, pc.coupling)
+    for k in levels:
+        res = protocol.default_cycle_time(base.topology, k, base.coupling)
         rows.append((k, res.t_opt, res.residual))
     emit_csv(("k", "t_opt", "residual"), rows, out, key_cols=1)
 
@@ -364,12 +381,14 @@ def _run_prep(cfg, out):
 
 class Experiment(NamedTuple):
     """One experiment kind: its runner, its help line, the (section, key)
-    pairs it reads and the [topology] kind values it accepts (none when
-    it reads no [topology])."""
+    pairs it reads, the [topology] kind values it accepts (none when it
+    reads no [topology]) and the (key, list) pairs in which a key the
+    file sets goes unused once the list is non-empty."""
     runner: Callable
     help: str
     reads: FrozenSet[Tuple[str, str]]
     topologies: Tuple[str, ...] = ()
+    shadowed: Tuple[Tuple[Tuple[str, str], Tuple[str, str]], ...] = ()
 
 
 def _reads(*sections, **keys) -> FrozenSet[Tuple[str, str]]:
@@ -401,7 +420,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
                           _GRID, ("linear", "star")),
     "hybrid": Experiment(_run_grid, "oscillator + qudit pair cooling",
                          _GRID | _reads("regulator", sweep=("ds_list",)),
-                         ("hybrid",)),
+                         ("hybrid",),
+                         ((("regulator", "d"), ("sweep", "d_list")),
+                          (("regulator", "k"), ("sweep", "k_list")))),
     "gaussian": Experiment(_run_gaussian, "covariance-matrix one-shot cooling",
                            _reads("gaussian")),
     "opt-time": Experiment(

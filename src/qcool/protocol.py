@@ -45,20 +45,25 @@ and one power table |lambda_i|^(2n) (`_power_table`), and each cell
 weights its own columns of it (`_trace_single`).
 
 Total excitation is conserved, so the blocked engine's blocks are
-independent: each is one call that returns its trace contribution.  A
-sweep's blocked cells of one initial system, k and cycle time make one
-pass over the blocks, which serves every regulator dimension d of the
-sweep.  When at least two CPUs are available and BLAS runs one thread
-(OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1) the calling thread
-and one helper thread share the blocks (`_block_workers`,
+independent.  A sweep's blocked cells of one initial system, k and
+cycle time make one pass over the blocks, which serves every regulator
+dimension d of the sweep: each (block, d) is one task that returns its
+trace contribution, and a block's basis, hops and rho are built once
+for all its d.  Each block's trace powers stop as soon as the rest of
+them can no longer change a bit of P_n, measured against the vacuum
+block's contribution, a floor under every partial sum
+(`_block_trace_powers`).  When at least two CPUs are available and BLAS
+runs one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1) the
+calling thread and one helper thread share the tasks (`_block_workers`,
 `_map_blocks`); otherwise the caller runs them all.  The contributions
 are summed in ascending block order, so F_n and P_n are bit-identical
-either way, and to a run of each d alone.
+either way, to a run of each d alone, and to a run with no early stop.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -374,24 +379,48 @@ def _chiral_block(joint: np.ndarray, hops, colour: np.ndarray, rows: slice,
     return w, np.where(in_b, 1j, 1.0)
 
 
-def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
-                        out_tr: np.ndarray):
-    """Accumulate P_n = tr(V^n rho V^dag^n) for n = 0..n_max into out_tr.
+_EXIT_MARGIN = 2.0 ** -58  # of the floor, where `_block_trace_powers` stops
 
-    Baby and giant steps (Paterson and Stockmeyer 1973): with
-    A = isqrt(n_max) + 1, S_a = V^a^dag V^a (a < A), G = V^A and
+
+def _baby_steps(n_max: int) -> int:
+    """Baby-step count A of `_block_trace_powers`: the smallest A >= 2
+    minimising its 2(A-1) + 2(ceil((n_max+1)/A) - 1) products (A = 8 at
+    n_max = 100).  The minimum lies at A <= isqrt(n_max) + 2."""
+    return min(range(2, math.isqrt(n_max) + 3),
+               key=lambda a: a - 1 + -(-(n_max + 1) // a))
+
+
+def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
+                        out_tr: np.ndarray, floor: float = 0.0) -> int:
+    """Accumulate P_n = tr(V^n rho V^dag^n) for n = 0..n_max into out_tr,
+    stopping early once the rest can no longer change the sum it joins;
+    returns the number of cycles evaluated (from n = 0).
+
+    Baby and giant steps (Paterson and Stockmeyer 1973): with A baby
+    steps (`_baby_steps`), S_a = V^a^dag V^a (a < A), G = V^A and
     R_b = G^b rho G^b^dag, P_{a+Ab} = tr(R_b S_a) = sum (R_b * conj(S_a)),
     one product of the flattened R_b with the kept stack of conj(S_a).
-    That is 2(A-1) + 2(B-1) N x N products, B = n_max // A + 1: 38 at
+    That is 2(A-1) + 2(B-1) N x N products, B = ceil((n_max+1)/A): 38 at
     n_max = 100, against 200 by iteration.  With no eigenvectors and no
     inverse there is no conditioning to guard and no fallback, and V need
-    not be a contraction; a real V and rho keep every product real."""
+    not be a contraction; a real V and rho keep every product real.
+
+    floor > 0 is a lower bound on every partial sum of P_n this block's
+    contribution c(n) is added to (the caller passes the vacuum block's
+    least contribution).  When V is a contraction, as every compression
+    of a unitary is, c(n) never increases with n; so once a giant step
+    ends with |c| < floor 2^-58, every later c(n) lies below 2^-54 of the
+    sum it joins, less than half an ulp of it, and adding it would round
+    back to the same sum.  The kernel stops there and leaves the later
+    cycles as they were: the summed P_n and F_n keep every bit of a run
+    to n_max (the margin 2^-58 rather than 2^-54 absorbs the rounding of
+    the computed c).  floor <= 0 never stops."""
     n = v.shape[0]
     if n == 1:
         mag = np.abs(v[0, 0]) ** 2
         out_tr += np.real(rho[0, 0]) * mag ** np.arange(n_max + 1)
-        return
-    steps = math.isqrt(n_max) + 1
+        return n_max + 1
+    steps = _baby_steps(n_max)
     stack = np.empty((steps, n * n), dtype=np.result_type(v, rho))
     stack[0] = np.eye(n).ravel()
     pw = v
@@ -399,13 +428,19 @@ def _block_trace_powers(v: np.ndarray, rho: np.ndarray, n_max: int,
         if a > 1:
             pw = pw @ v
         stack[a] = (pw.T @ pw.conj()).ravel()       # conj(S_a)
-    giant = pw @ v if n_max >= steps else None
+    tiny = floor * _EXIT_MARGIN
     cur = rho
     for start in range(0, n_max + 1, steps):
+        if start == steps:
+            giant = pw @ v              # G, once a second step is due
         if start:
             cur = giant @ cur @ giant.conj().T
         count = min(steps, n_max + 1 - start)
-        out_tr[start:start + count] += np.real(stack[:count] @ cur.ravel())
+        part = np.real(stack[:count] @ cur.ravel())
+        out_tr[start:start + count] += part
+        if abs(part[-1]) < tiny:
+            break
+    return start + count
 
 
 def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
@@ -424,9 +459,16 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     at d is the prefix of the largest d's block holding levels below d,
     and its hops are those with both ends in the prefix, in the same
     order: each d gets the H (or B) and V a build at d alone gives.  The
-    factor product rho depends on no d and is built once per block, and
-    dimensions whose prefixes coincide (every d > e_s + k) share one V
-    and one trace.
+    joint basis, hops and factor product rho depend on no d and are
+    built once per block, by whichever of its tasks comes first; each
+    (block, d) is one task, and dimensions whose prefixes coincide
+    (every d > e_s + k) share one V and one trace.
+
+    Block 0 is the system vacuum alone, at every d the same (its
+    regulator levels stop at k < d).  Its contribution p0 |lambda_0|^(2n)
+    is part of every P_n, and its least value is the floor with which
+    every other block's trace powers may stop early
+    (`_block_trace_powers`); whichever task needs it first computes it.
 
     With one frequency on every subsystem (resonance) the free part is
     E omega on block E, a phase that drops out of every trace, and a
@@ -442,9 +484,9 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     freqs = _frequencies(top, params)
     colour = _sublattices(edges, len(caps)) if len(set(freqs)) == 1 else None
 
-    def block(e_s):
-        """Trace contributions of system block e_s, row i for dims[i];
-        None if the block is empty."""
+    def build(e_s):
+        """Joint basis, level-k rows, hops, factor product rho and each
+        d's prefix end of system block e_s; None if the block is empty."""
         joint, rows, hops = _joint_block(e_s + k, k, caps, bos, edges)
         lev = joint[rows, :-1]
         if len(lev) == 0:
@@ -452,34 +494,70 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
         rho = np.ones((len(lev), len(lev)), dtype=complex)
         for m, f in enumerate(factors):
             rho *= f[lev[:, m][:, None], lev[:, m][None, :]]
-        ends = np.searchsorted(joint[:, -1], dims)
-        out = np.zeros((len(dims), n_max + 1))
-        for i, end in enumerate(ends):
-            if i and end == ends[i - 1]:
-                out[i] = out[i - 1]         # the same basis as dims[i - 1]
-                continue
-            keep = (hops[0] < end) & (hops[1] < end)
-            sub, sub_hops = joint[:end], tuple(h[keep] for h in hops)
-            if colour is None:
-                vk = expm_hermitian(_block_hamiltonian(sub, sub_hops, freqs),
-                                    t, rows=rows, solver=eigh)
-            else:
-                vk, dph = _chiral_block(sub, sub_hops, colour, rows, t)
-                if np.iscomplexobj(rho):    # D is the same on every prefix
-                    # W is real: the antisymmetric Im(D rho D^dag) adds no trace
-                    rho = np.real(dph[:, None] * rho * dph.conj()[None, :])
-            _block_trace_powers(vk, rho, n_max, out[i])
+        return joint, rows, hops, rho, np.searchsorted(joint[:, -1], dims)
+
+    def contribution(blk, end, floor):
+        """Trace contribution of a built block's prefix of `end` rows."""
+        joint, rows, hops, rho, _ = blk
+        keep = (hops[0] < end) & (hops[1] < end)
+        sub, sub_hops = joint[:end], tuple(h[keep] for h in hops)
+        if colour is None:
+            vk = expm_hermitian(_block_hamiltonian(sub, sub_hops, freqs),
+                                t, rows=rows, solver=eigh)
+        else:
+            vk, dph = _chiral_block(sub, sub_hops, colour, rows, t)
+            # D is the same on every prefix, and W is real: the
+            # antisymmetric Im(D rho D^dag) adds no trace
+            rho = np.real(dph[:, None] * rho * dph.conj()[None, :])
+        out = np.zeros(n_max + 1)
+        _block_trace_powers(vk, rho, n_max, out, floor)
         return out
 
-    parts = _map_blocks(block, e_cap + 1, _block_workers())
-    traces = {}
-    for i, d in enumerate(dims):
-        tr = np.zeros(n_max + 1)
-        for part in parts:          # ascending e_s, as a serial loop adds
+    vacuum, vacuum_lock = [], threading.Lock()
+
+    def vacuum_trace():
+        """Block 0's contribution, computed once by its first caller."""
+        with vacuum_lock:
+            if not vacuum:
+                blk = build(0)
+                vacuum.append(contribution(blk, blk[4][0], 0.0))
+        return vacuum[0]
+
+    per = len(dims)
+    built, left = {}, [per] * (e_cap + 1)
+    locks = [threading.Lock() for _ in range(e_cap + 1)]
+
+    def task(j):
+        """Contribution of block e_s at dims[i], j = e_s per + i; None when
+        the block is empty or has dims[i - 1]'s prefix."""
+        e_s, i = divmod(j, per)
+        if e_s == 0:
+            return vacuum_trace() if i == 0 else None
+        with locks[e_s]:
+            if e_s not in built:
+                built[e_s] = build(e_s)
+            blk = built[e_s]
+        try:
+            if blk is None or (i and blk[4][i] == blk[4][i - 1]):
+                return None
+            return contribution(blk, blk[4][i], vacuum_trace().min())
+        finally:
+            with locks[e_s]:
+                left[e_s] -= 1
+                if not left[e_s]:           # the block's last task
+                    del built[e_s]
+
+    parts = _map_blocks(task, (e_cap + 1) * per, _block_workers())
+    tr = np.zeros((per, n_max + 1))
+    for e_s in range(e_cap + 1):    # ascending e_s, as a serial loop adds
+        part = None
+        for i in range(per):
+            if parts[e_s * per + i] is not None:
+                part = parts[e_s * per + i]
             if part is not None:
-                tr += part[i]
-        # block 0 is the system vacuum alone, so its trace is the vacuum weight
-        traces[d] = (parts[0][i] / tr, tr)
+                tr[i] += part
+    # block 0 is the system vacuum alone, so its trace is the vacuum weight
+    traces = {d: (parts[0] / tr[i], tr[i]) for i, d in enumerate(dims)}
     return [traces[topo.regulator_levels] for topo in topologies]
 
 
@@ -510,13 +588,12 @@ def _map_blocks(fn, count: int, workers: int) -> list:
     with workers >= 2, one helper thread; never more, since each thread
     that calls BLAS adds its own buffers to the peak memory.  The caller
     takes indices from the top, where the blocks are largest, and the
-    helper from the bottom, so the large blocks run next to small ones.
+    helper from the bottom, so the large blocks run next to small ones
+    and two of the largest never run at once.
     An exception in either worker stops both and is raised here, after
     the helper has ended."""
     if workers < 2 or count < 2:
         return [fn(i) for i in range(count)]
-    import threading
-
     out = [None] * count
     todo = list(range(count))
     lock = threading.Lock()

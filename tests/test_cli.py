@@ -325,6 +325,58 @@ def test_topology_outside_the_kind_rejected(tmp_path, kind, topology,
     assert calls == []
 
 
+HYBRID_HEAD = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
+               "[protocol]\ncutoff = 20\nn_max = 10\n")
+
+
+@pytest.mark.parametrize("text,unused,grid", [
+    ("[regulator]\nd = 4\n[sweep]\nd_list = 3,5\nk_list = 0\n",
+     "[regulator] d", "[sweep] d_list"),
+    ("[regulator]\nk = 1\n[sweep]\nd_list = 3\nk_list = 0\n",
+     "[regulator] k", "[sweep] k_list")], ids=["d", "k"])
+def test_hybrid_rejects_a_setting_its_grid_overrides(tmp_path, text, unused,
+                                                     grid, capsys,
+                                                     monkeypatch):
+    calls = _forbid(monkeypatch, (protocol, "_run_cells"))
+    cfg = _write(tmp_path, "h.cfg", HYBRID_HEAD + text)
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: the hybrid experiment never uses {unused} "
+            f"beside a non-empty {grid}\n")
+    assert calls == []
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_hybrid_setting_used_beside_its_grid_loads(tmp_path):
+    # an empty d_list set in the file leaves [regulator] d in use; beside a
+    # non-empty d_list, [regulator] k stands in for the empty k_list and
+    # the unused d leaves the loaded config
+    cfg = _write(tmp_path, "h.cfg", HYBRID_HEAD + "[regulator]\nd = 4\nk = 1\n"
+                 "[sweep]\nd_list =\n")
+    assert load_config(cfg)["regulator"] == {"d": 4, "k": 1}
+    cfg = _write(tmp_path, "h.cfg", HYBRID_HEAD + "[regulator]\nk = 1\n"
+                 "[sweep]\nd_list = 3,4\n")
+    assert load_config(cfg)["regulator"] == {"k": 1}
+    assert main(["run", str(cfg)]) == 0
+    rows = (tmp_path / "h.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["3", "1"], ["4", "1"]]
+    table = Path(__file__).resolve().parent.parent / "experiments" / \
+        "hybrid_table.cfg"
+    assert "regulator" not in load_config(table)
+
+
+def test_opt_time_checks_every_level_first(tmp_path, capsys, monkeypatch):
+    # k = 5 lies outside d = 5; the valid k = 3 before it is not searched
+    calls = _forbid(monkeypatch, (protocol, "default_cycle_time"))
+    cfg = _write(tmp_path, "ot.cfg", "[experiment]\nkind = opt-time\n"
+                 "[regulator]\nd = 5\n[sweep]\nk_list = 3,5\n")
+    assert main(["run", str(cfg)]) == 2
+    assert "regulator_level must lie in 0..4, got 5" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "ot.csv").exists()
+
+
 def test_loaded_config_holds_only_read_keys(tmp_path, capsys):
     # the table is the whole story: each kind loads exactly its read set,
     # and validate prints exactly that

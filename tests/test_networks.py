@@ -1,6 +1,7 @@
 """Blocked-engine checks: networks, hybrid system, oscillator regulator,
 the star bright-mode path against the blocked engine, and the chiral
 resonant blocks against the full eigh."""
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -524,6 +525,22 @@ def test_sweep_shares_blocks_across_dimensions(monkeypatch):
     assert counts == {"joint": e_max + 1, "chiral": prefixes}
 
 
+def test_sweep_runs_one_task_per_block_and_dimension(monkeypatch):
+    # the top block's four prefixes are four tasks, so two workers can
+    # share its work; the joint build stays one per block
+    counts, joints = [], []
+    map_blocks, joint_block = protocol._map_blocks, protocol._joint_block
+    monkeypatch.setattr(protocol, "_map_blocks", lambda fn, count, workers:
+                        counts.append(count) or map_blocks(fn, count, workers))
+    monkeypatch.setattr(protocol, "_joint_block",
+                        lambda *args: joints.append(1) or joint_block(*args))
+    monkeypatch.setattr(protocol, "_block_workers", lambda: 2)
+    base = ProtocolConfig(Topology("linear", 3, modes=3), STAR_STATE,
+                          cycle_time=np.pi / 2, cutoff=30, n_max=10, e_max=8)
+    sweep_dimension(base, [3, 4, 5, 6], [0])
+    assert counts == [9 * 4] and len(joints) == 9
+
+
 @pytest.mark.parametrize("failing", [4, 8], ids=["small-block", "top-block"])
 def test_sweep_error_in_one_dimension_reaches_caller(failing, monkeypatch):
     # the d = 4 prefix of block e_s = failing fails; d = 3 and 5 do not
@@ -733,3 +750,140 @@ def test_blocked_run_takes_one_trace_path(case, monkeypatch):
     assert len(kinds) > 3
     chiral = case != "linear-detuned"
     assert all(kind == (chiral, chiral, chiral) for kind in kinds)
+
+
+# ------------------------------------------------ early exit of a block
+
+EXIT_CASES = {
+    **WORKER_CASES,
+    "hybrid-k0": ProtocolConfig(
+        Topology("hybrid", 3, system_levels=2), NETWORK_STATE, cutoff=30,
+        n_max=100),
+    "hybrid-k1": ProtocolConfig(
+        Topology("hybrid", 4, system_levels=2), NETWORK_STATE,
+        regulator_level=1, cutoff=30, n_max=100),
+    "detuned-m3": ProtocolConfig(
+        Topology("linear", 3, modes=3), STAR_STATE, cycle_time=2.1,
+        coupling=CouplingParams(omega_a=1.2), cutoff=20, n_max=100),
+    # off the k = 1 optimum the vacuum term decays 1e-23-fold: the floor
+    # is its least value, not its first
+    "linear-k1-decaying-vacuum": ProtocolConfig(
+        Topology("linear", 4, modes=2), NETWORK_STATE, regulator_level=1,
+        cycle_time=0.7, cutoff=30, n_max=100),
+    "star-unequal-leaves": ProtocolConfig(
+        Topology("star", 3, modes=2),
+        [STAR_STATE, replace(STAR_STATE, nbar=0.06)], cycle_time=2.1,
+        cutoff=20, n_max=100),
+}
+# the leaves' dark mode never cools, so no block of that star decays
+NO_EXIT = {"star-unequal-leaves"}
+
+
+def _kernel_calls(monkeypatch, floor=None, steps=None):
+    """Spy on the trace kernel: (states, floor, cycles evaluated) per
+    call; `floor` replaces the floor the engine passes, `steps` the
+    baby-step rule."""
+    calls = []
+    powers = protocol._block_trace_powers
+
+    def spy(v, rho, n_max, out, given):
+        used = given if floor is None else floor
+        calls.append((v.shape[0], used, powers(v, rho, n_max, out, used)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(protocol, "_block_trace_powers", spy)
+    if steps is not None:
+        monkeypatch.setattr(protocol, "_baby_steps", steps)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_early_exit_keeps_every_bit(case, monkeypatch):
+    # the same kernel with floor 0 runs every block out to n_max
+    cfg = EXIT_CASES[case]
+    calls = _kernel_calls(monkeypatch)
+    fast = run_protocol(cfg)
+    stopped = [c for c in calls if c[2] < cfg.n_max + 1]
+    assert (stopped == []) == (case in NO_EXIT)
+    assert all(floor > 0 for n, floor, _ in calls if n > 1)
+    monkeypatch.undo()
+    full_calls = _kernel_calls(monkeypatch, floor=0.0)
+    full = run_protocol(cfg)
+    assert all(c[2] == cfg.n_max + 1 for c in full_calls)
+    assert np.array_equal(fast.fidelity, full.fidelity)
+    assert np.array_equal(fast.probability, full.probability)
+    assert fast.converged_at == full.converged_at
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_early_exit_near_earlier_kernel(case, monkeypatch):
+    # A = isqrt(n_max) + 1 with no exit is the kernel this one replaced;
+    # the new baby-step count only regroups the products' rounding
+    cfg = EXIT_CASES[case]
+    fast = run_protocol(cfg)
+    _kernel_calls(monkeypatch, floor=0.0, steps=lambda n: math.isqrt(n) + 1)
+    old = run_protocol(cfg)
+    assert np.max(np.abs(fast.fidelity / old.fidelity - 1)) <= 1e-14
+    assert np.max(np.abs(fast.probability / old.probability - 1)) <= 1e-14
+
+
+def test_empty_vacuum_never_exits(monkeypatch):
+    # p0 = 0 leaves no floor under P_n, so every block runs to n_max
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[1, 1], rho[2, 2], rho[1, 2], rho[2, 1] = 0.7, 0.3, 0.1, 0.1
+    cfg = ProtocolConfig(Topology("linear", 3, modes=2), [rho, rho],
+                         cycle_time=np.pi / 2, cutoff=6, n_max=60)
+    calls = _kernel_calls(monkeypatch)
+    prob = run_protocol(cfg).probability
+    assert prob[0] == pytest.approx(1.0) and prob[-1] < 0.1
+    assert len(calls) > 3
+    assert all(floor == 0.0 and cycles == 61 for _, floor, cycles in calls)
+
+
+def test_linear_m3_sweep_makes_fewer_products(monkeypatch):
+    # network-m3's linear half: each multi-state prefix took 38 products
+    # (A = 11) before the exit; now no prefix takes more, and the high
+    # blocks stop after two giant steps
+    calls = _kernel_calls(monkeypatch)
+    base = ProtocolConfig(Topology("linear", 3, modes=3), M3_STATE,
+                          cycle_time=np.pi / 2, cutoff=30, n_max=100,
+                          e_max=16)
+    sweep_dimension(base, [3, 4, 5, 6], [0])
+    steps = protocol._baby_steps(100)
+    products = [2 * (steps - 1) + 2 * (-(-cycles // steps) - 1)
+                for n, _, cycles in calls if n > 1]
+    assert steps == 8 and len(products) == 55
+    assert max(products) <= 38
+    assert sum(products) < 0.6 * 38 * len(products)
+
+
+def test_baby_steps_rule():
+    def cost(a, n_max):
+        return 2 * (a - 1) + 2 * (-(-(n_max + 1) // a) - 1)
+
+    for n_max in range(1, 600):
+        best = min(range(2, n_max + 2), key=lambda a: cost(a, n_max))
+        assert protocol._baby_steps(n_max) == best
+    assert protocol._baby_steps(100) == 8 and cost(8, 100) == 38
+
+
+@pytest.mark.parametrize("n_max", [40, 101, 250])
+def test_block_trace_powers_floor_stop(n_max):
+    # a contraction: the kernel stops at the end of a giant step once
+    # |c| < floor 2^-58, the cycles before it as without a floor, the
+    # rest left 0, and every skipped value of a full run below that bound
+    rng = np.random.default_rng(n_max)
+    v = rng.normal(size=(7, 7))
+    v *= 0.4 / np.linalg.norm(v, 2)
+    g = rng.normal(size=(7, 7))
+    rho = g @ g.T / np.linalg.norm(g) ** 2
+    full, cut = np.zeros(n_max + 1), np.zeros(n_max + 1)
+    assert protocol._block_trace_powers(v, rho, n_max, full) == n_max + 1
+    floor = 0.5
+    done = protocol._block_trace_powers(v, rho, n_max, cut, floor)
+    steps = protocol._baby_steps(n_max)
+    assert done < n_max + 1 and done % steps == 0
+    assert np.array_equal(cut[:done], full[:done]) and not cut[done:].any()
+    assert abs(full[done - 1]) < floor * 2.0 ** -58
+    assert np.all(np.abs(full[done:]) < floor * 2.0 ** -58)
+    assert np.all(np.abs(full[:done - steps]) >= floor * 2.0 ** -58)
