@@ -18,7 +18,6 @@ filled in, and `canonical_form` prints exactly those.
 """
 from __future__ import annotations
 
-import argparse
 import configparser
 import functools
 import itertools
@@ -97,8 +96,9 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
 
 def load_config(path) -> Dict[str, Dict]:
     """Parse and check a config file.  Unknown sections and keys, keys
-    the experiment kind does not read, a topology it does not accept and
-    a key set beside a non-empty list that overrides it (`shadowed`) are
+    the experiment kind does not read, a topology it does not accept, a
+    key set beside a non-empty list that overrides it (`shadowed`) and a
+    `ds_list` beside a `d_list` or `k_list`, or with an entry below 2, are
     config errors; the result holds every key the kind reads, and only
     those, defaults filled in, in schema order, less the overridden
     ones."""
@@ -151,6 +151,14 @@ def load_config(path) -> Dict[str, Dict]:
         del cfg[section][key]
         if not cfg[section]:
             del cfg[section]
+    ds_list = cfg.get("sweep", {}).get("ds_list")
+    if ds_list:
+        if cfg["sweep"]["d_list"] or cfg["sweep"]["k_list"]:
+            raise ConfigError("[sweep] ds_list runs at [regulator] d and k; "
+                              "it takes no d_list or k_list")
+        if min(ds_list) < 2:
+            raise ConfigError(f"[sweep] ds_list: the system qudit needs "
+                              f"d_s >= 2, got {min(ds_list)}")
     return cfg
 
 
@@ -297,12 +305,6 @@ def _run_grid(cfg, out):
     s, reg = cfg["sweep"], cfg.get("regulator")
     report = _report_args(cfg)
     if s.get("ds_list"):
-        if s["d_list"] or s["k_list"]:
-            raise ConfigError("[sweep] ds_list runs at [regulator] d and k; "
-                              "it takes no d_list or k_list")
-        if min(s["ds_list"]) < 2:
-            raise ConfigError(f"[sweep] ds_list: the system qudit needs "
-                              f"d_s >= 2, got {min(s['ds_list'])}")
         base, rows = _protocol_config(cfg), []
         for ds in s["ds_list"]:
             trace = protocol.run_protocol(replace(
@@ -475,6 +477,8 @@ def list_experiments() -> int:
 
 
 def main(argv=None) -> int:
+    import argparse     # here, not at the top: `run` never parses arguments
+
     ap = argparse.ArgumentParser(
         prog="qcool",
         description="measurement-based cooling of oscillator networks")

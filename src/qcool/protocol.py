@@ -48,14 +48,21 @@ Total excitation is conserved, so the blocked engine's blocks are
 independent.  A sweep's blocked cells of one initial system, k and
 cycle time make one pass over the blocks, which serves every regulator
 dimension d of the sweep: each (block, d) is one task that returns its
-trace contribution, and a block's basis, hops and rho are built once
-for all its d.  Each block's trace powers stop as soon as the rest of
-them can no longer change a bit of P_n, measured against the vacuum
-block's contribution, a floor under every partial sum
-(`_block_trace_powers`).  When at least two CPUs are available and BLAS
-runs one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is 1) the
-calling thread and one helper thread share the tasks (`_block_workers`,
-`_map_blocks`); otherwise the caller runs them all.  The contributions
+trace contribution.  What no d changes is built once per block: the
+joint basis, hops and factor product rho, and on the chiral path from
+those the sublattice split, the hops as (A, B, amplitude) triplets, the
+level-k rows' A and B positions and the phased real rho
+(`_chiral_prep`), after which the basis, raw hops and complex rho are
+dropped.  Each (block, d) then does its spectral step alone: B from
+the triplets of its prefix, one eigh of B B^T and V (`_chiral_block`),
+or the prefix's H and its eigh when detuned.  Each block's trace
+powers stop as soon as the rest of them can no longer change a bit of
+P_n, measured against the vacuum block's contribution, a floor under
+every partial sum (`_block_trace_powers`).  When at least two CPUs are
+available and BLAS runs one thread (OPENBLAS_NUM_THREADS, else
+OMP_NUM_THREADS, is 1) the calling thread and one helper thread share
+the tasks (`_block_workers`, `_map_blocks`); otherwise the caller runs
+them all.  The contributions
 are summed in ascending block order, so F_n and P_n are bit-identical
 either way, to a run of each d alone, and to a run with no early stop.
 """
@@ -68,7 +75,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from numbers import Real
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.linalg import eigh
@@ -335,21 +342,40 @@ def _block_hamiltonian(joint: np.ndarray, hops, freqs: Sequence[float]) -> np.nd
     return h + h.T + np.diag(diag)
 
 
-def _chiral_block(joint: np.ndarray, hops, colour: np.ndarray, rows: slice,
-                  t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """V = <rows|exp(-i H_int t)|rows> of a bipartite block, in the real
-    gauge: returns (W, D) with W = D V D^-1 real and D = 1 on sublattice
-    A, i on B.
+class _ChiralBlock(NamedTuple):
+    """What no regulator dimension changes in a bipartite block
+    (`_chiral_prep`).  A joint row lies on sublattice A or B, and its
+    position counts the rows before it on the same one.
+
+    hops: (A position, B position, amplitude) of every hop, those of a
+      shorter prefix first;
+    corners: (n_a, n_b, n_hops) of each d's prefix: its A and B states
+      are the first n_a and n_b, its hops the first n_hops;
+    ia, ib: the level-k rows on A and on B, as indices among those rows;
+    ka, kb: the same rows' positions within A and within B;
+    rho: the phased initial state Re(D rho D^dag) on the level-k rows."""
+    hops: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    corners: List[Tuple[int, int, int]]
+    ia: np.ndarray
+    ib: np.ndarray
+    ka: np.ndarray
+    kb: np.ndarray
+    rho: np.ndarray
+
+
+def _chiral_prep(joint: np.ndarray, rows: slice, hops, colour: np.ndarray,
+                 rho: np.ndarray, ends: np.ndarray) -> _ChiralBlock:
+    """The d-independent data of a bipartite block from its joint basis,
+    level-k rows, hops, factor-product rho and the prefix end of each d.
 
     A state lies on B when it holds an odd number of excitations on
     colour-1 subsystems; every hop flips that parity, so
-    H_int = [[0, B], [B^T, 0]].  With B B^T = Q diag(mu) Q^T,
-      V_aa = Q_a cos(t sqrt(mu)) Q_a^T,
-      V_ab = -i (Q_a f) (B_b^T Q)^T,
-      V_bb = I + (B_b^T Q) g (B_b^T Q)^T,
-    f = sin(t sqrt(mu)) / sqrt(mu), g = (cos(t sqrt(mu)) - 1) / mu, both
-    written through sinc so they stay exact at the zero modes that
-    |A| != |B| brings."""
+    H_int = [[0, B], [B^T, 0]].  Rows ascend with the regulator level,
+    so the prefix at d holds the first A and the first B states, and a
+    hop lies in every prefix that holds its later end.  D = 1 on A and
+    i on B makes V real (`_chiral_block`); W and D rho D^dag then have a
+    real trace product, so the antisymmetric Im(D rho D^dag) adds no
+    trace and only the real part is kept."""
     on_b = joint[:, colour == 1].sum(axis=1) % 2 == 1
     n_b = np.count_nonzero(on_b)
     pos = np.empty(len(joint), dtype=np.int64)    # index within A or B
@@ -357,26 +383,56 @@ def _chiral_block(joint: np.ndarray, hops, colour: np.ndarray, rows: slice,
     pos[on_b] = np.arange(n_b)
     src, tgt, amp = hops
     from_a = ~on_b[src]
-    b = np.zeros((len(joint) - n_b, n_b))
-    np.add.at(b, (np.where(from_a, pos[src], pos[tgt]),
-                  np.where(from_a, pos[tgt], pos[src])), amp)
+    last = np.maximum(src, tgt)
+    order = np.argsort(last, kind="stable")
+    b_before = np.concatenate(([0], np.cumsum(on_b)))[ends]
+    corners = list(zip((ends - b_before).tolist(), b_before.tolist(),
+                       np.searchsorted(last[order], ends).tolist()))
+    rk = np.arange(rows.start, rows.stop)
+    in_b = on_b[rk]
+    ia, ib = np.nonzero(~in_b)[0], np.nonzero(in_b)[0]
+    dph = np.where(in_b, 1j, 1.0)
+    # a copy, not a view of the real part, so the complex product is freed
+    phased = np.real(dph[:, None] * rho * dph.conj()[None, :]).copy()
+    return _ChiralBlock(
+        (np.where(from_a, pos[src], pos[tgt])[order],
+         np.where(from_a, pos[tgt], pos[src])[order], amp[order]),
+        corners, ia, ib, pos[rk[ia]], pos[rk[ib]], phased)
+
+
+def _chiral_block(blk: _ChiralBlock, corner: Tuple[int, int, int],
+                  t: float) -> np.ndarray:
+    """W = D V D^-1, real, for V = <k|exp(-i H_int t)|k> on the prefix of
+    a bipartite block whose `corner` is (n_a, n_b, n_hops), with D = 1
+    on sublattice A and i on B (`_chiral_prep`).
+
+    B holds the prefix's hops; each (A, B) pair is one hop, so they are
+    written, not summed.  With B B^T = Q diag(mu) Q^T,
+      V_aa = Q_a cos(t sqrt(mu)) Q_a^T,
+      V_ab = -i (Q_a f) (B_b^T Q)^T,
+      V_bb = I + (B_b^T Q) g (B_b^T Q)^T,
+    f = sin(t sqrt(mu)) / sqrt(mu), g = (cos(t sqrt(mu)) - 1) / mu, both
+    written through sinc so they stay exact at the zero modes that
+    |A| != |B| brings."""
+    n_a, n_b, n_hops = corner
+    a, bpos, amp = (h[:n_hops] for h in blk.hops)
+    b = np.zeros((n_a, n_b))
+    b[a, bpos] = amp
     mu, q = eigh(b @ b.T)
     x = t * np.sqrt(np.clip(mu, 0.0, None))
     f = t * np.sinc(x / np.pi)
     g = -0.5 * t * t * np.sinc(x / (2 * np.pi)) ** 2
 
-    rk = np.arange(rows.start, rows.stop)
-    in_b = on_b[rk]
-    ia, ib = np.nonzero(~in_b)[0], np.nonzero(in_b)[0]
-    qa = q[pos[rk[ia]]]
-    cb = b[:, pos[rk[ib]]].T @ q
-    w = np.empty((len(rk), len(rk)))
+    ia, ib = blk.ia, blk.ib
+    qa = q[blk.ka]
+    cb = b[:, blk.kb].T @ q
+    w = np.empty(blk.rho.shape)
     w[np.ix_(ia, ia)] = (qa * np.cos(x)) @ qa.T
     w_ab = (qa * f) @ cb.T          # H is real symmetric: W_ba = -W_ab^T
     w[np.ix_(ia, ib)] = -w_ab
     w[np.ix_(ib, ia)] = w_ab.T
     w[np.ix_(ib, ib)] = np.eye(len(ib)) + (cb * g) @ cb.T
-    return w, np.where(in_b, 1j, 1.0)
+    return w
 
 
 _EXIT_MARGIN = 2.0 ** -58  # of the floor, where `_block_trace_powers` stops
@@ -457,12 +513,19 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     Every regulator dimension d runs in one pass over the blocks.  Rows
     of a joint block are ordered by regulator level first, so the basis
     at d is the prefix of the largest d's block holding levels below d,
-    and its hops are those with both ends in the prefix, in the same
-    order: each d gets the H (or B) and V a build at d alone gives.  The
-    joint basis, hops and factor product rho depend on no d and are
-    built once per block, by whichever of its tasks comes first; each
-    (block, d) is one task, and dimensions whose prefixes coincide
-    (every d > e_s + k) share one V and one trace.
+    and its hops are those with both ends in the prefix: each d gets the
+    H (or B) and V a build at d alone gives.  Each (block, d) is one
+    task, and dimensions whose prefixes coincide (every d > e_s + k)
+    share one V and one trace.
+
+    Once per block, by whichever of its tasks comes first (`build`): the
+    joint basis, hops, factor product rho and each d's prefix end; on
+    the chiral path also the sublattice split, the hops as (A, B,
+    amplitude) triplets, each d's corner of them, the level-k rows' A
+    and B positions and the phased real rho (`_chiral_prep`), which is
+    all that block then keeps.  Once per (block, d): the chiral B of the
+    corner's triplets, one eigh of B B^T and V (`_chiral_block`), or,
+    detuned, the prefix's hops, H and its full eigh.
 
     Block 0 is the system vacuum alone, at every d the same (its
     regulator levels stop at k < d).  Its contribution p0 |lambda_0|^(2n)
@@ -485,8 +548,10 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     colour = _sublattices(edges, len(caps)) if len(set(freqs)) == 1 else None
 
     def build(e_s):
-        """Joint basis, level-k rows, hops, factor product rho and each
-        d's prefix end of system block e_s; None if the block is empty."""
+        """Each d's prefix end of system block e_s and its d-independent
+        data: the joint basis, level-k rows, hops and factor product rho
+        on the full path, `_chiral_prep`'s on the chiral one; None if
+        the block is empty."""
         joint, rows, hops = _joint_block(e_s + k, k, caps, bos, edges)
         lev = joint[rows, :-1]
         if len(lev) == 0:
@@ -494,21 +559,22 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
         rho = np.ones((len(lev), len(lev)), dtype=complex)
         for m, f in enumerate(factors):
             rho *= f[lev[:, m][:, None], lev[:, m][None, :]]
-        return joint, rows, hops, rho, np.searchsorted(joint[:, -1], dims)
-
-    def contribution(blk, end, floor):
-        """Trace contribution of a built block's prefix of `end` rows."""
-        joint, rows, hops, rho, _ = blk
-        keep = (hops[0] < end) & (hops[1] < end)
-        sub, sub_hops = joint[:end], tuple(h[keep] for h in hops)
+        ends = np.searchsorted(joint[:, -1], dims)
         if colour is None:
-            vk = expm_hermitian(_block_hamiltonian(sub, sub_hops, freqs),
-                                t, rows=rows, solver=eigh)
+            return ends, (joint, rows, hops, rho)
+        return ends, _chiral_prep(joint, rows, hops, colour, rho, ends)
+
+    def contribution(blk, i, floor):
+        """Trace contribution of a built block's prefix at dims[i]."""
+        ends, data = blk
+        if colour is None:
+            joint, rows, hops, rho = data
+            keep = (hops[0] < ends[i]) & (hops[1] < ends[i])
+            h = _block_hamiltonian(joint[:ends[i]],
+                                   tuple(h[keep] for h in hops), freqs)
+            vk = expm_hermitian(h, t, rows=rows, solver=eigh)
         else:
-            vk, dph = _chiral_block(sub, sub_hops, colour, rows, t)
-            # D is the same on every prefix, and W is real: the
-            # antisymmetric Im(D rho D^dag) adds no trace
-            rho = np.real(dph[:, None] * rho * dph.conj()[None, :])
+            vk, rho = _chiral_block(data, data.corners[i], t), data.rho
         out = np.zeros(n_max + 1)
         _block_trace_powers(vk, rho, n_max, out, floor)
         return out
@@ -519,8 +585,7 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
         """Block 0's contribution, computed once by its first caller."""
         with vacuum_lock:
             if not vacuum:
-                blk = build(0)
-                vacuum.append(contribution(blk, blk[4][0], 0.0))
+                vacuum.append(contribution(build(0), 0, 0.0))
         return vacuum[0]
 
     per = len(dims)
@@ -538,9 +603,9 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
                 built[e_s] = build(e_s)
             blk = built[e_s]
         try:
-            if blk is None or (i and blk[4][i] == blk[4][i - 1]):
+            if blk is None or (i and blk[0][i] == blk[0][i - 1]):
                 return None
-            return contribution(blk, blk[4][i], vacuum_trace().min())
+            return contribution(blk, i, vacuum_trace().min())
         finally:
             with locks[e_s]:
                 left[e_s] -= 1

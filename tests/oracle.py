@@ -199,3 +199,43 @@ def vacuum_series(k: int, t: np.ndarray) -> np.ndarray:
     """lambda_0^k(t) = exp(-i k t) sum_j c_j exp(-i w_j t), unfolded."""
     w, c = single_modes(k)
     return (np.exp(-1j * np.outer(t, w)) @ c) * np.exp(-1j * k * t)
+
+
+# --------------------------------------------- per-dimension chiral block
+
+def chiral_block(joint: np.ndarray, hops, colour: np.ndarray, rows: slice,
+                 end: int, t: float) -> tuple:
+    """(W, D) of the first `end` rows of a bipartite excitation block,
+    built from scratch at one regulator dimension: the hops with both
+    ends in the prefix, the sublattices, B by np.add.at and one eigh of
+    B B^T.  W = D V D^-1 is real, V = <rows|exp(-i H_int t)|rows>, and
+    D = 1 on sublattice A, i on B."""
+    keep = (hops[0] < end) & (hops[1] < end)
+    joint = joint[:end]
+    src, tgt, amp = (h[keep] for h in hops)
+    on_b = joint[:, colour == 1].sum(axis=1) % 2 == 1
+    n_b = np.count_nonzero(on_b)
+    pos = np.empty(len(joint), dtype=np.int64)    # index within A or B
+    pos[~on_b] = np.arange(len(joint) - n_b)
+    pos[on_b] = np.arange(n_b)
+    from_a = ~on_b[src]
+    b = np.zeros((len(joint) - n_b, n_b))
+    np.add.at(b, (np.where(from_a, pos[src], pos[tgt]),
+                  np.where(from_a, pos[tgt], pos[src])), amp)
+    mu, q = np.linalg.eigh(b @ b.T)
+    x = t * np.sqrt(np.clip(mu, 0.0, None))
+    f = t * np.sinc(x / np.pi)
+    g = -0.5 * t * t * np.sinc(x / (2 * np.pi)) ** 2
+
+    rk = np.arange(rows.start, rows.stop)
+    in_b = on_b[rk]
+    ia, ib = np.nonzero(~in_b)[0], np.nonzero(in_b)[0]
+    qa = q[pos[rk[ia]]]
+    cb = b[:, pos[rk[ib]]].T @ q
+    w = np.empty((len(rk), len(rk)))
+    w[np.ix_(ia, ia)] = (qa * np.cos(x)) @ qa.T
+    w_ab = (qa * f) @ cb.T
+    w[np.ix_(ia, ib)] = -w_ab
+    w[np.ix_(ib, ia)] = w_ab.T
+    w[np.ix_(ib, ib)] = np.eye(len(ib)) + (cb * g) @ cb.T
+    return w, np.where(in_b, 1j, 1.0)

@@ -9,7 +9,7 @@ import pytest
 
 from qcool import gaussian, protocol, stateprep
 from qcool.cli import (EXPERIMENTS, SCHEMA, canonical_form, emit_csv,
-                       load_config, main)
+                       load_config, main, validate)
 from qcool.errors import ConfigError
 
 
@@ -533,6 +533,15 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     assert main(["run", str(cfg)]) == 2
 
 
+# bad ds_list configs that load_config, and so validate, rejects too
+DS_BELOW_2 = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
+              "[sweep]\nds_list = 1\n")
+DS_WITH_D_LIST = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
+                  "[sweep]\nds_list = 2,3\nd_list = 3,4\n")
+DS_WITH_K_LIST = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
+                  "[sweep]\nds_list = 2,3\nk_list = 0,1\n")
+
+
 @pytest.mark.parametrize("text", [
     "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n[sweep]\nk_list = -1,0\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = cat\nn_components = 3\n",
@@ -540,8 +549,7 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = prep\n[prep]\nkinds = hybrid-entangled\nd = 0\n",
     "[experiment]\nkind = cool\n[coupling]\nomega_f = 1,1.1\n[protocol]\nt = 1\n",
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 1,2\nk_list = 0\n",
-    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
-    "ds_list = 1\n",
+    DS_BELOW_2,
     "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = -1\n",
     "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n[sweep]\nk_list = 0,4\n",
     "[experiment]\nkind = opt-time\n[regulator]\nd = 0\n",
@@ -570,10 +578,8 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
     "report = bogus\n",
     "[experiment]\nkind = opt-time\n[regulator]\nd = 3\n[protocol]\nt = 1.0\n",
-    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
-    "ds_list = 2,3\nd_list = 3,4\n",
-    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
-    "ds_list = 2,3\nk_list = 0,1\n",
+    DS_WITH_D_LIST,
+    DS_WITH_K_LIST,
     "[experiment]\nkind = prep\n[prep]\nkinds = cat\nalpha = nan\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = odd-cat\nalpha = inf\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = hybrid-entangled\nr = nan\n",
@@ -603,10 +609,15 @@ def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys, monkeypatch):
         return run_cells(base, cells)
 
     monkeypatch.setattr(protocol, "_run_cells", spy)
-    assert main(["run", str(_write(tmp_path, "bad.cfg", text))]) == 2
-    assert "config error" in capsys.readouterr().err
+    cfg = _write(tmp_path, "bad.cfg", text)
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
     assert runs == []
     assert not (tmp_path / "bad.csv").exists()
+    if text in (DS_BELOW_2, DS_WITH_D_LIST, DS_WITH_K_LIST):
+        assert validate(str(cfg)) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 def test_program_errors_are_not_numeric_errors(tmp_path, monkeypatch):
@@ -637,6 +648,15 @@ assert not loaded(), ("run", loaded())
 """
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_import_and_runs_load_no_scipy(tmp_path):
     # numpy is the only runtime dependency: neither the import nor a run
     # of the opt-time, star, Gaussian and prep experiments loads scipy,
@@ -646,12 +666,25 @@ def test_import_and_runs_load_no_scipy(tmp_path):
     for name in NO_SCIPY_CONFIGS:
         configs.append(str(tmp_path / f"{name}.cfg"))
         shutil.copy(experiments / f"{name}.cfg", configs[-1])
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *configs],
-                          env=env, capture_output=True, text=True)
+                          env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     for config in configs:
         assert Path(config).with_suffix(".csv").exists()
+
+
+def test_import_loads_no_argparse(tmp_path):
+    # only `main` parses arguments, so `run` never pays for argparse's
+    # import; the command line and `python -m qcool.cli` still work
+    script = ("import sys\nimport qcool.cli\n"
+              "assert 'argparse' not in sys.modules\n"
+              "sys.exit(qcool.cli.main())\n")
+    cfg = str(tmp_path / "cool_trace.cfg")
+    shutil.copy(Path(__file__).resolve().parent.parent / "experiments"
+                / "cool_trace.cfg", cfg)
+    for cmd in ([sys.executable, "-c", script, "validate", cfg],
+                [sys.executable, "-m", "qcool.cli", "run", cfg]):
+        proc = subprocess.run(cmd, env=_src_env(), capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote {Path(cfg).with_suffix('.csv')}\n"

@@ -309,18 +309,55 @@ def test_chiral_matches_full_eigh(layout, d, k, monkeypatch):
     assert np.max(np.abs(chiral.probability - full.probability)) <= 1e-11
 
 
+@pytest.mark.parametrize("layout", ["linear-2", "linear-3", "linear-4",
+                                    "hybrid-3", "linear-oscillator"])
+def test_chiral_block_matches_per_dimension_oracle(layout, monkeypatch):
+    # each (block, d) V and the phased rho equal those built from scratch
+    # at that d alone (hop filter, B by np.add.at), bit for bit
+    preps, seen = {}, []
+    chiral_prep, chiral_block = protocol._chiral_prep, protocol._chiral_block
+
+    def prep_spy(*args):
+        blk = chiral_prep(*args)
+        preps[id(blk)] = blk, args
+        return blk
+
+    def chiral_spy(blk, corner, t):
+        w = chiral_block(blk, corner, t)
+        joint, rows, hops, colour, rho, ends = preps[id(blk)][1]
+        end = ends[blk.corners.index(corner)]
+        w_ref, dph = oracle.chiral_block(joint, hops, colour, rows, end, t)
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(blk.rho, np.real(
+            dph[:, None] * rho * dph.conj()[None, :]))
+        seen.append((id(blk), end))
+        return w
+
+    monkeypatch.setattr(protocol, "_block_workers", lambda: 1)
+    monkeypatch.setattr(protocol, "_chiral_prep", prep_spy)
+    monkeypatch.setattr(protocol, "_chiral_block", chiral_spy)
+    cfg = ProtocolConfig(_layout(layout, 2), STAR_STATE, cycle_time=2.1,
+                         cutoff=20, n_max=10)
+    sweep_dimension(cfg, [2, 3, 4, 5, 6], [0, 1, 2])
+    # every distinct prefix of every block, over the three k
+    assert len(preps) > 3 * 3
+    assert sorted(seen) == sorted({(key, end) for key, (_, args) in
+                                   preps.items() for end in args[5]})
+
+
 @pytest.mark.parametrize("omega_a", [1.0, 1.2], ids=["resonant", "detuned"])
 def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
     # a block's joint build and its eigh run in one worker thread, so the
     # thread's last joint size pairs each eigh with its block
-    joint_block, eigh, chiral_block = (protocol._joint_block, protocol.eigh,
-                                       protocol._chiral_block)
+    joint_block, eigh, chiral_prep, chiral_block = (
+        protocol._joint_block, protocol.eigh, protocol._chiral_prep,
+        protocol._chiral_block)
     last = threading.local()
     cfg = ProtocolConfig(Topology("linear", 3, modes=2), STAR_STATE,
                          cycle_time=2.1, coupling=CouplingParams(omega_a=omega_a),
                          cutoff=20, n_max=10)
     for workers in (1, 2):
-        blocks, pairs, chiral = [], [], []
+        blocks, pairs, preps, chiral = [], [], [], []
 
         def joint_spy(*args):
             out = joint_block(*args)
@@ -332,6 +369,10 @@ def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
             pairs.append((last.size, len(a)))
             return eigh(a, *args, **kwargs)
 
+        def prep_spy(*args):
+            preps.append(1)
+            return chiral_prep(*args)
+
         def chiral_spy(*args):
             chiral.append(1)
             return chiral_block(*args)
@@ -339,14 +380,15 @@ def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
         monkeypatch.setattr(protocol, "_block_workers", lambda: workers)
         monkeypatch.setattr(protocol, "_joint_block", joint_spy)
         monkeypatch.setattr(protocol, "eigh", eigh_spy)
+        monkeypatch.setattr(protocol, "_chiral_prep", prep_spy)
         monkeypatch.setattr(protocol, "_chiral_block", chiral_spy)
         run_protocol(cfg)
         assert len(blocks) == len(pairs) > 3
         if omega_a == 1.0:
-            assert len(chiral) == len(blocks)
+            assert len(preps) == len(chiral) == len(blocks)
             assert all(m < n for n, m in pairs if n > 1)
         else:
-            assert chiral == []
+            assert preps == chiral == []
             assert all(m == n for n, m in pairs)
 
 
@@ -500,21 +542,21 @@ def test_sweep_matches_cell_runs(case, workers, monkeypatch):
 def test_sweep_shares_blocks_across_dimensions(monkeypatch):
     # linear M = 3, k = 0: block e_s holds regulator levels 0..e_s, so
     # dimension d sees the prefix of levels below min(d, e_s + 1); each
-    # distinct prefix takes one chiral V, each block one joint build
+    # distinct prefix takes one chiral V, each block one joint build and
+    # one build of its d-independent chiral data
     d_list, e_max, k = [3, 4, 5, 6], 16, 0
-    counts = {"joint": 0, "chiral": 0}
-    joint_block, chiral_block = protocol._joint_block, protocol._chiral_block
+    counts = {"_joint_block": 0, "_chiral_prep": 0, "_chiral_block": 0}
 
-    def joint_spy(*args):
-        counts["joint"] += 1
-        return joint_block(*args)
+    def counted(name):
+        fn = getattr(protocol, name)
 
-    def chiral_spy(*args):
-        counts["chiral"] += 1
-        return chiral_block(*args)
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+        return spy
 
-    monkeypatch.setattr(protocol, "_joint_block", joint_spy)
-    monkeypatch.setattr(protocol, "_chiral_block", chiral_spy)
+    for name in counts:
+        monkeypatch.setattr(protocol, name, counted(name))
     base = ProtocolConfig(Topology("linear", 3, modes=3), M3_STATE,
                           cycle_time=np.pi / 2, cutoff=30, n_max=10,
                           e_max=e_max)
@@ -522,7 +564,8 @@ def test_sweep_shares_blocks_across_dimensions(monkeypatch):
     prefixes = sum(len({min(d, e_s + k + 1) for d in d_list})
                    for e_s in range(e_max + 1))
     assert prefixes == 56
-    assert counts == {"joint": e_max + 1, "chiral": prefixes}
+    assert counts == {"_joint_block": e_max + 1, "_chiral_prep": e_max + 1,
+                      "_chiral_block": prefixes}
 
 
 def test_sweep_runs_one_task_per_block_and_dimension(monkeypatch):
@@ -543,13 +586,16 @@ def test_sweep_runs_one_task_per_block_and_dimension(monkeypatch):
 
 @pytest.mark.parametrize("failing", [4, 8], ids=["small-block", "top-block"])
 def test_sweep_error_in_one_dimension_reaches_caller(failing, monkeypatch):
-    # the d = 4 prefix of block e_s = failing fails; d = 3 and 5 do not
+    # the d = 4 prefix of block e_s = failing fails; d = 3 and 5 do not.
+    # Block e_s holds (e_s + 1)(e_s + 2)/2 system states, and its prefixes
+    # at d = 3, 4, 5 differ for e_s >= 4
     chiral_block = protocol._chiral_block
+    size = (failing + 1) * (failing + 2) // 2
 
-    def fail(joint, *args):
-        if joint[:, -1].max() == 3 and joint[0].sum() == failing:
+    def fail(blk, corner, t):
+        if len(blk.rho) == size and corner == blk.corners[1]:
             raise _BlockFailure(f"block {failing}")
-        return chiral_block(joint, *args)
+        return chiral_block(blk, corner, t)
 
     monkeypatch.setattr(protocol, "_block_workers", lambda: 2)
     monkeypatch.setattr(protocol, "_chiral_block", fail)
@@ -663,10 +709,14 @@ def test_chiral_zero_modes():
     edges = topo.coupling_edges(CouplingParams())
     joint, rows, hops = protocol._joint_block(2, 0, caps, bos, edges)
     colour = protocol._sublattices(edges, len(caps))
-    n_b = np.count_nonzero(joint[:, colour == 1].sum(axis=1) % 2)
-    assert (len(joint) - n_b, n_b) == (4, 2)
+    on_b = joint[:, colour == 1].sum(axis=1) % 2 == 1
+    n = rows.stop - rows.start
+    blk = protocol._chiral_prep(joint, rows, hops, colour, np.eye(n),
+                                np.array([len(joint)]))
+    assert blk.corners == [(4, 2, len(hops[0]))]
     t = 2.1
-    w, dph = protocol._chiral_block(joint, hops, colour, rows, t)
+    w = protocol._chiral_block(blk, blk.corners[0], t)
+    dph = np.where(on_b[rows], 1j, 1.0)
     h = protocol._block_hamiltonian(joint, hops, [1.0] * len(caps))
     # the free part is 2 omega on this block: an outer phase
     v = expm_hermitian(h, t, rows=rows) * np.exp(2j * t)
