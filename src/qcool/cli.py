@@ -338,15 +338,15 @@ def _run_gaussian(cfg, out):
 
 def _run_opt_time(cfg, out):
     """One (k, t_opt, residual) row per level of `k_list` (all levels of
-    [regulator] d when empty); every k is checked before any search."""
+    [regulator] d when empty); every k is checked before any search, and
+    each distinct k is searched once."""
     base = _protocol_config(cfg)
     levels = cfg["sweep"]["k_list"] or range(base.topology.regulator_levels)
     for k in levels:
         replace(base, regulator_level=k).validate()
-    rows = []
-    for k in levels:
-        res = protocol.default_cycle_time(base.topology, k, base.coupling)
-        rows.append((k, res.t_opt, res.residual))
+    times = {k: protocol.default_cycle_time(base.topology, k, base.coupling)
+             for k in dict.fromkeys(levels)}
+    rows = [(k, times[k].t_opt, times[k].residual) for k in levels]
     emit_csv(("k", "t_opt", "residual"), rows, out, key_cols=1)
 
 

@@ -31,6 +31,13 @@ only the grid peaks within tau' of 1, in increasing t.  The windows are
 the whole grid when tau'/c_* >= 1, no w_j > 0 or the modes are not
 folded; `local_optima` is the walk at tau = inf, every grid peak.
 
+The grid is never built: it is np.arange(lo, hi + h, h) held as its
+first point, step and length (`_grid`), point i being lo + i * step
+bit for bit, and the windows are index ranges found by arithmetic
+(`_searchsorted`).  A walk holds one piece of at most _CHUNK + 2
+points at a time, so its memory is O(_CHUNK x modes + windows),
+whatever the window's length.
+
 `solve_topt` walks at tau = _RESIDUAL_TOL and stops at the first
 admissible optimum.  Failing that, a second walk at the least residual
 the first found (tau = inf if none), reusing its refined peaks, holds
@@ -39,6 +46,7 @@ the global best, the "fallback".
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -46,13 +54,17 @@ import numpy as np
 
 from .errors import SearchFailureError
 
-# grid peaks tested per |lambda_0| evaluation in the search: a temporary
-# of (_CHUNK + 2) x (folded modes) doubles, 8194 x 2 for one oscillator at k = 3
+# grid peaks tested per |lambda_0| evaluation in the search: a piece of
+# _CHUNK + 2 grid points and a temporary of (_CHUNK + 2) x (folded modes)
+# doubles, 8194 x 2 for one oscillator at k = 3; with two edges per
+# window, that is all a walk holds
 _CHUNK = 8192
 _GRID_STEP = 1e-3      # search grid step
 _RESIDUAL_TOL = 1e-4   # largest admissible 1 - |lambda_0| of a numeric optimum
 _ZERO_TOL = 1e-12      # frequencies below this times the largest are zero
 _WEIGHT_TOL = 1e-20    # weights at or below this are rounding noise
+
+Grid = Tuple[float, float, int]     # (first point, step, length): `_grid`
 
 
 @dataclass
@@ -149,12 +161,37 @@ def local_optima(modes: VacuumModes, window: Tuple[float, float] = (0.0, 250.0)
     return list(_walk_grid(modes, _grid(window), np.inf, {}))
 
 
-def _grid(window: Tuple[float, float]) -> np.ndarray:
-    """The search grid on the window, once the window is checked."""
-    lo, hi = window
-    if not (hi > lo >= 0.0):
+def _grid(window: Tuple[float, float]) -> Grid:
+    """The search grid on the window, once the window is checked:
+    np.arange(lo, hi + h, h) as (lo, step, n), its first point, the
+    step np.arange fills it with, (lo + h) - lo, and its length."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (hi > lo >= 0.0 and math.isfinite(hi)):
         raise ValueError("bad search window")
-    return np.arange(lo, hi + _GRID_STEP, _GRID_STEP)
+    return (lo, (lo + _GRID_STEP) - lo,
+            math.ceil((hi + _GRID_STEP - lo) / _GRID_STEP))
+
+
+def _points(grid: Grid, i) -> np.ndarray:
+    """Grid points i, lo + i * step: np.arange's, bit for bit."""
+    lo, step, _ = grid
+    return lo + i * step
+
+
+def _searchsorted(grid: Grid, x: np.ndarray, side: str = "left"
+                  ) -> np.ndarray:
+    """np.searchsorted(points, x, side) over the whole grid: the index
+    (x - lo) / step, rounded up, moved a point at a time until it is the
+    first point >= x ("left") or > x ("right")."""
+    n = grid[2]
+    i = np.clip(np.ceil((x - grid[0]) / grid[1]), 0, n).astype(np.intp)
+    past = np.greater if side == "right" else np.greater_equal
+    while True:
+        down = (i > 0) & past(_points(grid, i - 1), x)
+        up = (i < n) & ~past(_points(grid, i), x)
+        if not (down.any() or up.any()):
+            return i
+        i = i - down + up
 
 
 def _grid_tol(modes: VacuumModes, tau: float) -> float:
@@ -163,35 +200,35 @@ def _grid_tol(modes: VacuumModes, tau: float) -> float:
     return tau + _GRID_STEP * float(modes.c @ np.abs(modes.w)) + 1e-12
 
 
-def _windows(modes: VacuumModes, t: np.ndarray, tau: float) -> np.ndarray:
-    """Sorted indices of the grid points of t that can be, or neighbour,
-    the grid peak of an optimum with residual <= tau: the grid points of
-    each window |w_* t - m pi| <= delta of the module docstring, padded by
-    two points and merged with any window they overlap.  Every index when
-    the bound excludes nothing."""
+def _windows(modes: VacuumModes, grid: Grid, tau: float
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted, disjoint index ranges [start, stop) of the grid points
+    that can be, or neighbour, the grid peak of an optimum with residual
+    <= tau: the grid points of each window |w_* t - m pi| <= delta of the
+    module docstring, padded by two points and merged with any window
+    they overlap.  The one range [0, n) when the bound excludes nothing."""
     w, c = modes.w, modes.c
+    n = grid[2]
     tau_grid = _grid_tol(modes, tau)
     pos = np.flatnonzero(w > 0)
     j = pos[np.argmax(c[pos])] if len(pos) and modes.folded else None
     if j is None or tau_grid >= c[j]:
-        return np.arange(len(t))
+        return np.array([0]), np.array([n])
     delta = np.arccos(1.0 - tau_grid / c[j])
-    m = np.arange(np.floor((w[j] * t[0] - delta) / np.pi),
-                  np.ceil((w[j] * t[-1] + delta) / np.pi) + 1)
-    lo = np.searchsorted(t, (m * np.pi - delta) / w[j])
-    hi = np.searchsorted(t, (m * np.pi + delta) / w[j], "right")
+    m = np.arange(np.floor((w[j] * grid[0] - delta) / np.pi),
+                  np.ceil((w[j] * _points(grid, n - 1) + delta) / np.pi) + 1)
+    lo = _searchsorted(grid, (m * np.pi - delta) / w[j])
+    hi = _searchsorted(grid, (m * np.pi + delta) / w[j], "right")
     keep = hi > lo                          # windows holding a grid point
-    lo, hi = np.maximum(lo[keep] - 2, 0), np.minimum(hi[keep] + 2, len(t))
+    lo, hi = np.maximum(lo[keep] - 2, 0), np.minimum(hi[keep] + 2, n)
     # lo and hi both rise with m, so a window overlaps an earlier one
     # exactly when it overlaps the one just before it
     new = np.ones(len(lo), dtype=bool)
     new[1:] = lo[1:] > hi[:-1]
-    lo, hi = lo[new], hi[np.roll(new, -1)]
-    n = hi - lo
-    return np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+    return lo[new], hi[np.roll(new, -1)]
 
 
-def _walk_grid(modes: VacuumModes, t: np.ndarray, tau: float,
+def _walk_grid(modes: VacuumModes, grid: Grid, tau: float,
                refined: Dict[int, Tuple[float, float]]
                ) -> Iterator[Tuple[float, float]]:
     """Yield, in increasing t, the refined grid peaks t[p] of |lambda_0|
@@ -201,21 +238,28 @@ def _walk_grid(modes: VacuumModes, t: np.ndarray, tau: float,
     and gains the ones this walk refines.
 
     A point of the windows is a candidate peak when both its grid
-    neighbours are in them too.  |lambda_0| is evaluated _CHUNK
-    candidates at a time, each piece widened by one point on either
-    side, so every candidate is tested exactly once, against the same
-    neighbours as in one pass over the whole grid."""
+    neighbours are in them too.  The windows' points, taken in order
+    across windows, are evaluated _CHUNK candidates at a time, each
+    piece widened by one point on either side, so every candidate is
+    tested exactly once, against the same neighbours as in one pass
+    over the whole grid."""
     floor = 1.0 - _grid_tol(modes, tau)
-    idx = _windows(modes, t, tau)
-    for s in range(0, len(idx), _CHUNK):
-        piece = idx[max(s - 1, 0):s + _CHUNK + 1]
-        mag = vacuum_lambda(modes, t[piece])
+    start, stop = _windows(modes, grid, tau)
+    ends = np.cumsum(stop - start)      # window points up to each range's end
+    shift = stop - ends                 # grid index - position, per range
+    total = int(ends[-1]) if len(ends) else 0
+    for s in range(0, total, _CHUNK):
+        at = np.arange(max(s - 1, 0), min(s + _CHUNK + 1, total))
+        piece = at + shift[np.searchsorted(ends, at, "right")]
+        t = _points(grid, piece)
+        mag = vacuum_lambda(modes, t)
         mid = mag[1:-1]
         peak = ((mid >= mag[:-2]) & (mid > mag[2:]) & (mid >= floor)
                 & (piece[2:] - piece[:-2] == 2))
-        for p in piece[1:-1][peak]:
+        for q in np.flatnonzero(peak) + 1:
+            p = int(piece[q])
             if p not in refined:
-                x = _refine_optimum(modes, t[p - 1], t[p + 1], t[p])
+                x = _refine_optimum(modes, t[q - 1], t[q + 1], t[q])
                 refined[p] = float(x), float(vacuum_residual(modes, x))
             yield refined[p]
 
@@ -234,15 +278,15 @@ def solve_topt(modes: VacuumModes, window: Tuple[float, float] = (0.0, 250.0)
         t_opt = np.pi / w if res <= _RESIDUAL_TOL else 2 * np.pi / w
         return OptTimeResult(t_opt, float(vacuum_residual(modes, t_opt)),
                              "analytic")
-    t = _grid(window)
+    grid = _grid(window)
     refined = {}        # grid peak -> its refined (t, residual), both walks
     found = []
-    for x, res in _walk_grid(modes, t, _RESIDUAL_TOL, refined):
+    for x, res in _walk_grid(modes, grid, _RESIDUAL_TOL, refined):
         if res <= _RESIDUAL_TOL:
             return OptTimeResult(x, res, "numeric")
         found.append((x, res))
     tau = min(res for _, res in found) if found else np.inf
-    found = list(_walk_grid(modes, t, tau, refined))
+    found = list(_walk_grid(modes, grid, tau, refined))
     if not found:
         raise SearchFailureError(
             f"no local optimum of |lambda_0| in window {window}")

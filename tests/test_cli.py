@@ -194,6 +194,27 @@ def test_opt_time_default_levels(tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "1", "2"]
 
 
+def test_opt_time_searches_each_level_once(tmp_path, monkeypatch):
+    # a repeated k keeps its rows (sorted by k), from one search of that k
+    text = ("[experiment]\nkind = opt-time\n[regulator]\nd = 5\n"
+            "[sweep]\nk_list = {}\n")
+    assert main(["run", str(_write(tmp_path, "ot.cfg", text.format("3,4")))]) == 0
+    once = (tmp_path / "ot.csv").read_text().splitlines()
+    searched = []
+    search = protocol.default_cycle_time
+
+    def spy(topology, k, coupling):
+        searched.append(k)
+        return search(topology, k, coupling)
+
+    monkeypatch.setattr(protocol, "default_cycle_time", spy)
+    cfg = _write(tmp_path, "ot.cfg", text.format("3,3,4,3"))
+    assert main(["run", str(cfg)]) == 0
+    assert searched == [3, 4]
+    lines = (tmp_path / "ot.csv").read_text().splitlines()
+    assert lines == once[:1] + 3 * once[1:2] + once[2:]
+
+
 def test_gaussian_grid_csv(tmp_path):
     cfg = _write(tmp_path, "g.cfg", """
 [experiment]

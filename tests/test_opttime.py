@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -81,8 +82,8 @@ def test_unfolded_modes_search_the_whole_grid():
     big_w = np.sqrt(0.3 ** 2 + 4)
     ref = np.sqrt(1.0 - 4.0 / big_w ** 2 * np.sin(big_w * t / 2) ** 2)
     assert np.max(np.abs(vacuum_lambda(m, t) - ref)) < 1e-12
-    grid = np.arange(0.0, 250.0 + 1e-3, 1e-3)
-    assert np.array_equal(opttime._windows(m, grid, 1e-4), np.arange(len(grid)))
+    windows = opttime._windows(m, opttime._grid((0.0, 250.0)), 1e-4)
+    assert np.array_equal(_expand(windows), np.arange(len(_grid())))
     r = solve_topt(m)
     assert r.method == "numeric"
     assert r.t_opt == pytest.approx(2 * np.pi / big_w, abs=1e-9)
@@ -165,6 +166,16 @@ def test_local_optima_window_validation():
         local_optima(_modes(3), window=(-1.0, 5.0))
 
 
+@pytest.mark.parametrize("window", [
+    (0.0, np.inf), (np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan),
+    (-1.0, 2.0), (3.0, 3.0)])
+def test_bad_windows_are_rejected(window):
+    # 0 <= lo < hi, both finite: an infinite window has no grid to walk
+    for search in (solve_topt, local_optima):
+        with pytest.raises(ValueError, match="bad search window"):
+            search(_modes(3), window)
+
+
 def test_hermite_structure_small_d():
     for d in range(2, 7):
         res = oracle.hermite_structure_check(d)
@@ -195,6 +206,18 @@ def _grid(window=(0.0, 250.0)):
     return np.arange(window[0], window[1] + 1e-3, 1e-3)
 
 
+def _expand(windows):
+    """The grid indices in the index ranges [start, stop) of `_windows`."""
+    return np.concatenate([np.arange(a, b) for a, b in zip(*windows)]
+                          + [np.zeros(0, dtype=int)])
+
+
+def _ranges(mask):
+    """The runs of True in mask, as index ranges [start, stop)."""
+    edges = np.diff(np.concatenate(([0], mask.astype(int), [0])))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 @lru_cache(maxsize=None)
 def _one_pass_peaks(k, window=(0.0, 250.0)):
     """(p, t, residual) at every grid peak t[p] of the unfolded
@@ -220,7 +243,8 @@ def _in_windows(k, tau, window=(0.0, 250.0)):
     at most tau' = tau + h sum_j c_j |w_j| + 1e-12."""
     t = _grid(window)
     inside = np.zeros(len(t), dtype=bool)
-    inside[opttime._windows(_modes(k), t, tau)] = True
+    inside[_expand(opttime._windows(_modes(k), opttime._grid(window),
+                                    tau))] = True
     w, c = oracle.single_modes(k)
     tau_grid = tau + 1e-3 * float(c @ np.abs(w)) + 1e-12
     return [(p, x, res) for p, x, res in _one_pass_peaks(k, window)
@@ -252,9 +276,8 @@ def test_chunk_border_peak_found_once(monkeypatch):
     # real chunks, a window placed so that a grid peak is the last
     # candidate of the first piece or the first of the second one
     first = _one_pass_optima(3, (10.0, 20.0))[0][0]
-    for offset in (_CHUNK - 1, _CHUNK):
-        window = (first - offset * 1e-3, first + 12.0)
-        grid = np.arange(window[0], window[1] + 1e-3, 1e-3)
+    for offset, window in zip((_CHUNK - 1, _CHUNK), _border_windows()):
+        grid = _grid(window)
         assert offset in _grid_peaks(_unfolded_lambda(3, grid)) + 1
         assert np.argmin(np.abs(grid - first)) == offset
         got = local_optima(_modes(3), window)
@@ -265,24 +288,75 @@ def test_chunk_border_peak_found_once(monkeypatch):
     _assert_same_optima(local_optima(_modes(4), (0.0, 20.0)),
                         _one_pass_optima(4, (0.0, 20.0)))
     # and on the borders of pieces that span gaps between search windows
-    grid = _grid((0.0, 20.0))
-    assert np.count_nonzero(np.diff(opttime._windows(_modes(4), grid, 0.1)) > 1) >= 5
+    grid = opttime._grid((0.0, 20.0))
+    idx = _expand(opttime._windows(_modes(4), grid, 0.1))
+    assert np.count_nonzero(np.diff(idx) > 1) >= 5
     ref = [(x, res) for _, x, res in _in_windows(4, 0.1, (0.0, 20.0))]
     assert len(ref) >= 3
     _assert_same_optima(list(opttime._walk_grid(_modes(4), grid, 0.1, {})), ref)
+
+
+def _border_windows():
+    """The windows of `test_chunk_border_peak_found_once`: a grid peak
+    is the last candidate of the first piece, or the first of the next."""
+    first = _one_pass_optima(3, (10.0, 20.0))[0][0]
+    return [(first - offset * 1e-3, first + 12.0)
+            for offset in (_CHUNK - 1, _CHUNK)]
+
+
+def test_implicit_grid_is_arange():
+    # length, every point, and both insertion indices of the grid points,
+    # their neighbouring doubles and random values, bit for bit
+    rng = np.random.default_rng(0)
+    for window in [(0.0, 250.0), (0.0, 20.0), (0.0, 30.0), (1.3, 77.7)
+                   ] + _border_windows():
+        ref = _grid(window)
+        grid = opttime._grid(window)
+        assert grid[2] == len(ref)
+        assert np.array_equal(opttime._points(grid, np.arange(grid[2])), ref)
+        x = np.concatenate([ref, np.nextafter(ref, -np.inf),
+                            np.nextafter(ref, np.inf),
+                            rng.uniform(window[0] - 1, window[1] + 1, 10000)])
+        for side in ("left", "right"):
+            assert np.array_equal(opttime._searchsorted(grid, x, side),
+                                  np.searchsorted(ref, x, side))
+
+
+def _traced_peak(search, modes, window=(0.0, 250.0)):
+    """Peak bytes that tracemalloc sees while the search runs."""
+    tracemalloc.start()
+    try:
+        search(modes, window)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_memory_does_not_grow_with_the_grid():
+    # a walk holds one piece of the grid, its windows' edges and the
+    # peaks it refines, never the 250,001-point grid (2 MB) itself
+    single = [vacuum_modes(Topology("single", 9), CouplingParams(), k)
+              for k in range(3, 9)]
+    detuned = vacuum_modes(Topology("single", 3), CouplingParams(omega_a=1.3), 1)
+    cases = [(m, (0.0, 250.0)) for m in single + [detuned]]
+    cases += [(single[0], (0.0, 1000.0)), (single[4], (0.0, 1000.0))]
+    assert solve_topt(single[2]).method == "fallback"
+    for modes, window in cases:
+        for search in (solve_topt, local_optima):
+            assert _traced_peak(search, modes, window) <= 1.5 * 2 ** 20
 
 
 def test_walk_tests_only_points_with_both_neighbours(monkeypatch):
     # a point next to a gap in the windows is no candidate: with the right
     # neighbour of every other grid peak left out, and no floor, only the
     # other peaks remain, tested as in one pass
-    grid = _grid((0.0, 30.0))
+    grid = opttime._grid((0.0, 30.0))
     for k in (3, 4):
         peaks = _one_pass_peaks(k, (0.0, 30.0))
-        keep = np.ones(len(grid), dtype=bool)
+        keep = np.ones(len(_grid((0.0, 30.0))), dtype=bool)
         keep[[p + 1 for p, _, _ in peaks[::2]]] = False
         monkeypatch.setattr(opttime, "_windows",
-                            lambda modes, t, tau: np.flatnonzero(keep))
+                            lambda modes, grid, tau: _ranges(keep))
         ref = [(x, res) for _, x, res in peaks[1::2]]
         assert ref
         _assert_same_optima(
@@ -332,7 +406,10 @@ def test_failing_search_refines_each_peak_once(k, monkeypatch):
 def test_windows_hold_every_peak_below_tau(k):
     grid = _grid()
     for tau in (1e-4, 1e-3, 1e-2):
-        idx = opttime._windows(_modes(k), grid, tau)
+        start, stop = opttime._windows(_modes(k), opttime._grid((0.0, 250.0)), tau)
+        # non-empty, sorted, and merged wherever two windows would touch
+        assert np.all(start < stop) and np.all(stop[:-1] < start[1:])
+        idx = _expand((start, stop))
         assert np.all(np.diff(idx) > 0)
         assert len(idx) < len(grid) // 4
         inside = np.zeros(len(grid), dtype=bool)
@@ -342,8 +419,8 @@ def test_windows_hold_every_peak_below_tau(k):
         assert {p for p, _, _ in _in_windows(k, tau)} >= set(below)
     assert below                           # tau = 1e-2 holds some peak
     # tau = inf, the walk of local_optima: the whole grid
-    assert np.array_equal(opttime._windows(_modes(k), grid, np.inf),
-                          np.arange(len(grid)))
+    windows = opttime._windows(_modes(k), opttime._grid((0.0, 250.0)), np.inf)
+    assert np.array_equal(_expand(windows), np.arange(len(grid)))
 
 
 @pytest.mark.parametrize("k", range(3, 9))
@@ -365,10 +442,10 @@ def test_search_without_a_peak_fails(monkeypatch):
     # second walk, after a first that saw no peak, covers the whole grid
     walks = []
 
-    def spy(modes, t, tau):
-        idx = windows(modes, t, tau)
-        walks.append(len(idx) == len(t))
-        return idx
+    def spy(modes, grid, tau):
+        ranges = windows(modes, grid, tau)
+        walks.append(np.array_equal(_expand(ranges), np.arange(grid[2])))
+        return ranges
 
     windows = opttime._windows
     monkeypatch.setattr(opttime, "_windows", spy)
