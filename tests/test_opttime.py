@@ -272,6 +272,14 @@ def test_local_optima_match_one_pass_scan(k):
     _assert_same_optima(local_optima(_modes(k)), _one_pass_optima(k))
 
 
+def _border_windows():
+    """The windows of `test_chunk_border_peak_found_once`: a grid peak
+    is the last candidate of the first piece, or the first of the next."""
+    first = _one_pass_optima(3, (10.0, 20.0))[0][0]
+    return [(first - offset * 1e-3, first + 12.0)
+            for offset in (_CHUNK - 1, _CHUNK)]
+
+
 def test_chunk_border_peak_found_once(monkeypatch):
     # real chunks, a window placed so that a grid peak is the last
     # candidate of the first piece or the first of the second one
@@ -294,14 +302,6 @@ def test_chunk_border_peak_found_once(monkeypatch):
     ref = [(x, res) for _, x, res in _in_windows(4, 0.1, (0.0, 20.0))]
     assert len(ref) >= 3
     _assert_same_optima(list(opttime._walk_grid(_modes(4), grid, 0.1, {})), ref)
-
-
-def _border_windows():
-    """The windows of `test_chunk_border_peak_found_once`: a grid peak
-    is the last candidate of the first piece, or the first of the next."""
-    first = _one_pass_optima(3, (10.0, 20.0))[0][0]
-    return [(first - offset * 1e-3, first + 12.0)
-            for offset in (_CHUNK - 1, _CHUNK)]
 
 
 def test_implicit_grid_is_arange():
@@ -406,7 +406,8 @@ def test_failing_search_refines_each_peak_once(k, monkeypatch):
 def test_windows_hold_every_peak_below_tau(k):
     grid = _grid()
     for tau in (1e-4, 1e-3, 1e-2):
-        start, stop = opttime._windows(_modes(k), opttime._grid((0.0, 250.0)), tau)
+        start, stop = opttime._windows(_modes(k), opttime._grid((0.0, 250.0)),
+                                       tau)
         # non-empty, sorted, and merged wherever two windows would touch
         assert np.all(start < stop) and np.all(stop[:-1] < start[1:])
         idx = _expand((start, stop))
