@@ -9,8 +9,9 @@ sum_j c_j = 1 (`VacuumModes`); this module searches any such sum.  A
 symmetric spectrum (w_j and -w_j with equal weights) gives |lambda_0| =
 |g(t)|, g(t) = sum_j c_j cos(w_j t) over the folded modes w_j >= 0.
 With one positive folded frequency w, g = c_0 + c_1 cos(w t), whose
-first optimum is exact: pi/w when 1 - |c_0 - c_1| is admissible, else
-2 pi/w, where g = 1.
+optima are exact: m pi/w, m >= 1, with g = 1 at even m and |g| =
+|c_0 - c_1| at odd m, admissible when 1 - |c_0 - c_1| is; the answer is
+the first admissible one in the window (pi/w or 2 pi/w from t = 0).
 
 Any other sum is searched on a window: a grid search at step
 h = _GRID_STEP whose peaks are refined by bracketed Newton steps, and
@@ -108,7 +109,9 @@ def vacuum_lambda(modes: VacuumModes, t) -> np.ndarray:
     complex exponentials of unfolded modes."""
     t = np.asarray(t, dtype=float)
     phase = np.outer(t, modes.w)
-    terms = np.cos(phase) if modes.folded else np.exp(-1j * phase)
+    # in place: a search piece's (8194 x modes) doubles pass glibc's
+    # 128 KiB mmap threshold, and a second such temporary costs fresh pages
+    terms = np.cos(phase, out=phase) if modes.folded else np.exp(-1j * phase)
     return np.abs(terms @ modes.c).reshape(t.shape)
 
 
@@ -266,19 +269,31 @@ def _walk_grid(modes: VacuumModes, grid: Grid, tau: float,
 
 def solve_topt(modes: VacuumModes, window: Tuple[float, float] = (0.0, 250.0)
                ) -> OptTimeResult:
-    """First optimum of |lambda_0| with 1 - |lambda_0| below _RESIDUAL_TOL:
-    exact when the folded modes have one positive frequency, else the
-    first in the window, or the best there as a "fallback" (module
-    docstring).  SearchFailureError when the window holds no optimum."""
+    """First optimum of |lambda_0| in the window with 1 - |lambda_0|
+    below _RESIDUAL_TOL: exact when the folded modes have one positive
+    frequency, else searched, with the best in the window as a
+    "fallback" (module docstring).  ValueError for a bad window;
+    SearchFailureError when the window holds no optimum (no admissible
+    one, for the exact optima)."""
+    grid = _grid(window)
     pos = modes.w > 0
     if modes.folded and np.count_nonzero(pos) == 1:
-        # g = c_0 + c_1 cos(w t): the exact first optimum
+        # g = c_0 + c_1 cos(w t): optima at m pi / w, g = 1 at even m and
+        # |c_0 - c_1| at odd m; the first admissible one in the window
         w = float(modes.w[pos][0])
         res = 1.0 - abs(float(modes.c[~pos].sum() - modes.c[pos][0]))
-        t_opt = np.pi / w if res <= _RESIDUAL_TOL else 2 * np.pi / w
+        lo, hi = grid[0], float(window[1])
+        m = max(1, math.floor(lo * w / np.pi))
+        while m * np.pi / w < lo:
+            m += 1
+        if res > _RESIDUAL_TOL:
+            m += m % 2
+        t_opt = m * np.pi / w
+        if t_opt > hi:
+            raise SearchFailureError(
+                f"no admissible optimum of |lambda_0| in window {window}")
         return OptTimeResult(t_opt, float(vacuum_residual(modes, t_opt)),
                              "analytic")
-    grid = _grid(window)
     refined = {}        # grid peak -> its refined (t, residual), both walks
     found = []
     for x, res in _walk_grid(modes, grid, _RESIDUAL_TOL, refined):

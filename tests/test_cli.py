@@ -709,3 +709,38 @@ def test_import_loads_no_argparse(tmp_path):
                               text=True)
         assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"wrote {Path(cfg).with_suffix('.csv')}\n"
+
+
+def _python(script, *args):
+    """Run a script in a fresh interpreter on this checkout's src."""
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_qcool_leaves_the_collector_alone():
+    # only the command line freezes the import-time heap; a library user
+    # keeps the collector as it was
+    _python("import gc\nimport qcool\n"
+            "assert gc.isenabled() and gc.get_freeze_count() == 0\n")
+
+
+def test_cli_import_freezes_the_import_heap(tmp_path):
+    # `import qcool.cli` moves the import-time heap to the permanent
+    # generation and leaves the collector on; runs freeze nothing more,
+    # so the garbage they make is collected as before
+    cfg = str(tmp_path / "cool_trace.cfg")
+    shutil.copy(Path(__file__).resolve().parent.parent / "experiments"
+                / "cool_trace.cfg", cfg)
+    script = ("import gc, sys, weakref\nimport qcool.cli\n"
+              "frozen = gc.get_freeze_count()\n"
+              "assert gc.isenabled() and frozen > 0\n"
+              "for _ in range(2):\n"
+              "    assert qcool.cli.run(sys.argv[1]) == 0\n"
+              "assert gc.get_freeze_count() == frozen\n"
+              "class Node: pass\n"
+              "node = Node()\nnode.self = node\nalive = weakref.ref(node)\n"
+              "del node\ngc.collect()\nassert alive() is None\n")
+    out = _python(script, cfg)
+    assert out == f"wrote {Path(cfg).with_suffix('.csv')}\n" * 2

@@ -108,6 +108,17 @@ def test_vacuum_lambda_cosines_match_exponentials():
             assert np.array_equal(_grid_peaks(mag), _grid_peaks(ref))
 
 
+def test_vacuum_lambda_in_place_cosines_are_bit_exact():
+    # the folded path takes its cosines in place of the phases: the same
+    # numbers as the two-temporary form, on a search piece's length
+    t = np.random.default_rng(5).uniform(0.0, 250.0, _CHUNK + 2)
+    for k in range(3, 9):
+        m = vacuum_modes(Topology("single", 9), CouplingParams(), k)
+        assert m.folded
+        ref = np.abs(np.cos(np.outer(t, m.w)) @ m.c)
+        assert np.array_equal(vacuum_lambda(m, t), ref)
+
+
 def test_vacuum_residual_is_cancellation_free():
     # a sum of non-negative terms: never below 0, equal to 1 - |lambda_0|
     # wherever that difference does not cancel
@@ -170,10 +181,29 @@ def test_local_optima_window_validation():
     (0.0, np.inf), (np.inf, np.inf), (np.nan, 1.0), (0.0, np.nan),
     (-1.0, 2.0), (3.0, 3.0)])
 def test_bad_windows_are_rejected(window):
-    # 0 <= lo < hi, both finite: an infinite window has no grid to walk
-    for search in (solve_topt, local_optima):
-        with pytest.raises(ValueError, match="bad search window"):
-            search(_modes(3), window)
+    # 0 <= lo < hi, both finite: an infinite window has no grid to walk;
+    # the exact optima of k = 1, 2 check their window the same way
+    for k in (1, 2, 3):
+        for search in (solve_topt, local_optima):
+            with pytest.raises(ValueError, match="bad search window"):
+                search(_modes(k), window)
+
+
+def test_analytic_times_read_the_window():
+    # the first admissible m pi / w in the window: every multiple of pi
+    # at k = 1 (w = 1, |g| = 1 throughout), only even m at k = 2
+    # (w = sqrt 3, |g(pi/w)| = 1/3), so 4 pi and 6 pi / sqrt 3 in (10, 20)
+    r = solve_topt(_modes(1), (10.0, 20.0))
+    assert r.t_opt == 4 * np.pi and r.method == "analytic"
+    assert r.residual == float(vacuum_residual(_modes(1), r.t_opt))
+    assert solve_topt(_modes(2), (10.0, 20.0)).t_opt == 6 * np.pi / np.sqrt(3)
+    # a window that starts on an optimum holds it; one that ends before
+    # the first admissible optimum holds none
+    assert solve_topt(_modes(2), (ANALYTIC_TOPT[2], 5.0)).t_opt \
+        == ANALYTIC_TOPT[2]
+    for k, window in ((1, (0.0, 1.0)), (2, (1.0, 3.0)), (2, (3.7, 7.2))):
+        with pytest.raises(SearchFailureError):
+            solve_topt(_modes(k), window)
 
 
 def test_hermite_structure_small_d():
