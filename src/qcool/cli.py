@@ -18,7 +18,7 @@ filled in, and `canonical_form` prints exactly those.
 
 Importing this module freezes the garbage collector's heap (`gc.freeze`,
 at the end of the module body): every object alive once numpy, qcool and
-`EXPERIMENTS` are loaded, about 21,600, moves to the permanent
+`EXPERIMENTS` are loaded, about 22,000, moves to the permanent
 generation, so neither a later collection nor interpreter exit walks
 them again.  A `qcool run` process is one config, and its final
 collections over that heap were most of the 12-14 ms it spent exiting.

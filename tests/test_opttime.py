@@ -191,7 +191,7 @@ def test_bad_windows_are_rejected(window):
 
 def test_analytic_times_read_the_window():
     # the first admissible m pi / w in the window: every multiple of pi
-    # at k = 1 (w = 1, |g| = 1 throughout), only even m at k = 2
+    # at k = 1 (w = 1, |g(m pi)| = 1), only even m at k = 2
     # (w = sqrt 3, |g(pi/w)| = 1/3), so 4 pi and 6 pi / sqrt 3 in (10, 20)
     r = solve_topt(_modes(1), (10.0, 20.0))
     assert r.t_opt == 4 * np.pi and r.method == "analytic"
