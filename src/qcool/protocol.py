@@ -48,7 +48,9 @@ Total excitation is conserved, so the blocked engine's blocks are
 independent.  A sweep's blocked cells of one initial system, k and
 cycle time make one pass over the blocks, which serves every regulator
 dimension d of the sweep: each (block, d) is one task that returns its
-trace contribution.  What no d changes is built once per block: the
+trace contribution.  What no d changes is built once per worker that
+runs the block (with two workers only the block where they meet is
+built by both), and a worker holds one block at a time: the
 joint basis, hops and factor product rho, and on the chiral path from
 those the sublattice split, the hops as (A, B, amplitude) triplets, the
 level-k rows' A and B positions and the phased real rho
@@ -58,13 +60,14 @@ the triplets of its prefix, one eigh of B B^T and V (`_chiral_block`),
 or the prefix's H and its eigh when detuned.  Each block's trace
 powers stop as soon as the rest of them can no longer change a bit of
 P_n, measured against the vacuum block's contribution, a floor under
-every partial sum (`_block_trace_powers`).  When at least two CPUs are
-available and BLAS runs one thread (OPENBLAS_NUM_THREADS, else
-OMP_NUM_THREADS, is 1) the calling thread and one helper thread share
-the tasks (`_block_workers`, `_map_blocks`); otherwise the caller runs
-them all.  The contributions
-are summed in ascending block order, so F_n and P_n are bit-identical
-either way, to a run of each d alone, and to a run with no early stop.
+every partial sum (`_block_trace_powers`); the calling thread computes
+that contribution before the other blocks' tasks start.  When at least
+two CPUs are available and BLAS runs one thread (OPENBLAS_NUM_THREADS,
+else OMP_NUM_THREADS, is 1) the calling thread and one helper thread
+share the tasks (`_block_workers`, `_map_blocks`); otherwise the caller
+runs them all.  The contributions are summed in ascending block order,
+so F_n and P_n are bit-identical either way, to a run of each d alone,
+and to a run with no early stop.
 """
 from __future__ import annotations
 
@@ -294,6 +297,17 @@ def _sublattices(edges: List[Tuple[int, int, float]],
     return colour
 
 
+def _chiral_colours(topology: Topology,
+                    params: CouplingParams) -> Optional[np.ndarray]:
+    """`_sublattices` of the coupling graph when every excitation block is
+    chiral: one frequency on every subsystem (resonance) and a bipartite
+    graph; else None."""
+    freqs = _frequencies(topology, params)
+    if len(set(freqs)) != 1:
+        return None
+    return _sublattices(topology.coupling_edges(params), len(freqs))
+
+
 def _joint_block(e_tot: int, k: int, caps: Sequence[int], bos: Sequence[bool],
                  edges: List[Tuple[int, int, float]]):
     """Joint basis of excitation block e_tot (one row of levels per state,
@@ -518,20 +532,25 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     task, and dimensions whose prefixes coincide (every d > e_s + k)
     share one V and one trace.
 
-    Once per block, by whichever of its tasks comes first (`build`): the
-    joint basis, hops, factor product rho and each d's prefix end; on
-    the chiral path also the sublattice split, the hops as (A, B,
-    amplitude) triplets, each d's corner of them, the level-k rows' A
-    and B positions and the phased real rho (`_chiral_prep`), which is
-    all that block then keeps.  Once per (block, d): the chiral B of the
-    corner's triplets, one eigh of B B^T and V (`_chiral_block`), or,
-    detuned, the prefix's hops, H and its full eigh.
+    Once per worker that runs the block (`build`): the joint basis,
+    hops, factor product rho and each d's prefix end; on the chiral path
+    also the sublattice split, the hops as (A, B, amplitude) triplets,
+    each d's corner of them, the level-k rows' A and B positions and the
+    phased real rho (`_chiral_prep`), which is all that block then
+    keeps.  A worker holds only the block of its current task and drops
+    it before building the next.  A block's tasks are contiguous in
+    either worker's order (`_map_blocks`), so one worker builds every
+    block once, and with two workers only the block where they meet is
+    built by both.  Once per (block, d): the chiral B of the corner's
+    triplets, one eigh of B B^T and V (`_chiral_block`), or, detuned,
+    the prefix's hops, H and its full eigh.
 
     Block 0 is the system vacuum alone, at every d the same (its
     regulator levels stop at k < d).  Its contribution p0 |lambda_0|^(2n)
     is part of every P_n, and its least value is the floor with which
     every other block's trace powers may stop early
-    (`_block_trace_powers`); whichever task needs it first computes it.
+    (`_block_trace_powers`); the calling thread computes it before the
+    tasks of blocks 1..e_cap start, and the sum starts from it.
 
     With one frequency on every subsystem (resonance) the free part is
     E omega on block E, a phase that drops out of every trace, and a
@@ -545,7 +564,7 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
         caps[m] = min(caps[m], f.shape[0] - 1)  # never index past a factor
     edges = top.coupling_edges(params)
     freqs = _frequencies(top, params)
-    colour = _sublattices(edges, len(caps)) if len(set(freqs)) == 1 else None
+    colour = _chiral_colours(top, params)
 
     def build(e_s):
         """Each d's prefix end of system block e_s and its d-independent
@@ -579,42 +598,26 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
         _block_trace_powers(vk, rho, n_max, out, floor)
         return out
 
-    vacuum, vacuum_lock = [], threading.Lock()
-
-    def vacuum_trace():
-        """Block 0's contribution, computed once by its first caller."""
-        with vacuum_lock:
-            if not vacuum:
-                vacuum.append(contribution(build(0), 0, 0.0))
-        return vacuum[0]
-
+    vacuum = contribution(build(0), 0, 0.0)
+    floor = vacuum.min()
     per = len(dims)
-    built, left = {}, [per] * (e_cap + 1)
-    locks = [threading.Lock() for _ in range(e_cap + 1)]
+    held = threading.local()        # each worker's current block
 
     def task(j):
-        """Contribution of block e_s at dims[i], j = e_s per + i; None when
-        the block is empty or has dims[i - 1]'s prefix."""
-        e_s, i = divmod(j, per)
-        if e_s == 0:
-            return vacuum_trace() if i == 0 else None
-        with locks[e_s]:
-            if e_s not in built:
-                built[e_s] = build(e_s)
-            blk = built[e_s]
-        try:
-            if blk is None or (i and blk[0][i] == blk[0][i - 1]):
-                return None
-            return contribution(blk, i, vacuum_trace().min())
-        finally:
-            with locks[e_s]:
-                left[e_s] -= 1
-                if not left[e_s]:           # the block's last task
-                    del built[e_s]
+        """Contribution of block e_s >= 1 at dims[i], j = (e_s - 1) per + i;
+        None when the block is empty or has dims[i - 1]'s prefix."""
+        e_s, i = divmod(j + per, per)
+        if getattr(held, "e_s", None) != e_s:
+            held.blk = None         # drop the last block before building
+            held.blk, held.e_s = build(e_s), e_s
+        blk = held.blk
+        if blk is None or (i and blk[0][i] == blk[0][i - 1]):
+            return None
+        return contribution(blk, i, floor)
 
-    parts = _map_blocks(task, (e_cap + 1) * per, _block_workers())
-    tr = np.zeros((per, n_max + 1))
-    for e_s in range(e_cap + 1):    # ascending e_s, as a serial loop adds
+    parts = _map_blocks(task, e_cap * per, _block_workers())
+    tr = np.tile(vacuum, (per, 1))
+    for e_s in range(e_cap):        # ascending e_s, as a serial loop adds
         part = None
         for i in range(per):
             if parts[e_s * per + i] is not None:
@@ -622,7 +625,7 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
             if part is not None:
                 tr[i] += part
     # block 0 is the system vacuum alone, so its trace is the vacuum weight
-    traces = {d: (parts[0] / tr[i], tr[i]) for i, d in enumerate(dims)}
+    traces = {d: (vacuum / tr[i], tr[i]) for i, d in enumerate(dims)}
     return [traces[topo.regulator_levels] for topo in topologies]
 
 
@@ -775,20 +778,20 @@ def _bright_oscillator(topology: Topology, coupling: CouplingParams
         omega_a=coupling.omega_a, omega_f=omega_f.pop())
 
 
-def _bright_mode(cfg: ProtocolConfig) -> Optional[
-        Tuple[np.ndarray, float, float, float]]:
-    """The one mode the regulator sees, as (weights, F scale, coupling,
-    omega_f) for `effective_lambdas` and `_trace_single`; None when the
-    reduction does not apply.  Only populations are read, so no density
-    matrix is built, and nothing here depends on d or k.
+def _bright_mode(cfg: ProtocolConfig) -> Optional[Tuple[np.ndarray, float]]:
+    """The weights and F scale of the one mode the regulator sees
+    (`_bright_oscillator`), for `_trace_single`; None when the initial
+    state does not reduce.  The caller has checked the topology: a
+    single oscillator or a star with one omega_f on every leaf, with a
+    qudit regulator.  Only populations are read, so no density matrix is
+    built, and nothing here depends on d or k.
 
-    A single oscillator with a qudit regulator is its own bright mode:
-    the weights are its Fock populations (`states.dst_populations`, or
-    a density matrix's diagonal), cut at e_max when one is set, after
-    the same tail check as every other path.
+    A single oscillator is its own bright mode: the weights are its Fock
+    populations (`states.dst_populations`, or a density matrix's
+    diagonal), cut at e_max when one is set, after the same tail check
+    as every other path.
 
-    A star with a qudit regulator, one omega_f on every leaf and M equal
-    DSTParams factors couples only to b (`_bright_oscillator`); the M-1
+    A star with M equal DSTParams factors couples only to b; the M-1
     dark modes just pick up phases.  M identical Gaussian factors are,
     in the bright/dark basis, a bright factor displaced by sqrt(M) alpha
     times M-1 centred dark factors.  Total
@@ -797,12 +800,8 @@ def _bright_mode(cfg: ProtocolConfig) -> Optional[
     populations as there, is kept exactly: the weights are
     c_b[e_b] S_d[e_cap - e_b], S_d the cumulative dark distribution, and
     the dark vacuum scales F by p_d[0] / S_d[e_cap]."""
-    topo, bright = cfg.topology, _bright_oscillator(cfg.topology, cfg.coupling)
-    if bright is None or topo.regulator_kind != "qudit":
-        return None
-    m, lam, omega_f = topo.modes, bright[1].lam, bright[1].omega_f
-    inputs = _factor_inputs(cfg)
-    if topo.kind == "single":
+    m, inputs = cfg.topology.modes, _factor_inputs(cfg)
+    if cfg.topology.kind == "single":
         x, dim = inputs[0]
         pops = dst_populations(x, dim) if isinstance(x, DSTParams) \
             else np.real(np.diag(x))
@@ -810,7 +809,7 @@ def _bright_mode(cfg: ProtocolConfig) -> Optional[
         if cfg.e_max is not None:
             _choose_e_cap([pops], cfg.e_max)
             w = w[:cfg.e_max + 1]
-        return w, 1.0, lam, omega_f
+        return w, 1.0
     p = inputs[0][0]
     if not all(isinstance(x, DSTParams) and x == p for x, _ in inputs):
         return None
@@ -827,7 +826,7 @@ def _bright_mode(cfg: ProtocolConfig) -> Optional[
     for _ in range(m - 1):
         p_d = np.convolve(p_d, c_d)[:e_cap + 1]
     s_d = np.cumsum(p_d)
-    return c_b[:e_cap + 1] * s_d[::-1], p_d[0] / s_d[-1], lam, omega_f
+    return c_b[:e_cap + 1] * s_d[::-1], p_d[0] / s_d[-1]
 
 
 # ------------------------------------------------------------ main entry
@@ -862,7 +861,7 @@ def _vacuum_block(topology: Topology, coupling: CouplingParams,
     h = _block_hamiltonian(joint, hops, freqs)
     vac = rows.start                # the block's one regulator-level-k row
     w, v = eigh(h - h[vac, vac] * np.eye(len(h)))
-    chiral = len(set(freqs)) == 1 and _sublattices(edges, len(caps)) is not None
+    chiral = _chiral_colours(topology, coupling) is not None
     return opttime.VacuumModes(w, v[vac] ** 2, chiral)
 
 
@@ -896,22 +895,25 @@ def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
     """Traces of `base` at each (regulator dimension d, level k, initial
     system) cell, in the order given.
 
-    Every cell is validated before any runs.  The bright-mode weights
-    (`_bright_mode`) and, failing those, the blocked engine's factors and
-    e_cap depend on no d or k, so each is built once per initial system.
-    The bright-mode cells of one (d, k, t) share one `effective_lambdas`
-    call and one power table, sized for the longest weights among them;
-    each cell weights its own columns of it (`_trace_single`).  The
-    blocked cells of one initial system, k and cycle time share one
-    `_blocked_run`."""
+    Every cell is validated before any runs.  The one oscillator the
+    regulator sees (`_bright_oscillator`) depends on no cell, so it is
+    resolved once.  The bright-mode weights (`_bright_mode`) and,
+    failing those, the blocked engine's factors and e_cap depend on no
+    d or k, so each is built once per initial system.  The bright-mode
+    cells of one (d, k, t) share one `effective_lambdas` call and one
+    power table, sized for the longest weights among them; each cell
+    weights its own columns of it (`_trace_single`).  The blocked cells
+    of one initial system, k and cycle time share one `_blocked_run`."""
     cfgs = [replace(base, topology=replace(base.topology, regulator_levels=d),
                     regulator_level=k, initial_system=init)
             for d, k, init in cells]
     for cfg in cfgs:
         cfg.validate()
+    reduced = _bright_oscillator(base.topology, base.coupling) \
+        if base.topology.regulator_kind == "qudit" else None
     times = {}          # k -> cycle time, the same at every d
     bright = {}         # id(initial system) -> its `_bright_mode`
-    tables = {}         # (d, k, t, lam, omega_f) -> bright-mode cells
+    tables = {}         # (d, k, t) -> bright-mode cells
     groups = {}         # (id(initial system), k, t) -> blocked cells
     for i, cfg in enumerate(cfgs):
         topo, k = cfg.topology, cfg.regulator_level
@@ -926,20 +928,20 @@ def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
             times[k] = res.t_opt
         times.setdefault(k, cfg.cycle_time)
         if sid not in bright:
-            bright[sid] = _bright_mode(cfg)
+            bright[sid] = None if reduced is None else _bright_mode(cfg)
         if bright[sid] is None:
             groups.setdefault((sid, k, times[k]), []).append(i)
         else:
-            lam, omega_f = bright[sid][2:]
-            tables.setdefault((d, k, times[k], lam, omega_f), []).append(i)
+            tables.setdefault((d, k, times[k]), []).append(i)
 
     traces = [None] * len(cfgs)
-    for (d, k, t, lam, omega_f), idx in tables.items():
+    for (d, k, t), idx in tables.items():
         modes = [bright[id(cfgs[i].initial_system)] for i in idx]
-        lams = effective_lambdas(d, k, t, max(len(m[0]) for m in modes), lam,
-                                 base.coupling.omega_a, omega_f)
+        osc = reduced[1]
+        lams = effective_lambdas(d, k, t, max(len(w) for w, _ in modes),
+                                 osc.lam, osc.omega_a, osc.omega_f)
         pw = _power_table(lams, base.n_max)
-        for i, (w, scale, _, _) in zip(idx, modes):
+        for i, (w, scale) in zip(idx, modes):
             fid, prob = _trace_single(pw, w)
             traces[i] = fid * scale, prob
     blocked = {}        # id(initial system) -> (factors, e_cap)

@@ -419,9 +419,11 @@ def test_two_workers_bit_identical(case, monkeypatch):
     caller, helper_took = threading.get_ident(), threading.Event()
 
     def spy(*args):
-        # the caller waits for the helper's first block, so both run some
+        # the caller waits for the helper's first block, so both run some;
+        # not at the vacuum block (e_tot = k), built before the helper starts
         if threading.get_ident() == caller:
-            helper_took.wait(timeout=30)
+            if args[0] != args[1]:
+                helper_took.wait(timeout=30)
         else:
             helper_took.set()
         threads.add(threading.get_ident())
@@ -542,10 +544,11 @@ def test_sweep_matches_cell_runs(case, workers, monkeypatch):
 def test_sweep_shares_blocks_across_dimensions(monkeypatch):
     # linear M = 3, k = 0: block e_s holds regulator levels 0..e_s, so
     # dimension d sees the prefix of levels below min(d, e_s + 1); each
-    # distinct prefix takes one chiral V, each block one joint build and
-    # one build of its d-independent chiral data
+    # distinct prefix takes one chiral V, and with one worker each block
+    # one joint build and one build of its d-independent chiral data
     d_list, e_max, k = [3, 4, 5, 6], 16, 0
     counts = {"_joint_block": 0, "_chiral_prep": 0, "_chiral_block": 0}
+    monkeypatch.setattr(protocol, "_block_workers", lambda: 1)
 
     def counted(name):
         fn = getattr(protocol, name)
@@ -570,18 +573,49 @@ def test_sweep_shares_blocks_across_dimensions(monkeypatch):
 
 def test_sweep_runs_one_task_per_block_and_dimension(monkeypatch):
     # the top block's four prefixes are four tasks, so two workers can
-    # share its work; the joint build stays one per block
-    counts, joints = [], []
-    map_blocks, joint_block = protocol._map_blocks, protocol._joint_block
+    # share its work; the vacuum block 0 runs before the map, not in it
+    counts = []
+    map_blocks = protocol._map_blocks
     monkeypatch.setattr(protocol, "_map_blocks", lambda fn, count, workers:
                         counts.append(count) or map_blocks(fn, count, workers))
-    monkeypatch.setattr(protocol, "_joint_block",
-                        lambda *args: joints.append(1) or joint_block(*args))
     monkeypatch.setattr(protocol, "_block_workers", lambda: 2)
     base = ProtocolConfig(Topology("linear", 3, modes=3), STAR_STATE,
                           cycle_time=np.pi / 2, cutoff=30, n_max=10, e_max=8)
     sweep_dimension(base, [3, 4, 5, 6], [0])
-    assert counts == [9 * 4] and len(joints) == 9
+    assert counts == [8 * 4]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_worker_builds_a_block_once(workers, monkeypatch):
+    # a worker keeps only its current block, and a block's tasks are
+    # contiguous in either worker's order: no thread builds a block twice,
+    # and only the block where two workers meet is built by both
+    builds = []
+    joint_block = protocol._joint_block
+    caller, helper_took = threading.get_ident(), threading.Event()
+
+    def spy(*args):
+        # as in test_two_workers_bit_identical: both threads take work
+        if workers == 2 and args[0] != args[1]:
+            if threading.get_ident() == caller:
+                helper_took.wait(timeout=30)
+            else:
+                helper_took.set()
+        builds.append((threading.get_ident(), args[0]))
+        return joint_block(*args)
+
+    monkeypatch.setattr(protocol, "_block_workers", lambda: workers)
+    monkeypatch.setattr(protocol, "_joint_block", spy)
+    e_max, k = 8, 1
+    base = ProtocolConfig(Topology("linear", 3, modes=3), STAR_STATE,
+                          cycle_time=np.pi / 2, cutoff=30, n_max=10,
+                          e_max=e_max)
+    sweep_dimension(base, [3, 4, 5, 6], [k])
+    assert len(set(builds)) == len(builds)
+    blocks = [e_tot for _, e_tot in builds]
+    assert sorted(set(blocks)) == list(range(k, k + e_max + 1))
+    assert len({thread for thread, _ in builds}) == workers
+    assert len(blocks) - len(set(blocks)) <= workers - 1
 
 
 @pytest.mark.parametrize("failing", [4, 8], ids=["small-block", "top-block"])

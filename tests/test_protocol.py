@@ -328,6 +328,29 @@ def test_qubit_asymptotic_limits():
         oracle.qubit_asymptotic_fidelity(rho, 2)
 
 
+def test_qubit_cools_off_the_trap_times():
+    # at d = 2, k = 0 level i is kept for ever iff t sqrt(i) is in pi Z;
+    # t = 0.5 and 1.0 trap no level i >= 1 below the cutoff, so F -> 1
+    cfg = _single_cfg(2, 0, cycle_time=0.5, cutoff=300, n_max=1000)
+    assert 1.0 - run_protocol(cfg).fidelity[1000] <= 1e-9
+    tr = run_protocol(replace(cfg, cycle_time=1.0))
+    assert protocol._first_cooled(tr, 0.999, 0.1) == 7
+    assert tr.probability[7] == pytest.approx(0.6439, abs=1e-4)
+
+
+@pytest.mark.parametrize("k,t", [(0, np.pi / 2), (1, np.pi)])
+def test_qubit_trapped_levels_are_the_oracles(k, t):
+    # the levels with |lambda_i| = 1 at the default times are the sets the
+    # oracle's large-N fidelity keeps: i = 4 m^2 at k = 0, m^2 - 1 at k = 1
+    lams = effective_lambdas(2, k, t, 301)
+    trapped = np.nonzero(np.abs(np.abs(lams) - 1.0) <= 1e-12)[0]
+    kept = [i for i in range(1, 301) if oracle.qubit_asymptotic_fidelity(
+        np.diag(np.eye(301)[0] + np.eye(301)[i]), k) == 0.5]
+    assert trapped.tolist() == [0] + kept
+    assert kept == ([4 * m * m for m in range(1, 9)] if k == 0
+                    else [m * m - 1 for m in range(2, 18)])
+
+
 def test_report_cycle_rules():
     f = np.array([0.5, 0.9, 0.99, 0.9999, 0.99991, 0.99992, 0.999925, 0.999926,
                   0.9999262, 0.9999263, 0.9999264])
