@@ -10,11 +10,14 @@ available experiment kinds.  Exit codes: 0 success, 2 config error,
 the runner, its help line, the (section, key) pairs the kind reads, the
 `[topology] kind` values it accepts and the keys a non-empty list
 overrides (a hybrid's [regulator] d beside [sweep] d_list, k beside
-k_list).  `load_config` rejects a key the kind does not read, a
-topology it does not accept and an overridden key the file sets, so
-`validate` and `run` fail on the same configs, before anything runs.  A
-loaded config holds exactly the keys its kind reads and uses, defaults
-filled in, and `canonical_form` prints exactly those.
+k_list).  `PREP_KINDS` does the same for the prep kinds: the `[prep]`
+keys each reads, and its circuit.  `load_config` rejects a key the kind
+does not read, a topology it does not accept, an overridden key the
+file sets, an unknown prep kind and a `[prep]` key no listed prep kind
+reads, so `validate` and `run` fail on the same configs, before
+anything runs.  A loaded config holds exactly the keys its kind reads
+and uses, defaults filled in, and `canonical_form` prints exactly
+those.
 
 Importing this module freezes the garbage collector's heap (`gc.freeze`,
 at the end of the module body): every object alive once numpy, qcool and
@@ -109,10 +112,11 @@ def load_config(path) -> Dict[str, Dict]:
     """Parse and check a config file.  Unknown sections and keys, keys
     the experiment kind does not read, a topology it does not accept, a
     key set beside a non-empty list that overrides it (`shadowed`) and a
-    `ds_list` beside a `d_list` or `k_list`, or with an entry below 2, are
-    config errors; the result holds every key the kind reads, and only
-    those, defaults filled in, in schema order, less the overridden
-    ones."""
+    `ds_list` beside a `d_list` or `k_list`, or with an entry below 2, an
+    unknown prep kind and a `[prep]` key no listed prep kind reads
+    (`PREP_KINDS`) are config errors; the result holds every key the
+    kind reads, and only those, defaults filled in, in schema order, less
+    the overridden ones and the `[prep]` keys no listed kind reads."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#",))
     try:
@@ -162,6 +166,8 @@ def load_config(path) -> Dict[str, Dict]:
         del cfg[section][key]
         if not cfg[section]:
             del cfg[section]
+    if kind == "prep":
+        _narrow_prep(cfg["prep"], parser)
     ds_list = cfg.get("sweep", {}).get("ds_list")
     if ds_list:
         if cfg["sweep"]["d_list"] or cfg["sweep"]["k_list"]:
@@ -361,18 +367,31 @@ def _run_opt_time(cfg, out):
     emit_csv(("k", "t_opt", "residual"), rows, out, key_cols=1)
 
 
-def _prep_one(kind, p, cat) -> stateprep.PrepResult:
-    """One prep row; cat() gives the even cat, which odd-cat starts from."""
-    if kind == "cat":
-        return cat()
-    if kind == "odd-cat":
-        return stateprep.make_odd_cat(cat())
-    if kind == "hybrid-entangled":
-        return stateprep.make_hybrid_entangled(p["d"], p["r"],
-                                               cutoff=p["cutoff"])
-    if kind == "noon":
-        return stateprep.make_noon(p["d"], cutoff=p["cutoff"])
-    raise ConfigError(f"unknown prep kind '{kind}'")
+# prep kind -> ([prep] keys it reads besides kinds and cutoff, its circuit
+# from the loaded [prep] and cat(), the even cat that odd-cat starts from)
+PREP_KINDS: Dict[str, Tuple[Tuple[str, ...], Callable]] = {
+    "cat": (("alpha", "n_components"), lambda p, cat: cat()),
+    "odd-cat": (("alpha", "n_components"),
+                lambda p, cat: stateprep.make_odd_cat(cat())),
+    "hybrid-entangled": (("r", "d"), lambda p, cat: (
+        stateprep.make_hybrid_entangled(p["d"], p["r"], cutoff=p["cutoff"]))),
+    "noon": (("d",), lambda p, cat: (
+        stateprep.make_noon(p["d"], cutoff=p["cutoff"]))),
+}
+
+
+def _narrow_prep(p, parser) -> None:
+    """Reject an unknown prep kind and a [prep] key that the file sets and
+    no listed kind reads; drop the other unread keys from p."""
+    for kind in p["kinds"]:
+        if kind not in PREP_KINDS:
+            raise ConfigError(f"unknown prep kind '{kind}'")
+    read = {"kinds", "cutoff"}.union(*(PREP_KINDS[k][0] for k in p["kinds"]))
+    for key in [k for k in p if k not in read]:
+        if parser.has_option("prep", key):
+            raise ConfigError(f"no listed prep kind ({', '.join(p['kinds'])})"
+                              f" reads [prep] {key}")
+        del p[key]
 
 
 def _run_prep(cfg, out):
@@ -383,7 +402,7 @@ def _run_prep(cfg, out):
     rows = []
     for kind in p["kinds"]:
         try:
-            res = _prep_one(kind, p, cat)
+            res = PREP_KINDS[kind][1](p, cat)
         except ValueError as err:     # the circuits' d/cutoff/r checks
             raise ConfigError(f"[prep] {kind}: {err}")
         rows.append((res.kind, res.d, res.param, res.target_fidelity,

@@ -1,6 +1,6 @@
 """Primitives every layer shares: the lowering matrix, the Hermitian
-exponential, the tridiagonal excitation block of one oscillator with a
-ladder qudit and the block-diagonal direct sum.
+exponential and the tridiagonal excitation block of one oscillator with
+a ladder qudit.
 
 Every Hamiltonian of the package conserves the total excitation number
 N_e = sum_j a_j^dag a_j + sum_m sum_k k|k><k|_m, so the runners work on
@@ -60,14 +60,3 @@ def ladder_block(e, levels: int, lam: float = 1.0,
     h[..., q[:-1], q[1:]] = h[..., q[1:], q[:-1]] = off
     return np.linalg.eigh(h)
 
-
-def block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """Direct sum of square matrices, in the common result dtype."""
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=np.result_type(*blocks))
-    i = 0
-    for b in blocks:
-        j = i + b.shape[0]
-        out[i:j, i:j] = b
-        i = j
-    return out

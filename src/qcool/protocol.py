@@ -52,11 +52,13 @@ trace contribution.  What no d changes is built once per worker that
 runs the block (with two workers only the block where they meet is
 built by both), and a worker holds one block at a time: the
 joint basis, hops and factor product rho, and on the chiral path from
-those the sublattice split, the hops as (A, B, amplitude) triplets, the
-level-k rows' A and B positions and the phased real rho
-(`_chiral_prep`), after which the basis, raw hops and complex rho are
-dropped.  Each (block, d) then does its spectral step alone: B from
-the triplets of its prefix, one eigh of B B^T and V (`_chiral_block`),
+those the sublattice split, the hops as (A, B, amplitude) triplets, each
+d's corner (the prefix's A and B counts), the level-k rows' A and B
+positions and the phased real rho (`_chiral_prep`), after which the
+basis, raw hops and complex rho are dropped.  Each (block, d) then
+does its spectral step alone: B from the triplets whose A and B
+positions lie inside its corner, one eigh of B B^T and V
+(`_chiral_block`),
 or the prefix's H and its eigh when detuned.  Each block's trace
 powers stop as soon as the rest of them can no longer change a bit of
 P_n, measured against the vacuum block's contribution, a floor under
@@ -361,15 +363,14 @@ class _ChiralBlock(NamedTuple):
     (`_chiral_prep`).  A joint row lies on sublattice A or B, and its
     position counts the rows before it on the same one.
 
-    hops: (A position, B position, amplitude) of every hop, those of a
-      shorter prefix first;
-    corners: (n_a, n_b, n_hops) of each d's prefix: its A and B states
-      are the first n_a and n_b, its hops the first n_hops;
+    hops: (A position, B position, amplitude) of every hop;
+    corners: (n_a, n_b) of each d's prefix: its A and B states are the
+      first n_a and n_b, its hops those with both ends among them;
     ia, ib: the level-k rows on A and on B, as indices among those rows;
     ka, kb: the same rows' positions within A and within B;
     rho: the phased initial state Re(D rho D^dag) on the level-k rows."""
     hops: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    corners: List[Tuple[int, int, int]]
+    corners: List[Tuple[int, int]]
     ia: np.ndarray
     ib: np.ndarray
     ka: np.ndarray
@@ -386,7 +387,7 @@ def _chiral_prep(joint: np.ndarray, rows: slice, hops, colour: np.ndarray,
     colour-1 subsystems; every hop flips that parity, so
     H_int = [[0, B], [B^T, 0]].  Rows ascend with the regulator level,
     so the prefix at d holds the first A and the first B states, and a
-    hop lies in every prefix that holds its later end.  D = 1 on A and
+    hop lies in every prefix that holds both its ends.  D = 1 on A and
     i on B makes V real (`_chiral_block`); W and D rho D^dag then have a
     real trace product, so the antisymmetric Im(D rho D^dag) adds no
     trace and only the real part is kept."""
@@ -397,11 +398,8 @@ def _chiral_prep(joint: np.ndarray, rows: slice, hops, colour: np.ndarray,
     pos[on_b] = np.arange(n_b)
     src, tgt, amp = hops
     from_a = ~on_b[src]
-    last = np.maximum(src, tgt)
-    order = np.argsort(last, kind="stable")
     b_before = np.concatenate(([0], np.cumsum(on_b)))[ends]
-    corners = list(zip((ends - b_before).tolist(), b_before.tolist(),
-                       np.searchsorted(last[order], ends).tolist()))
+    corners = list(zip((ends - b_before).tolist(), b_before.tolist()))
     rk = np.arange(rows.start, rows.stop)
     in_b = on_b[rk]
     ia, ib = np.nonzero(~in_b)[0], np.nonzero(in_b)[0]
@@ -409,29 +407,30 @@ def _chiral_prep(joint: np.ndarray, rows: slice, hops, colour: np.ndarray,
     # a copy, not a view of the real part, so the complex product is freed
     phased = np.real(dph[:, None] * rho * dph.conj()[None, :]).copy()
     return _ChiralBlock(
-        (np.where(from_a, pos[src], pos[tgt])[order],
-         np.where(from_a, pos[tgt], pos[src])[order], amp[order]),
+        (np.where(from_a, pos[src], pos[tgt]),
+         np.where(from_a, pos[tgt], pos[src]), amp),
         corners, ia, ib, pos[rk[ia]], pos[rk[ib]], phased)
 
 
-def _chiral_block(blk: _ChiralBlock, corner: Tuple[int, int, int],
+def _chiral_block(blk: _ChiralBlock, corner: Tuple[int, int],
                   t: float) -> np.ndarray:
     """W = D V D^-1, real, for V = <k|exp(-i H_int t)|k> on the prefix of
-    a bipartite block whose `corner` is (n_a, n_b, n_hops), with D = 1
-    on sublattice A and i on B (`_chiral_prep`).
+    a bipartite block whose `corner` is (n_a, n_b), with D = 1 on
+    sublattice A and i on B (`_chiral_prep`).
 
-    B holds the prefix's hops; each (A, B) pair is one hop, so they are
-    written, not summed.  With B B^T = Q diag(mu) Q^T,
+    B holds the hops with A position below n_a and B position below n_b;
+    each (A, B) pair is one hop, so they are written, not summed.  With B B^T = Q diag(mu) Q^T,
       V_aa = Q_a cos(t sqrt(mu)) Q_a^T,
       V_ab = -i (Q_a f) (B_b^T Q)^T,
       V_bb = I + (B_b^T Q) g (B_b^T Q)^T,
     f = sin(t sqrt(mu)) / sqrt(mu), g = (cos(t sqrt(mu)) - 1) / mu, both
     written through sinc so they stay exact at the zero modes that
     |A| != |B| brings."""
-    n_a, n_b, n_hops = corner
-    a, bpos, amp = (h[:n_hops] for h in blk.hops)
+    n_a, n_b = corner
+    a, bpos, amp = blk.hops
+    keep = (a < n_a) & (bpos < n_b)
     b = np.zeros((n_a, n_b))
-    b[a, bpos] = amp
+    b[a[keep], bpos[keep]] = amp[keep]
     mu, q = eigh(b @ b.T)
     x = t * np.sqrt(np.clip(mu, 0.0, None))
     f = t * np.sinc(x / np.pi)
@@ -535,15 +534,15 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     Once per worker that runs the block (`build`): the joint basis,
     hops, factor product rho and each d's prefix end; on the chiral path
     also the sublattice split, the hops as (A, B, amplitude) triplets,
-    each d's corner of them, the level-k rows' A and B positions and the
-    phased real rho (`_chiral_prep`), which is all that block then
-    keeps.  A worker holds only the block of its current task and drops
-    it before building the next.  A block's tasks are contiguous in
+    each d's corner (its A and B counts), the level-k rows' A and B
+    positions and the phased real rho (`_chiral_prep`), which is all
+    that block then keeps.  A worker holds only the block of its current
+    task and drops it before building the next.  A block's tasks are contiguous in
     either worker's order (`_map_blocks`), so one worker builds every
     block once, and with two workers only the block where they meet is
-    built by both.  Once per (block, d): the chiral B of the corner's
-    triplets, one eigh of B B^T and V (`_chiral_block`), or, detuned,
-    the prefix's hops, H and its full eigh.
+    built by both.  Once per (block, d): the chiral B of the triplets
+    inside the corner, one eigh of B B^T and V (`_chiral_block`), or,
+    detuned, the prefix's hops, H and its full eigh.
 
     Block 0 is the system vacuum alone, at every d the same (its
     regulator levels stop at k < d).  Its contribution p0 |lambda_0|^(2n)

@@ -6,6 +6,13 @@ oscillator conditioned on the qudit level, and heralded photon addition.
 They produce multi-component cat states, hybrid entangled states and
 N00N-type superpositions.
 
+Every circuit acts on one complex (d, cutoff) ket array whose row q is
+the oscillator branch of qudit level q; no joint-space matrix is built.
+A conditional displacement is the (d, cutoff, cutoff) stack of its
+blocks D(alpha w^q), applied row by row, and the cat circuit takes its
+reference sum_k |alpha w^k> from the same stack, so each D is built
+once.  A state is flattened, qudit-major, only into `PrepResult.state`.
+
 Heralding convention: branch weights are normalised by the largest
 branch, so every reported success probability lies in (0, 1] and chains
 multiplicatively through successive photon additions.
@@ -19,7 +26,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import TruncationError
-from .hilbert import block_diag, lowering
+from .hilbert import lowering
 from .states import displacement_op, squeezing_op
 
 _TAIL_TOL = 1e-6   # largest population a Fock truncation may cut off
@@ -28,7 +35,7 @@ _TAIL_SPAN = 3     # top Fock levels whose share of a branch is bounded
 
 @dataclass
 class PrepResult:
-    state: np.ndarray          # normalized ket
+    state: np.ndarray          # normalized ket, qudit-major when joint
     success_prob: float
     target_fidelity: float
     kind: str
@@ -49,11 +56,13 @@ def hadamard_qudit(d: int) -> np.ndarray:
 
 def conditional_displacement(d: int, alpha: complex, n_components: int,
                              cutoff: int = 60) -> np.ndarray:
-    """Block unitary sum_k |k><k| (x) D(alpha w^k), w = e^{2 pi i/N}."""
+    """The blocks of sum_k |k><k| (x) D(alpha w^k), w = e^{2 pi i/N}, as a
+    (d, cutoff, cutoff) stack; `stack @ ket[..., None]` applies it to a
+    (d, cutoff) ket array, block k to row k."""
     _coherent_tail_check(alpha, cutoff)
     omega = np.exp(2j * np.pi / n_components)
-    return block_diag(*[displacement_op(alpha * omega ** k, cutoff)
-                        for k in range(d)])
+    return np.stack([displacement_op(alpha * omega ** k, cutoff)
+                     for k in range(d)])
 
 
 def _coherent_tail_check(alpha: complex, cutoff: int):
@@ -91,25 +100,23 @@ def make_cat(alpha: complex, n_components: int,
     displacement, then projection of the qudit on the uniform row
     (1/sqrt d) sum_k <k|.  The kept oscillator state matches the
     normalised sum_k |alpha w^k>; the success probability is the squared
-    norm of the projected branch."""
+    norm of the projected branch.  The branches D(alpha w^k)|0> and the
+    reference both come from one conditional-displacement stack."""
     d = n_components
     if d % 2 or d < 2:
         raise ValueError("cat preparation needs an even n_components >= 2")
     if not (np.isfinite(alpha) and cutoff >= 1):
         raise ValueError(f"cat needs a finite alpha and a cutoff >= 1, got "
                          f"alpha = {alpha}, cutoff = {cutoff}")
-    dc = conditional_displacement(d, alpha, n_components, cutoff)
-    joint = np.zeros(d * cutoff, dtype=complex)
-    joint[::cutoff] = hadamard_qudit(d)[:, 0]    # H_d |0>, oscillator vacuum
-    joint = dc @ joint
-    projected = joint.reshape(d, cutoff).sum(axis=0) / np.sqrt(d)
+    stack = conditional_displacement(d, alpha, n_components, cutoff)
+    ket = np.zeros((d, cutoff), dtype=complex)
+    ket[:, 0] = hadamard_qudit(d)[:, 0]          # H_d |0>, oscillator vacuum
+    ket = (stack @ ket[..., None])[..., 0]
+    projected = ket.sum(axis=0) / np.sqrt(d)
     success = float(np.vdot(projected, projected).real)
     state = projected / np.sqrt(success)
 
-    omega = np.exp(2j * np.pi / n_components)
-    ref = np.zeros(cutoff, dtype=complex)
-    for k in range(n_components):
-        ref += coherent_ket(alpha * omega ** k, cutoff)
+    ref = stack[:, :, 0].sum(axis=0)             # sum_k |alpha w^k>
     ref /= np.linalg.norm(ref)
     return PrepResult(state, success, _fid(state, ref), "cat", d,
                       float(abs(alpha)),
@@ -188,9 +195,9 @@ def make_hybrid_entangled(d: int, r: float = 0.0,
         raise ValueError(f"cutoff must be >= 3(d-1) = {3 * (d - 1)}")
     rows = _photon_added_branches(d, r, cutoff)
     _branch_tail_check(rows)
-    joint = rows.flatten() / np.sqrt(d)          # |k>_s (x) branch_k
-    norm2 = float(np.vdot(joint, joint).real)
-    state = joint / np.sqrt(norm2)
+    ket = rows / np.sqrt(d)                      # |k>_s (x) branch_k
+    norm2 = float(np.vdot(ket, ket).real)
+    state = ket / np.sqrt(norm2)
 
     weights = np.sum(np.abs(rows) ** 2, axis=1)
     success = float(np.mean(weights) / np.max(weights))
@@ -198,15 +205,15 @@ def make_hybrid_entangled(d: int, r: float = 0.0,
     k = np.arange(d)
     ref_w = np.sqrt([factorial(int(m)) for m in k]) if r == 0 \
         else np.cosh(r) ** k
-    ref = np.zeros(d * cutoff, dtype=complex)
-    ref[k * cutoff + k] = ref_w
+    ref = np.zeros((d, cutoff), dtype=complex)
+    ref[k, k] = ref_w
     ref /= np.linalg.norm(ref)
-    uniform = np.zeros(d * cutoff, dtype=complex)
-    uniform[k * cutoff + k] = 1.0 / np.sqrt(d)
+    uniform = np.zeros((d, cutoff), dtype=complex)
+    uniform[k, k] = 1.0 / np.sqrt(d)
 
-    schmidt = np.linalg.svd(state.reshape(d, cutoff), compute_uv=False)
-    return PrepResult(state, success, _fid(state, ref), "hybrid-entangled",
-                      d, r,
+    schmidt = np.linalg.svd(state, compute_uv=False)
+    return PrepResult(state.ravel(), success, _fid(state, ref),
+                      "hybrid-entangled", d, r,
                       extra={"fidelity_uniform": _fid(state, uniform),
                              "schmidt": schmidt,
                              "entropy": _schmidt_entropy(schmidt)})
@@ -249,15 +256,14 @@ def make_noon(d: int, cutoff: Optional[int] = None) -> PrepResult:
         added = adag @ added
     w_add = float(np.vdot(added, added).real)    # (d-1)! before renormalising
 
-    state = np.zeros(d * cutoff, dtype=complex)
-    state[(d - 1) * cutoff + 0] = rot0[d - 1]    # |d-1>_s |0>_V
-    state[0 * cutoff:1 * cutoff] += rot0[0] * added / np.sqrt(w_add)
+    state = np.zeros((d, cutoff), dtype=complex)
+    state[d - 1, 0] = rot0[d - 1]                # |d-1>_s |0>_V
+    state[0] += rot0[0] * added / np.sqrt(w_add)
     state /= np.linalg.norm(state)
 
     success = float((0.5 * 1.0 + 0.5 * w_add) / max(w_add, 1.0))
 
-    ref = np.zeros(d * cutoff, dtype=complex)
-    ref[(d - 1) * cutoff + 0] = 1 / np.sqrt(2)
-    ref[0 * cutoff + n_exc] = 1 / np.sqrt(2)
-    return PrepResult(state, success, _fid(state, ref), "noon", d,
+    ref = np.zeros((d, cutoff), dtype=complex)
+    ref[d - 1, 0] = ref[0, n_exc] = 1 / np.sqrt(2)
+    return PrepResult(state.ravel(), success, _fid(state, ref), "noon", d,
                       float(n_exc))

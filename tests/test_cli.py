@@ -272,6 +272,51 @@ def test_prep_builds_the_cat_once(tmp_path, monkeypatch):
         (exp / "prep_demo.csv").read_bytes()
 
 
+PREP_MAKERS = ("make_cat", "make_odd_cat", "make_hybrid_entangled",
+               "make_noon")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("kinds = noon\nalpha = 7.5\nr = 2.0\nn_components = 6\n",
+     "no listed prep kind (noon) reads [prep] alpha"),
+    ("kinds = cat,bogus\n", "unknown prep kind 'bogus'"),
+    ("kinds = cat,odd-cat\nd = 3\n",
+     "no listed prep kind (cat, odd-cat) reads [prep] d"),
+    ("kinds = hybrid-entangled\nn_components = 4\n",
+     "no listed prep kind (hybrid-entangled) reads [prep] n_components"),
+    ("kinds = noon,cat\nr = 0.3\n",
+     "no listed prep kind (noon, cat) reads [prep] r")],
+    ids=["noon-unread", "unknown-kind", "cat-d", "hybrid-n-components",
+         "noon-cat-r"])
+def test_prep_rejects_kinds_and_keys_before_any_circuit(tmp_path, text,
+                                                        message, capsys,
+                                                        monkeypatch):
+    calls = _forbid(monkeypatch, *[(stateprep, m) for m in PREP_MAKERS])
+    cfg = _write(tmp_path, "p.cfg", "[experiment]\nkind = prep\n[prep]\n"
+                 + text)
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("kinds,keys", [
+    ("noon", ["kinds", "d", "cutoff"]),
+    ("cat", ["kinds", "alpha", "n_components", "cutoff"]),
+    ("odd-cat,noon", ["kinds", "alpha", "d", "n_components", "cutoff"]),
+    ("hybrid-entangled", ["kinds", "r", "d", "cutoff"]),
+    ("cat,odd-cat,hybrid-entangled,noon",
+     ["kinds", "alpha", "r", "d", "n_components", "cutoff"])])
+def test_prep_config_holds_what_its_kinds_read(tmp_path, kinds, keys):
+    cfg = _write(tmp_path, "p.cfg",
+                 f"[experiment]\nkind = prep\n[prep]\nkinds = {kinds}\n")
+    loaded = load_config(cfg)
+    assert list(loaded["prep"]) == keys
+    again = _write(tmp_path, "q.cfg", canonical_form(loaded))
+    assert load_config(again) == loaded
+
+
 def test_network_requires_network_topology(tmp_path):
     cfg = _write(tmp_path, "n.cfg", """
 [experiment]
@@ -406,7 +451,10 @@ def test_loaded_config_holds_only_read_keys(tmp_path, capsys):
         if spec.topologies:
             text += f"[topology]\nkind = {spec.topologies[0]}\n"
         cfg = load_config(_write(tmp_path, "k.cfg", text))
-        assert {(s, k) for s in cfg for k in cfg[s]} == spec.reads, kind
+        reads = spec.reads
+        if kind == "prep":      # the default kinds = cat reads no r or d
+            reads = reads - {("prep", "r"), ("prep", "d")}
+        assert {(s, k) for s in cfg for k in cfg[s]} == reads, kind
     cfg = _write(tmp_path, "ot.cfg",
                  "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n")
     assert main(["validate", str(cfg)]) == 0

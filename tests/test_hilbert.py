@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcool.hamiltonians import Topology
-from qcool.hilbert import block_diag, ladder_block, lowering
+from qcool.hilbert import ladder_block, lowering
 
 import oracle
 
@@ -103,15 +103,3 @@ def test_ladder_block_stack_matches_single_blocks(levels, lam, detuning):
             u1 = (v1 * np.exp(-1j * w1 * t)) @ v1.T
             assert np.max(np.abs(np.diag(u)[:len(w1)] - np.diag(u1))) <= 1e-14
 
-
-def test_block_diag_direct_sum():
-    a = np.arange(4.0).reshape(2, 2)
-    b = np.array([[1j]])
-    c = np.ones((3, 3))
-    out = block_diag(a, b, c)
-    assert out.shape == (6, 6) and out.dtype == complex
-    assert np.array_equal(out[:2, :2], a) and out[2, 2] == 1j
-    assert np.array_equal(out[3:, 3:], c)
-    mask = np.zeros((6, 6), dtype=bool)
-    mask[:2, :2] = mask[2, 2] = mask[3:, 3:] = True
-    assert np.count_nonzero(out[~mask]) == 0

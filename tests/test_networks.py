@@ -747,7 +747,7 @@ def test_chiral_zero_modes():
     n = rows.stop - rows.start
     blk = protocol._chiral_prep(joint, rows, hops, colour, np.eye(n),
                                 np.array([len(joint)]))
-    assert blk.corners == [(4, 2, len(hops[0]))]
+    assert blk.corners == [(4, 2)]
     t = 2.1
     w = protocol._chiral_block(blk, blk.corners[0], t)
     dph = np.where(on_b[rows], 1j, 1.0)

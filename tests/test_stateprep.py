@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcool import stateprep
 from qcool.errors import TruncationError
 from qcool.stateprep import (conditional_displacement, hadamard_qudit,
                              make_cat, make_hybrid_entangled, make_noon,
@@ -25,14 +26,39 @@ def test_hadamard_unitary_and_order():
 def test_conditional_displacement_structure():
     cutoff = 40
     dc = conditional_displacement(2, 0.8, 2, cutoff)
-    assert np.max(np.abs(dc @ dc.conj().T - np.eye(2 * cutoff))) < 1e-12
+    assert dc.shape == (2, cutoff, cutoff)
+    for blk in dc:
+        assert np.max(np.abs(blk @ blk.conj().T - np.eye(cutoff))) < 1e-12
     # identity when nothing is displaced
     dc0 = conditional_displacement(3, 0.0, 2, 20)
-    assert np.max(np.abs(dc0 - np.eye(60))) < 1e-12
+    assert np.max(np.abs(dc0 - np.eye(20))) < 1e-12
     # level-1 block displaces by alpha * omega = -alpha for two components
-    from qcool.states import displacement_op
-    blk1 = dc[cutoff:, cutoff:]
-    assert np.max(np.abs(blk1 - displacement_op(-0.8, cutoff))) < 1e-12
+    assert np.max(np.abs(dc[1] - stateprep.displacement_op(-0.8, cutoff))) \
+        < 1e-12
+
+
+def test_conditional_displacement_keeps_a_ket_array_normalised():
+    rng = np.random.default_rng(7)
+    d, cutoff = 4, 30
+    ket = rng.normal(size=(d, cutoff)) + 1j * rng.normal(size=(d, cutoff))
+    ket /= np.linalg.norm(ket)
+    out = (conditional_displacement(d, 0.9, 4, cutoff) @ ket[..., None])[..., 0]
+    assert out.shape == (d, cutoff)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_cat_builds_each_displacement_once(n, monkeypatch):
+    calls = []
+    displacement_op = stateprep.displacement_op
+
+    def spy(alpha, cutoff):
+        calls.append(alpha)
+        return displacement_op(alpha, cutoff)
+
+    monkeypatch.setattr(stateprep, "displacement_op", spy)
+    make_cat(1.2, n)
+    assert len(calls) == n
 
 
 def test_conditional_displacement_tail_guard():
