@@ -49,27 +49,26 @@ independent.  A sweep's blocked cells of one initial system, k and
 cycle time make one pass over the blocks, which serves every regulator
 dimension d of the sweep: each (block, d) is one task that returns its
 trace contribution.  What no d changes is built once per worker that
-runs the block (with two workers only the block where they meet is
-built by both), and a worker holds one block at a time: the
-joint basis, hops and factor product rho, and on the chiral path from
-those the sublattice split, the hops as (A, B, amplitude) triplets, each
-d's corner (the prefix's A and B counts), the level-k rows' A and B
-positions and the phased real rho (`_chiral_prep`), after which the
-basis, raw hops and complex rho are dropped.  Each (block, d) then
-does its spectral step alone: B from the triplets whose A and B
-positions lie inside its corner, one eigh of B B^T and V
-(`_chiral_block`),
-or the prefix's H and its eigh when detuned.  Each block's trace
-powers stop as soon as the rest of them can no longer change a bit of
-P_n, measured against the vacuum block's contribution, a floor under
-every partial sum (`_block_trace_powers`); the calling thread computes
-that contribution before the other blocks' tasks start.  When at least
-two CPUs are available and BLAS runs one thread (OPENBLAS_NUM_THREADS,
-else OMP_NUM_THREADS, is 1) the calling thread and one helper thread
-share the tasks (`_block_workers`, `_map_blocks`); otherwise the caller
-runs them all.  The contributions are summed in ascending block order,
-so F_n and P_n are bit-identical either way, to a run of each d alone,
-and to a run with no early stop.
+runs the block (with two workers only the block where they meet is built
+by both), and a worker holds one block at a time: the joint basis, hops
+and factor product rho, and on the chiral path from those the sublattice
+split, the hops as (A, B, amplitude) triplets, each d's corner (the
+prefix's A and B counts), the level-k rows' A and B positions and the
+phased real rho (`_chiral_prep`), after which the basis, raw hops and
+complex rho are dropped.  Each (block, d) then does its spectral step
+alone: B from the triplets whose A and B positions lie inside its
+corner, one eigh of B B^T and V (`_chiral_block`), or the prefix's H and
+its eigh when detuned.  Each block's trace powers stop as soon as the
+rest of them can no longer change a bit of P_n, measured against the
+vacuum block's contribution, a floor under every partial sum
+(`_block_trace_powers`); the calling thread computes that contribution
+before the other blocks' tasks start.  When at least two CPUs are
+available and BLAS runs one thread (OPENBLAS_NUM_THREADS, else
+OMP_NUM_THREADS, is 1) the calling thread and one helper thread share
+the tasks (`_block_workers`, `_map_blocks`); otherwise the caller runs
+them all.  The contributions are summed in ascending block order, so F_n
+and P_n are bit-identical either way, to a run of each d alone, and to a
+run with no early stop.
 """
 from __future__ import annotations
 
@@ -419,7 +418,8 @@ def _chiral_block(blk: _ChiralBlock, corner: Tuple[int, int],
     sublattice A and i on B (`_chiral_prep`).
 
     B holds the hops with A position below n_a and B position below n_b;
-    each (A, B) pair is one hop, so they are written, not summed.  With B B^T = Q diag(mu) Q^T,
+    each (A, B) pair is one hop, so they are written, not summed.  With
+    B B^T = Q diag(mu) Q^T,
       V_aa = Q_a cos(t sqrt(mu)) Q_a^T,
       V_ab = -i (Q_a f) (B_b^T Q)^T,
       V_bb = I + (B_b^T Q) g (B_b^T Q)^T,
@@ -537,12 +537,13 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     each d's corner (its A and B counts), the level-k rows' A and B
     positions and the phased real rho (`_chiral_prep`), which is all
     that block then keeps.  A worker holds only the block of its current
-    task and drops it before building the next.  A block's tasks are contiguous in
-    either worker's order (`_map_blocks`), so one worker builds every
-    block once, and with two workers only the block where they meet is
-    built by both.  Once per (block, d): the chiral B of the triplets
-    inside the corner, one eigh of B B^T and V (`_chiral_block`), or,
-    detuned, the prefix's hops, H and its full eigh.
+    task and drops it before building the next.  A block's tasks are
+    contiguous in either worker's order (`_map_blocks`), so one worker
+    builds every block once, and with two workers only the block where
+    they meet is built by both.  Once per (block, d): the chiral B of
+    the triplets inside the corner, one eigh of B B^T and V
+    (`_chiral_block`), or, detuned, the prefix's hops, H and its full
+    eigh.
 
     Block 0 is the system vacuum alone, at every d the same (its
     regulator levels stop at k < d).  Its contribution p0 |lambda_0|^(2n)

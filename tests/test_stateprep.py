@@ -42,7 +42,8 @@ def test_conditional_displacement_keeps_a_ket_array_normalised():
     d, cutoff = 4, 30
     ket = rng.normal(size=(d, cutoff)) + 1j * rng.normal(size=(d, cutoff))
     ket /= np.linalg.norm(ket)
-    out = (conditional_displacement(d, 0.9, 4, cutoff) @ ket[..., None])[..., 0]
+    stack = conditional_displacement(d, 0.9, 4, cutoff)
+    out = (stack @ ket[..., None])[..., 0]
     assert out.shape == (d, cutoff)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
