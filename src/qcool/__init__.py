@@ -11,8 +11,8 @@ from .protocol import (ProtocolConfig, ProtocolTrace, SweepRecord,
                        sweep_dimension, sweep_energy, vacuum_modes)
 from .opttime import (OptTimeResult, VacuumModes, local_optima, solve_topt,
                       vacuum_lambda)
-from .gaussian import (OneShotStack, dst_moments, oneshot_probability_formula,
-                       oneshot_stack, symplectic_from_hamiltonian)
+from .gaussian import (OneShotStack, dst_moments, oneshot_stack,
+                       symplectic_from_hamiltonian)
 from .stateprep import (PrepResult, conditional_displacement, hadamard_qudit,
                         make_cat, make_hybrid_entangled, make_noon,
                         make_odd_cat, parity_expectation, subspace_rotation)

@@ -11,10 +11,12 @@ the runner, its help line, the (section, key) pairs the kind reads, the
 `[topology] kind` values it accepts and the keys a non-empty list
 overrides (a hybrid's [regulator] d beside [sweep] d_list, k beside
 k_list).  `PREP_KINDS` does the same for the prep kinds: the `[prep]`
-keys each reads, and its circuit.  `load_config` rejects a key the kind
+keys each reads, and its circuit; `REPORT_KEYS` holds the thresholds
+each `[sweep] report` rule reads.  `load_config` rejects a key the kind
 does not read, a topology it does not accept, an overridden key the
-file sets, an unknown prep kind and a `[prep]` key no listed prep kind
-reads, so `validate` and `run` fail on the same configs, before
+file sets, an unknown prep kind or report rule, a `[prep]` key no
+listed prep kind reads and a threshold the report rule does not read
+(`_narrow`), so `validate` and `run` fail on the same configs, before
 anything runs.  A loaded config holds exactly the keys its kind reads
 and uses, defaults filled in, and `canonical_form` prints exactly
 those.
@@ -113,10 +115,12 @@ def load_config(path) -> Dict[str, Dict]:
     the experiment kind does not read, a topology it does not accept, a
     key set beside a non-empty list that overrides it (`shadowed`) and a
     `ds_list` beside a `d_list` or `k_list`, or with an entry below 2, an
-    unknown prep kind and a `[prep]` key no listed prep kind reads
-    (`PREP_KINDS`) are config errors; the result holds every key the
+    unknown prep kind or report rule, a `[prep]` key no listed prep kind
+    reads (`PREP_KINDS`) and a threshold the report rule does not read
+    (`REPORT_KEYS`) are config errors; the result holds every key the
     kind reads, and only those, defaults filled in, in schema order, less
-    the overridden ones and the `[prep]` keys no listed kind reads."""
+    the overridden ones, the `[prep]` keys no listed kind reads and the
+    thresholds the report rule does not read."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#",))
     try:
@@ -167,7 +171,12 @@ def load_config(path) -> Dict[str, Dict]:
         if not cfg[section]:
             del cfg[section]
     if kind == "prep":
-        _narrow_prep(cfg["prep"], parser)
+        _narrow(cfg, parser, "prep kind", cfg["prep"]["kinds"],
+                {name: [("prep", key) for key in keys]
+                 for name, (keys, _) in PREP_KINDS.items()})
+    if ("sweep", "report") in spec.reads:
+        _narrow(cfg, parser, "report rule", [cfg["sweep"]["report"]],
+                REPORT_KEYS)
     ds_list = cfg.get("sweep", {}).get("ds_list")
     if ds_list:
         if cfg["sweep"]["d_list"] or cfg["sweep"]["k_list"]:
@@ -254,8 +263,11 @@ def _coupling(cfg) -> CouplingParams:
 
 
 def _report_args(cfg):
-    """[sweep] report, stop and settle_tol, range-checked."""
-    s = cfg["sweep"]
+    """[sweep] report, stop and settle_tol, range-checked.  A threshold
+    the rule does not read is not loaded; its default stands in, unused."""
+    s = {key: cast(default)
+         for key, (cast, default) in SCHEMA["sweep"].items()}
+    s.update(cfg["sweep"])
     args = s["report"], s["stop"], s["settle_tol"]
     protocol.check_report(*args)
     return args
@@ -380,18 +392,32 @@ PREP_KINDS: Dict[str, Tuple[Tuple[str, ...], Callable]] = {
 }
 
 
-def _narrow_prep(p, parser) -> None:
-    """Reject an unknown prep kind and a [prep] key that the file sets and
-    no listed kind reads; drop the other unread keys from p."""
-    for kind in p["kinds"]:
-        if kind not in PREP_KINDS:
-            raise ConfigError(f"unknown prep kind '{kind}'")
-    read = {"kinds", "cutoff"}.union(*(PREP_KINDS[k][0] for k in p["kinds"]))
-    for key in [k for k in p if k not in read]:
-        if parser.has_option("prep", key):
-            raise ConfigError(f"no listed prep kind ({', '.join(p['kinds'])})"
-                              f" reads [prep] {key}")
-        del p[key]
+# report rule -> the (section, key) thresholds it reads
+REPORT_KEYS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "converged": (("protocol", "fidelity_target"),
+                  ("protocol", "convergence_tol")),
+    "cooled": (("sweep", "stop"),),
+    "settled": (("sweep", "settle_tol"),),
+    "auto": (("sweep", "stop"), ("sweep", "settle_tol")),
+}
+
+
+def _narrow(cfg, parser, what: str, names: List[str], reads) -> None:
+    """Narrow cfg to the listed names of one table, `reads` (name -> the
+    (section, key) pairs it reads): reject a name the table lacks and a
+    key that some name reads, no listed name reads and the file sets;
+    drop the other keys that no listed name reads."""
+    for name in names:
+        if name not in reads:
+            raise ConfigError(f"unknown {what} '{name}'")
+    unread = set().union(*reads.values()).difference(
+        *(reads[name] for name in names))
+    for section, key in [(s, k) for s in cfg for k in cfg[s]
+                         if (s, k) in unread]:
+        if parser.has_option(section, key):
+            raise ConfigError(f"no listed {what} ({', '.join(names)}) reads "
+                              f"[{section}] {key}")
+        del cfg[section][key]
 
 
 def _run_prep(cfg, out):

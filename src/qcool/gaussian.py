@@ -22,9 +22,6 @@ import numpy as np
 from .errors import ConfigError, ConstructionError
 from .hilbert import expm_hermitian
 
-_SWAP_OMEGA = 1.0   # frequency of both modes of the one-shot swap
-_SWAP_LAM = 1.0     # their exchange coupling
-
 
 def dst_moments(re_alpha, im_alpha, r, nbar) -> Tuple[np.ndarray, np.ndarray]:
     """Mean (..., 2) and covariance (..., 2, 2) of displaced squeezed
@@ -100,24 +97,6 @@ def _condition(mean: np.ndarray, cov: np.ndarray, midx: List[int],
 
 # ------------------------------------------------------- one-shot result
 
-def swap_coupling_matrix() -> np.ndarray:
-    """Two resonant modes of frequency _SWAP_OMEGA with an
-    excitation-exchange coupling _SWAP_LAM; at t = pi/2 the modes swap
-    exactly."""
-    return np.array([[_SWAP_OMEGA, _SWAP_LAM], [_SWAP_LAM, _SWAP_OMEGA]])
-
-
-def oneshot_probability_formula(alpha1: float, alpha2: float, r: float,
-                                nbar: float) -> float:
-    """Closed form of the one-shot vacuum-outcome weight (with the 1/pi)."""
-    e2r = np.exp(2 * r)
-    num = np.exp(-2 * alpha1 ** 2 / (1 + e2r * (1 + 2 * nbar))
-                 - 2 * e2r * alpha2 ** 2 / (1 + e2r + 2 * nbar))
-    den = np.pi * np.sqrt((1 + nbar) ** 2 * np.cosh(r) ** 2
-                          - nbar ** 2 * np.sinh(r) ** 2)
-    return float(num / den)
-
-
 @dataclass
 class OneShotStack:
     """One-shot results at stacked points: arrays over the points, and
@@ -158,7 +137,9 @@ def oneshot_stack(alpha1, alpha2, r, nbar,
     cov = np.zeros((len(a1), 4, 4))
     mean[:, :2], cov[:, :2, :2] = sys_mean, sys_cov
     cov[:, 2, 2] = cov[:, 3, 3] = 0.5
-    s = symplectic_from_hamiltonian(swap_coupling_matrix(), t)
+    # two resonant modes of frequency 1, exchange-coupled at 1: at
+    # t = pi/2 they swap exactly
+    s = symplectic_from_hamiltonian(np.array([[1.0, 1.0], [1.0, 1.0]]), t)
     mean, cov = (s @ mean[..., None])[..., 0], s @ cov @ s.T
     c_mean, c_cov, proj = _condition(mean, cov, [2, 3], [0, 1])
     return OneShotStack(_vacuum_weight(c_mean, c_cov, [0, 1]), proj / np.pi,

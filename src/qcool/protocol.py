@@ -25,11 +25,12 @@ engine paths:
   modes never cool, so F saturates at F_inf = p_vac(dark)^(M-1).
 - blocked (`_blocked_run`): every other network, the hybrid pair and the
   oscillator regulator, over the composite basis.  It is also the test
-  oracle of the bright-mode path.  At resonance (omega_a equal to every
-  omega_f) block E is E omega I plus a coupling that is bipartite on
-  the coupling tree, H_int = [[0, B], [B^T, 0]]; the chiral sub-path
-  (`_chiral_block`) then takes V from one eigh of B B^T, half the
-  block size, in a gauge where V is real.  Detuned runs diagonalise
+  oracle of the bright-mode path.  Every coupling graph is a tree over
+  all subsystems, so it is bipartite, and at resonance (omega_a equal
+  to every omega_f) block E is E omega I plus a coupling
+  H_int = [[0, B], [B^T, 0]] between its two sublattices; the chiral
+  sub-path (`_chiral_block`) then takes V from one eigh of B B^T, half
+  the block size, in a gauge where V is real.  Detuned runs diagonalise
   each block whole, and that path is the chiral path's test oracle.
   Both take numpy's `eigh`, bound here as `eigh` so that the blocks
   each path diagonalises can be observed.  This is the one path that
@@ -72,6 +73,7 @@ run with no early stop.
 """
 from __future__ import annotations
 
+import collections
 import math
 import os
 import threading
@@ -274,39 +276,31 @@ def _frequencies(topology: Topology, params: CouplingParams) -> List[float]:
     return params.omega_f_list(topology.modes) + [params.omega_a]
 
 
-def _sublattices(edges: List[Tuple[int, int, float]],
-                 n_sub: int) -> Optional[np.ndarray]:
-    """0/1 colour per subsystem from a breadth-first 2-colouring of the
-    coupling graph, started at the regulator (last); None when the graph
-    is not bipartite."""
-    adj: List[List[int]] = [[] for _ in range(n_sub)]
-    for i, j, _ in edges:
+def _chiral_colours(topology: Topology,
+                    params: CouplingParams) -> Optional[np.ndarray]:
+    """0/1 colour per subsystem, the regulator (last) 0 and the two ends
+    of every coupling edge apart, when every excitation block is chiral;
+    else None.  Every `Topology.coupling_edges` graph is a tree over all
+    its subsystems (single: one edge; linear: a path; star: a star;
+    hybrid: qudit-oscillator-regulator), so it is bipartite and
+    resonance (one frequency on every subsystem) alone makes the blocks
+    chiral; a breadth-first walk from the regulator colours the tree."""
+    freqs = _frequencies(topology, params)
+    if len(set(freqs)) != 1:
+        return None
+    adj: List[List[int]] = [[] for _ in freqs]
+    for i, j, _ in topology.coupling_edges(params):
         adj[i].append(j)
         adj[j].append(i)
-    colour = np.full(n_sub, -1)
+    colour = np.full(len(freqs), -1)
     colour[-1] = 0
-    queue = [n_sub - 1]
-    while queue:
-        a = queue.pop(0)
+    queue = [len(freqs) - 1]
+    for a in queue:                     # the queue grows as it is walked
         for b in adj[a]:
             if colour[b] < 0:
                 colour[b] = 1 - colour[a]
                 queue.append(b)
-            elif colour[b] == colour[a]:
-                return None
-    colour[colour < 0] = 0              # off the coupling graph: never hops
     return colour
-
-
-def _chiral_colours(topology: Topology,
-                    params: CouplingParams) -> Optional[np.ndarray]:
-    """`_sublattices` of the coupling graph when every excitation block is
-    chiral: one frequency on every subsystem (resonance) and a bipartite
-    graph; else None."""
-    freqs = _frequencies(topology, params)
-    if len(set(freqs)) != 1:
-        return None
-    return _sublattices(topology.coupling_edges(params), len(freqs))
 
 
 def _joint_block(e_tot: int, k: int, caps: Sequence[int], bos: Sequence[bool],
@@ -553,10 +547,10 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     tasks of blocks 1..e_cap start, and the sum starts from it.
 
     With one frequency on every subsystem (resonance) the free part is
-    E omega on block E, a phase that drops out of every trace, and a
-    bipartite coupling graph makes each block chiral: `_chiral_block`
-    then needs one eigh of half size and a real V.  Otherwise each block
-    is diagonalised whole."""
+    E omega on block E, a phase that drops out of every trace, and the
+    coupling graph, a tree over all subsystems (`_chiral_colours`),
+    makes each block chiral: `_chiral_block` then needs one eigh of half
+    size and a real V.  Otherwise each block is diagonalised whole."""
     dims = sorted({topo.regulator_levels for topo in topologies})
     top = max(topologies, key=lambda topo: topo.regulator_levels)
     caps, bos = _sub_caps(top, e_cap + k)
@@ -654,34 +648,33 @@ def _block_workers() -> int:
 def _map_blocks(fn, count: int, workers: int) -> list:
     """[fn(i) for i in range(count)], computed by the calling thread and,
     with workers >= 2, one helper thread; never more, since each thread
-    that calls BLAS adds its own buffers to the peak memory.  The caller
-    takes indices from the top, where the blocks are largest, and the
-    helper from the bottom, so the large blocks run next to small ones
-    and two of the largest never run at once.
+    that calls BLAS adds its own buffers to the peak memory.  Both take
+    indices from one deque, whose pop and popleft are atomic, so no lock
+    is needed: the caller from the top, where the blocks are largest,
+    and the helper from the bottom, so the large blocks run next to
+    small ones and two of the largest never run at once.
     An exception in either worker stops both and is raised here, after
     the helper has ended."""
     if workers < 2 or count < 2:
         return [fn(i) for i in range(count)]
     out = [None] * count
-    todo = list(range(count))
-    lock = threading.Lock()
+    todo = collections.deque(range(count))
     errors = []
 
     def work(take):
         while True:
-            with lock:
-                if not todo:
-                    return
+            try:
                 i = take()
+            except IndexError:
+                return
             try:
                 out[i] = fn(i)
             except BaseException as err:    # re-raised by the caller
-                with lock:
-                    errors.append(err)
-                    todo.clear()
+                errors.append(err)
+                todo.clear()
                 return
 
-    helper = threading.Thread(target=work, args=(lambda: todo.pop(0),))
+    helper = threading.Thread(target=work, args=(todo.popleft,))
     helper.start()
     try:
         work(todo.pop)
@@ -836,10 +829,10 @@ def vacuum_modes(topology: Topology, coupling: CouplingParams,
     """The modes of lambda_0 at measurement level k: the eigenpairs of the
     excitation block e = k holding |0...0>|k>, built as the blocked
     engine builds it, less the vacuum's energy k omega_a, a phase of
-    lambda_0.  Folded when the block is chiral (resonant and bipartite),
-    whose spectrum is symmetric.  Cached at d = k + 1, as every d > k has
-    the same block; a uniform star's is its bright mode's (k + 1 states,
-    not about C(k + M, M): the dark modes stay empty)."""
+    lambda_0.  Folded when the block is chiral (resonant, on a coupling
+    tree), whose spectrum is symmetric.  Cached at d = k + 1, as every
+    d > k has the same block; a uniform star's is its bright mode's
+    (k + 1 states, not about C(k + M, M): the dark modes stay empty)."""
     if not 0 <= k < topology.regulator_levels:
         raise ValueError(f"need 0 <= k <= d-1, got k={k}, "
                          f"d={topology.regulator_levels}")

@@ -9,9 +9,11 @@ N00N-type superpositions.
 Every circuit acts on one complex (d, cutoff) ket array whose row q is
 the oscillator branch of qudit level q; no joint-space matrix is built.
 A conditional displacement is the (d, cutoff, cutoff) stack of its
-blocks D(alpha w^q), applied row by row, and the cat circuit takes its
-reference sum_k |alpha w^k> from the same stack, so each D is built
-once.  A state is flattened, qudit-major, only into `PrepResult.state`.
+blocks D(alpha w^q), applied row by row.  The cat circuit takes its
+reference sum_k |alpha w^k> from the same stack and keeps the branches
+|alpha w^k>, from which the odd cat takes its reference
+|alpha> - |-alpha>, so each D is built once.  A state is flattened,
+qudit-major, only into `PrepResult.state`.
 
 Heralding convention: branch weights are normalised by the largest
 branch, so every reported success probability lies in (0, 1] and chains
@@ -77,10 +79,6 @@ def _coherent_tail_check(alpha: complex, cutoff: int):
             f"past cutoff {cutoff}", leakage=float(tail))
 
 
-def coherent_ket(alpha: complex, cutoff: int) -> np.ndarray:
-    return displacement_op(alpha, cutoff)[:, 0].copy()
-
-
 def parity_expectation(ket: np.ndarray) -> float:
     signs = (-1.0) ** np.arange(len(ket))
     return float(np.real(np.sum(signs * np.abs(ket) ** 2)))
@@ -101,7 +99,8 @@ def make_cat(alpha: complex, n_components: int,
     (1/sqrt d) sum_k <k|.  The kept oscillator state matches the
     normalised sum_k |alpha w^k>; the success probability is the squared
     norm of the projected branch.  The branches D(alpha w^k)|0> and the
-    reference both come from one conditional-displacement stack."""
+    reference both come from one conditional-displacement stack; the
+    branches are kept in extra["branches"], row k holding |alpha w^k>."""
     d = n_components
     if d % 2 or d < 2:
         raise ValueError("cat preparation needs an even n_components >= 2")
@@ -116,11 +115,14 @@ def make_cat(alpha: complex, n_components: int,
     success = float(np.vdot(projected, projected).real)
     state = projected / np.sqrt(success)
 
-    ref = stack[:, :, 0].sum(axis=0)             # sum_k |alpha w^k>
+    # row k is |alpha w^k>; a copy, so the result does not hold the stack
+    branches = stack[:, :, 0].copy()
+    ref = branches.sum(axis=0)
     ref /= np.linalg.norm(ref)
     return PrepResult(state, success, _fid(state, ref), "cat", d,
                       float(abs(alpha)),
-                      extra={"parity": parity_expectation(state)})
+                      extra={"parity": parity_expectation(state),
+                             "branches": branches})
 
 
 def make_odd_cat(even: PrepResult) -> PrepResult:
@@ -129,8 +131,10 @@ def make_odd_cat(even: PrepResult) -> PrepResult:
 
     The relative heralding weight (<n> + 1)/(|alpha|^2 + 1) keeps the
     chained success probability inside (0, 1].  The returned fidelity is
-    measured against the normalised |alpha> - |-alpha| superposition,
-    which photon addition only approximates; the gap is in extra."""
+    measured against the normalised |alpha> - |-alpha> superposition,
+    which photon addition only approximates; the gap is in extra.  Its
+    two coherent states are the even cat's branches 0 and N/2, so
+    alpha keeps its phase and no displacement is built again."""
     if even.kind != "cat":
         raise ValueError("input must be a cat preparation")
     ket = even.state
@@ -146,7 +150,8 @@ def make_odd_cat(even: PrepResult) -> PrepResult:
     alpha = even.param
     success = even.success_prob * norm2 / (alpha ** 2 + 1.0)
 
-    ref = coherent_ket(alpha, cutoff) - coherent_ket(-alpha, cutoff)
+    branches = even.extra["branches"]
+    ref = branches[0] - branches[len(branches) // 2]
     nref = np.linalg.norm(ref)
     fid = _fid(state, ref / nref) if nref > 1e-12 else 0.0
     return PrepResult(state, success, fid, "odd-cat", even.d, alpha,

@@ -10,9 +10,10 @@ reductions, which is what makes it a check on them.
 
 The other references are closed forms and structure checks the package
 itself never needs: the thermal state and the Fock-basis mean energy,
-the quadrature moments of a density matrix, the large-N fidelity of a
-qubit regulator, the closed-form optimal cycle times of one oscillator
-and the Hermite-root structure of its vacuum amplitude.
+the quadrature moments of a density matrix, the one-shot vacuum-outcome
+weight of a Gaussian mode, the large-N fidelity of a qubit regulator,
+the closed-form optimal cycle times of one oscillator and the
+Hermite-root structure of its vacuum amplitude.
 """
 import numpy as np
 from numpy.polynomial import hermite_e
@@ -131,6 +132,17 @@ def moments_from_density(rho: np.ndarray) -> tuple:
     vpp = np.real(np.trace(rho @ p @ p)) - ep ** 2
     vxp = 0.5 * np.real(np.trace(rho @ (x @ p + p @ x))) - ex * ep
     return np.array([ex, ep]), np.array([[vxx, vxp], [vxp, vpp]])
+
+
+def oneshot_probability_formula(alpha1: float, alpha2: float, r: float,
+                                nbar: float) -> float:
+    """Closed form of the one-shot vacuum-outcome weight (with the 1/pi)."""
+    e2r = np.exp(2 * r)
+    num = np.exp(-2 * alpha1 ** 2 / (1 + e2r * (1 + 2 * nbar))
+                 - 2 * e2r * alpha2 ** 2 / (1 + e2r + 2 * nbar))
+    den = np.pi * np.sqrt((1 + nbar) ** 2 * np.cosh(r) ** 2
+                          - nbar ** 2 * np.sinh(r) ** 2)
+    return float(num / den)
 
 
 def qubit_asymptotic_fidelity(rho_v: np.ndarray, k: int) -> float:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from qcool import gaussian, protocol, stateprep
-from qcool.cli import (EXPERIMENTS, SCHEMA, canonical_form, emit_csv,
-                       load_config, main, validate)
+from qcool.cli import (EXPERIMENTS, REPORT_KEYS, SCHEMA, canonical_form,
+                       emit_csv, load_config, main, validate)
 from qcool.errors import ConfigError
 
 
@@ -317,6 +317,60 @@ def test_prep_config_holds_what_its_kinds_read(tmp_path, kinds, keys):
     assert load_config(again) == loaded
 
 
+GRID_CFG = "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
+
+
+def test_report_rules_are_protocol_modes():
+    assert tuple(REPORT_KEYS) == protocol.REPORT_MODES
+
+
+@pytest.mark.parametrize("rule,protocol_keys,sweep_keys", [
+    ("converged", "fidelity_target = 0.3\nconvergence_tol = 0.5\n", ""),
+    ("cooled", "", "stop = 0.5\n"),
+    ("settled", "", "settle_tol = 0.3\n"),
+    ("auto", "", "stop = 0.5\nsettle_tol = 0.3\n")])
+def test_report_rule_loads_only_its_keys(tmp_path, rule, protocol_keys,
+                                         sweep_keys, capsys):
+    # validate prints the rule's thresholds, at the file's values, and no
+    # other threshold
+    cfg = _write(tmp_path, "g.cfg", GRID_CFG + f"report = {rule}\n"
+                 + sweep_keys + "[protocol]\n" + protocol_keys)
+    assert main(["validate", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    for section, key in set().union(*REPORT_KEYS.values()):
+        assert (f"\n{key} = " in out) == ((section, key) in REPORT_KEYS[rule])
+    for line in (protocol_keys + sweep_keys).splitlines():
+        assert f"\n{line}\n" in out
+
+
+@pytest.mark.parametrize("rule,text,message", [
+    ("auto", "[protocol]\nconvergence_tol = 0.5\n",
+     "no listed report rule (auto) reads [protocol] convergence_tol"),
+    ("auto", "[protocol]\nfidelity_target = 0.3\n",
+     "no listed report rule (auto) reads [protocol] fidelity_target"),
+    ("converged", "stop = 0.5\n",
+     "no listed report rule (converged) reads [sweep] stop"),
+    ("converged", "settle_tol = 0.3\n",
+     "no listed report rule (converged) reads [sweep] settle_tol"),
+    ("cooled", "settle_tol = 0.3\n",
+     "no listed report rule (cooled) reads [sweep] settle_tol"),
+    ("settled", "stop = 0.5\n",
+     "no listed report rule (settled) reads [sweep] stop"),
+    ("bogus", "", "unknown report rule 'bogus'")],
+    ids=["auto-tol", "auto-target", "converged-stop", "converged-settle-tol",
+         "cooled-settle-tol", "settled-stop", "unknown-rule"])
+def test_report_rule_rejects_keys_it_does_not_read(tmp_path, rule, text,
+                                                   message, capsys,
+                                                   monkeypatch):
+    calls = _forbid(monkeypatch, (protocol, "_run_cells"))
+    cfg = _write(tmp_path, "g.cfg", GRID_CFG + f"report = {rule}\n" + text)
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_network_requires_network_topology(tmp_path):
     cfg = _write(tmp_path, "n.cfg", """
 [experiment]
@@ -454,6 +508,9 @@ def test_loaded_config_holds_only_read_keys(tmp_path, capsys):
         reads = spec.reads
         if kind == "prep":      # the default kinds = cat reads no r or d
             reads = reads - {("prep", "r"), ("prep", "d")}
+        # the default report = converged reads no stop or settle_tol
+        if ("sweep", "report") in reads:
+            reads = reads - {("sweep", "stop"), ("sweep", "settle_tol")}
         assert {(s, k) for s in cfg for k in cfg[s]} == reads, kind
     cfg = _write(tmp_path, "ot.cfg",
                  "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n")
@@ -637,13 +694,13 @@ DS_WITH_K_LIST = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
     "report = cooled\nstop = nan\n",
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
-    "stop = 1.5\n",
+    "report = auto\nstop = 1.5\n",
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
-    "stop = 0\n",
+    "report = cooled\nstop = 0\n",
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
     "report = settled\nsettle_tol = nan\n",
     "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
-    "ds_list = 2\nsettle_tol = -1\n",
+    "ds_list = 2\nreport = settled\nsettle_tol = -1\n",
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
     "report = bogus\n",
     "[experiment]\nkind = opt-time\n[regulator]\nd = 3\n[protocol]\nt = 1.0\n",

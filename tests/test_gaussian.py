@@ -5,11 +5,14 @@ from qcool import gaussian
 from qcool.cli import main
 from qcool.errors import ConfigError, ConstructionError
 from qcool.gaussian import (_condition, _vacuum_weight, dst_moments,
-                            oneshot_probability_formula, oneshot_stack,
-                            swap_coupling_matrix, symplectic_from_hamiltonian)
+                            oneshot_stack, symplectic_from_hamiltonian)
 from qcool.states import DSTParams, displaced_squeezed_thermal
 
 import oracle
+
+
+# two resonant modes exchange-coupled at 1, as oneshot_stack evolves them
+SWAP = np.array([[1.0, 1.0], [1.0, 1.0]])
 
 
 def _omega(m):
@@ -24,7 +27,7 @@ def test_single_mode_free_rotation():
 
 
 def test_swap_at_quarter_period():
-    s = symplectic_from_hamiltonian(swap_coupling_matrix(), np.pi / 2)
+    s = symplectic_from_hamiltonian(SWAP, np.pi / 2)
     ref = np.zeros((4, 4))
     ref[0, 2] = ref[1, 3] = ref[2, 0] = ref[3, 1] = -1.0  # a1 <-> -a2
     assert np.max(np.abs(s - ref)) < 1e-12
@@ -76,7 +79,7 @@ def test_oneshot_formula_matches_projector_over_pi():
     for a1, a2, r, nb in ((0.0, 0.0, 0.0, 0.0), (0.4, 0.0, 0.1, 0.4),
                           (1.0, 0.5, 0.5, 1.0), (0.2, 0.3, 0.45, 0.9)):
         res = oneshot_stack([a1], [a2], [r], [nb])
-        ref = oneshot_probability_formula(a1, a2, r, nb)
+        ref = oracle.oneshot_probability_formula(a1, a2, r, nb)
         assert res.prob_formula[0] == pytest.approx(ref, rel=1e-12)
         assert res.prob_formula[0] == pytest.approx(
             res.prob_projector[0] / np.pi, rel=1e-12)
@@ -132,7 +135,7 @@ def test_evolve_preserves_purity_class():
     # symplectic evolution preserves det(cov) (purity of the Gaussian state)
     cov = 0.5 * np.eye(4)
     cov[:2, :2] = dst_moments(0.3, 0.0, 0.2, 0.0)[1]
-    s = symplectic_from_hamiltonian(swap_coupling_matrix(), 0.9)
+    s = symplectic_from_hamiltonian(SWAP, 0.9)
     assert np.linalg.det(s @ cov @ s.T) == pytest.approx(np.linalg.det(cov),
                                                          rel=1e-10)
 

@@ -11,7 +11,7 @@ import pytest
 
 from qcool import protocol
 from qcool.errors import ConfigError, TruncationError
-from qcool.hamiltonians import CouplingParams, Topology
+from qcool.hamiltonians import TOPOLOGY_KINDS, CouplingParams, Topology
 from qcool.hilbert import expm_hermitian
 from qcool.protocol import (ProtocolConfig, SweepRecord, _blocked_run,
                             _choose_e_cap, _resolve_factors,
@@ -302,8 +302,8 @@ def test_chiral_matches_full_eigh(layout, d, k, monkeypatch):
     cfg = ProtocolConfig(_layout(layout, d), STAR_STATE, regulator_level=k,
                          cycle_time=2.1, cutoff=20, n_max=30)
     chiral = run_protocol(cfg)
-    # no sublattices, as for a non-bipartite graph: every block takes eigh
-    monkeypatch.setattr(protocol, "_sublattices", lambda edges, n_sub: None)
+    # no colouring, as off resonance: every block takes the full eigh
+    monkeypatch.setattr(protocol, "_chiral_colours", lambda topo, params: None)
     full = run_protocol(cfg)
     assert np.max(np.abs(chiral.fidelity - full.fidelity)) <= 1e-11
     assert np.max(np.abs(chiral.probability - full.probability)) <= 1e-11
@@ -735,6 +735,24 @@ def test_block_workers_rule(openblas, omp, cpus, workers, monkeypatch):
     assert protocol._block_workers() == workers
 
 
+@pytest.mark.parametrize("topo", [
+    Topology(kind, 3, modes=m, regulator_kind=reg)
+    for kind in TOPOLOGY_KINDS for reg in ("qudit", "oscillator")
+    for m in ((1, 2, 3, 4) if kind in ("linear", "star") else (1,))],
+    ids=lambda topo: f"{topo.kind}-{topo.modes}-{topo.regulator_kind}")
+def test_coupling_graph_is_a_coloured_tree(topo):
+    # every layout couples all its subsystems by n_sub - 1 edges, a tree,
+    # so the walk from the regulator colours each subsystem and splits
+    # every edge
+    params = CouplingParams()
+    n_sub = len(protocol._frequencies(topo, params))
+    edges = topo.coupling_edges(params)
+    assert len(edges) == n_sub - 1
+    colour = protocol._chiral_colours(topo, params)
+    assert colour[-1] == 0 and set(colour) == {0, 1}     # none left at -1
+    assert all(colour[i] != colour[j] for i, j, _ in edges)
+
+
 def test_chiral_zero_modes():
     # linear M = 2, block E = 2: |A| = 4 > |B| = 2, so B B^T has two zero
     # modes; the real-gauge V still matches the full exponential
@@ -742,7 +760,7 @@ def test_chiral_zero_modes():
     caps, bos = protocol._sub_caps(topo, 4)
     edges = topo.coupling_edges(CouplingParams())
     joint, rows, hops = protocol._joint_block(2, 0, caps, bos, edges)
-    colour = protocol._sublattices(edges, len(caps))
+    colour = protocol._chiral_colours(topo, CouplingParams())
     on_b = joint[:, colour == 1].sum(axis=1) % 2 == 1
     n = rows.stop - rows.start
     blk = protocol._chiral_prep(joint, rows, hops, colour, np.eye(n),

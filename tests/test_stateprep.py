@@ -60,6 +60,10 @@ def test_cat_builds_each_displacement_once(n, monkeypatch):
     monkeypatch.setattr(stateprep, "displacement_op", spy)
     make_cat(1.2, n)
     assert len(calls) == n
+    # the odd cat takes |alpha> and |-alpha> from the even cat's branches
+    calls.clear()
+    make_odd_cat(make_cat(1.2, n))
+    assert len(calls) == n
 
 
 def test_conditional_displacement_tail_guard():
@@ -110,6 +114,15 @@ def test_odd_cat():
     rho = np.diag(np.abs(even.state) ** 2)
     expect = even.success_prob * (oracle.mean_energy(rho) + 1) / (1.2 ** 2 + 1)
     assert odd.success_prob == pytest.approx(expect, abs=1e-10)
+
+
+def test_odd_cat_keeps_the_phase_of_alpha():
+    # the reference |alpha> - |-alpha> rotates with alpha, as the state does
+    real = make_odd_cat(make_cat(1.2, 2))
+    for alpha in (1.2j, -1.2, 1.2 * np.exp(0.7j)):
+        odd = make_odd_cat(make_cat(alpha, 2))
+        assert odd.target_fidelity == pytest.approx(real.target_fidelity,
+                                                    abs=1e-12)
 
 
 def test_odd_cat_input_check():
