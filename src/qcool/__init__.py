@@ -5,7 +5,7 @@ from .errors import (ConfigError, ConstructionError, QcoolError,
 from .states import (DSTParams, depolarized_qudit, displaced_squeezed_thermal,
                      displacement_op, dst_mean_energy, squeezing_op)
 from .hamiltonians import CouplingParams, Topology
-from .protocol import (ProtocolConfig, ProtocolTrace, SweepRecord,
+from .protocol import (ProtocolConfig, ProtocolTrace, ReportRule, SweepRecord,
                        EnergyRecord, default_cycle_time, effective_lambdas,
                        max_coolable_nbar, report_cycles, run_protocol,
                        sweep_dimension, sweep_energy, vacuum_modes)

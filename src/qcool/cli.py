@@ -19,7 +19,9 @@ listed prep kind reads and a threshold the report rule does not read
 (`_narrow`), so `validate` and `run` fail on the same configs, before
 anything runs.  A loaded config holds exactly the keys its kind reads
 and uses, defaults filled in, and `canonical_form` prints exactly
-those.
+those.  The runners pass the loaded report rule and thresholds to one
+`protocol.ReportRule` (`_report_rule`), which holds their defaults
+(`SCHEMA` takes them from it) and range checks.
 
 Importing this module freezes the garbage collector's heap (`gc.freeze`,
 at the end of the module body): every object alive once numpy, qcool and
@@ -34,6 +36,7 @@ freeze is O(1); `import qcool` alone leaves the collector untouched.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import functools
 import gc
 import itertools
@@ -70,6 +73,9 @@ def _optional(cast):
 _fl, _il, _sl = _list(float), _list(int), _list(str)
 _opt_f, _opt_i = _optional(float), _optional(int)
 
+_RULE = protocol.ReportRule()       # the report rule's defaults
+_RULE_FIELDS = frozenset(f.name for f in dataclasses.fields(protocol.ReportRule))
+
 
 # section -> key -> (caster, default-as-string), in canonical order
 SCHEMA: Dict[str, Dict[str, tuple]] = {
@@ -89,14 +95,15 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
     "regulator": {"d": (_i, "2"), "k": (_i, "0")},
     "protocol": {
         "t": (_opt_f, ""), "n_max": (_i, "100"),
-        "fidelity_target": (_f, "0.999"), "probability_floor": (_f, "0.1"),
-        "convergence_tol": (_f, "1e-3"), "cutoff": (_i, "50"),
-        "e_max": (_opt_i, ""),
+        "fidelity_target": (_f, str(_RULE.fidelity_target)),
+        "probability_floor": (_f, str(_RULE.probability_floor)),
+        "convergence_tol": (_f, str(_RULE.convergence_tol)),
+        "cutoff": (_i, "50"), "e_max": (_opt_i, ""),
     },
     "sweep": {
         "d_list": (_il, ""), "k_list": (_il, ""), "ds_list": (_il, ""),
-        "nbar_grid": (_fl, ""), "report": (_s, "converged"),
-        "stop": (_f, "0.9998"), "settle_tol": (_f, "1.2e-5"),
+        "nbar_grid": (_fl, ""), "report": (_s, _RULE.mode),
+        "stop": (_f, str(_RULE.stop)), "settle_tol": (_f, str(_RULE.settle_tol)),
     },
     "gaussian": {
         "alpha1": (_fl, "0"), "alpha2": (_fl, "0"), "r": (_fl, "0"),
@@ -262,20 +269,21 @@ def _coupling(cfg) -> CouplingParams:
         raise ConfigError(f"[coupling]: {err}")
 
 
-def _report_args(cfg):
-    """[sweep] report, stop and settle_tol, range-checked.  A threshold
-    the rule does not read is not loaded; its default stands in, unused."""
-    s = {key: cast(default)
-         for key, (cast, default) in SCHEMA["sweep"].items()}
-    s.update(cfg["sweep"])
-    args = s["report"], s["stop"], s["settle_tol"]
-    protocol.check_report(*args)
-    return args
+def _report_rule(cfg) -> protocol.ReportRule:
+    """The ReportRule of the loaded [sweep] report and thresholds, checked
+    when made; a field the kind or its rule does not read keeps the
+    rule's default."""
+    given = {("mode" if key == "report" else key): value
+             for section in ("protocol", "sweep")
+             for key, value in cfg.get(section, {}).items()}
+    return protocol.ReportRule(
+        **{key: value for key, value in given.items() if key in _RULE_FIELDS})
 
 
 def _protocol_config(cfg) -> protocol.ProtocolConfig:
-    """The ProtocolConfig of the keys a kind reads; a field it does not
-    read keeps ProtocolConfig's default.  sweep-dim and network read no
+    """The ProtocolConfig of the keys a kind reads, less the report
+    thresholds (`_report_rule`); a field it does not read keeps
+    ProtocolConfig's default.  sweep-dim and network read no
     [regulator]: each grid cell sets its own d and k, and the base holds
     d = 2 only because a Topology needs one."""
     t, reg = cfg["topology"], cfg.get("regulator", {})
@@ -286,7 +294,8 @@ def _protocol_config(cfg) -> protocol.ProtocolConfig:
     except ValueError as err:
         raise ConfigError(f"[topology]: {err}")
     fields = {("cycle_time" if key == "t" else key): value
-              for key, value in cfg.get("protocol", {}).items()}
+              for key, value in cfg.get("protocol", {}).items()
+              if key not in _RULE_FIELDS}
     return protocol.ProtocolConfig(
         topology=topology, initial_system=_state_params(cfg),
         regulator_level=reg.get("k", 0), coupling=_coupling(cfg), **fields)
@@ -318,7 +327,7 @@ def _run_cool(cfg, out):
 
 def _run_sweep_energy(cfg, out):
     recs = protocol.sweep_energy(_protocol_config(cfg),
-                                 cfg["sweep"]["nbar_grid"])
+                                 cfg["sweep"]["nbar_grid"], _report_rule(cfg))
     emit_csv(("energy", "N", "F", "P"),
              [(r.energy, r.cycles, r.fidelity, r.probability) for r in recs],
              out, key_cols=1)
@@ -332,13 +341,13 @@ def _run_grid(cfg, out):
     what they read (EXPERIMENTS): hybrid alone reads `ds_list`, and its
     [regulator] d and k stand in for an empty `d_list` or `k_list`."""
     s, reg = cfg["sweep"], cfg.get("regulator")
-    report = _report_args(cfg)
+    rule = _report_rule(cfg)
     if s.get("ds_list"):
         base, rows = _protocol_config(cfg), []
         for ds in s["ds_list"]:
             trace = protocol.run_protocol(replace(
                 base, topology=replace(base.topology, system_levels=ds)))
-            n = protocol.report_cycles(trace, *report)
+            n = protocol.report_cycles(trace, rule)
             rows.append((ds, n, float(trace.fidelity[n]),
                          float(trace.probability[n])))
         emit_csv(("d_s", "N", "F", "P"), rows, out, key_cols=1)
@@ -346,7 +355,7 @@ def _run_grid(cfg, out):
     d_list = s["d_list"] or ([reg["d"]] if reg else [])
     k_list = s["k_list"] or ([reg["k"]] if reg else [])
     recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
-                                    *report)
+                                    rule)
     emit_csv(("d", "k", "N", "F", "P"),
              [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
              out, key_cols=2)

@@ -69,7 +69,16 @@ OMP_NUM_THREADS, is 1) the calling thread and one helper thread share
 the tasks (`_block_workers`, `_map_blocks`); otherwise the caller runs
 them all.  The contributions are summed in ascending block order, so F_n
 and P_n are bit-identical either way, to a run of each d alone, and to a
-run with no early stop.
+run with no early stop.  On both paths F_n = vac_n / P_n is taken only
+once every P_n is a normal double; a P_n that underflows is a QcoolError
+naming its cycle (`_fidelity`), not a trace of NaNs.
+
+A run returns (F_n, P_n) only.  The cycle count N reported for it is a
+`ReportRule`'s, read off the finished trace: its mode (converged, cooled,
+settled or auto) for `report_cycles` and `sweep_dimension`, or, for
+`sweep_energy` and `max_coolable_nbar`, the first cycle at the fidelity
+target with P_n at the floor.  The rule holds every threshold with its
+default and range check.
 """
 from __future__ import annotations
 
@@ -86,7 +95,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.linalg import eigh
 
-from .errors import ConfigError, SearchFailureError, TruncationError
+from .errors import ConfigError, QcoolError, SearchFailureError, TruncationError
 from .hamiltonians import CouplingParams, Topology
 from .hilbert import expm_hermitian, ladder_block
 from .states import DSTParams, depolarized_qudit, displaced_squeezed_thermal, \
@@ -98,7 +107,9 @@ from . import opttime
 
 @dataclass
 class ProtocolConfig:
-    """Inputs of one cooling run.
+    """Inputs of one cooling run: every field changes F_n or P_n, or
+    `validate` rejects it.  How a cycle count N is read off the finished
+    trace is a `ReportRule`, not part of the run.
 
     initial_system: a DSTParams, a density matrix, or (for networks and
     the hybrid system) a per-subsystem list of these, regulator excluded.
@@ -119,9 +130,6 @@ class ProtocolConfig:
     regulator_level: int = 0
     cycle_time: Optional[float] = None
     n_max: int = 100
-    fidelity_target: float = 0.999
-    probability_floor: float = 0.1
-    convergence_tol: float = 1e-3
     coupling: CouplingParams = field(default_factory=CouplingParams)
     cutoff: int = 50
     e_max: Optional[int] = None
@@ -139,17 +147,10 @@ class ProtocolConfig:
                 bound = f"be >= {lo}" if hi is None else f"lie in {lo}..{hi}"
                 raise ConfigError(f"{name} must {bound}, got {value}")
         t = self.cycle_time
-        if t is not None and not (math.isfinite(t) and t >= 0):
-            raise ConfigError(f"cycle time must be finite and >= 0, got {t}")
-        if not (0 < self.fidelity_target <= 1):
-            raise ConfigError(
-                f"fidelity_target must lie in (0, 1], got {self.fidelity_target}")
-        if not (0 <= self.probability_floor <= 1):
-            raise ConfigError(f"probability_floor must lie in [0, 1], got "
-                              f"{self.probability_floor}")
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
-            raise ConfigError(f"convergence_tol must be finite and >= 0, got "
-                              f"{self.convergence_tol}")
+        if t is not None:
+            _check_real(t, "cycle time")
+            if not (math.isfinite(t) and t >= 0):
+                raise ConfigError(f"cycle time must be finite and >= 0, got {t}")
         if t is None and self.regulator_level == 0 \
                 and self.coupling != CouplingParams():
             raise ConfigError("the k = 0 default cycle time needs the default "
@@ -168,12 +169,22 @@ class ProtocolConfig:
                 f"{topo.kind} topology has none, got {topo.system_levels}")
 
 
+def _is_real(x) -> bool:
+    """A real number and not a bool, which only compares like one."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def _check_real(x, name: str) -> None:
+    """ConfigError unless x is a real number (no bool)."""
+    if not _is_real(x):
+        raise ConfigError(f"{name} must be a real number, got {x!r}")
+
+
 @dataclass
 class ProtocolTrace:
     """Per-cycle record; index n runs 0..n_max with n=0 the initial state."""
     fidelity: np.ndarray
     probability: np.ndarray
-    converged_at: Optional[int]
 
     @property
     def n_max(self) -> int:
@@ -227,7 +238,22 @@ def _trace_single(pw: np.ndarray,
     bit for bit."""
     w = pw[:, :len(cdiag)] * cdiag
     prob = w.sum(axis=1)
-    return w[:, 0] / prob, prob
+    return _fidelity(w[:, 0], prob), prob
+
+
+_TINY = np.finfo(float).tiny   # the smallest normal double
+
+
+def _fidelity(vac: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """F_n = vac_n / P_n, on both engine paths.  A QcoolError names the
+    first cycle whose P_n lies below the smallest normal double: past it
+    P_n keeps ever fewer digits, then reaches 0 and F_n is NaN."""
+    low = np.flatnonzero(prob < _TINY)
+    if len(low):
+        n = int(low[0])
+        raise QcoolError(f"P_n underflows at cycle {n} (P_{n} = {prob[n]:.3g} "
+                         f"< {_TINY:.3g}); lower n_max")
+    return vac / prob
 
 
 # --------------------------------------------------- blocked composition
@@ -619,7 +645,7 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
             if part is not None:
                 tr[i] += part
     # block 0 is the system vacuum alone, so its trace is the vacuum weight
-    traces = {d: (vacuum / tr[i], tr[i]) for i, d in enumerate(dims)}
+    traces = {d: (_fidelity(vacuum, tr[i]), tr[i]) for i, d in enumerate(dims)}
     return [traces[topo.regulator_levels] for topo in topologies]
 
 
@@ -949,20 +975,12 @@ def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
         for i, trace in zip(idx, runs):
             traces[i] = trace
 
-    out = []
-    for fid, prob in traces:
-        conv = np.nonzero((np.abs(np.diff(fid)) < base.convergence_tol)
-                          & (fid[1:] >= base.fidelity_target))[0]
-        out.append(ProtocolTrace(fid, prob,
-                                 int(conv[0]) + 1 if len(conv) else None))
-    return out
+    return [ProtocolTrace(fid, prob) for fid, prob in traces]
 
 
 def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
-    """Full cooling trace F_n, P_n for n = 0..n_max.
-
-    converged_at is the first cycle with |F_n - F_{n-1}| < convergence_tol
-    and F_n >= fidelity_target, None if that never happens."""
+    """Full cooling trace F_n, P_n for n = 0..n_max; `report_cycles`
+    reads a cycle count N off it."""
     cells = [(cfg.topology.regulator_levels, cfg.regulator_level,
               cfg.initial_system)]
     return _run_cells(cfg, cells)[0]
@@ -970,62 +988,90 @@ def run_protocol(cfg: ProtocolConfig) -> ProtocolTrace:
 
 # ------------------------------------------------------- reported cycles
 
-def n_cooled(fid: np.ndarray, stop: float = 0.9998) -> int:
-    """Last cycle with F below `stop`; the last cycle n_max when the
-    threshold is never crossed (or already satisfied at n=0)."""
-    above = np.nonzero(fid >= stop)[0]
-    if len(above) == 0 or above[0] == 0:
-        return len(fid) - 1
-    return int(above[0]) - 1
-
+REPORT_MODES = ("converged", "cooled", "settled", "auto")
 
 _SETTLE_WINDOW = 5  # consecutive quiet increments that make a trace settled
 
-
-def n_settled(fid: np.ndarray, settle_tol: float = 1.2e-5) -> Optional[int]:
-    """First cycle opening a full window of _SETTLE_WINDOW consecutive
-    fidelity increments all below settle_tol; None if the trace never
-    settles (a window cut short by the trace's end does not count)."""
-    df = np.abs(np.diff(fid))
-    for n in range(1, len(df) - _SETTLE_WINDOW + 2):
-        if np.all(df[n - 1:n - 1 + _SETTLE_WINDOW] < settle_tol):
-            return n
-    return None
+# threshold -> its range, and the range as its error message states it
+_UNIT_RANGE = (lambda x: 0 < x <= 1, "lie in (0, 1]")
+_TOL_RANGE = (lambda x: math.isfinite(x) and x >= 0, "be finite and >= 0")
+_THRESHOLDS = {"fidelity_target": _UNIT_RANGE, "convergence_tol": _TOL_RANGE,
+               "probability_floor": (lambda x: 0 <= x <= 1, "lie in [0, 1]"),
+               "stop": _UNIT_RANGE, "settle_tol": _TOL_RANGE}
 
 
-REPORT_MODES = ("converged", "cooled", "settled", "auto")
+@dataclass(frozen=True)
+class ReportRule:
+    """How a cycle count N is read off a finished trace: the report mode
+    (one of REPORT_MODES, for `report_cycles`) and every threshold, each
+    default and range check held here alone.  A bad mode or threshold is
+    a ConfigError when the rule is made, before anything runs.
+
+    converged: first cycle with |F_n - F_{n-1}| < convergence_tol and
+               F_n >= fidelity_target (n_max when none).
+    cooled:    last cycle with F below stop.
+    settled:   first cycle of a quiet fidelity window (settle_tol).
+    auto:      cooled when stop is reached, else settled, else n_max.
+    `sweep_energy` reads no mode: its N is the first cycle with
+    F_n >= fidelity_target and P_n >= probability_floor
+    (`first_admissible`)."""
+    mode: str = "converged"
+    fidelity_target: float = 0.999
+    convergence_tol: float = 1e-3
+    probability_floor: float = 0.1
+    stop: float = 0.9998
+    settle_tol: float = 1.2e-5
+
+    def __post_init__(self):
+        if self.mode not in REPORT_MODES:
+            raise ConfigError(f"report must be one of "
+                              f"{', '.join(REPORT_MODES)}, got {self.mode!r}")
+        for name, (ok, bound) in _THRESHOLDS.items():
+            value = getattr(self, name)
+            _check_real(value, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must {bound}, got {value}")
+
+    def converged(self, fid: np.ndarray) -> Optional[int]:
+        """First cycle with |F_n - F_{n-1}| < convergence_tol and
+        F_n >= fidelity_target; None if that never happens."""
+        conv = np.nonzero((np.abs(np.diff(fid)) < self.convergence_tol)
+                          & (fid[1:] >= self.fidelity_target))[0]
+        return int(conv[0]) + 1 if len(conv) else None
+
+    def cooled(self, fid: np.ndarray) -> int:
+        """Last cycle with F below stop; the last cycle n_max when the
+        threshold is never crossed (or already satisfied at n=0)."""
+        above = np.nonzero(fid >= self.stop)[0]
+        if len(above) == 0 or above[0] == 0:
+            return len(fid) - 1
+        return int(above[0]) - 1
+
+    def settled(self, fid: np.ndarray) -> Optional[int]:
+        """First cycle opening a full window of _SETTLE_WINDOW consecutive
+        fidelity increments all below settle_tol; None if the trace never
+        settles (a window cut short by the trace's end does not count)."""
+        df = np.abs(np.diff(fid))
+        for n in range(1, len(df) - _SETTLE_WINDOW + 2):
+            if np.all(df[n - 1:n - 1 + _SETTLE_WINDOW] < self.settle_tol):
+                return n
+        return None
+
+    def first_admissible(self, trace: ProtocolTrace) -> Optional[int]:
+        """First cycle n >= 1 with F_n >= fidelity_target and
+        P_n >= probability_floor; None if there is none."""
+        ok = np.nonzero((trace.fidelity[1:] >= self.fidelity_target)
+                        & (trace.probability[1:] >= self.probability_floor))[0]
+        return int(ok[0]) + 1 if len(ok) else None
 
 
-def check_report(mode: str, stop: float, settle_tol: float) -> None:
-    """ConfigError unless mode is one of REPORT_MODES, stop lies in
-    (0, 1] and settle_tol is finite and >= 0."""
-    if mode not in REPORT_MODES:
-        raise ConfigError(f"report must be one of {', '.join(REPORT_MODES)}, "
-                          f"got {mode!r}")
-    if not (0 < stop <= 1):
-        raise ConfigError(f"stop must lie in (0, 1], got {stop}")
-    if not (math.isfinite(settle_tol) and settle_tol >= 0):
-        raise ConfigError(f"settle_tol must be finite and >= 0, got {settle_tol}")
-
-
-def report_cycles(trace: ProtocolTrace, mode: str = "converged",
-                  stop: float = 0.9998, settle_tol: float = 1.2e-5) -> int:
-    """Cycle count N to report for a finished trace.
-
-    converged: the trace's converged_at (n_max when absent).
-    cooled:    last cycle below the stop threshold.
-    settled:   first cycle of a quiet fidelity window.
-    auto:      cooled when the stop threshold is reached, else settled,
-               else n_max.
-    """
-    check_report(mode, stop, settle_tol)
+def report_cycles(trace: ProtocolTrace, rule: ReportRule = ReportRule()) -> int:
+    """Cycle count N that `rule`'s mode reports for a finished trace."""
     f = trace.fidelity
-    if mode == "converged":
-        return trace.converged_at if trace.converged_at is not None else trace.n_max
-    if mode == "cooled" or (mode == "auto" and f.max() >= stop):
-        return n_cooled(f, stop)
-    s = n_settled(f, settle_tol)
-    return s if s is not None else trace.n_max
+    if rule.mode == "cooled" or (rule.mode == "auto" and f.max() >= rule.stop):
+        return rule.cooled(f)
+    n = rule.converged(f) if rule.mode == "converged" else rule.settled(f)
+    return n if n is not None else trace.n_max
 
 
 # ---------------------------------------------------------------- sweeps
@@ -1040,17 +1086,16 @@ class SweepRecord:
 
 
 def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
-                    k_list: Sequence[int], report: str = "converged",
-                    stop: float = 0.9998, settle_tol: float = 1.2e-5) -> List[SweepRecord]:
-    """(N, F, P) per regulator dimension and measurement level, in
-    d_list order (repeats kept); cells with k >= d are skipped (a
-    triangular grid).
+                    k_list: Sequence[int],
+                    rule: ReportRule = ReportRule()) -> List[SweepRecord]:
+    """(N, F, P) per regulator dimension and measurement level, N by
+    `report_cycles` under `rule`, in d_list order (repeats kept); cells
+    with k >= d are skipped (a triangular grid).
 
-    The report rule, the grid and every cell are checked before any
-    runs: both lists must be non-empty, every d >= 2, and every k must
-    lie in 0..max(d_list) - 1.  The blocked cells of one k and cycle
-    time run in one pass over the excitation blocks (`_run_cells`)."""
-    check_report(report, stop, settle_tol)
+    The grid and every cell are checked before any runs: both lists must
+    be non-empty, every d >= 2, and every k must lie in
+    0..max(d_list) - 1.  The blocked cells of one k and cycle time run in
+    one pass over the excitation blocks (`_run_cells`)."""
     if len(d_list) == 0 or len(k_list) == 0:
         raise ConfigError("empty grid: d_list and k_list must be non-empty")
     if min(d_list) < 2:
@@ -1063,7 +1108,7 @@ def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
              for d in d_list for k in k_list if k < d]
     out = []
     for (d, k, _), trace in zip(cells, _run_cells(base_cfg, cells)):
-        n = report_cycles(trace, report, stop, settle_tol)
+        n = report_cycles(trace, rule)
         out.append(SweepRecord(d, k, n, float(trace.fidelity[n]),
                                float(trace.probability[n])))
     return out
@@ -1077,24 +1122,17 @@ class EnergyRecord:
     probability: float
 
 
-def _first_cooled(trace: ProtocolTrace, target: float,
-                  floor: float) -> Optional[int]:
-    ok = np.nonzero((trace.fidelity[1:] >= target)
-                    & (trace.probability[1:] >= floor))[0]
-    return int(ok[0]) + 1 if len(ok) else None
-
-
 def _check_nbar(nbar, name: str) -> None:
     """ConfigError unless nbar is a finite, non-negative real (no bool)."""
-    if isinstance(nbar, bool) or not isinstance(nbar, Real) \
-            or not (math.isfinite(nbar) and nbar >= 0):
+    if not (_is_real(nbar) and math.isfinite(nbar) and nbar >= 0):
         raise ConfigError(f"{name} must be a finite real >= 0, got {nbar!r}")
 
 
-def sweep_energy(base_cfg: ProtocolConfig,
-                 nbar_grid: Sequence[float]) -> List[EnergyRecord]:
-    """Cycles needed to reach the fidelity target with admissible success
-    probability, swept over the thermal occupation of the initial state.
+def sweep_energy(base_cfg: ProtocolConfig, nbar_grid: Sequence[float],
+                 rule: ReportRule = ReportRule()) -> List[EnergyRecord]:
+    """Cycles needed to reach the rule's fidelity target with admissible
+    success probability (`ReportRule.first_admissible`), swept over the
+    thermal occupation of the initial state.
 
     The swept state keeps the displacement and squeezing of the configured
     initial DSTParams; cycles is None when the target is unreachable
@@ -1112,8 +1150,7 @@ def sweep_energy(base_cfg: ProtocolConfig,
     traces = _run_cells(base_cfg, [(d, k, p) for p in states])
     out = []
     for p, trace in zip(states, traces):
-        n = _first_cooled(trace, base_cfg.fidelity_target,
-                          base_cfg.probability_floor)
+        n = rule.first_admissible(trace)
         at = n if n is not None else base_cfg.n_max
         out.append(EnergyRecord(dst_mean_energy(p), n,
                                 float(trace.fidelity[at]),
@@ -1122,11 +1159,13 @@ def sweep_energy(base_cfg: ProtocolConfig,
 
 
 def max_coolable_nbar(base_cfg: ProtocolConfig, nbar_lo: float = 0.05,
-                      nbar_hi: float = 14.0, iters: int = 24) -> Optional[float]:
-    """Largest thermal occupation still coolable, by bisection; None when
-    even nbar_lo fails.  When nbar_hi is itself coolable the threshold is
-    not bracketed: it warns and returns nbar_hi.  Needs finite
-    0 <= nbar_lo < nbar_hi and a positive integer iters."""
+                      nbar_hi: float = 14.0, iters: int = 24,
+                      rule: ReportRule = ReportRule()) -> Optional[float]:
+    """Largest thermal occupation still coolable under `rule`
+    (`sweep_energy`), by bisection; None when even nbar_lo fails.  When
+    nbar_hi is itself coolable the threshold is not bracketed: it warns
+    and returns nbar_hi.  Needs finite 0 <= nbar_lo < nbar_hi and a
+    positive integer iters."""
     _check_nbar(nbar_lo, "nbar_lo")
     _check_nbar(nbar_hi, "nbar_hi")
     if not nbar_lo < nbar_hi:
@@ -1136,7 +1175,7 @@ def max_coolable_nbar(base_cfg: ProtocolConfig, nbar_lo: float = 0.05,
         raise ConfigError(f"iters must be a positive integer, got {iters!r}")
 
     def coolable(nbar):
-        rec = sweep_energy(base_cfg, [nbar])[0]
+        rec = sweep_energy(base_cfg, [nbar], rule)[0]
         return rec.cycles is not None
 
     if not coolable(nbar_lo):

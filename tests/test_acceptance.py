@@ -15,7 +15,7 @@ from qcool.gaussian import (dst_moments, oneshot_stack,
                             symplectic_from_hamiltonian)
 from qcool.hamiltonians import CouplingParams, Topology
 from qcool.opttime import local_optima
-from qcool.protocol import (ProtocolConfig, default_cycle_time,
+from qcool.protocol import (ProtocolConfig, ReportRule, default_cycle_time,
                             max_coolable_nbar, report_cycles, run_protocol,
                             sweep_dimension, sweep_energy, vacuum_modes)
 from qcool.states import (DSTParams, displaced_squeezed_thermal,
@@ -58,8 +58,8 @@ TABLE2 = {
 
 def test_criterion_01_single_oscillator_table():
     base = ProtocolConfig(Topology("single", 2), TABLE_STATE, cutoff=50)
-    recs = sweep_dimension(base, [2, 3, 4, 5, 6], [0, 1, 2], report="cooled",
-                           stop=0.9998)
+    recs = sweep_dimension(base, [2, 3, 4, 5, 6], [0, 1, 2],
+                           ReportRule("cooled", stop=0.9998))
     failures = []
     got = {(r.d, r.k): r for r in recs}
     for (d, k), (n_ref, f_ref, p_ref) in TABLE2.items():
@@ -167,8 +167,8 @@ def test_criterion_05_gaussian_oneshot():
 def _network_sweep(kind, modes):
     base = ProtocolConfig(Topology(kind, 3, modes=modes), NETWORK_STATE,
                           cycle_time=np.pi / 2, cutoff=30)
-    return sweep_dimension(base, [3, 4, 5, 6], [0], report="auto",
-                           stop=0.999998, settle_tol=1.2e-5)
+    return sweep_dimension(base, [3, 4, 5, 6], [0],
+                           ReportRule("auto", stop=0.999998, settle_tol=1.2e-5))
 
 
 def test_criterion_06_network_topologies():
@@ -213,7 +213,8 @@ def test_criterion_07_hybrid_table():
         cfg = ProtocolConfig(Topology("hybrid", d, system_levels=2),
                              NETWORK_STATE, regulator_level=k, cutoff=35)
         tr = run_protocol(cfg)
-        n = report_cycles(tr, "auto", stop=0.9998, settle_tol=1.2e-5)
+        n = report_cycles(tr, ReportRule("auto", stop=0.9998,
+                                         settle_tol=1.2e-5))
         _check(failures, abs(n - n_ref) <= 3, f"d{d}k{k} N {n} vs {n_ref}")
         _check(failures, abs(tr.fidelity[n] - f_ref) <= 0.002,
                f"d{d}k{k} F {tr.fidelity[n]:.4f} vs {f_ref}")
@@ -224,8 +225,8 @@ def test_criterion_07_hybrid_table():
         cfg = ProtocolConfig(Topology("hybrid", 4, system_levels=ds),
                              NETWORK_STATE, regulator_level=1, cutoff=35)
         tr = run_protocol(cfg)
-        cycles.append(report_cycles(tr, "auto", stop=0.9998,
-                                    settle_tol=1.2e-5))
+        cycles.append(report_cycles(tr, ReportRule("auto", stop=0.9998,
+                                                   settle_tol=1.2e-5)))
     _check(failures, all(a > b for a, b in zip(cycles, cycles[1:])),
            f"N not strictly decreasing over d_s: {cycles}")
     _finish("criterion 7 (hybrid oscillator-qudit table)", failures)
@@ -381,8 +382,8 @@ def test_criterion_10_oscillator_regulator():
                                       regulator_kind="oscillator"),
                              NETWORK_STATE, cycle_time=np.pi / 2, cutoff=30)
         tq, to = run_protocol(qud), run_protocol(osc)
-        nq = report_cycles(tq, "auto", stop=0.999998, settle_tol=1.2e-5)
-        no = report_cycles(to, "auto", stop=0.999998, settle_tol=1.2e-5)
+        rule = ReportRule("auto", stop=0.999998, settle_tol=1.2e-5)
+        nq, no = report_cycles(tq, rule), report_cycles(to, rule)
         _check(failures, abs(nq - no) <= 1, f"{kind} N {no} vs {nq}")
         _check(failures, abs(to.fidelity[no] - tq.fidelity[nq]) <= 0.002,
                f"{kind} F {to.fidelity[no]:.4f} vs {tq.fidelity[nq]:.4f}")

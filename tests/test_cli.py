@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from qcool import gaussian, protocol, stateprep
 from qcool.cli import (EXPERIMENTS, REPORT_KEYS, SCHEMA, canonical_form,
                        emit_csv, load_config, main, validate)
 from qcool.errors import ConfigError
+from qcool.hamiltonians import Topology
+from qcool.states import DSTParams
 
 
 def _write(tmp_path, name, text):
@@ -369,6 +372,80 @@ def test_report_rule_rejects_keys_it_does_not_read(tmp_path, rule, text,
         assert capsys.readouterr().err == f"config error: {message}\n"
     assert calls == []
     assert not (tmp_path / "g.csv").exists()
+
+
+GRID_STATE = ("[state]\nalpha = 0.4\nalpha_phase = 1.5707963267948966\n"
+              "r = 0.1\nnbar = 0.4\n")
+GRID_BASE = protocol.ProtocolConfig(
+    Topology("single", 2), DSTParams(0.4, 1.5707963267948966, 0.1, nbar=0.4),
+    n_max=60, cutoff=40)
+
+
+@pytest.mark.parametrize("rule", protocol.REPORT_MODES)
+def test_unset_thresholds_are_the_rules_defaults(tmp_path, rule):
+    # a grid config that sets no threshold writes the rows of the library
+    # sweep under ReportRule(rule), whose defaults stand in for every one
+    cfg = _write(tmp_path, "g.cfg", "[experiment]\nkind = sweep-dim\n"
+                 + GRID_STATE + "[protocol]\nn_max = 60\ncutoff = 40\n"
+                 f"[sweep]\nd_list = 2,3,4,6\nk_list = 0,1,2\nreport = {rule}\n")
+    assert main(["run", str(cfg)]) == 0
+    recs = protocol.sweep_dimension(GRID_BASE, [2, 3, 4, 6], [0, 1, 2],
+                                    protocol.ReportRule(rule))
+    emit_csv(("d", "k", "N", "F", "P"),
+             [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
+             tmp_path / "lib.csv", key_cols=2)
+    assert (tmp_path / "g.csv").read_text() == \
+        (tmp_path / "lib.csv").read_text()
+
+
+def test_unset_energy_thresholds_are_the_rules_defaults(tmp_path):
+    grid = [0.1, 0.4, 2.0, 6.0, 9.5]
+    cfg = _write(tmp_path, "e.cfg", "[experiment]\nkind = sweep-energy\n"
+                 + GRID_STATE + "[regulator]\nd = 4\nk = 1\n"
+                 "[protocol]\nn_max = 60\ncutoff = 300\n"
+                 f"[sweep]\nnbar_grid = {','.join(map(str, grid))}\n")
+    assert main(["run", str(cfg)]) == 0
+    base = replace(GRID_BASE, topology=Topology("single", 4),
+                   regulator_level=1, cutoff=300)
+    recs = protocol.sweep_energy(base, grid)
+    assert any(r.cycles is None for r in recs)
+    assert any(r.cycles is not None for r in recs)
+    emit_csv(("energy", "N", "F", "P"),
+             [(r.energy, r.cycles, r.fidelity, r.probability) for r in recs],
+             tmp_path / "lib.csv", key_cols=1)
+    assert (tmp_path / "e.csv").read_text() == \
+        (tmp_path / "lib.csv").read_text()
+
+
+def test_schema_report_defaults_are_the_rules():
+    rule = protocol.ReportRule()
+    for section, key, name in (
+            ("sweep", "report", "mode"), ("sweep", "stop", "stop"),
+            ("sweep", "settle_tol", "settle_tol"),
+            ("protocol", "fidelity_target", "fidelity_target"),
+            ("protocol", "convergence_tol", "convergence_tol"),
+            ("protocol", "probability_floor", "probability_floor")):
+        cast, default = SCHEMA[section][key]
+        assert cast(default) == getattr(rule, name), key
+
+
+UNDERFLOW_CFG = ("[state]\nalpha = 0.4\nnbar = 0.4\n"
+                 "[topology]\nkind = linear\nmodes = 2\n"
+                 "[protocol]\nt = 1.0\ncutoff = 20\nn_max = 3000\n")
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("cool", "[regulator]\nd = 3\nk = 1\n"),
+    ("sweep-dim", "[sweep]\nd_list = 3\nk_list = 1\nreport = auto\n")])
+def test_underflowing_probability_exits_3(tmp_path, kind, extra, capsys):
+    # P_n falls below the smallest normal double at cycle 1568: a numeric
+    # error, and no CSV of NaN rows or N read off them
+    cfg = _write(tmp_path, "u.cfg", f"[experiment]\nkind = {kind}\n"
+                 + UNDERFLOW_CFG + extra)
+    assert main(["run", str(cfg)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric error: P_n underflows at cycle 1568 ")
+    assert not (tmp_path / "u.csv").exists()
 
 
 def test_network_requires_network_topology(tmp_path):

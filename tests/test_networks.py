@@ -13,8 +13,8 @@ from qcool import protocol
 from qcool.errors import ConfigError, TruncationError
 from qcool.hamiltonians import TOPOLOGY_KINDS, CouplingParams, Topology
 from qcool.hilbert import expm_hermitian
-from qcool.protocol import (ProtocolConfig, SweepRecord, _blocked_run,
-                            _choose_e_cap, _resolve_factors,
+from qcool.protocol import (ProtocolConfig, ReportRule, SweepRecord,
+                            _blocked_run, _choose_e_cap, _resolve_factors,
                             default_cycle_time, report_cycles, run_protocol,
                             sweep_dimension)
 from qcool.states import DSTParams, depolarized_qudit, \
@@ -33,7 +33,7 @@ def _net_cfg(kind, d, modes, **kw):
 
 def test_linear_m2_frozen():
     tr = run_protocol(_net_cfg("linear", 4, 2))
-    n = report_cycles(tr, "auto", stop=0.999998, settle_tol=1.2e-5)
+    n = report_cycles(tr, ReportRule("auto", stop=0.999998, settle_tol=1.2e-5))
     assert n == 9
     assert tr.fidelity[n] == pytest.approx(0.9999958005, abs=1e-9)
     assert tr.probability[n] == pytest.approx(0.2798342634, abs=1e-9)
@@ -41,7 +41,7 @@ def test_linear_m2_frozen():
 
 def test_star_m2_frozen():
     tr = run_protocol(_net_cfg("star", 6, 2))
-    n = report_cycles(tr, "auto", stop=0.999998, settle_tol=1.2e-5)
+    n = report_cycles(tr, ReportRule("auto", stop=0.999998, settle_tol=1.2e-5))
     assert n == 12
     assert tr.fidelity[n] == pytest.approx(0.6549682599, abs=1e-9)
     assert tr.probability[n] == pytest.approx(0.4272467925, abs=1e-9)
@@ -99,7 +99,7 @@ def test_hybrid_frozen_cells():
     cfg = ProtocolConfig(Topology("hybrid", 2, system_levels=2), NETWORK_STATE,
                          regulator_level=0, cutoff=35)
     tr = run_protocol(cfg)
-    n = report_cycles(tr, "auto", stop=0.9998, settle_tol=1.2e-5)
+    n = report_cycles(tr, ReportRule("auto", stop=0.9998, settle_tol=1.2e-5))
     assert n == 58
     assert tr.fidelity[n] == pytest.approx(0.6645655933, abs=1e-9)
     assert tr.probability[n] == pytest.approx(0.5969980922, abs=1e-9)
@@ -529,14 +529,15 @@ def test_sweep_matches_cell_runs(case, workers, monkeypatch):
     monkeypatch.setattr(protocol, "_block_workers", lambda: workers)
     monkeypatch.setattr(protocol, "_run_cells", spy)
     monkeypatch.setattr(protocol, "dst_populations", dst_spy)
-    recs = sweep_dimension(base, d_list, k_list, report="auto")
+    rule = ReportRule("auto")
+    recs = sweep_dimension(base, d_list, k_list, rule)
     assert len(runs) == 1 and len(runs[0]) == len(alone)
     assert len(dst_calls) == SWEEP_DST_CALLS.get(case, 0)
     for (d, k), rec, one, tr in zip(cells, recs, alone, runs[0]):
         assert np.array_equal(one.fidelity, tr.fidelity)
         assert np.array_equal(one.probability, tr.probability)
-        assert one.converged_at == tr.converged_at
-        n = report_cycles(one, "auto")
+        assert rule.converged(one.fidelity) == rule.converged(tr.fidelity)
+        n = report_cycles(one, rule)
         assert rec == SweepRecord(d, k, n, float(one.fidelity[n]),
                                   float(one.probability[n]))
 
@@ -914,7 +915,8 @@ def test_early_exit_keeps_every_bit(case, monkeypatch):
     assert all(c[2] == cfg.n_max + 1 for c in full_calls)
     assert np.array_equal(fast.fidelity, full.fidelity)
     assert np.array_equal(fast.probability, full.probability)
-    assert fast.converged_at == full.converged_at
+    rule = ReportRule()
+    assert rule.converged(fast.fidelity) == rule.converged(full.fidelity)
 
 
 @pytest.mark.parametrize("case", list(EXIT_CASES))

@@ -1,19 +1,16 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from qcool import opttime, protocol
-from qcool.errors import ConfigError
-from qcool.errors import TruncationError
+from qcool.errors import ConfigError, QcoolError, TruncationError
 from qcool.hamiltonians import CouplingParams, Topology
 from qcool.hilbert import ladder_block
 from qcool.protocol import (EnergyRecord, ProtocolConfig, ProtocolTrace,
-                            default_cycle_time, effective_lambdas,
-                            vacuum_modes,
-                            max_coolable_nbar, n_cooled, n_settled,
-                            report_cycles, run_protocol, sweep_dimension,
-                            sweep_energy)
+                            ReportRule, default_cycle_time, effective_lambdas,
+                            vacuum_modes, max_coolable_nbar, report_cycles,
+                            run_protocol, sweep_dimension, sweep_energy)
 from qcool.states import DSTParams, displaced_squeezed_thermal, \
     dst_mean_energy, dst_populations
 
@@ -109,7 +106,7 @@ def test_probability_non_increasing():
 def test_single_frozen_cells():
     # regression values, stated to six decimals
     tr = run_protocol(_single_cfg(3, 0))
-    n = n_cooled(tr.fidelity)
+    n = ReportRule().cooled(tr.fidelity)
     assert n == 61
     assert tr.fidelity[n] == pytest.approx(0.999799, abs=1e-6)
     assert tr.probability[n] == pytest.approx(0.643455, abs=1e-6)
@@ -117,7 +114,7 @@ def test_single_frozen_cells():
     assert tr.fidelity[100] == pytest.approx(0.981038, abs=1e-6)
     assert tr.probability[100] == pytest.approx(0.655760, abs=1e-6)
     tr = run_protocol(_single_cfg(4, 1))
-    n = n_cooled(tr.fidelity)
+    n = ReportRule().cooled(tr.fidelity)
     assert n == 21
     assert tr.fidelity[n] == pytest.approx(0.999788, abs=1e-6)
 
@@ -309,8 +306,8 @@ def test_numpy_integer_fields_accepted(topo):
     assert np.array_equal(run(np.int32).probability, run(int).probability)
 
 def test_converged_at_semantics():
-    tr = run_protocol(_single_cfg(6, 0, convergence_tol=1e-4))
-    c = tr.converged_at
+    tr = run_protocol(_single_cfg(6, 0))
+    c = ReportRule(convergence_tol=1e-4).converged(tr.fidelity)
     assert c is not None
     f = tr.fidelity
     assert f[c] >= 0.999 and abs(f[c] - f[c - 1]) < 1e-4
@@ -334,7 +331,8 @@ def test_qubit_cools_off_the_trap_times():
     cfg = _single_cfg(2, 0, cycle_time=0.5, cutoff=300, n_max=1000)
     assert 1.0 - run_protocol(cfg).fidelity[1000] <= 1e-9
     tr = run_protocol(replace(cfg, cycle_time=1.0))
-    assert protocol._first_cooled(tr, 0.999, 0.1) == 7
+    assert ReportRule(fidelity_target=0.999,
+                      probability_floor=0.1).first_admissible(tr) == 7
     assert tr.probability[7] == pytest.approx(0.6439, abs=1e-4)
 
 
@@ -354,29 +352,32 @@ def test_qubit_trapped_levels_are_the_oracles(k, t):
 def test_report_cycle_rules():
     f = np.array([0.5, 0.9, 0.99, 0.9999, 0.99991, 0.99992, 0.999925, 0.999926,
                   0.9999262, 0.9999263, 0.9999264])
-    assert n_cooled(f, stop=0.9998) == 2
-    assert n_cooled(f, stop=0.99999) == len(f) - 1       # never crossed
-    assert n_cooled(np.full(6, 0.9999), stop=0.9998) == 5  # crossed at n=0
-    assert n_settled(f, settle_tol=1.2e-5) == 4
-    assert n_settled(np.linspace(0, 1, 8), settle_tol=1e-3) is None
+    assert ReportRule(stop=0.9998).cooled(f) == 2
+    assert ReportRule(stop=0.99999).cooled(f) == len(f) - 1     # never crossed
+    assert ReportRule(stop=0.9998).cooled(np.full(6, 0.9999)) == 5  # at n=0
+    assert ReportRule(settle_tol=1.2e-5).settled(f) == 4
+    assert ReportRule(settle_tol=1e-3).settled(np.linspace(0, 1, 8)) is None
     # two quiet increments at the end are not a window of five
-    assert n_settled(np.array([0.1, 0.3, 0.6, 0.9, 0.95, 0.96, 0.96,
-                               0.96])) is None
-    assert n_settled(np.array([0.1, 0.3, 0.6, 0.9, 0.95, 0.96, 0.96,
-                               0.96, 0.96, 0.96, 0.96])) == 6
-    tr = ProtocolTrace(f, np.ones_like(f), converged_at=None)
-    assert report_cycles(tr, "converged") == len(f) - 1
-    assert report_cycles(tr, "cooled") == 2
-    assert report_cycles(tr, "auto") == 2
-    low = ProtocolTrace(f * 0.5, np.ones_like(f), None)
-    assert report_cycles(low, "auto") == 4   # stop unreachable, settles
+    assert ReportRule().settled(np.array([0.1, 0.3, 0.6, 0.9, 0.95, 0.96,
+                                          0.96, 0.96])) is None
+    assert ReportRule().settled(np.array([0.1, 0.3, 0.6, 0.9, 0.95, 0.96,
+                                          0.96, 0.96, 0.96, 0.96, 0.96])) == 6
+    tr = ProtocolTrace(f, np.ones_like(f))
+    # converged: the first quiet cycle at the target, n_max when none is
+    assert report_cycles(tr, ReportRule("converged")) == 4
+    assert report_cycles(tr, ReportRule("converged", fidelity_target=1.0)) \
+        == len(f) - 1
+    assert report_cycles(tr, ReportRule("cooled")) == 2
+    assert report_cycles(tr, ReportRule("auto")) == 2
+    low = ProtocolTrace(f * 0.5, np.ones_like(f))
+    assert report_cycles(low, ReportRule("auto")) == 4   # stop unreachable, settles
     with pytest.raises(ConfigError):
-        report_cycles(tr, "median")
+        report_cycles(tr, ReportRule("median"))
 
 
 def test_sweep_dimension_skips_invalid_levels():
     base = _single_cfg(2, 0, n_max=5)
-    recs = sweep_dimension(base, [2, 3], [0, 1, 2], report="converged")
+    recs = sweep_dimension(base, [2, 3], [0, 1, 2], ReportRule("converged"))
     assert [(r.d, r.k) for r in recs] == [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 
 
@@ -457,6 +458,7 @@ def test_sweep_energy_matches_runs(case, monkeypatch):
 
     monkeypatch.setattr(protocol, "_run_cells", cells_spy)
     recs = sweep_energy(base, grid)
+    rule = ReportRule()
     bright = bool(ENERGY_WEIGHTS[case])
     assert len(runs) == 1
     assert len(calls["effective_lambdas"]) == len(calls["_power_table"]) \
@@ -466,9 +468,9 @@ def test_sweep_energy_matches_runs(case, monkeypatch):
     for p, rec, one, tr in zip(states, recs, alone, runs[0]):
         assert np.array_equal(one.fidelity, tr.fidelity)
         assert np.array_equal(one.probability, tr.probability)
-        assert one.converged_at == tr.converged_at
-        ok = np.nonzero((one.fidelity[1:] >= base.fidelity_target)
-                        & (one.probability[1:] >= base.probability_floor))[0]
+        assert rule.converged(one.fidelity) == rule.converged(tr.fidelity)
+        ok = np.nonzero((one.fidelity[1:] >= rule.fidelity_target)
+                        & (one.probability[1:] >= rule.probability_floor))[0]
         n = int(ok[0]) + 1 if len(ok) else None
         at = base.n_max if n is None else n
         assert rec == EnergyRecord(dst_mean_energy(p), n,
@@ -594,15 +596,16 @@ def test_zero_coupling_needs_a_time(monkeypatch):
     dict(stop=float("nan")), dict(settle_tol=float("nan")),
     dict(settle_tol=-1.0)], ids=lambda kw: "-".join(map(str, kw.items())))
 def test_report_rule_checked_before_any_run(kw, monkeypatch):
+    # the rule is checked when made, so no call that takes it starts
     trace = run_protocol(_single_cfg(3, 0, n_max=10))
     with pytest.raises(ConfigError):
-        report_cycles(trace, **{"mode": "auto", **kw})
+        report_cycles(trace, ReportRule(**{"mode": "auto", **kw}))
     runs = []
     monkeypatch.setattr(protocol, "_run_cells",
                         lambda *args: runs.append(args) or [])
-    kw["report"] = kw.pop("mode", "auto")
     with pytest.raises(ConfigError):
-        sweep_dimension(_single_cfg(3, 0), [3, 4], [0, 1], **kw)
+        sweep_dimension(_single_cfg(3, 0), [3, 4], [0, 1],
+                        ReportRule(**{"mode": "auto", **kw}))
     assert runs == []
 
 
@@ -612,8 +615,12 @@ def test_report_rule_checked_before_any_run(kw, monkeypatch):
     ("fidelity_target", 0.0), ("convergence_tol", -1.0),
     ("convergence_tol", float("inf")), ("e_max", -1)])
 def test_bad_inputs_rejected(field, value):
+    # the report thresholds are checked by the ReportRule that holds them
     with pytest.raises(ConfigError):
-        run_protocol(_single_cfg(4, 0, **{field: value}))
+        if hasattr(ReportRule, field):
+            ReportRule(**{field: value})
+        else:
+            run_protocol(_single_cfg(4, 0, **{field: value}))
 
 
 @pytest.mark.parametrize("e_max", [2, 16])
@@ -690,3 +697,96 @@ def test_trace_single_matches_cycle_loop(monkeypatch):
         assert n_max == 100
         assert np.array_equal(fid, fid_ref)
         assert np.array_equal(prob, prob_ref)
+
+
+# every ProtocolConfig field -> non-default values: each is rejected by
+# validate or changes the run's F_n or P_n
+AIM3_BASE = ProtocolConfig(Topology("single", 3), TABLE_STATE,
+                           regulator_level=1, cycle_time=2.0, n_max=10,
+                           cutoff=20)
+AIM3_VALUES = {
+    "topology": [Topology("single", 4), Topology("star", 3, modes=2),
+                 Topology("linear", 3, modes=2),
+                 Topology("single", 3, system_levels=3),
+                 Topology("single", 3, regulator_kind="oscillator")],
+    "initial_system": [replace(TABLE_STATE, nbar=0.1),
+                       displaced_squeezed_thermal(NETWORK_STATE, 20)],
+    "regulator_level": [0, 2, 3],
+    "cycle_time": [None, 1.0, 0.0],
+    "n_max": [12, 0],
+    "coupling": [CouplingParams(lam=2.0), CouplingParams(omega_a=1.3),
+                 CouplingParams(omega_f=0.8), CouplingParams(lam_tilde=0.5)],
+    "cutoff": [30],
+    "e_max": [15, 2],
+}
+
+
+def test_every_config_field_changes_the_run_or_is_rejected():
+    # a field a run ignores would be a setting that silently does nothing
+    assert [f.name for f in fields(ProtocolConfig)] == list(AIM3_VALUES)
+    base = run_protocol(AIM3_BASE)
+    for name, values in AIM3_VALUES.items():
+        changed = 0
+        for value in values:
+            cfg = replace(AIM3_BASE, **{name: value})
+            try:
+                cfg.validate()
+            except ConfigError:
+                continue
+            try:
+                tr = run_protocol(cfg)
+            except TruncationError:     # e_max = 2 leaves too much above it
+                continue
+            assert not (np.array_equal(tr.fidelity, base.fidelity)
+                        and np.array_equal(tr.probability, base.probability)), \
+                f"{name} = {value!r} runs and changes nothing"
+            changed += 1
+        assert changed, f"no accepted value of {name} changes the run"
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", 1 + 0j, [1.0]],
+                         ids=repr)
+def test_non_real_values_rejected(value):
+    # a bool or a non-real is no time or threshold, even where it would
+    # compare like one
+    with pytest.raises(ConfigError, match="cycle time must be a real number"):
+        _single_cfg(3, 0, cycle_time=value).validate()
+    for f in fields(ReportRule)[1:]:
+        with pytest.raises(ConfigError, match=f"{f.name} must be a real number"):
+            ReportRule(**{f.name: value})
+    with pytest.raises(ConfigError, match="fidelity_target must be a real"):
+        ReportRule(fidelity_target=None)
+
+
+def test_numpy_and_integer_reals_accepted():
+    for t in (None, 1, np.float64(1.0), np.float32(1.0), np.int64(1)):
+        _single_cfg(3, 0, cycle_time=t).validate()
+    rule = ReportRule("auto", fidelity_target=1, convergence_tol=np.float32(0.5),
+                      probability_floor=np.int64(0), stop=np.float64(0.5),
+                      settle_tol=0)
+    assert rule.stop == 0.5
+
+
+# (topology, k, t, the first cycle whose P_n is below the smallest normal
+# double, an n_max short of it): the bright-mode path, then the blocked one
+UNDERFLOW_CASES = {
+    "bright-single": (Topology("single", 4), 1, 0.8, 1061, 1000),
+    "blocked-linear-m2": (Topology("linear", 3, modes=2), 1, 1.0, 1568, 1500),
+}
+
+
+@pytest.mark.parametrize("case", list(UNDERFLOW_CASES))
+def test_underflowing_probability_raises(case):
+    # past that cycle P_n loses its digits and then reaches 0, where F_n
+    # would be NaN: a numeric error (exit code 3), not a config error
+    topo, k, t, cycle, short = UNDERFLOW_CASES[case]
+    cfg = ProtocolConfig(topo, DSTParams(alpha_mag=0.4, nbar=0.4),
+                         regulator_level=k, cycle_time=t, cutoff=20,
+                         n_max=3000)
+    with pytest.raises(QcoolError,
+                       match=f"^P_n underflows at cycle {cycle} ") as err:
+        run_protocol(cfg)
+    assert not isinstance(err.value, ConfigError)
+    tr = run_protocol(replace(cfg, n_max=short))
+    assert np.all(np.isfinite(tr.fidelity))
+    assert tr.probability.min() >= np.finfo(float).tiny

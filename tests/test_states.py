@@ -9,8 +9,8 @@ from qcool import protocol, states
 from qcool.errors import TruncationError
 from qcool.hamiltonians import Topology
 from qcool.hilbert import expm_hermitian, lowering
-from qcool.protocol import (ProtocolConfig, max_coolable_nbar, run_protocol,
-                            sweep_energy)
+from qcool.protocol import (ProtocolConfig, ReportRule, max_coolable_nbar,
+                            run_protocol, sweep_energy)
 from qcool.states import (DSTParams, depolarized_qudit, displacement_op,
                           displaced_squeezed_thermal, dst_mean_energy,
                           dst_populations, squeezing_op)
@@ -269,7 +269,8 @@ def test_leakage_is_the_analytic_tail(p, cutoff, leak):
 
 
 def _trace_values(trace):
-    return (list(trace.fidelity), list(trace.probability), trace.converged_at)
+    return (list(trace.fidelity), list(trace.probability),
+            ReportRule().converged(trace.fidelity))
 
 
 def test_population_paths_build_no_density_matrix(monkeypatch):
