@@ -12,16 +12,20 @@ the runner, its help line, the (section, key) pairs the kind reads, the
 overrides (a hybrid's [regulator] d beside [sweep] d_list, k beside
 k_list).  `PREP_KINDS` does the same for the prep kinds: the `[prep]`
 keys each reads, and its circuit; `REPORT_KEYS` holds the thresholds
-each `[sweep] report` rule reads.  `load_config` rejects a key the kind
-does not read, a topology it does not accept, an overridden key the
-file sets, an unknown prep kind or report rule, a `[prep]` key no
-listed prep kind reads and a threshold the report rule does not read
-(`_narrow`), so `validate` and `run` fail on the same configs, before
-anything runs.  A loaded config holds exactly the keys its kind reads
-and uses, defaults filled in, and `canonical_form` prints exactly
-those.  The runners pass the loaded report rule and thresholds to one
-`protocol.ReportRule` (`_report_rule`), which holds their defaults
-(`SCHEMA` takes them from it) and range checks.
+each `[sweep] report` rule reads, derived from `protocol.RULE_READS`,
+which also gives the grid kinds' and sweep-energy's threshold reads.
+`load_config` rejects a key the kind does not read, a topology it does
+not accept, an overridden key the file sets, an unknown prep kind or
+report rule, a `[prep]` key no listed prep kind reads and a threshold
+the report rule does not read (`_narrow`), so `validate` and `run`
+fail on the same configs, before anything runs.  A loaded config holds
+exactly the keys its kind reads and uses, defaults filled in, and
+`canonical_form` prints exactly those.  The runners pass the loaded
+report rule and thresholds to one `protocol.ReportRule`
+(`_report_rule`), which holds their defaults and range checks.
+`SCHEMA` takes every default of a key that feeds a dataclass field
+from that field: the report rule's, `DSTParams`', `Topology`'s,
+`CouplingParams`' and `ProtocolConfig`'s.
 
 Importing this module freezes the garbage collector's heap (`gc.freeze`,
 at the end of the module body): every object alive once numpy, qcool and
@@ -73,37 +77,54 @@ def _optional(cast):
 _fl, _il, _sl = _list(float), _list(int), _list(str)
 _opt_f, _opt_i = _optional(float), _optional(int)
 
-_RULE = protocol.ReportRule()       # the report rule's defaults
 _RULE_FIELDS = frozenset(f.name for f in dataclasses.fields(protocol.ReportRule))
 
 
-# section -> key -> (caster, default-as-string), in canonical order
+def _d(default) -> str:
+    """A dataclass field's default as a config value."""
+    return "" if default is None else str(default)
+
+
+# section -> the dataclass its keys build (`_build`) and each key's field
+_FEEDS = {
+    "state": (DSTParams, {"alpha": "alpha_mag", "alpha_phase": "alpha_phase",
+                          "r": "r", "theta": "theta", "nbar": "nbar"}),
+    "coupling": (CouplingParams, {"lambda": "lam", "lambda_tilde": "lam_tilde",
+                                  "omega_a": "omega_a", "omega_f": "omega_f"})}
+
+
+def _fed(section: str) -> Dict[str, tuple]:
+    """The schema of a `_FEEDS` section: real keys, each defaulting to
+    its field's default."""
+    cls, fields = _FEEDS[section]
+    return {key: (_f, _d(getattr(cls, name))) for key, name in fields.items()}
+
+
+_RUN, _RULE = protocol.ProtocolConfig, protocol.ReportRule
+
+# section -> key -> (caster, default-as-string), in canonical order; a run
+# setting's default is that of the dataclass field it feeds
 SCHEMA: Dict[str, Dict[str, tuple]] = {
     "experiment": {"kind": (_s, "cool")},
-    "state": {
-        "alpha": (_f, "0"), "alpha_phase": (_f, "0"), "r": (_f, "0"),
-        "theta": (_f, "0"), "nbar": (_f, "0"),
-    },
+    "state": _fed("state"),
     "topology": {
-        "kind": (_s, "single"), "modes": (_i, "1"),
-        "system_levels": (_i, "2"), "regulator_kind": (_s, "qudit"),
+        "kind": (_s, "single"), "modes": (_i, _d(Topology.modes)),
+        "system_levels": (_i, _d(Topology.system_levels)),
+        "regulator_kind": (_s, _d(Topology.regulator_kind)),
     },
-    "coupling": {
-        "lambda": (_f, "1"), "lambda_tilde": (_f, "1"),
-        "omega_a": (_f, "1"), "omega_f": (_f, "1"),
-    },
-    "regulator": {"d": (_i, "2"), "k": (_i, "0")},
+    "coupling": _fed("coupling"),
+    "regulator": {"d": (_i, "2"), "k": (_i, _d(_RUN.regulator_level))},
     "protocol": {
-        "t": (_opt_f, ""), "n_max": (_i, "100"),
-        "fidelity_target": (_f, str(_RULE.fidelity_target)),
-        "probability_floor": (_f, str(_RULE.probability_floor)),
-        "convergence_tol": (_f, str(_RULE.convergence_tol)),
-        "cutoff": (_i, "50"), "e_max": (_opt_i, ""),
+        "t": (_opt_f, _d(_RUN.cycle_time)), "n_max": (_i, _d(_RUN.n_max)),
+        "fidelity_target": (_f, _d(_RULE.fidelity_target)),
+        "probability_floor": (_f, _d(_RULE.probability_floor)),
+        "convergence_tol": (_f, _d(_RULE.convergence_tol)),
+        "cutoff": (_i, _d(_RUN.cutoff)), "e_max": (_opt_i, _d(_RUN.e_max)),
     },
     "sweep": {
         "d_list": (_il, ""), "k_list": (_il, ""), "ds_list": (_il, ""),
-        "nbar_grid": (_fl, ""), "report": (_s, _RULE.mode),
-        "stop": (_f, str(_RULE.stop)), "settle_tol": (_f, str(_RULE.settle_tol)),
+        "nbar_grid": (_fl, ""), "report": (_s, _d(_RULE.mode)),
+        "stop": (_f, _d(_RULE.stop)), "settle_tol": (_f, _d(_RULE.settle_tol)),
     },
     "gaussian": {
         "alpha1": (_fl, "0"), "alpha2": (_fl, "0"), "r": (_fl, "0"),
@@ -248,25 +269,15 @@ def _fmt_cell(v) -> str:
 
 # ------------------------------------------------------------- execution
 
-def _state_params(cfg) -> DSTParams:
-    """The [state] of a kind that reads it; the vacuum otherwise."""
-    s = cfg.get("state")
-    if s is None:
-        return DSTParams()
+def _build(cfg, section: str):
+    """The dataclass of a loaded [state] or [coupling] (`_FEEDS`); its
+    defaults, the vacuum for [state], when the kind reads no such section."""
+    cls, fields = _FEEDS[section]
     try:
-        return DSTParams(alpha_mag=s["alpha"], alpha_phase=s["alpha_phase"],
-                         r=s["r"], theta=s["theta"], nbar=s["nbar"])
+        return cls(**{fields[key]: value
+                      for key, value in cfg.get(section, {}).items()})
     except ValueError as err:
-        raise ConfigError(f"[state]: {err}")
-
-
-def _coupling(cfg) -> CouplingParams:
-    c = cfg["coupling"]
-    try:
-        return CouplingParams(lam=c["lambda"], lam_tilde=c["lambda_tilde"],
-                              omega_a=c["omega_a"], omega_f=c["omega_f"])
-    except ValueError as err:
-        raise ConfigError(f"[coupling]: {err}")
+        raise ConfigError(f"[{section}]: {err}")
 
 
 def _report_rule(cfg) -> protocol.ReportRule:
@@ -297,8 +308,9 @@ def _protocol_config(cfg) -> protocol.ProtocolConfig:
               for key, value in cfg.get("protocol", {}).items()
               if key not in _RULE_FIELDS}
     return protocol.ProtocolConfig(
-        topology=topology, initial_system=_state_params(cfg),
-        regulator_level=reg.get("k", 0), coupling=_coupling(cfg), **fields)
+        topology=topology, initial_system=_build(cfg, "state"),
+        regulator_level=reg.get("k", 0), coupling=_build(cfg, "coupling"),
+        **fields)
 
 
 def _out_path(cfg, config_path) -> Path:
@@ -401,14 +413,13 @@ PREP_KINDS: Dict[str, Tuple[Tuple[str, ...], Callable]] = {
 }
 
 
-# report rule -> the (section, key) thresholds it reads
-REPORT_KEYS: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    "converged": (("protocol", "fidelity_target"),
-                  ("protocol", "convergence_tol")),
-    "cooled": (("sweep", "stop"),),
-    "settled": (("sweep", "settle_tol"),),
-    "auto": (("sweep", "stop"), ("sweep", "settle_tol")),
-}
+# rule -> the (section, key) of each threshold it reads, from
+# protocol.RULE_READS; REPORT_KEYS holds those of the [sweep] report modes
+_RULE_KEYS = {rule: frozenset((s, key) for key in keys
+                              for s in ("protocol", "sweep")
+                              if key in SCHEMA[s])
+              for rule, keys in protocol.RULE_READS.items()}
+REPORT_KEYS = {mode: _RULE_KEYS[mode] for mode in protocol.REPORT_MODES}
 
 
 def _narrow(cfg, parser, what: str, names: List[str], reads) -> None:
@@ -469,9 +480,9 @@ def _reads(*sections, **keys) -> FrozenSet[Tuple[str, str]]:
 _COOL = _reads("state", "topology", "coupling", "regulator",
                protocol=("t", "n_max", "cutoff", "e_max"))
 _GRID = _reads("state", "topology", "coupling",
-               protocol=("t", "n_max", "cutoff", "e_max", "fidelity_target",
-                         "convergence_tol"),
-               sweep=("d_list", "k_list", "report", "stop", "settle_tol"))
+               protocol=("t", "n_max", "cutoff", "e_max"),
+               sweep=("d_list", "k_list", "report")
+               ).union(*REPORT_KEYS.values())
 
 EXPERIMENTS: Dict[str, Experiment] = {
     "cool": Experiment(_run_cool, "single cooling run, per-cycle trace CSV",
@@ -481,8 +492,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
         _GRID, TOPOLOGY_KINDS),
     "sweep-energy": Experiment(
         _run_sweep_energy, "cooling cycles versus initial mean energy",
-        _COOL | _reads(protocol=("fidelity_target", "probability_floor"),
-                       sweep=("nbar_grid",)), TOPOLOGY_KINDS),
+        _COOL | _reads(sweep=("nbar_grid",)) | _RULE_KEYS["first_admissible"],
+        TOPOLOGY_KINDS),
     "network": Experiment(_run_grid, "linear/star oscillator-network cooling",
                           _GRID, ("linear", "star")),
     "hybrid": Experiment(_run_grid, "oscillator + qudit pair cooling",

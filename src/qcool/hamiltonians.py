@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +70,11 @@ class Topology:
             raise ValueError(f"unknown topology kind {self.kind!r}")
         if self.regulator_kind not in ("qudit", "oscillator"):
             raise ValueError(f"unknown regulator kind {self.regulator_kind!r}")
+        for name in ("regulator_levels", "modes", "system_levels"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.regulator_levels < 2:
             raise ValueError("regulator needs at least 2 levels")
         if self.modes < 1:
@@ -79,16 +84,23 @@ class Topology:
         if self.kind == "hybrid" and self.system_levels < 2:
             raise ValueError("hybrid system qudit needs d_s >= 2")
 
+    @property
+    def subsystems(self) -> List[Tuple[bool, Optional[int]]]:
+        """(bosonic, level bound) per subsystem, oscillators first and the
+        regulator last.  An oscillator has no fixed bound (None: the run
+        caps it); the hybrid's system qudit has system_levels levels, and
+        the regulator regulator_levels, bosonic when regulator_kind is
+        "oscillator"."""
+        qudits = [(False, self.system_levels)] if self.kind == "hybrid" else []
+        return [(True, None)] * self.modes + qudits + [
+            (self.regulator_kind == "oscillator", self.regulator_levels)]
+
     def coupling_edges(self, params: CouplingParams) -> List[Tuple[int, int, float]]:
         """(i, j, w) triples meaning w * (lower_i raise_j + h.c.)."""
-        reg = self.modes + 1 if self.kind == "hybrid" else self.modes
-        if self.kind in ("single",):
-            return [(0, reg, params.lam)]
-        if self.kind == "linear":
-            edges = [(0, reg, params.lam)]
-            edges += [(i + 1, i, params.lam_tilde) for i in range(self.modes - 1)]
-            return edges
+        reg = len(self.subsystems) - 1
         if self.kind == "star":
             return [(i, reg, params.lam) for i in range(self.modes)]
-        # hybrid: oscillator exchanges with both the system qudit and the regulator
-        return [(0, 1, params.lam), (0, 2, params.lam)]
+        # oscillator 0 exchanges with the regulator and the hybrid's qudit;
+        # a chain's oscillators hop to their neighbours
+        return [(0, j, params.lam) for j in range(self.modes, reg + 1)] + [
+            (i + 1, i, params.lam_tilde) for i in range(self.modes - 1)]

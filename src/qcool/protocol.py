@@ -35,7 +35,11 @@ engine paths:
   Both take numpy's `eigh`, bound here as `eigh` so that the blocks
   each path diagonalises can be observed.  This is the one path that
   needs coherences, so it alone builds full initial density matrices
-  (`_resolve_factors`).
+  (`_resolve_factors`).  It reads the system's layout from
+  `Topology.subsystems` alone: each subsystem's level cap, bosonic flag
+  and frequency (`_sub_caps`, `_frequencies`) and the initial factors
+  (`_factor_inputs`).  Only the routing (`_bright_oscillator`), the
+  k = 0 default times and `ProtocolConfig.validate` read the kind.
 
 `run_protocol`, `sweep_dimension` and `sweep_energy` share one path
 (`_run_cells`), whose cells are (d, k, initial system) triples; a
@@ -78,7 +82,9 @@ A run returns (F_n, P_n) only.  The cycle count N reported for it is a
 settled or auto) for `report_cycles` and `sweep_dimension`, or, for
 `sweep_energy` and `max_coolable_nbar`, the first cycle at the fidelity
 target with P_n at the floor.  The rule holds every threshold with its
-default and range check.
+default and range check, and `RULE_READS` lists the thresholds each
+rule reads; each call that takes a rule rejects one with any other
+field off its default.
 """
 from __future__ import annotations
 
@@ -87,7 +93,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from numbers import Real
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -277,29 +283,19 @@ def _level_tuples(total: int, caps: Sequence[int]) -> np.ndarray:
 
 
 def _sub_caps(topology: Topology, e_cap: int) -> Tuple[List[int], List[bool]]:
-    """Per-subsystem level caps and is-bosonic flags, regulator last."""
-    if topology.kind == "hybrid":
-        caps = [e_cap, topology.system_levels - 1]
-        bos = [True, False]
-    else:
-        caps = [e_cap] * topology.modes
-        bos = [True] * topology.modes
-    if topology.regulator_kind == "qudit":
-        caps.append(topology.regulator_levels - 1)
-        bos.append(False)
-    else:
-        # a bosonic regulator truncated at Fock level d - 1, as in the dense space
-        caps.append(min(e_cap, topology.regulator_levels - 1))
-        bos.append(True)
-    return caps, bos
+    """Per-subsystem level caps and is-bosonic flags, regulator last
+    (`Topology.subsystems`): e_cap, lowered to the top level of a
+    subsystem with a level bound."""
+    subs = topology.subsystems
+    return ([e_cap if n is None else min(e_cap, n - 1) for _, n in subs],
+            [bosonic for bosonic, _ in subs])
 
 
 def _frequencies(topology: Topology, params: CouplingParams) -> List[float]:
     """Per-subsystem frequencies, regulator last: omega_f on each
     oscillator, omega_a on every qudit and on the regulator."""
-    if topology.kind == "hybrid":
-        return params.omega_f_list(1) + [params.omega_a] * 2
-    return params.omega_f_list(topology.modes) + [params.omega_a]
+    rest = len(topology.subsystems) - topology.modes
+    return params.omega_f_list(topology.modes) + [params.omega_a] * rest
 
 
 def _chiral_colours(topology: Topology,
@@ -715,28 +711,24 @@ def _factor_inputs(
         cfg: ProtocolConfig) -> List[Tuple[Union[DSTParams, np.ndarray], int]]:
     """Per-system-subsystem initial inputs, each a DSTParams or a square
     density matrix, with the number of levels a DSTParams is built on."""
-    topo = cfg.topology
-    init = cfg.initial_system
-    n_sys = 2 if topo.kind == "hybrid" else topo.modes
-
-    if isinstance(init, (DSTParams, np.ndarray)):
-        init = [init]
-    init = list(init)
-    if topo.kind == "hybrid" and len(init) == 1:
-        init = init + [depolarized_qudit(topo.system_levels)]
-    if len(init) == 1 and n_sys > 1:
-        init = init * n_sys
-    if len(init) != n_sys:
-        raise ConfigError(f"{n_sys} initial factors expected, got {len(init)}")
+    topo, init = cfg.topology, cfg.initial_system
+    subs = topo.subsystems[:-1]
+    init = [init] if isinstance(init, (DSTParams, np.ndarray)) else list(init)
+    if len(init) == 1:
+        init = init * topo.modes
+    if len(init) == topo.modes:     # each qudit starts depolarized
+        init += [depolarized_qudit(n) for _, n in subs[topo.modes:]]
+    if len(init) != len(subs):
+        raise ConfigError(
+            f"{len(subs)} initial factors expected, got {len(init)}")
 
     out = []
-    for m, x in enumerate(init):
+    for x, (_, n) in zip(init, subs):
         if not isinstance(x, DSTParams):
             x = np.asarray(x, dtype=complex)
             if x.ndim != 2 or x.shape[0] != x.shape[1]:
                 raise ConfigError("initial states must be square density matrices")
-        hybrid_qudit = topo.kind == "hybrid" and m == 1
-        out.append((x, topo.system_levels if hybrid_qudit else cfg.cutoff))
+        out.append((x, cfg.cutoff if n is None else n))
     return out
 
 
@@ -874,10 +866,9 @@ def _vacuum_block(topology: Topology, coupling: CouplingParams,
                   k: int) -> opttime.VacuumModes:
     """`vacuum_modes` of the block e = k of this topology as it stands."""
     caps, bos = _sub_caps(topology, k)
-    edges = topology.coupling_edges(coupling)
-    freqs = _frequencies(topology, coupling)
-    joint, rows, hops = _joint_block(k, k, caps, bos, edges)
-    h = _block_hamiltonian(joint, hops, freqs)
+    joint, rows, hops = _joint_block(k, k, caps, bos,
+                                     topology.coupling_edges(coupling))
+    h = _block_hamiltonian(joint, hops, _frequencies(topology, coupling))
     vac = rows.start                # the block's one regulator-level-k row
     w, v = eigh(h - h[vac, vac] * np.eye(len(h)))
     chiral = _chiral_colours(topology, coupling) is not None
@@ -999,6 +990,13 @@ _THRESHOLDS = {"fidelity_target": _UNIT_RANGE, "convergence_tol": _TOL_RANGE,
                "probability_floor": (lambda x: 0 <= x <= 1, "lie in [0, 1]"),
                "stop": _UNIT_RANGE, "settle_tol": _TOL_RANGE}
 
+# rule -> the thresholds it reads: each report mode, and first_admissible,
+# the energy sweep's rule, which reads no mode
+RULE_READS = {"converged": ("fidelity_target", "convergence_tol"),
+              "cooled": ("stop",), "settled": ("settle_tol",),
+              "auto": ("stop", "settle_tol"),
+              "first_admissible": ("fidelity_target", "probability_floor")}
+
 
 @dataclass(frozen=True)
 class ReportRule:
@@ -1014,7 +1012,9 @@ class ReportRule:
     auto:      cooled when stop is reached, else settled, else n_max.
     `sweep_energy` reads no mode: its N is the first cycle with
     F_n >= fidelity_target and P_n >= probability_floor
-    (`first_admissible`)."""
+    (`first_admissible`).  Each rule reads only the thresholds RULE_READS
+    lists for it, and a call that takes a rule rejects it when another
+    field is off its default (`_check_reads`)."""
     mode: str = "converged"
     fidelity_target: float = 0.999
     convergence_tol: float = 1e-3
@@ -1031,6 +1031,17 @@ class ReportRule:
             _check_real(value, name)
             if not ok(value):
                 raise ConfigError(f"{name} must {bound}, got {value}")
+
+    def _check_reads(self, rule: str) -> None:
+        """ConfigError for a field off its default that `rule` never reads:
+        a threshold RULE_READS does not list for it, or the mode when
+        `rule` is first_admissible."""
+        reads = RULE_READS[rule] + (("mode",) if rule in REPORT_MODES else ())
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in reads and value != f.default:
+                raise ConfigError(
+                    f"the {rule} rule reads no {f.name}, got {value!r}")
 
     def converged(self, fid: np.ndarray) -> Optional[int]:
         """First cycle with |F_n - F_{n-1}| < convergence_tol and
@@ -1067,6 +1078,7 @@ class ReportRule:
 
 def report_cycles(trace: ProtocolTrace, rule: ReportRule = ReportRule()) -> int:
     """Cycle count N that `rule`'s mode reports for a finished trace."""
+    rule._check_reads(rule.mode)
     f = trace.fidelity
     if rule.mode == "cooled" or (rule.mode == "auto" and f.max() >= rule.stop):
         return rule.cooled(f)
@@ -1094,8 +1106,10 @@ def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
 
     The grid and every cell are checked before any runs: both lists must
     be non-empty, every d >= 2, and every k must lie in
-    0..max(d_list) - 1.  The blocked cells of one k and cycle time run in
-    one pass over the excitation blocks (`_run_cells`)."""
+    0..max(d_list) - 1, and the rule may set no field its mode does not
+    read.  The blocked cells of one k and cycle time run in one pass over
+    the excitation blocks (`_run_cells`)."""
+    rule._check_reads(rule.mode)
     if len(d_list) == 0 or len(k_list) == 0:
         raise ConfigError("empty grid: d_list and k_list must be non-empty")
     if min(d_list) < 2:
@@ -1136,8 +1150,10 @@ def sweep_energy(base_cfg: ProtocolConfig, nbar_grid: Sequence[float],
 
     The swept state keeps the displacement and squeezing of the configured
     initial DSTParams; cycles is None when the target is unreachable
-    within n_max.  The whole grid is checked before any runs, and every
-    nbar is one cell of a single `_run_cells` call."""
+    within n_max.  The rule may set no field but its fidelity target and
+    probability floor.  The whole grid is checked before any runs, and
+    every nbar is one cell of a single `_run_cells` call."""
+    rule._check_reads("first_admissible")
     if not isinstance(base_cfg.initial_system, DSTParams):
         raise ConfigError("sweep_energy needs a DSTParams initial state")
     if len(nbar_grid) == 0:
@@ -1162,7 +1178,8 @@ def max_coolable_nbar(base_cfg: ProtocolConfig, nbar_lo: float = 0.05,
                       nbar_hi: float = 14.0, iters: int = 24,
                       rule: ReportRule = ReportRule()) -> Optional[float]:
     """Largest thermal occupation still coolable under `rule`
-    (`sweep_energy`), by bisection; None when even nbar_lo fails.  When
+    (`sweep_energy`, which rejects the fields it does not read), by
+    bisection; None when even nbar_lo fails.  When
     nbar_hi is itself coolable the threshold is not bracketed: it warns
     and returns nbar_hi.  Needs finite 0 <= nbar_lo < nbar_hi and a
     positive integer iters."""

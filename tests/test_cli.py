@@ -12,7 +12,7 @@ from qcool import gaussian, protocol, stateprep
 from qcool.cli import (EXPERIMENTS, REPORT_KEYS, SCHEMA, canonical_form,
                        emit_csv, load_config, main, validate)
 from qcool.errors import ConfigError
-from qcool.hamiltonians import Topology
+from qcool.hamiltonians import CouplingParams, Topology
 from qcool.states import DSTParams
 
 
@@ -418,15 +418,52 @@ def test_unset_energy_thresholds_are_the_rules_defaults(tmp_path):
 
 
 def test_schema_report_defaults_are_the_rules():
-    rule = protocol.ReportRule()
-    for section, key, name in (
-            ("sweep", "report", "mode"), ("sweep", "stop", "stop"),
-            ("sweep", "settle_tol", "settle_tol"),
-            ("protocol", "fidelity_target", "fidelity_target"),
-            ("protocol", "convergence_tol", "convergence_tol"),
-            ("protocol", "probability_floor", "probability_floor")):
+    # every SCHEMA default of a key that feeds a dataclass field is that
+    # field's default: the report rule's, and the run's
+    for section, key, cls, name in (
+            ("sweep", "report", protocol.ReportRule, "mode"),
+            ("sweep", "stop", protocol.ReportRule, "stop"),
+            ("sweep", "settle_tol", protocol.ReportRule, "settle_tol"),
+            ("protocol", "fidelity_target", protocol.ReportRule,
+             "fidelity_target"),
+            ("protocol", "convergence_tol", protocol.ReportRule,
+             "convergence_tol"),
+            ("protocol", "probability_floor", protocol.ReportRule,
+             "probability_floor"),
+            ("state", "alpha", DSTParams, "alpha_mag"),
+            ("state", "alpha_phase", DSTParams, "alpha_phase"),
+            ("state", "r", DSTParams, "r"),
+            ("state", "theta", DSTParams, "theta"),
+            ("state", "nbar", DSTParams, "nbar"),
+            ("topology", "modes", Topology, "modes"),
+            ("topology", "system_levels", Topology, "system_levels"),
+            ("topology", "regulator_kind", Topology, "regulator_kind"),
+            ("coupling", "lambda", CouplingParams, "lam"),
+            ("coupling", "lambda_tilde", CouplingParams, "lam_tilde"),
+            ("coupling", "omega_a", CouplingParams, "omega_a"),
+            ("coupling", "omega_f", CouplingParams, "omega_f"),
+            ("regulator", "k", protocol.ProtocolConfig, "regulator_level"),
+            ("protocol", "t", protocol.ProtocolConfig, "cycle_time"),
+            ("protocol", "n_max", protocol.ProtocolConfig, "n_max"),
+            ("protocol", "cutoff", protocol.ProtocolConfig, "cutoff"),
+            ("protocol", "e_max", protocol.ProtocolConfig, "e_max")):
         cast, default = SCHEMA[section][key]
-        assert cast(default) == getattr(rule, name), key
+        assert cast(default) == getattr(cls, name), key
+
+
+def test_threshold_reads_follow_the_rule_table():
+    # the grid kinds read every report mode's thresholds and sweep-energy
+    # those of first_admissible, each as protocol.RULE_READS lists them
+    thresholds = {(s, k) for s in SCHEMA for k in SCHEMA[s]
+                  if k in protocol._THRESHOLDS}
+    for mode in protocol.REPORT_MODES:
+        assert {k for _, k in REPORT_KEYS[mode]} == \
+            set(protocol.RULE_READS[mode])
+    for kind in ("sweep-dim", "network", "hybrid"):
+        assert EXPERIMENTS[kind].reads & thresholds == thresholds - {
+            ("protocol", "probability_floor")}
+    assert {k for _, k in EXPERIMENTS["sweep-energy"].reads & thresholds} \
+        == set(protocol.RULE_READS["first_admissible"])
 
 
 UNDERFLOW_CFG = ("[state]\nalpha = 0.4\nnbar = 0.4\n"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcool import protocol
 from qcool.hamiltonians import CouplingParams, Topology
 
 import oracle
@@ -48,6 +49,55 @@ def test_topology_validation():
         Topology("single", 3, modes=2)
     with pytest.raises(ValueError):
         Topology("linear", 3, modes=0)
+
+
+@pytest.mark.parametrize("args,kw,name", [
+    (("single", 3.5), {}, "regulator_levels"),
+    (("single", True), {}, "regulator_levels"),
+    (("linear", 3), dict(modes=True), "modes"),
+    (("star", 3), dict(modes=2.0), "modes"),
+    (("hybrid", 3), dict(system_levels=2.5), "system_levels"),
+    (("hybrid", 3), dict(system_levels=np.float64(3.0)), "system_levels")],
+    ids=["d-float", "d-bool", "modes-bool", "modes-float", "ds-float",
+         "ds-numpy-float"])
+def test_topology_sizes_must_be_integers(args, kw, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        Topology(*args, **kw)
+
+
+def test_topology_accepts_numpy_integers():
+    topo = Topology("linear", np.int64(3), modes=np.int64(2))
+    assert topo == Topology("linear", 3, modes=2)
+
+
+OSC = (True, None)      # an oscillator: bosonic, capped by the run
+
+
+@pytest.mark.parametrize("regulator_kind", ["qudit", "oscillator"])
+@pytest.mark.parametrize("kind,kw,system", [
+    ("single", {}, [OSC]),
+    ("linear", dict(modes=3), [OSC] * 3),
+    ("star", dict(modes=3), [OSC] * 3),
+    ("hybrid", dict(system_levels=3), [OSC, (False, 3)])],
+    ids=["single", "linear-m3", "star-m3", "hybrid-ds3"])
+def test_subsystem_layout(kind, kw, system, regulator_kind):
+    # the system's subsystems, then the regulator: 4 levels, bosonic only
+    # as an oscillator; the engine's caps and frequencies read this layout
+    topo = Topology(kind, 4, regulator_kind=regulator_kind, **kw)
+    regulator = (regulator_kind == "oscillator", 4)
+    assert topo.subsystems == system + [regulator]
+    caps, bos = protocol._sub_caps(topo, 5)
+    assert caps == [5 if n is None else n - 1 for _, n in topo.subsystems]
+    assert bos == [b for b, _ in topo.subsystems]
+    p = CouplingParams(lam=1.5, lam_tilde=0.5, omega_a=1.0, omega_f=2.0)
+    assert protocol._frequencies(topo, p) == [
+        2.0 if n is None else 1.0 for _, n in topo.subsystems]
+    # the regulator is the last subsystem, each of its edges at lam
+    edges = topo.coupling_edges(p)
+    reg = len(topo.subsystems) - 1
+    assert max(max(i, j) for i, j, _ in edges) == reg
+    to_reg = [(i, w) for i, j, w in edges if reg in (i, j)]
+    assert to_reg and all(w == 1.5 and i < reg for i, w in to_reg)
 
 
 def test_single_mode_exchange_elements():

@@ -609,6 +609,51 @@ def test_report_rule_checked_before_any_run(kw, monkeypatch):
     assert runs == []
 
 
+def test_rule_fields_a_call_does_not_read_are_rejected(monkeypatch):
+    # a rule field its call would ignore is a ConfigError, before any run
+    trace = run_protocol(_single_cfg(3, 0, n_max=10))
+    base = _single_cfg(4, 0, n_max=30)
+    with pytest.raises(ConfigError, match="first_admissible rule reads no"):
+        sweep_energy(base, [0.4, 3.0], ReportRule(
+            "cooled", stop=0.5, settle_tol=0.3, convergence_tol=0.5))
+    with pytest.raises(ConfigError, match="cooled rule reads no probab"):
+        report_cycles(trace, ReportRule("cooled", probability_floor=0.9))
+    runs = []
+    monkeypatch.setattr(protocol, "_run_cells",
+                        lambda *args: runs.append(args) or [])
+    with pytest.raises(ConfigError, match="converged rule reads no stop"):
+        sweep_dimension(base, [3, 4], [0, 1], ReportRule(stop=0.5))
+    with pytest.raises(ConfigError, match="first_admissible rule reads no"):
+        max_coolable_nbar(base, rule=ReportRule(settle_tol=0.3))
+    with pytest.raises(ConfigError, match="reads no mode, got 'auto'"):
+        sweep_energy(base, [0.4], ReportRule("auto"))
+    assert runs == []
+
+
+# a non-default value of every threshold, each in its range
+OFF_DEFAULT = dict(fidelity_target=0.5, convergence_tol=0.5,
+                   probability_floor=0.9, stop=0.5, settle_tol=0.3)
+
+
+@pytest.mark.parametrize("rule", list(protocol.RULE_READS))
+def test_each_rule_takes_exactly_the_thresholds_it_reads(rule):
+    # a threshold the rule reads may take any value, and every other one
+    # only its default
+    trace = run_protocol(_single_cfg(3, 0, n_max=10))
+    base = _single_cfg(4, 0, n_max=10)
+
+    def call(**kw):
+        if rule == "first_admissible":
+            return sweep_energy(base, [0.4], ReportRule(**kw))
+        return report_cycles(trace, ReportRule(rule, **kw))
+
+    reads = protocol.RULE_READS[rule]
+    call(**{name: OFF_DEFAULT[name] for name in reads})
+    for name in set(OFF_DEFAULT) - set(reads):
+        with pytest.raises(ConfigError, match=f"reads no {name}"):
+            call(**{name: OFF_DEFAULT[name]})
+
+
 @pytest.mark.parametrize("field,value", [
     ("cycle_time", float("nan")), ("cycle_time", float("inf")),
     ("cycle_time", -1.0), ("fidelity_target", 2.0),
