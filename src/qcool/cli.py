@@ -7,21 +7,23 @@ available experiment kinds.  Exit codes: 0 success, 2 config error,
 3 numeric error.
 
 `EXPERIMENTS` is the one table of experiment kinds.  Each entry holds
-the runner, its help line, the (section, key) pairs the kind reads, the
-`[topology] kind` values it accepts and the keys a non-empty list
-overrides (a hybrid's [regulator] d beside [sweep] d_list, k beside
-k_list).  `PREP_KINDS` does the same for the prep kinds: the `[prep]`
-keys each reads, and its circuit; `REPORT_KEYS` holds the thresholds
-each `[sweep] report` rule reads, derived from `protocol.RULE_READS`,
-which also gives the grid kinds' and sweep-energy's threshold reads.
-`load_config` rejects a key the kind does not read, a topology it does
-not accept, an overridden key the file sets, an unknown prep kind or
-report rule, a `[prep]` key no listed prep kind reads and a threshold
-the report rule does not read (`_narrow`), so `validate` and `run`
-fail on the same configs, before anything runs.  A loaded config holds
-exactly the keys its kind reads and uses, defaults filled in, and
-`canonical_form` prints exactly those.  The runners pass the loaded
-report rule and thresholds to one `protocol.ReportRule`
+the runner, its help line, the (section, key) pairs the kind reads and
+the `[topology] kind` values it accepts.  `PREP_KINDS` does the same
+for the prep kinds: the `[prep]` keys each reads, and its circuit;
+`REPORT_KEYS` holds the thresholds each `[sweep] report` rule reads,
+derived from `protocol.RULE_READS`, which also gives the grid kinds'
+and sweep-energy's threshold reads.  The grid kinds (sweep-dim,
+network, hybrid) state d and k only as `[sweep] d_list` and `k_list`;
+a hybrid `ds_list` runs at the one (d, k) those lists give, and stands
+in for `[topology] system_levels`.  `load_config` rejects a key the
+kind does not read, a topology it does not accept, a `ds_list` beside
+other than one d and one k or beside a set `system_levels`, an unknown
+prep kind or report rule, a `[prep]` key no listed prep kind reads and
+a threshold the report rule does not read (`_narrow`), so `validate`
+and `run` fail on the same configs, before anything runs.  A loaded
+config holds exactly the keys its kind reads and uses, defaults filled
+in, and `canonical_form` prints exactly those.  The runners pass the
+loaded report rule and thresholds to one `protocol.ReportRule`
 (`_report_rule`), which holds their defaults and range checks.
 `SCHEMA` takes every default of a key that feeds a dataclass field
 from that field: the report rule's, `DSTParams`', `Topology`'s,
@@ -141,14 +143,15 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
 def load_config(path) -> Dict[str, Dict]:
     """Parse and check a config file.  Unknown sections and keys, keys
     the experiment kind does not read, a topology it does not accept, a
-    key set beside a non-empty list that overrides it (`shadowed`) and a
-    `ds_list` beside a `d_list` or `k_list`, or with an entry below 2, an
-    unknown prep kind or report rule, a `[prep]` key no listed prep kind
-    reads (`PREP_KINDS`) and a threshold the report rule does not read
-    (`REPORT_KEYS`) are config errors; the result holds every key the
-    kind reads, and only those, defaults filled in, in schema order, less
-    the overridden ones, the `[prep]` keys no listed kind reads and the
-    thresholds the report rule does not read."""
+    `ds_list` with an entry below 2, or beside a `d_list` or `k_list`
+    that does not hold exactly one entry, or beside a set `[topology]
+    system_levels`, an unknown prep kind or report rule, a `[prep]` key
+    no listed prep kind reads (`PREP_KINDS`) and a threshold the report
+    rule does not read (`REPORT_KEYS`) are config errors; the result
+    holds every key the kind reads, and only those, defaults filled in,
+    in schema order, less `system_levels` beside a `ds_list`, the
+    `[prep]` keys no listed kind reads and the thresholds the report
+    rule does not read."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#",))
     try:
@@ -188,16 +191,6 @@ def load_config(path) -> Dict[str, Dict]:
         raise ConfigError(
             f"the {kind} experiment needs [topology] kind in "
             f"{{{', '.join(spec.topologies)}}}, got '{cfg['topology']['kind']}'")
-    for (section, key), (lsection, lkey) in spec.shadowed:
-        if not cfg[lsection][lkey]:
-            continue
-        if parser.has_option(section, key):
-            raise ConfigError(
-                f"the {kind} experiment never uses [{section}] {key} beside "
-                f"a non-empty [{lsection}] {lkey}")
-        del cfg[section][key]
-        if not cfg[section]:
-            del cfg[section]
     if kind == "prep":
         _narrow(cfg, parser, "prep kind", cfg["prep"]["kinds"],
                 {name: [("prep", key) for key in keys]
@@ -207,12 +200,17 @@ def load_config(path) -> Dict[str, Dict]:
                 REPORT_KEYS)
     ds_list = cfg.get("sweep", {}).get("ds_list")
     if ds_list:
-        if cfg["sweep"]["d_list"] or cfg["sweep"]["k_list"]:
-            raise ConfigError("[sweep] ds_list runs at [regulator] d and k; "
-                              "it takes no d_list or k_list")
+        if not len(cfg["sweep"]["d_list"]) == len(cfg["sweep"]["k_list"]) == 1:
+            raise ConfigError("[sweep] ds_list runs at one (d, k): it needs "
+                              "one d_list and one k_list entry")
+        if parser.has_option("topology", "system_levels"):
+            raise ConfigError("[sweep] ds_list sets the system qudit "
+                              "dimension; it takes no [topology] "
+                              "system_levels")
         if min(ds_list) < 2:
             raise ConfigError(f"[sweep] ds_list: the system qudit needs "
                               f"d_s >= 2, got {min(ds_list)}")
+        del cfg["topology"]["system_levels"]
     return cfg
 
 
@@ -294,14 +292,14 @@ def _report_rule(cfg) -> protocol.ReportRule:
 def _protocol_config(cfg) -> protocol.ProtocolConfig:
     """The ProtocolConfig of the keys a kind reads, less the report
     thresholds (`_report_rule`); a field it does not read keeps
-    ProtocolConfig's default.  sweep-dim and network read no
+    ProtocolConfig's default, and so does a [topology] key it lacks
+    (`system_levels` beside a `ds_list`).  The grid kinds read no
     [regulator]: each grid cell sets its own d and k, and the base holds
     d = 2 only because a Topology needs one."""
-    t, reg = cfg["topology"], cfg.get("regulator", {})
+    reg = cfg.get("regulator", {})
     try:
-        topology = Topology(kind=t["kind"], regulator_levels=reg.get("d", 2),
-                            modes=t["modes"], system_levels=t["system_levels"],
-                            regulator_kind=t["regulator_kind"])
+        topology = Topology(regulator_levels=reg.get("d", 2),
+                            **cfg["topology"])
     except ValueError as err:
         raise ConfigError(f"[topology]: {err}")
     fields = {("cycle_time" if key == "t" else key): value
@@ -349,28 +347,23 @@ def _run_grid(cfg, out):
     """sweep-dim, network and hybrid: one (d, k, N, F, P) row per cell of
     the (d, k) grid with k < d (`protocol.sweep_dimension` checks the
     grid), or one (d_s, N, F, P) row per system qudit dimension of a
-    hybrid `ds_list`, at [regulator] d and k.  The kinds differ only in
-    what they read (EXPERIMENTS): hybrid alone reads `ds_list`, and its
-    [regulator] d and k stand in for an empty `d_list` or `k_list`."""
-    s, reg = cfg["sweep"], cfg.get("regulator")
-    rule = _report_rule(cfg)
-    if s.get("ds_list"):
-        base, rows = _protocol_config(cfg), []
-        for ds in s["ds_list"]:
-            trace = protocol.run_protocol(replace(
-                base, topology=replace(base.topology, system_levels=ds)))
-            n = protocol.report_cycles(trace, rule)
-            rows.append((ds, n, float(trace.fidelity[n]),
-                         float(trace.probability[n])))
-        emit_csv(("d_s", "N", "F", "P"), rows, out, key_cols=1)
+    hybrid `ds_list`, each the one cell of its d_s at the lists' single
+    (d, k).  The kinds differ only in what they read (EXPERIMENTS):
+    hybrid alone reads `ds_list`."""
+    s, rule, base = cfg["sweep"], _report_rule(cfg), _protocol_config(cfg)
+    if not s.get("ds_list"):
+        recs = protocol.sweep_dimension(base, s["d_list"], s["k_list"], rule)
+        emit_csv(("d", "k", "N", "F", "P"),
+                 [(r.d, r.k, r.cycles, r.fidelity, r.probability)
+                  for r in recs], out, key_cols=2)
         return
-    d_list = s["d_list"] or ([reg["d"]] if reg else [])
-    k_list = s["k_list"] or ([reg["k"]] if reg else [])
-    recs = protocol.sweep_dimension(_protocol_config(cfg), d_list, k_list,
-                                    rule)
-    emit_csv(("d", "k", "N", "F", "P"),
-             [(r.d, r.k, r.cycles, r.fidelity, r.probability) for r in recs],
-             out, key_cols=2)
+    rows = []
+    for ds in s["ds_list"]:
+        [r] = protocol.sweep_dimension(
+            replace(base, topology=replace(base.topology, system_levels=ds)),
+            s["d_list"], s["k_list"], rule)
+        rows.append((ds, r.cycles, r.fidelity, r.probability))
+    emit_csv(("d_s", "N", "F", "P"), rows, out, key_cols=1)
 
 
 def _run_gaussian(cfg, out):
@@ -459,14 +452,12 @@ def _run_prep(cfg, out):
 
 class Experiment(NamedTuple):
     """One experiment kind: its runner, its help line, the (section, key)
-    pairs it reads, the [topology] kind values it accepts (none when it
-    reads no [topology]) and the (key, list) pairs in which a key the
-    file sets goes unused once the list is non-empty."""
+    pairs it reads and the [topology] kind values it accepts (none when
+    it reads no [topology])."""
     runner: Callable
     help: str
     reads: FrozenSet[Tuple[str, str]]
     topologies: Tuple[str, ...] = ()
-    shadowed: Tuple[Tuple[Tuple[str, str], Tuple[str, str]], ...] = ()
 
 
 def _reads(*sections, **keys) -> FrozenSet[Tuple[str, str]]:
@@ -497,10 +488,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "network": Experiment(_run_grid, "linear/star oscillator-network cooling",
                           _GRID, ("linear", "star")),
     "hybrid": Experiment(_run_grid, "oscillator + qudit pair cooling",
-                         _GRID | _reads("regulator", sweep=("ds_list",)),
-                         ("hybrid",),
-                         ((("regulator", "d"), ("sweep", "d_list")),
-                          (("regulator", "k"), ("sweep", "k_list")))),
+                         _GRID | _reads(sweep=("ds_list",)), ("hybrid",)),
     "gaussian": Experiment(_run_gaussian, "covariance-matrix one-shot cooling",
                            _reads("gaussian")),
     "opt-time": Experiment(

@@ -14,29 +14,35 @@ the Hamiltonian one excitation block at a time from
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .hilbert import check_finite_reals, is_int
+
 
 @dataclass(frozen=True)
 class CouplingParams:
     """Coupling strengths and frequencies; defaults are the resonant
-    lam = lam_tilde = omega_a = omega_f = 1 convention."""
+    lam = lam_tilde = omega_a = omega_f = 1 convention.  Every field, and
+    every entry of a sequence omega_f, is a finite real number (no
+    bool)."""
     lam: float = 1.0          # oscillator-regulator coupling
     lam_tilde: float = 1.0    # oscillator-oscillator hopping
     omega_a: float = 1.0      # qudit level spacing
     omega_f: Union[float, Sequence[float]] = 1.0   # per-oscillator frequency
 
     def __post_init__(self):
-        if not np.isscalar(self.omega_f):       # hashable, as the caches need
-            object.__setattr__(self, "omega_f", tuple(self.omega_f))
-        wf = [self.omega_f] if np.isscalar(self.omega_f) else list(self.omega_f)
-        values = [self.lam, self.lam_tilde, self.omega_a] + wf
-        if not all(math.isfinite(x) for x in values):
-            raise ValueError(f"coupling parameters must be finite, got {values}")
+        wf = self.omega_f
+        if np.isscalar(wf) or not np.iterable(wf):
+            entries = [("omega_f", wf)]
+        else:                                   # hashable, as the caches need
+            object.__setattr__(self, "omega_f", tuple(wf))
+            entries = [(f"omega_f[{i}]", w)
+                       for i, w in enumerate(self.omega_f)]
+        check_finite_reals([("lam", self.lam), ("lam_tilde", self.lam_tilde),
+                            ("omega_a", self.omega_a)] + entries)
 
     def omega_f_list(self, n_osc: int) -> List[float]:
         if np.isscalar(self.omega_f):
@@ -72,8 +78,7 @@ class Topology:
             raise ValueError(f"unknown regulator kind {self.regulator_kind!r}")
         for name in ("regulator_levels", "modes", "system_levels"):
             value = getattr(self, name)
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, np.integer)):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.regulator_levels < 2:
             raise ValueError("regulator needs at least 2 levels")

@@ -1,6 +1,7 @@
 """Primitives every layer shares: the lowering matrix, the Hermitian
-exponential and the tridiagonal excitation block of one oscillator with
-a ladder qudit.
+exponential, the tridiagonal excitation block of one oscillator with
+a ladder qudit, and the number checks of the parameters: an integer
+or a real number, neither a bool, which only compares like one.
 
 Every Hamiltonian of the package conserves the total excitation number
 N_e = sum_j a_j^dag a_j + sum_m sum_k k|k><k|_m, so the runners work on
@@ -8,9 +9,30 @@ one excitation block at a time and never build the product space.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+import math
+from numbers import Real
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
+
+
+def is_int(x) -> bool:
+    """An integer, Python's or numpy's, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A real number and not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def check_finite_reals(named: Iterable[Tuple[str, object]]) -> None:
+    """ValueError naming the first (name, value) pair whose value is not
+    a finite real number."""
+    for name, value in named:
+        if not (is_real(value) and math.isfinite(value)):
+            raise ValueError(
+                f"{name} must be a finite real number, got {value!r}")
 
 
 def lowering(dim: int, bosonic: bool = True) -> np.ndarray:

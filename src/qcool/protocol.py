@@ -95,7 +95,6 @@ import threading
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from numbers import Real
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -103,7 +102,7 @@ from numpy.linalg import eigh
 
 from .errors import ConfigError, QcoolError, SearchFailureError, TruncationError
 from .hamiltonians import CouplingParams, Topology
-from .hilbert import expm_hermitian, ladder_block
+from .hilbert import expm_hermitian, is_int, is_real, ladder_block
 from .states import DSTParams, depolarized_qudit, displaced_squeezed_thermal, \
     dst_mean_energy, dst_populations
 from . import opttime
@@ -147,7 +146,7 @@ class ProtocolConfig:
             value = getattr(self, name)
             if value is None and name == "e_max":
                 continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if not lo <= value <= (value if hi is None else hi):
                 bound = f"be >= {lo}" if hi is None else f"lie in {lo}..{hi}"
@@ -175,14 +174,9 @@ class ProtocolConfig:
                 f"{topo.kind} topology has none, got {topo.system_levels}")
 
 
-def _is_real(x) -> bool:
-    """A real number and not a bool, which only compares like one."""
-    return isinstance(x, Real) and not isinstance(x, bool)
-
-
 def _check_real(x, name: str) -> None:
     """ConfigError unless x is a real number (no bool)."""
-    if not _is_real(x):
+    if not is_real(x):
         raise ConfigError(f"{name} must be a real number, got {x!r}")
 
 
@@ -1105,13 +1099,18 @@ def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
     with k >= d are skipped (a triangular grid).
 
     The grid and every cell are checked before any runs: both lists must
-    be non-empty, every d >= 2, and every k must lie in
-    0..max(d_list) - 1, and the rule may set no field its mode does not
-    read.  The blocked cells of one k and cycle time run in one pass over
-    the excitation blocks (`_run_cells`)."""
+    be non-empty and hold integers (no bool), every d >= 2, and every k
+    must lie in 0..max(d_list) - 1, and the rule may set no field its
+    mode does not read.  The blocked cells of one k and cycle time run
+    in one pass over the excitation blocks (`_run_cells`)."""
     rule._check_reads(rule.mode)
     if len(d_list) == 0 or len(k_list) == 0:
         raise ConfigError("empty grid: d_list and k_list must be non-empty")
+    for name, values in (("d_list", d_list), ("k_list", k_list)):
+        for value in values:
+            if not is_int(value):
+                raise ConfigError(
+                    f"{name} entries must be integers, got {value!r}")
     if min(d_list) < 2:
         raise ConfigError(f"d_list: a regulator needs d >= 2, got {min(d_list)}")
     if min(k_list) < 0 or max(k_list) >= max(d_list):
@@ -1138,7 +1137,7 @@ class EnergyRecord:
 
 def _check_nbar(nbar, name: str) -> None:
     """ConfigError unless nbar is a finite, non-negative real (no bool)."""
-    if not (_is_real(nbar) and math.isfinite(nbar) and nbar >= 0):
+    if not (is_real(nbar) and math.isfinite(nbar) and nbar >= 0):
         raise ConfigError(f"{name} must be a finite real >= 0, got {nbar!r}")
 
 
@@ -1187,8 +1186,7 @@ def max_coolable_nbar(base_cfg: ProtocolConfig, nbar_lo: float = 0.05,
     _check_nbar(nbar_hi, "nbar_hi")
     if not nbar_lo < nbar_hi:
         raise ConfigError(f"need nbar_lo < nbar_hi, got {nbar_lo} and {nbar_hi}")
-    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) \
-            or iters < 1:
+    if not is_int(iters) or iters < 1:
         raise ConfigError(f"iters must be a positive integer, got {iters!r}")
 
     def coolable(nbar):

@@ -46,20 +46,21 @@ and D S rho_th S^dag D^dag on a wider space is the test oracle of both kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
 
 from .errors import TruncationError
-from .hilbert import expm_hermitian, lowering
+from .hilbert import check_finite_reals, expm_hermitian, lowering
 
 
 @dataclass(frozen=True)
 class DSTParams:
     """Parameters of a displaced squeezed thermal state.
 
-    alpha = alpha_mag * exp(i alpha_phase), z = r * exp(i theta).
+    alpha = alpha_mag * exp(i alpha_phase), z = r * exp(i theta).  Every
+    field is a finite real number (no bool).
     """
     alpha_mag: float = 0.0
     alpha_phase: float = 0.0
@@ -68,10 +69,8 @@ class DSTParams:
     nbar: float = 0.0
 
     def __post_init__(self):
-        values = (self.alpha_mag, self.alpha_phase, self.r, self.theta,
-                  self.nbar)
-        if not all(math.isfinite(x) for x in values):
-            raise ValueError(f"state parameters must be finite, got {values}")
+        check_finite_reals((f.name, getattr(self, f.name))
+                           for f in fields(self))
         if self.nbar < 0 or self.r < 0 or self.alpha_mag < 0:
             raise ValueError("alpha_mag, r, nbar must be non-negative")
 

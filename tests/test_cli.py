@@ -515,6 +515,11 @@ def _forbid(monkeypatch, *targets):
      "[sweep] ds_list"),
     ("kind = hybrid\n[topology]\nkind = hybrid\n[protocol]\n"
      "probability_floor = 0.2\n", "[protocol] probability_floor"),
+    # a hybrid states d and k only as its grid lists
+    ("kind = hybrid\n[topology]\nkind = hybrid\n[regulator]\nd = 4\n"
+     "[sweep]\nd_list = 3,5\nk_list = 0\n", "[regulator] d"),
+    ("kind = hybrid\n[topology]\nkind = hybrid\n[regulator]\nk = 1\n"
+     "[sweep]\nd_list = 3\nk_list = 0\nds_list = 2,3\n", "[regulator] k"),
     ("kind = gaussian\n[state]\nalpha = 1\n", "[state] alpha"),
     ("kind = opt-time\n[regulator]\nk = 1\n", "[regulator] k"),
     # whole sections the kind never reads; the first one set is named
@@ -523,7 +528,8 @@ def _forbid(monkeypatch, *targets):
      "[state] alpha"),
     ("kind = prep\n[topology]\nkind = single\n", "[topology] kind")],
     ids=["cool", "sweep-energy", "sweep-dim", "network", "hybrid",
-         "gaussian", "opt-time", "opt-time-sections", "prep"])
+         "hybrid-regulator-d", "hybrid-regulator-k", "gaussian", "opt-time",
+         "opt-time-sections", "prep"])
 def test_every_kind_rejects_a_key_it_does_not_read(tmp_path, text, unread,
                                                     capsys, monkeypatch):
     calls = _forbid(monkeypatch, (protocol, "_run_cells"),
@@ -559,47 +565,6 @@ def test_topology_outside_the_kind_rejected(tmp_path, kind, topology,
     assert calls == []
 
 
-HYBRID_HEAD = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
-               "[protocol]\ncutoff = 20\nn_max = 10\n")
-
-
-@pytest.mark.parametrize("text,unused,grid", [
-    ("[regulator]\nd = 4\n[sweep]\nd_list = 3,5\nk_list = 0\n",
-     "[regulator] d", "[sweep] d_list"),
-    ("[regulator]\nk = 1\n[sweep]\nd_list = 3\nk_list = 0\n",
-     "[regulator] k", "[sweep] k_list")], ids=["d", "k"])
-def test_hybrid_rejects_a_setting_its_grid_overrides(tmp_path, text, unused,
-                                                     grid, capsys,
-                                                     monkeypatch):
-    calls = _forbid(monkeypatch, (protocol, "_run_cells"))
-    cfg = _write(tmp_path, "h.cfg", HYBRID_HEAD + text)
-    for command in ("validate", "run"):
-        assert main([command, str(cfg)]) == 2
-        assert capsys.readouterr().err == (
-            f"config error: the hybrid experiment never uses {unused} "
-            f"beside a non-empty {grid}\n")
-    assert calls == []
-    assert not (tmp_path / "h.csv").exists()
-
-
-def test_hybrid_setting_used_beside_its_grid_loads(tmp_path):
-    # an empty d_list set in the file leaves [regulator] d in use; beside a
-    # non-empty d_list, [regulator] k stands in for the empty k_list and
-    # the unused d leaves the loaded config
-    cfg = _write(tmp_path, "h.cfg", HYBRID_HEAD + "[regulator]\nd = 4\nk = 1\n"
-                 "[sweep]\nd_list =\n")
-    assert load_config(cfg)["regulator"] == {"d": 4, "k": 1}
-    cfg = _write(tmp_path, "h.cfg", HYBRID_HEAD + "[regulator]\nk = 1\n"
-                 "[sweep]\nd_list = 3,4\n")
-    assert load_config(cfg)["regulator"] == {"k": 1}
-    assert main(["run", str(cfg)]) == 0
-    rows = (tmp_path / "h.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[:2] for row in rows] == [["3", "1"], ["4", "1"]]
-    table = Path(__file__).resolve().parent.parent / "experiments" / \
-        "hybrid_table.cfg"
-    assert "regulator" not in load_config(table)
-
-
 def test_opt_time_checks_every_level_first(tmp_path, capsys, monkeypatch):
     # k = 5 lies outside d = 5; the valid k = 3 before it is not searched
     calls = _forbid(monkeypatch, (protocol, "default_cycle_time"))
@@ -626,6 +591,12 @@ def test_loaded_config_holds_only_read_keys(tmp_path, capsys):
         if ("sweep", "report") in reads:
             reads = reads - {("sweep", "stop"), ("sweep", "settle_tol")}
         assert {(s, k) for s in cfg for k in cfg[s]} == reads, kind
+    # a ds_list sets the system qudit dimension: no system_levels is loaded
+    cfg = load_config(_write(tmp_path, "h.cfg", "[experiment]\nkind = hybrid\n"
+                             "[topology]\nkind = hybrid\n[sweep]\nd_list = 4\n"
+                             "k_list = 1\nds_list = 2,3\n"))
+    assert cfg["topology"] == {"kind": "hybrid", "modes": 1,
+                               "regulator_kind": "qudit"}
     cfg = _write(tmp_path, "ot.cfg",
                  "[experiment]\nkind = opt-time\n[regulator]\nd = 4\n")
     assert main(["validate", str(cfg)]) == 0
@@ -659,8 +630,9 @@ def test_read_sets_cover_the_schema():
     ("kind = network\n[topology]\nkind = star\nmodes = 2\n[sweep]\n"
      "d_list = 3\nk_list = 0\n[protocol]\nconvergence_tol = inf\n",
      "convergence_tol must be finite and >= 0, got inf"),
-    ("kind = hybrid\n[topology]\nkind = hybrid\n[protocol]\n"
-     "fidelity_target = 0\n", "fidelity_target must lie in (0, 1], got 0.0")],
+    ("kind = hybrid\n[topology]\nkind = hybrid\n[sweep]\nd_list = 3\n"
+     "k_list = 0\n[protocol]\nfidelity_target = 0\n",
+     "fidelity_target must lie in (0, 1], got 0.0")],
     ids=["energy-target", "energy-floor-nan", "energy-floor-negative",
          "grid-tol-negative", "network-tol-inf", "hybrid-target-zero"])
 def test_read_protocol_values_are_range_checked(tmp_path, text, message,
@@ -773,13 +745,36 @@ def test_bad_state_or_topology_exits_2(tmp_path, old, new):
     assert main(["run", str(cfg)]) == 2
 
 
-# bad ds_list configs that load_config, and so validate, rejects too
-DS_BELOW_2 = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
-              "[sweep]\nds_list = 1\n")
-DS_WITH_D_LIST = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
-                  "[sweep]\nds_list = 2,3\nd_list = 3,4\n")
-DS_WITH_K_LIST = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
-                  "[sweep]\nds_list = 2,3\nk_list = 0,1\n")
+@pytest.mark.parametrize("old,new,message", [
+    ("nbar = 0.4", "nbar = nan",
+     "[state]: nbar must be a finite real number, got nan"),
+    ("cutoff = 30", "cutoff = 30\nt = 1\n[coupling]\nlambda = inf",
+     "[coupling]: lam must be a finite real number, got inf")],
+    ids=["state", "coupling"])
+def test_state_and_coupling_errors_name_the_field(tmp_path, old, new,
+                                                  message, capsys):
+    cfg = _write(tmp_path, "bad.cfg", COOL_CFG.replace(old, new))
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# bad ds_list configs that load_config, and so validate, rejects too, each
+# with its message
+DS_HEAD = "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
+DS_NOT_ONE_CELL = ("[sweep] ds_list runs at one (d, k): it needs one d_list "
+                   "and one k_list entry")
+DS_BELOW_2 = DS_HEAD + "[sweep]\nds_list = 1\nd_list = 3\nk_list = 0\n"
+DS_WITH_D_LIST = DS_HEAD + "[sweep]\nds_list = 2,3\nd_list = 3,4\nk_list = 0\n"
+DS_WITH_K_LIST = DS_HEAD + "[sweep]\nds_list = 2,3\nd_list = 3\nk_list = 0,1\n"
+DS_EMPTY_K_LIST = DS_HEAD + "[sweep]\nds_list = 2,3\nd_list = 3\n"
+DS_WITH_SYSTEM_LEVELS = (DS_HEAD + "system_levels = 3\n[sweep]\n"
+                         "ds_list = 2,3\nd_list = 3\nk_list = 0\n")
+DS_MESSAGES = {
+    DS_BELOW_2: "[sweep] ds_list: the system qudit needs d_s >= 2, got 1",
+    DS_WITH_D_LIST: DS_NOT_ONE_CELL, DS_WITH_K_LIST: DS_NOT_ONE_CELL,
+    DS_EMPTY_K_LIST: DS_NOT_ONE_CELL,
+    DS_WITH_SYSTEM_LEVELS: "[sweep] ds_list sets the system qudit dimension; "
+                           "it takes no [topology] system_levels"}
 
 
 @pytest.mark.parametrize("text", [
@@ -799,8 +794,8 @@ DS_WITH_K_LIST = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = -1,0\n",
     "[experiment]\nkind = network\n[topology]\nkind = star\nmodes = 2\n"
     "[sweep]\nd_list = 3\nk_list = 0,3\n",
-    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[regulator]\n"
-    "d = 3\nk = 3\n",
+    "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
+    "d_list = 3\nk_list = 3\n",
     "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = 1.0,nan\n",
     "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = inf\n",
     "[experiment]\nkind = gaussian\n[gaussian]\nnbar = 0.5,nan\n",
@@ -814,12 +809,15 @@ DS_WITH_K_LIST = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
     "report = settled\nsettle_tol = nan\n",
     "[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n[sweep]\n"
-    "ds_list = 2\nreport = settled\nsettle_tol = -1\n",
+    "ds_list = 2\nd_list = 3\nk_list = 0\nreport = settled\n"
+    "settle_tol = -1\n",
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 3\nk_list = 0\n"
     "report = bogus\n",
     "[experiment]\nkind = opt-time\n[regulator]\nd = 3\n[protocol]\nt = 1.0\n",
     DS_WITH_D_LIST,
     DS_WITH_K_LIST,
+    DS_EMPTY_K_LIST,
+    DS_WITH_SYSTEM_LEVELS,
     "[experiment]\nkind = prep\n[prep]\nkinds = cat\nalpha = nan\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = odd-cat\nalpha = inf\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = hybrid-entangled\nr = nan\n",
@@ -836,7 +834,9 @@ DS_WITH_K_LIST = ("[experiment]\nkind = hybrid\n[topology]\nkind = hybrid\n"
          "gaussian-r-inf", "sweep-stop-nan", "sweep-stop-above-1",
          "sweep-stop-zero", "sweep-settle-tol-nan",
          "hybrid-settle-tol-negative", "sweep-report-unknown", "opt-time-t",
-         "ds-list-with-d-list", "ds-list-with-k-list", "prep-alpha-nan",
+         "ds-list-with-d-list", "ds-list-with-k-list",
+         "ds-list-empty-k-list", "ds-list-with-system-levels",
+         "prep-alpha-nan",
          "prep-alpha-inf", "prep-r-nan", "prep-cutoff-zero",
          "star-lambda-tilde", "star-system-levels"])
 def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys, monkeypatch):
@@ -855,7 +855,8 @@ def test_bad_sweep_or_prep_values_exit_2(tmp_path, text, capsys, monkeypatch):
     assert "config error" in err
     assert runs == []
     assert not (tmp_path / "bad.csv").exists()
-    if text in (DS_BELOW_2, DS_WITH_D_LIST, DS_WITH_K_LIST):
+    if text in DS_MESSAGES:
+        assert err == f"config error: {DS_MESSAGES[text]}\n"
         assert validate(str(cfg)) == 2
         assert capsys.readouterr() == ("", err)
 

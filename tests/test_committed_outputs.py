@@ -68,11 +68,10 @@ def _runs(cfg):
     s, reg = cfg.get("sweep", {}), cfg.get("regulator", {})
     if kind == "opt-time":
         grid = [(reg["d"], k) for k in s["k_list"] or range(reg["d"])]
-    elif kind in ("cool", "sweep-energy") or s.get("ds_list"):
+    elif kind in ("cool", "sweep-energy"):
         grid = [(reg["d"], reg["k"])]
     else:
-        grid = [(d, k) for d in s["d_list"] or [reg["d"]]
-                for k in s["k_list"] or [reg["k"]] if k < d]
+        grid = [(d, k) for d in s["d_list"] for k in s["k_list"] if k < d]
     base = _protocol_config(cfg)
     return [replace(base, regulator_level=k, topology=replace(
                 base.topology, regulator_levels=d, system_levels=ds))

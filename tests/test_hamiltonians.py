@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,22 @@ def test_topology_validation():
 def test_topology_sizes_must_be_integers(args, kw, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         Topology(*args, **kw)
+
+
+@pytest.mark.parametrize("kw,name", [
+    (dict(lam=True), "lam"), (dict(lam_tilde="1"), "lam_tilde"),
+    (dict(omega_a=None), "omega_a"), (dict(omega_a=float("nan")), "omega_a"),
+    (dict(omega_f=np.True_), "omega_f"), (dict(omega_f="1"), "omega_f"),
+    (dict(omega_f=[1.0, True]), "omega_f[1]"),
+    (dict(omega_f=(1.0, 2.0, "x")), "omega_f[2]"),
+    (dict(omega_f=[float("inf"), 1.0]), "omega_f[0]")],
+    ids=["lam-bool", "lam-tilde-str", "omega-a-none", "omega-a-nan",
+         "omega-f-numpy-bool", "omega-f-str", "omega-f-entry-bool",
+         "omega-f-entry-str", "omega-f-entry-inf"])
+def test_coupling_fields_must_be_finite_reals(kw, name):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a "
+                                         f"finite real number, got "):
+        CouplingParams(**kw)
 
 
 def test_topology_accepts_numpy_integers():

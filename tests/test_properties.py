@@ -155,7 +155,8 @@ MINIMAL = {
     "sweep-energy": "[sweep]\nnbar_grid = 0.5,1\n",
     "sweep-dim": "[sweep]\nd_list = 2,3\nk_list = 0\n",
     "network": "[topology]\nkind = star\nmodes = 2\n[sweep]\nd_list = 3\n",
-    "hybrid": "[topology]\nkind = hybrid\n[sweep]\nds_list = 2,3\n",
+    "hybrid": "[topology]\nkind = hybrid\n[sweep]\nd_list = 3\nk_list = 1\n"
+              "ds_list = 2,3\n",
     "gaussian": "[gaussian]\nr = 0.1,0.2\n",
     "opt-time": "[regulator]\nd = 3\n",
     "prep": "[prep]\nkinds = cat,noon\n",

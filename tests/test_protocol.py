@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -381,18 +382,27 @@ def test_sweep_dimension_skips_invalid_levels():
     assert [(r.d, r.k) for r in recs] == [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 
 
-@pytest.mark.parametrize("d_list,k_list", [
-    ([3], [5]), ([2, 3], [3]), ([3], [-1, 0]), ([], [0]), ([3], []),
-    ([1], [0]), ([1, 3], [0])],
+@pytest.mark.parametrize("d_list,k_list,message", [
+    ([3], [5], "measured levels k"), ([2, 3], [3], "measured levels k"),
+    ([3], [-1, 0], "measured levels k"), ([], [0], "empty grid"),
+    ([3], [], "empty grid"), ([1], [0], "d_list: a regulator needs d >= 2"),
+    ([1, 3], [0], "d_list: a regulator needs d >= 2"),
+    ([2.5, 3], [0], "d_list entries must be integers, got 2.5"),
+    ([True, 3], [0], "d_list entries must be integers, got True"),
+    ([3], [0.0], "k_list entries must be integers, got 0.0"),
+    ([3], [1, False], "k_list entries must be integers, got False"),
+    ([3], ["0"], "k_list entries must be integers, got '0'")],
     ids=["k-above-d", "k-equal-max-d", "k-negative", "no-d", "no-k",
-         "d-below-2", "one-d-below-2"])
-def test_sweep_dimension_rejects_unrunnable_grid(d_list, k_list, monkeypatch):
-    # a grid with no runnable cell, or a cell no regulator can measure,
-    # is refused before any cell runs
+         "d-below-2", "one-d-below-2", "d-float", "d-bool", "k-float",
+         "k-bool", "k-str"])
+def test_sweep_dimension_rejects_unrunnable_grid(d_list, k_list, message,
+                                                 monkeypatch):
+    # a grid with no runnable cell, a cell no regulator can measure, or
+    # an entry that is not an integer is refused before any cell runs
     runs = []
     monkeypatch.setattr(protocol, "_run_cells",
                         lambda *args: runs.append(args) or [])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         sweep_dimension(_single_cfg(3, 0), d_list, k_list)
     assert runs == []
 

@@ -94,6 +94,22 @@ def test_dst_rejects_negative_params():
         DSTParams(nbar=-1.0)
 
 
+@pytest.mark.parametrize("name", ["alpha_mag", "alpha_phase", "r", "theta",
+                                  "nbar"])
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, 1j,
+                                   float("nan"), float("inf")])
+def test_dst_fields_must_be_finite_reals(name, value):
+    # a bool only compares like a number; a string or None is no number
+    with pytest.raises(ValueError, match=f"^{name} must be a finite real "
+                                         f"number, got "):
+        DSTParams(**{name: value})
+
+
+def test_dst_accepts_numpy_reals():
+    assert DSTParams(np.float64(0.5), nbar=np.int64(1)) == \
+        DSTParams(0.5, nbar=1.0)
+
+
 def test_depolarized_qudit():
     rho = depolarized_qudit(4)
     assert np.real(rho[0, 0]) == pytest.approx(0.5 + 1 / 8)
