@@ -92,7 +92,7 @@ _FEEDS = {
     "state": (DSTParams, {"alpha": "alpha_mag", "alpha_phase": "alpha_phase",
                           "r": "r", "theta": "theta", "nbar": "nbar"}),
     "coupling": (CouplingParams, {"lambda": "lam", "lambda_tilde": "lam_tilde",
-                                  "omega_a": "omega_a", "omega_f": "omega_f"})}
+                                  "detuning": "detuning"})}
 
 
 def _fed(section: str) -> Dict[str, tuple]:
@@ -313,17 +313,21 @@ def _protocol_config(cfg) -> protocol.ProtocolConfig:
 
 def _out_path(cfg, config_path) -> Path:
     """[output] path, or the config's own path with a .csv suffix; its
-    directory must exist and the path must not name a directory."""
+    directory must exist and the path must name neither a directory nor
+    the config file itself."""
     p = cfg["output"]["path"]
     out = Path(p) if p else Path(config_path).with_suffix(".csv")
     try:
         is_dir, in_dir = out.is_dir(), out.parent.is_dir()
+        is_config = out.exists() and out.samefile(config_path)
     except OSError as err:      # a name too long, say
         raise ConfigError(f"cannot write {out}: {err.strerror or err}")
     if is_dir:
         raise ConfigError(f"cannot write {out}: it is a directory")
     if not in_dir:
         raise ConfigError(f"cannot write {out}: no directory {out.parent}")
+    if is_config:
+        raise ConfigError(f"cannot write {out}: it is the config file")
     return out
 
 
@@ -382,9 +386,13 @@ def _run_gaussian(cfg, out):
 def _run_opt_time(cfg, out):
     """One (k, t_opt, residual) row per level of `k_list` (all levels of
     [regulator] d when empty); every k is checked before any search, and
-    each distinct k is searched once."""
+    each distinct k is searched once.  The k = 0 time is fixed for the
+    default coupling alone, so any other coupling takes no k = 0."""
     base = _protocol_config(cfg)
     levels = cfg["sweep"]["k_list"] or range(base.topology.regulator_levels)
+    if 0 in levels and base.coupling != CouplingParams():
+        raise ConfigError("k = 0 has a cycle time at the default [coupling] "
+                          "only; list the levels k >= 1 in [sweep] k_list")
     for k in levels:
         replace(base, regulator_level=k).validate()
     times = {k: protocol.default_cycle_time(base.topology, k, base.coupling)

@@ -8,49 +8,38 @@ qudit ladders sum_k |k><k-1| are unweighted and truncated at the top level
 the last subsystem; in the linear chain the regulator couples to
 oscillator 1 and the chain is open.
 
+The exchanges conserve the total excitation E, so a frequency common to
+every subsystem adds E times it to block E: one phase per block, which
+cancels in every F_n, P_n and |lambda_0|.  Every run is therefore
+computed in the frame rotating with the oscillators, whose free part is
+detuning = omega_a - omega_f times the level of each non-oscillator
+subsystem: the regulator and the hybrid's system qudit.
+
 `Topology` and `CouplingParams` drive every runner; the runners build
 the Hamiltonian one excitation block at a time from
 `Topology.coupling_edges`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from dataclasses import dataclass, fields
+from typing import List, Optional, Tuple
 
 from .hilbert import check_finite_reals, is_int
 
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Coupling strengths and frequencies; defaults are the resonant
-    lam = lam_tilde = omega_a = omega_f = 1 convention.  Every field, and
-    every entry of a sequence omega_f, is a finite real number (no
+    """Coupling strengths and the detuning omega_a - omega_f (module
+    docstring); defaults are the resonant lam = lam_tilde = 1,
+    detuning = 0 convention.  Every field is a finite real number (no
     bool)."""
     lam: float = 1.0          # oscillator-regulator coupling
     lam_tilde: float = 1.0    # oscillator-oscillator hopping
-    omega_a: float = 1.0      # qudit level spacing
-    omega_f: Union[float, Sequence[float]] = 1.0   # per-oscillator frequency
+    detuning: float = 0.0     # qudit level spacing less the oscillators'
 
     def __post_init__(self):
-        wf = self.omega_f
-        if np.isscalar(wf) or not np.iterable(wf):
-            entries = [("omega_f", wf)]
-        else:                                   # hashable, as the caches need
-            object.__setattr__(self, "omega_f", tuple(wf))
-            entries = [(f"omega_f[{i}]", w)
-                       for i, w in enumerate(self.omega_f)]
-        check_finite_reals([("lam", self.lam), ("lam_tilde", self.lam_tilde),
-                            ("omega_a", self.omega_a)] + entries)
-
-    def omega_f_list(self, n_osc: int) -> List[float]:
-        if np.isscalar(self.omega_f):
-            return [float(self.omega_f)] * n_osc
-        wf = [float(w) for w in self.omega_f]
-        if len(wf) != n_osc:
-            raise ValueError(f"omega_f has {len(wf)} entries for {n_osc} oscillators")
-        return wf
+        check_finite_reals((f.name, getattr(self, f.name))
+                           for f in fields(self))
 
 
 TOPOLOGY_KINDS = ("single", "linear", "star", "hybrid")

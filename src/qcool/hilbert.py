@@ -63,8 +63,8 @@ def ladder_block(e, levels: int, lam: float = 1.0,
     coupled by lam * (a raise_R + h.c.) to a `levels`-level ladder qudit.
 
     The block is tridiagonal in |e-q>|q>, q = 0..min(levels-1, e): diagonal
-    q * detuning (detuning = omega_a - omega_f, the common e * omega_f is
-    left to the caller as a phase), off-diagonal lam * sqrt(e - q).  Row q
+    q * detuning, the qudit's free term in the frame rotating with the
+    oscillator (`hamiltonians`), off-diagonal lam * sqrt(e - q).  Row q
     of v is the regulator-level-q amplitude.  The block has at most
     `levels` rows, so a dense eigh is cheaper than a tridiagonal solver's
     call overhead; the sign of each column of v is arbitrary.

@@ -13,9 +13,9 @@ engine paths:
 
 - bright mode (`_bright_mode`): the regulator is a qudit and sees one
   oscillator mode.  For a single oscillator that mode is the
-  oscillator; for a star of M oscillators with one omega_f on every
-  leaf and M equal DSTParams factors it is b = sum_i a_i / sqrt(M), at
-  coupling lam sqrt(M), with an excitation cap e_cap <= cutoff - 1.
+  oscillator; for a star of M oscillators with M equal DSTParams
+  factors it is b = sum_i a_i / sqrt(M), at coupling lam sqrt(M), with
+  an excitation cap e_cap <= cutoff - 1.
   Each block of that mode with the regulator is the tridiagonal
   `hilbert.ladder_block`, giving the diagonal lambda_{i,d}^k of V
   directly (`effective_lambdas`), so only one-mode weights matter:
@@ -26,20 +26,20 @@ engine paths:
 - blocked (`_blocked_run`): every other network, the hybrid pair and the
   oscillator regulator, over the composite basis.  It is also the test
   oracle of the bright-mode path.  Every coupling graph is a tree over
-  all subsystems, so it is bipartite, and at resonance (omega_a equal
-  to every omega_f) block E is E omega I plus a coupling
-  H_int = [[0, B], [B^T, 0]] between its two sublattices; the chiral
-  sub-path (`_chiral_block`) then takes V from one eigh of B B^T, half
-  the block size, in a gauge where V is real.  Detuned runs diagonalise
+  all subsystems, so it is bipartite, and at resonance (detuning 0)
+  block E is the coupling H_int = [[0, B], [B^T, 0]] between its two
+  sublattices alone; the chiral sub-path (`_chiral_block`) then takes V
+  from one eigh of B B^T, half the block size, in a gauge where V is
+  real.  Detuned runs diagonalise
   each block whole, and that path is the chiral path's test oracle.
   Both take numpy's `eigh`, bound here as `eigh` so that the blocks
   each path diagonalises can be observed.  This is the one path that
   needs coherences, so it alone builds full initial density matrices
   (`_resolve_factors`).  It reads the system's layout from
-  `Topology.subsystems` alone: each subsystem's level cap, bosonic flag
-  and frequency (`_sub_caps`, `_frequencies`) and the initial factors
-  (`_factor_inputs`).  Only the routing (`_bright_oscillator`), the
-  k = 0 default times and `ProtocolConfig.validate` read the kind.
+  `Topology.subsystems` alone: each subsystem's level cap and bosonic
+  flag (`_sub_caps`) and the initial factors (`_factor_inputs`).  Only
+  the routing (`_bright_oscillator`), the k = 0 default times and
+  `ProtocolConfig.validate` read the kind.
 
 `run_protocol`, `sweep_dimension` and `sweep_energy` share one path
 (`_run_cells`), whose cells are (d, k, initial system) triples; a
@@ -128,7 +128,10 @@ class ProtocolConfig:
     than 1e-6 of population above it raises TruncationError.
     `validate` rejects settings a run would ignore: a non-default
     coupling lam_tilde off a linear chain of M >= 2, and a non-default
-    topology system_levels off the hybrid.
+    topology system_levels off the hybrid.  The coupling is stated in
+    the frame rotating with the oscillators (`CouplingParams`): a
+    frequency common to every subsystem changes no F_n or P_n, so only
+    the detuning is a field.
     """
     topology: Topology
     initial_system: Union[DSTParams, np.ndarray, Sequence]
@@ -195,20 +198,21 @@ class ProtocolTrace:
 
 @lru_cache(maxsize=256)
 def effective_lambdas(d: int, k: int, t: float, count: int, lam: float = 1.0,
-                      omega_a: float = 1.0, omega_f: float = 1.0) -> np.ndarray:
-    """lambda_{i,d}^k(t) for i = 0..count-1, free of Fock-cutoff edge error.
+                      detuning: float = 0.0) -> np.ndarray:
+    """lambda_{i,d}^k(t) for i = 0..count-1, free of Fock-cutoff edge error,
+    in the frame rotating with the oscillator: the lab frame's lambda_i
+    carries a further phase e^{-i E omega_f t}, which no trace sees, as
+    every trace reads |lambda_i| alone.
 
     Block E = i + k is the tridiagonal `ladder_block`: diagonal
-    (E-q) omega_f + q omega_a, off-diagonal lam sqrt(E - q); the common
-    E omega_f is applied as an outer phase.  All blocks are diagonalised
+    q detuning, off-diagonal lam sqrt(E - q).  All blocks are diagonalised
     as one stack of d-row blocks; rows q > E of a padded block are
     decoupled from row k <= E, so lambda = <k|exp(-i H t)|k> =
     sum_j v_kj^2 e^{-i w_j t} is that of the E-block alone, also when
     the padding's eigenvalues are degenerate with it."""
     e = np.arange(k, k + count)
-    w, v = ladder_block(e, d, lam, omega_a - omega_f)
-    amp = (v[:, k] ** 2 * np.exp(-1j * w * t)).sum(-1)
-    out = np.exp(-1j * e * omega_f * t) * amp
+    w, v = ladder_block(e, d, lam, detuning)
+    out = (v[:, k] ** 2 * np.exp(-1j * w * t)).sum(-1)
     out.setflags(write=False)
     return out
 
@@ -285,13 +289,6 @@ def _sub_caps(topology: Topology, e_cap: int) -> Tuple[List[int], List[bool]]:
             [bosonic for bosonic, _ in subs])
 
 
-def _frequencies(topology: Topology, params: CouplingParams) -> List[float]:
-    """Per-subsystem frequencies, regulator last: omega_f on each
-    oscillator, omega_a on every qudit and on the regulator."""
-    rest = len(topology.subsystems) - topology.modes
-    return params.omega_f_list(topology.modes) + [params.omega_a] * rest
-
-
 def _chiral_colours(topology: Topology,
                     params: CouplingParams) -> Optional[np.ndarray]:
     """0/1 colour per subsystem, the regulator (last) 0 and the two ends
@@ -299,18 +296,18 @@ def _chiral_colours(topology: Topology,
     else None.  Every `Topology.coupling_edges` graph is a tree over all
     its subsystems (single: one edge; linear: a path; star: a star;
     hybrid: qudit-oscillator-regulator), so it is bipartite and
-    resonance (one frequency on every subsystem) alone makes the blocks
-    chiral; a breadth-first walk from the regulator colours the tree."""
-    freqs = _frequencies(topology, params)
-    if len(set(freqs)) != 1:
+    resonance (detuning 0) alone makes the blocks chiral; a
+    breadth-first walk from the regulator colours the tree."""
+    if params.detuning != 0:
         return None
-    adj: List[List[int]] = [[] for _ in freqs]
+    n = len(topology.subsystems)
+    adj: List[List[int]] = [[] for _ in range(n)]
     for i, j, _ in topology.coupling_edges(params):
         adj[i].append(j)
         adj[j].append(i)
-    colour = np.full(len(freqs), -1)
+    colour = np.full(n, -1)
     colour[-1] = 0
-    queue = [len(freqs) - 1]
+    queue = [n - 1]
     for a in queue:                     # the queue grows as it is walked
         for b in adj[a]:
             if colour[b] < 0:
@@ -354,17 +351,17 @@ def _joint_block(e_tot: int, k: int, caps: Sequence[int], bos: Sequence[bool],
                          np.concatenate(amp))
 
 
-def _block_hamiltonian(joint: np.ndarray, hops, freqs: Sequence[float]) -> np.ndarray:
-    """Dense excitation-block matrix of free + exchange couplings; the
-    hops give one triangle, the transpose the conjugate terms."""
+def _block_hamiltonian(joint: np.ndarray, hops, detuning: float,
+                       modes: int) -> np.ndarray:
+    """Dense excitation-block matrix of free + exchange couplings in the
+    oscillators' rotating frame: detuning times the levels held on the
+    subsystems after the `modes` oscillators.  The hops give one
+    triangle, the transpose the conjugate terms."""
     src, tgt, amp = hops
     n = len(joint)
     h = np.zeros((n, n))
     np.add.at(h, (tgt, src), amp)
-    diag = np.zeros(n)
-    for m, f in enumerate(freqs):
-        diag = diag + f * joint[:, m]
-    return h + h.T + np.diag(diag)
+    return h + h.T + np.diag(detuning * joint[:, modes:].sum(axis=1))
 
 
 class _ChiralBlock(NamedTuple):
@@ -562,18 +559,16 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
     (`_block_trace_powers`); the calling thread computes it before the
     tasks of blocks 1..e_cap start, and the sum starts from it.
 
-    With one frequency on every subsystem (resonance) the free part is
-    E omega on block E, a phase that drops out of every trace, and the
-    coupling graph, a tree over all subsystems (`_chiral_colours`),
-    makes each block chiral: `_chiral_block` then needs one eigh of half
-    size and a real V.  Otherwise each block is diagonalised whole."""
+    At resonance (detuning 0) there is no free part, and the coupling
+    graph, a tree over all subsystems (`_chiral_colours`), makes each
+    block chiral: `_chiral_block` then needs one eigh of half size and
+    a real V.  Otherwise each block is diagonalised whole."""
     dims = sorted({topo.regulator_levels for topo in topologies})
     top = max(topologies, key=lambda topo: topo.regulator_levels)
     caps, bos = _sub_caps(top, e_cap + k)
     for m, f in enumerate(factors):
         caps[m] = min(caps[m], f.shape[0] - 1)  # never index past a factor
     edges = top.coupling_edges(params)
-    freqs = _frequencies(top, params)
     colour = _chiral_colours(top, params)
 
     def build(e_s):
@@ -600,7 +595,8 @@ def _blocked_run(topologies: Sequence[Topology], params: CouplingParams, k: int,
             joint, rows, hops, rho = data
             keep = (hops[0] < ends[i]) & (hops[1] < ends[i])
             h = _block_hamiltonian(joint[:ends[i]],
-                                   tuple(h[keep] for h in hops), freqs)
+                                   tuple(h[keep] for h in hops),
+                                   params.detuning, top.modes)
             vk = expm_hermitian(h, t, rows=rows, solver=eigh)
         else:
             vk, rho = _chiral_block(data, data.corners[i], t), data.rho
@@ -772,24 +768,21 @@ def _bright_oscillator(topology: Topology, coupling: CouplingParams
                        ) -> Optional[Tuple[Topology, CouplingParams]]:
     """The one oscillator any regulator sees, as a single topology and its
     coupling: a single oscillator, or the bright mode sum_i a_i / sqrt(M)
-    of a star with one omega_f on every leaf, at lam sqrt(M); else None."""
+    of a star, at lam sqrt(M); else None."""
     if topology.kind not in ("single", "star"):
-        return None
-    omega_f = set(coupling.omega_f_list(topology.modes))
-    if len(omega_f) != 1:
         return None
     return replace(topology, kind="single", modes=1), CouplingParams(
         lam=coupling.lam * math.sqrt(topology.modes),
-        omega_a=coupling.omega_a, omega_f=omega_f.pop())
+        detuning=coupling.detuning)
 
 
 def _bright_mode(cfg: ProtocolConfig) -> Optional[Tuple[np.ndarray, float]]:
     """The weights and F scale of the one mode the regulator sees
     (`_bright_oscillator`), for `_trace_single`; None when the initial
     state does not reduce.  The caller has checked the topology: a
-    single oscillator or a star with one omega_f on every leaf, with a
-    qudit regulator.  Only populations are read, so no density matrix is
-    built, and nothing here depends on d or k.
+    single oscillator or a star, with a qudit regulator.  Only
+    populations are read, so no density matrix is built, and nothing
+    here depends on d or k.
 
     A single oscillator is its own bright mode: the weights are its Fock
     populations (`states.dst_populations`, or a density matrix's
@@ -840,7 +833,7 @@ def vacuum_modes(topology: Topology, coupling: CouplingParams,
                  k: int) -> opttime.VacuumModes:
     """The modes of lambda_0 at measurement level k: the eigenpairs of the
     excitation block e = k holding |0...0>|k>, built as the blocked
-    engine builds it, less the vacuum's energy k omega_a, a phase of
+    engine builds it, less the vacuum's energy k detuning, a phase of
     lambda_0.  Folded when the block is chiral (resonant, on a coupling
     tree), whose spectrum is symmetric.  Cached at d = k + 1, as every
     d > k has the same block; a uniform star's is its bright mode's
@@ -862,7 +855,7 @@ def _vacuum_block(topology: Topology, coupling: CouplingParams,
     caps, bos = _sub_caps(topology, k)
     joint, rows, hops = _joint_block(k, k, caps, bos,
                                      topology.coupling_edges(coupling))
-    h = _block_hamiltonian(joint, hops, _frequencies(topology, coupling))
+    h = _block_hamiltonian(joint, hops, coupling.detuning, topology.modes)
     vac = rows.start                # the block's one regulator-level-k row
     w, v = eigh(h - h[vac, vac] * np.eye(len(h)))
     chiral = _chiral_colours(topology, coupling) is not None
@@ -943,7 +936,7 @@ def _run_cells(base: ProtocolConfig, cells: Sequence[Tuple[
         modes = [bright[id(cfgs[i].initial_system)] for i in idx]
         osc = reduced[1]
         lams = effective_lambdas(d, k, t, max(len(w) for w, _ in modes),
-                                 osc.lam, osc.omega_a, osc.omega_f)
+                                 osc.lam, osc.detuning)
         pw = _power_table(lams, base.n_max)
         for i, (w, scale) in zip(idx, modes):
             fid, prob = _trace_single(pw, w)
@@ -1001,7 +994,7 @@ class ReportRule:
 
     converged: first cycle with |F_n - F_{n-1}| < convergence_tol and
                F_n >= fidelity_target (n_max when none).
-    cooled:    last cycle with F below stop.
+    cooled:    the cycle before F first reaches stop.
     settled:   first cycle of a quiet fidelity window (settle_tol).
     auto:      cooled when stop is reached, else settled, else n_max.
     `sweep_energy` reads no mode: its N is the first cycle with
@@ -1045,8 +1038,9 @@ class ReportRule:
         return int(conv[0]) + 1 if len(conv) else None
 
     def cooled(self, fid: np.ndarray) -> int:
-        """Last cycle with F below stop; the last cycle n_max when the
-        threshold is never crossed (or already satisfied at n=0)."""
+        """The cycle before F first reaches stop, whatever F does after
+        it; the last cycle n_max when the threshold is never reached (or
+        already reached at n=0)."""
         above = np.nonzero(fid >= self.stop)[0]
         if len(above) == 0 or above[0] == 0:
             return len(fid) - 1

@@ -60,7 +60,8 @@ class DSTParams:
     """Parameters of a displaced squeezed thermal state.
 
     alpha = alpha_mag * exp(i alpha_phase), z = r * exp(i theta).  Every
-    field is a finite real number (no bool).
+    field is a finite real number (no bool); alpha_mag, r and nbar are
+    >= 0.
     """
     alpha_mag: float = 0.0
     alpha_phase: float = 0.0
@@ -71,8 +72,10 @@ class DSTParams:
     def __post_init__(self):
         check_finite_reals((f.name, getattr(self, f.name))
                            for f in fields(self))
-        if self.nbar < 0 or self.r < 0 or self.alpha_mag < 0:
-            raise ValueError("alpha_mag, r, nbar must be non-negative")
+        for name in ("alpha_mag", "r", "nbar"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def alpha(self) -> complex:

@@ -44,17 +44,18 @@ def _embed(space: tuple, mode: int, local: np.ndarray) -> np.ndarray:
 
 def hamiltonian(topo: Topology, params: CouplingParams,
                 cutoff: int) -> tuple:
-    """(dims, H): free terms omega_f a^dag a on every oscillator and
-    omega_a times the level on every qudit (and on an oscillator
-    regulator), plus w (lower_i raise_j + h.c.) for each coupling edge
-    (i, j, w).  Oscillator ladders carry sqrt(n); qudit ladders are 1."""
+    """(dims, H) in the frame rotating with the oscillators: the free
+    term detuning times the level on every subsystem after the
+    oscillators (the hybrid's system qudit and the regulator, an
+    oscillator regulator included), plus w (lower_i raise_j + h.c.) for
+    each coupling edge (i, j, w).  Oscillator ladders carry sqrt(n);
+    qudit ladders are 1.  The lab frame adds omega_f times the total
+    excitation (`levels`), which commutes with H."""
     space = dims(topo, cutoff)
-    n_osc = 1 if topo.kind == "hybrid" else topo.modes
-    bosonic = [m < n_osc for m in range(len(space))]
+    bosonic = [m < topo.modes for m in range(len(space))]
     bosonic[-1] = topo.regulator_kind == "oscillator"
-    freqs = params.omega_f_list(n_osc) + [params.omega_a] * (len(space) - n_osc)
     lev = np.indices(space).reshape(len(space), -1)
-    h = np.diag((np.array(freqs) @ lev).astype(complex))
+    h = np.diag(params.detuning * lev[topo.modes:].sum(axis=0)).astype(complex)
     low = [_embed(space, m, lowering(n, bosonic[m]))
            for m, n in enumerate(space)]
     for i, j, w in topo.coupling_edges(params):
@@ -163,7 +164,7 @@ def qubit_asymptotic_fidelity(rho_v: np.ndarray, k: int) -> float:
 
 # ------------------------------------------- vacuum-amplitude structure
 
-# the optima of one oscillator's |lambda_0| at lambda = omega_a = omega_f = 1
+# the optima of one oscillator's |lambda_0| at lambda = 1, detuning 0
 ANALYTIC_TOPT = {0: np.pi / 2, 1: np.pi, 2: 2 * np.pi / np.sqrt(3)}
 
 

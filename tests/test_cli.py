@@ -89,6 +89,18 @@ def test_unknown_key_rejected(tmp_path):
         load_config(cfg)
 
 
+@pytest.mark.parametrize("key", ["omega_a", "omega_f"])
+def test_frequencies_are_unknown_keys(tmp_path, capsys, monkeypatch, key):
+    # only their difference, [coupling] detuning, can change a run
+    calls = _forbid(monkeypatch, (protocol, "_run_cells"))
+    cfg = _write(tmp_path, "f.cfg", COOL_CFG + f"[coupling]\n{key} = 1.0\n")
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: unknown key '{key}' in [coupling]\n"
+    assert calls == []
+
+
 def test_unknown_section_rejected(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "[solver]\nx = 1\n")
     assert main(["run", str(cfg)]) == 2
@@ -159,7 +171,7 @@ k_list = 0,1,2
     assert t == pytest.approx([np.pi / 2, np.pi, 2 * np.pi / np.sqrt(3)])
 
 
-def test_opt_time_reads_topology_and_coupling(tmp_path, capsys):
+def test_opt_time_reads_topology_and_coupling(tmp_path, capsys, monkeypatch):
     # the rule of the default cycle time: a star of M = 3 at lambda = 2
     # sees its bright mode at 2 sqrt(3), so k = 1 takes pi / (2 sqrt(3))
     text = ("[experiment]\nkind = opt-time\n[topology]\nkind = star\n"
@@ -173,10 +185,16 @@ def test_opt_time_reads_topology_and_coupling(tmp_path, capsys):
                                               rel=1e-8)
     # k = 2: the single oscillator's 2 pi / sqrt(3), over 2 sqrt(3)
     assert float(rows[2][1]) == pytest.approx(np.pi / 3, rel=1e-8)
-    # k = 0 has no time of its own at this coupling
-    cfg = _write(tmp_path, "ot.cfg", text.format("0,1"))
-    assert main(["run", str(cfg)]) == 2
-    assert "set [protocol] t" in capsys.readouterr().err
+    # k = 0 has no time of its own at this coupling, whether listed or
+    # implied by an empty k_list; rejected before any search
+    calls = _forbid(monkeypatch, (protocol, "default_cycle_time"))
+    for k_list in ("0,1", ""):
+        cfg = _write(tmp_path, "ot.cfg", text.format(k_list))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: k = 0 has a cycle time at the default [coupling] "
+            "only; list the levels k >= 1 in [sweep] k_list\n")
+    assert calls == []
 
 
 def test_zero_coupling_without_time_exits_2(tmp_path, capsys):
@@ -440,8 +458,7 @@ def test_schema_report_defaults_are_the_rules():
             ("topology", "regulator_kind", Topology, "regulator_kind"),
             ("coupling", "lambda", CouplingParams, "lam"),
             ("coupling", "lambda_tilde", CouplingParams, "lam_tilde"),
-            ("coupling", "omega_a", CouplingParams, "omega_a"),
-            ("coupling", "omega_f", CouplingParams, "omega_f"),
+            ("coupling", "detuning", CouplingParams, "detuning"),
             ("regulator", "k", protocol.ProtocolConfig, "regulator_level"),
             ("protocol", "t", protocol.ProtocolConfig, "cycle_time"),
             ("protocol", "n_max", protocol.ProtocolConfig, "n_max"),
@@ -604,8 +621,7 @@ def test_loaded_config_holds_only_read_keys(tmp_path, capsys):
         "[experiment]\nkind = opt-time\n\n"
         "[topology]\nkind = single\nmodes = 1\nsystem_levels = 2\n"
         "regulator_kind = qudit\n\n"
-        "[coupling]\nlambda = 1.0\nlambda_tilde = 1.0\nomega_a = 1.0\n"
-        "omega_f = 1.0\n\n"
+        "[coupling]\nlambda = 1.0\nlambda_tilde = 1.0\ndetuning = 0.0\n\n"
         "[regulator]\nd = 4\n\n[sweep]\nk_list = \n\n[output]\npath = \n")
 
 
@@ -668,6 +684,19 @@ def test_unwritable_output_exits_2_before_the_run(tmp_path, capsys,
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err == \
         f"config error: cannot write {long}: File name too long\n"
+    # the path names the config file itself, set or by default
+    cfg = tmp_path / "c.cfg"
+    text = COOL_CFG + f"[output]\npath = {cfg}\n"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {cfg}: it is the config file\n"
+    assert cfg.read_text() == text
+    cfg = _write(tmp_path, "c.csv", COOL_CFG)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {cfg}: it is the config file\n"
+    assert cfg.read_text() == COOL_CFG
     assert calls == []
     assert not missing.parent.exists()
 
@@ -702,12 +731,15 @@ def test_emit_csv_formats(tmp_path):
     "probability_floor = 1.5", "probability_floor = -0.1",
     "t = 1\n[coupling]\nlambda = nan",
     "t = 1\n[coupling]\nlambda_tilde = inf",
+    # no longer keys: only their difference, detuning, is
     "t = 1\n[coupling]\nomega_a = nan", "t = 1\n[coupling]\nomega_f = inf",
+    "t = 1\n[coupling]\ndetuning = nan", "t = 1\n[coupling]\ndetuning = inf",
     "t = 1\n[coupling]\nlambda_tilde = 3", "t = 1\n[topology]\nsystem_levels = 7"],
     ids=["t = nan", "t = -1", "fidelity_target = 2.0", "convergence_tol = -1",
          "convergence_tol = inf", "e_max = -1", "probability_floor = nan",
          "probability_floor = 1.5", "probability_floor = -0.1", "lambda = nan",
          "lambda_tilde = inf", "omega_a = nan", "omega_f = inf",
+         "detuning = nan", "detuning = inf",
          "single-lambda_tilde = 3", "single-system_levels = 7"])
 def test_bad_protocol_values_exit_2(tmp_path, line, capsys):
     # COOL_CFG ends in [protocol]; a coupling line opens its own section
@@ -782,7 +814,9 @@ DS_MESSAGES = {
     "[experiment]\nkind = prep\n[prep]\nkinds = cat\nn_components = 3\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = noon\nd = 5\ncutoff = 4\n",
     "[experiment]\nkind = prep\n[prep]\nkinds = hybrid-entangled\nd = 0\n",
+    # a per-oscillator omega_f: no key, and detuning is one number
     "[experiment]\nkind = cool\n[coupling]\nomega_f = 1,1.1\n[protocol]\nt = 1\n",
+    "[experiment]\nkind = cool\n[coupling]\ndetuning = 1,1.1\n[protocol]\nt = 1\n",
     "[experiment]\nkind = sweep-dim\n[sweep]\nd_list = 1,2\nk_list = 0\n",
     DS_BELOW_2,
     "[experiment]\nkind = sweep-energy\n[sweep]\nnbar_grid = -1\n",
@@ -827,6 +861,7 @@ DS_MESSAGES = {
     "[experiment]\nkind = opt-time\n[topology]\nkind = star\nmodes = 2\n"
     "system_levels = 7\n[regulator]\nd = 3\n[sweep]\nk_list = 1\n"],
     ids=["opt-time-k", "prep-cat", "prep-cutoff", "prep-d", "omega-f-list",
+         "detuning-list",
          "d-list", "ds-list", "nbar-grid", "opt-time-k-above-d",
          "opt-time-d", "gaussian-nbar", "sweep-k-above-d", "sweep-k-equal-d",
          "sweep-k-negative", "network-k-above-d", "hybrid-k-above-d",

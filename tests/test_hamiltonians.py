@@ -5,6 +5,7 @@ import pytest
 
 from qcool import protocol
 from qcool.hamiltonians import CouplingParams, Topology
+from qcool.states import DSTParams, depolarized_qudit, displaced_squeezed_thermal
 
 import oracle
 
@@ -16,19 +17,12 @@ def _index(space, levels):
 
 
 def test_free_hamiltonian_small_example():
-    # oscillator (omega_f = 2) then qudit regulator (omega_a = 1)
+    # oscillator (omega_f = 2) then qudit regulator (omega_a = 1): in the
+    # oscillator's frame only the regulator's level costs -1
     _, h = oracle.hamiltonian(Topology("single", 2),
-                              CouplingParams(omega_a=1.0, omega_f=2.0, **FREE), 2)
-    assert np.allclose(np.diag(h), [0.0, 1.0, 2.0, 3.0])
+                              CouplingParams(detuning=-1.0, **FREE), 2)
+    assert np.allclose(np.diag(h), [0.0, -1.0, 0.0, -1.0])
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-
-
-def test_omega_f_list_validation():
-    p = CouplingParams(omega_f=[1.0, 2.0])
-    assert p.omega_f_list(2) == [1.0, 2.0]
-    with pytest.raises(ValueError):
-        p.omega_f_list(3)
-    assert CouplingParams(omega_f=3.0).omega_f_list(2) == [3.0, 3.0]
 
 
 def test_coupling_edges_layouts():
@@ -69,14 +63,10 @@ def test_topology_sizes_must_be_integers(args, kw, name):
 
 @pytest.mark.parametrize("kw,name", [
     (dict(lam=True), "lam"), (dict(lam_tilde="1"), "lam_tilde"),
-    (dict(omega_a=None), "omega_a"), (dict(omega_a=float("nan")), "omega_a"),
-    (dict(omega_f=np.True_), "omega_f"), (dict(omega_f="1"), "omega_f"),
-    (dict(omega_f=[1.0, True]), "omega_f[1]"),
-    (dict(omega_f=(1.0, 2.0, "x")), "omega_f[2]"),
-    (dict(omega_f=[float("inf"), 1.0]), "omega_f[0]")],
-    ids=["lam-bool", "lam-tilde-str", "omega-a-none", "omega-a-nan",
-         "omega-f-numpy-bool", "omega-f-str", "omega-f-entry-bool",
-         "omega-f-entry-str", "omega-f-entry-inf"])
+    (dict(detuning=None), "detuning"), (dict(detuning=float("nan")), "detuning"),
+    (dict(detuning=np.True_), "detuning"), (dict(detuning="1"), "detuning")],
+    ids=["lam-bool", "lam-tilde-str", "detuning-none", "detuning-nan",
+         "detuning-numpy-bool", "detuning-str"])
 def test_coupling_fields_must_be_finite_reals(kw, name):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a "
                                          f"finite real number, got "):
@@ -100,16 +90,21 @@ OSC = (True, None)      # an oscillator: bosonic, capped by the run
     ids=["single", "linear-m3", "star-m3", "hybrid-ds3"])
 def test_subsystem_layout(kind, kw, system, regulator_kind):
     # the system's subsystems, then the regulator: 4 levels, bosonic only
-    # as an oscillator; the engine's caps and frequencies read this layout
+    # as an oscillator; the engine's caps and free term read this layout
     topo = Topology(kind, 4, regulator_kind=regulator_kind, **kw)
     regulator = (regulator_kind == "oscillator", 4)
     assert topo.subsystems == system + [regulator]
     caps, bos = protocol._sub_caps(topo, 5)
     assert caps == [5 if n is None else n - 1 for _, n in topo.subsystems]
     assert bos == [b for b, _ in topo.subsystems]
-    p = CouplingParams(lam=1.5, lam_tilde=0.5, omega_a=1.0, omega_f=2.0)
-    assert protocol._frequencies(topo, p) == [
-        2.0 if n is None else 1.0 for _, n in topo.subsystems]
+    p = CouplingParams(lam=1.5, lam_tilde=0.5, detuning=-1.0)
+    # the free term: detuning times the levels on every bounded subsystem
+    joint = protocol._level_tuples(3, caps)
+    none = np.array([], dtype=np.int64)
+    h = protocol._block_hamiltonian(joint, (none, none, none.astype(float)),
+                                    p.detuning, topo.modes)
+    bounded = [n is not None for _, n in topo.subsystems]
+    assert np.array_equal(np.diag(h), -joint[:, bounded].sum(axis=1))
     # the regulator is the last subsystem, each of its edges at lam
     edges = topo.coupling_edges(p)
     reg = len(topo.subsystems) - 1
@@ -121,7 +116,7 @@ def test_subsystem_layout(kind, kw, system, regulator_kind):
 def test_single_mode_exchange_elements():
     # <n-1, k+1|H_int|n, k> = lam sqrt(n)
     sp, h = oracle.hamiltonian(Topology("single", 3),
-                               CouplingParams(lam=2.0, omega_a=0.0, omega_f=0.0), 4)
+                               CouplingParams(lam=2.0), 4)
     for n in range(1, 4):
         for k in range(2):
             i = _index(sp, (n - 1, k + 1))
@@ -138,7 +133,7 @@ def test_total_hamiltonian_hermitian_and_conserving():
         (Topology("hybrid", 2, system_levels=3), 5),
         (Topology("single", 3, regulator_kind="oscillator"), 5),
     ]
-    p = CouplingParams(lam=1.0, lam_tilde=0.7, omega_a=1.0, omega_f=1.0)
+    p = CouplingParams(lam=1.0, lam_tilde=0.7)
     for topo, cutoff in cases:
         space, h = oracle.hamiltonian(topo, p, cutoff)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
@@ -164,8 +159,7 @@ def test_linear_chain_hopping_present():
 
 def test_hybrid_couples_oscillator_to_both_qudits():
     space, h = oracle.hamiltonian(Topology("hybrid", 3, system_levels=3),
-                                  CouplingParams(lam=1.0, omega_a=0.0,
-                                                 omega_f=0.0), 4)
+                                  CouplingParams(lam=1.0), 4)
     osc, qudit, reg = (_index(space, x) for x in ((1, 0, 0), (0, 1, 0),
                                                   (0, 0, 1)))
     # oscillator photon converts into a system-qudit excitation...
@@ -177,7 +171,50 @@ def test_hybrid_couples_oscillator_to_both_qudits():
 
 
 def test_excitation_levels_match_free_energy_at_unit_frequencies():
+    # omega_f = 1, omega_a = 1.5: the lab frame's free energy, oscillator
+    # levels plus 1.5 times the regulator's, is the rotating frame's
+    # detuning term plus the excitation level
     topo = Topology("linear", 3, modes=2)
-    space, h0 = oracle.hamiltonian(
-        topo, CouplingParams(omega_a=1.0, omega_f=1.0, **FREE), 4)
-    assert np.allclose(np.diag(h0).real, oracle.levels(space))
+    space, h0 = oracle.hamiltonian(topo, CouplingParams(detuning=0.5, **FREE), 4)
+    lev = np.indices(space).reshape(len(space), -1)
+    lab = lev[0] + lev[1] + 1.5 * lev[2]
+    assert np.array_equal(np.diag(h0).real + oracle.levels(space), lab)
+
+
+def _dense_trace(v: np.ndarray, rho: np.ndarray, n_max: int) -> tuple:
+    """F_n, P_n of n kept cycles, by iterating rho -> V rho V^dag."""
+    fid, prob = [], []
+    for _ in range(n_max + 1):
+        prob.append(np.real(np.trace(rho)))
+        fid.append(np.real(rho[0, 0]) / prob[-1])
+        rho = v @ rho @ v.conj().T
+    return np.array(fid), np.array(prob)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("topo,cutoff", [
+    (Topology("single", 3), 9), (Topology("linear", 3, modes=2), 8),
+    (Topology("hybrid", 3, system_levels=2), 9)],
+    ids=["single", "linear-m2", "hybrid-ds2"])
+def test_common_frequency_is_invisible(topo, cutoff, k):
+    # H conserves the total excitation N, so omega N adds one phase per
+    # excitation block: no F_n, P_n or |lambda_0| can see it, which is
+    # why a coupling states only the detuning
+    coupling = CouplingParams(lam=1.3, lam_tilde=0.7, detuning=0.3)
+    omega, t = 0.7, 2.1
+    state = DSTParams(alpha_mag=0.3, alpha_phase=0.4, r=0.1, nbar=0.1)
+    rho = np.eye(1)
+    for m, size in enumerate(oracle.dims(topo, cutoff)[:-1]):
+        rho = np.kron(rho, displaced_squeezed_thermal(state, size)
+                      if m < topo.modes else depolarized_qudit(size))
+    space, h = oracle.hamiltonian(topo, coupling, cutoff)
+    traces = [_dense_trace(oracle.compress(oracle.evolve(
+        h + w * np.diag(oracle.levels(space)), t), k, space), rho, 12)
+        for w in (0.0, omega)]
+    for plain, shifted in zip(*traces):
+        assert np.max(np.abs(plain - shifted)) <= 1e-12
+    space, h = oracle.hamiltonian(topo, coupling, k + 1)
+    vac = np.ravel_multi_index((0,) * (len(space) - 1) + (k,), space)
+    u = oracle.evolve(h + omega * np.diag(oracle.levels(space)), t)
+    assert abs(abs(u[vac, vac]) - oracle.vacuum_amplitude(topo, coupling, k, t)) \
+        <= 1e-12

@@ -142,7 +142,7 @@ def test_oscillator_regulator_matches_qudit_saturation():
 
 # ------------------------------------------------ star bright-mode route
 
-ODD_COUPLING = CouplingParams(lam=1.3, omega_a=1.2, omega_f=0.9)
+ODD_COUPLING = CouplingParams(lam=1.3, detuning=0.3)
 
 
 @pytest.fixture
@@ -252,8 +252,7 @@ def test_oscillator_regulator_size_matters():
 
 
 @pytest.mark.parametrize("case", ["density-matrix", "unequal-factors",
-                                  "omega-f-list", "oscillator-regulator",
-                                  "cap-beyond-cutoff"])
+                                  "oscillator-regulator", "cap-beyond-cutoff"])
 def test_star_fallbacks_reach_blocked_engine(case, blocked_calls):
     kw = dict(cutoff=20, n_max=10, cycle_time=np.pi / 2)
     topo = Topology("star", 3, modes=2)
@@ -262,8 +261,6 @@ def test_star_fallbacks_reach_blocked_engine(case, blocked_calls):
         init = displaced_squeezed_thermal(STAR_STATE, 20)
     elif case == "unequal-factors":
         init = [STAR_STATE, replace(STAR_STATE, nbar=0.06)]
-    elif case == "omega-f-list":
-        kw["coupling"] = CouplingParams(omega_f=[1.0, 1.1])
     elif case == "oscillator-regulator":
         topo = replace(topo, regulator_kind="oscillator")
     else:                     # e_cap 5 above cutoff - 1 = 4
@@ -345,8 +342,8 @@ def test_chiral_block_matches_per_dimension_oracle(layout, monkeypatch):
                                    preps.items() for end in args[5]})
 
 
-@pytest.mark.parametrize("omega_a", [1.0, 1.2], ids=["resonant", "detuned"])
-def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
+@pytest.mark.parametrize("detuning", [0.0, 0.2], ids=["resonant", "detuned"])
+def test_resonant_blocks_skip_full_eigh(detuning, monkeypatch):
     # a block's joint build and its eigh run in one worker thread, so the
     # thread's last joint size pairs each eigh with its block
     joint_block, eigh, chiral_prep, chiral_block = (
@@ -354,7 +351,7 @@ def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
         protocol._chiral_block)
     last = threading.local()
     cfg = ProtocolConfig(Topology("linear", 3, modes=2), STAR_STATE,
-                         cycle_time=2.1, coupling=CouplingParams(omega_a=omega_a),
+                         cycle_time=2.1, coupling=CouplingParams(detuning=detuning),
                          cutoff=20, n_max=10)
     for workers in (1, 2):
         blocks, pairs, preps, chiral = [], [], [], []
@@ -384,7 +381,7 @@ def test_resonant_blocks_skip_full_eigh(omega_a, monkeypatch):
         monkeypatch.setattr(protocol, "_chiral_block", chiral_spy)
         run_protocol(cfg)
         assert len(blocks) == len(pairs) > 3
-        if omega_a == 1.0:
+        if detuning == 0.0:
             assert len(preps) == len(chiral) == len(blocks)
             assert all(m < n for n, m in pairs if n > 1)
         else:
@@ -399,7 +396,7 @@ WORKER_CASES = {
         cycle_time=np.pi / 2, cutoff=20, n_max=40, e_max=12),
     "linear-detuned": ProtocolConfig(
         Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=2.1,
-        coupling=CouplingParams(omega_a=1.2), cutoff=20, n_max=40),
+        coupling=CouplingParams(detuning=0.2), cutoff=20, n_max=40),
     "hybrid": ProtocolConfig(
         Topology("hybrid", 4, system_levels=3), NETWORK_STATE,
         regulator_level=1, cutoff=30, n_max=40),
@@ -473,7 +470,7 @@ SWEEP_CASES = {
         cutoff=20, n_max=40, e_max=12), [3, 4, 5, 6], [0, 1]),
     "linear-detuned": (ProtocolConfig(
         Topology("linear", 3, modes=2), NETWORK_STATE, cycle_time=2.1,
-        coupling=CouplingParams(omega_a=1.2), cutoff=20, n_max=40),
+        coupling=CouplingParams(detuning=0.2), cutoff=20, n_max=40),
         [2, 3, 4], [0, 1]),
     "hybrid": (ProtocolConfig(
         Topology("hybrid", 2, system_levels=3), NETWORK_STATE, cutoff=30,
@@ -746,7 +743,7 @@ def test_coupling_graph_is_a_coloured_tree(topo):
     # so the walk from the regulator colours each subsystem and splits
     # every edge
     params = CouplingParams()
-    n_sub = len(protocol._frequencies(topo, params))
+    n_sub = len(topo.subsystems)
     edges = topo.coupling_edges(params)
     assert len(edges) == n_sub - 1
     colour = protocol._chiral_colours(topo, params)
@@ -770,9 +767,8 @@ def test_chiral_zero_modes():
     t = 2.1
     w = protocol._chiral_block(blk, blk.corners[0], t)
     dph = np.where(on_b[rows], 1j, 1.0)
-    h = protocol._block_hamiltonian(joint, hops, [1.0] * len(caps))
-    # the free part is 2 omega on this block: an outer phase
-    v = expm_hermitian(h, t, rows=rows) * np.exp(2j * t)
+    h = protocol._block_hamiltonian(joint, hops, 0.0, topo.modes)
+    v = expm_hermitian(h, t, rows=rows)
     assert np.max(np.abs(dph[:, None] * v / dph[None, :] - w)) < 1e-13
 
 
@@ -867,7 +863,7 @@ EXIT_CASES = {
         regulator_level=1, cutoff=30, n_max=100),
     "detuned-m3": ProtocolConfig(
         Topology("linear", 3, modes=3), STAR_STATE, cycle_time=2.1,
-        coupling=CouplingParams(omega_a=1.2), cutoff=20, n_max=100),
+        coupling=CouplingParams(detuning=0.2), cutoff=20, n_max=100),
     # off the k = 1 optimum the vacuum term decays 1e-23-fold: the floor
     # is its least value, not its first
     "linear-k1-decaying-vacuum": ProtocolConfig(

@@ -75,7 +75,7 @@ def test_unfolded_modes_search_the_whole_grid():
     # searched on the whole grid; the Rabi formula |lambda_0|^2 =
     # 1 - (4 lambda^2 / W^2) sin^2(W t / 2), W = sqrt(delta^2 + 4 lambda^2),
     # returns to 1 at 2 pi / W
-    coupling = CouplingParams(omega_a=1.3)
+    coupling = CouplingParams(detuning=0.3)
     m = vacuum_modes(Topology("single", 3), coupling, 1)
     assert not m.folded and len(m.w) == 2
     t = np.linspace(0.0, 12.0, 301)
@@ -367,7 +367,7 @@ def test_search_memory_does_not_grow_with_the_grid():
     # peaks it refines, never the 250,001-point grid (2 MB) itself
     single = [vacuum_modes(Topology("single", 9), CouplingParams(), k)
               for k in range(3, 9)]
-    detuned = vacuum_modes(Topology("single", 3), CouplingParams(omega_a=1.3), 1)
+    detuned = vacuum_modes(Topology("single", 3), CouplingParams(detuning=0.3), 1)
     cases = [(m, (0.0, 250.0)) for m in single + [detuned]]
     cases += [(single[0], (0.0, 1000.0)), (single[4], (0.0, 1000.0))]
     assert solve_topt(single[2]).method == "fallback"

@@ -50,17 +50,16 @@ def test_effective_operator_is_diagonal_for_single_oscillator():
 
 @pytest.mark.parametrize("d,k,count,coupling", [
     (2, 0, 50, ()), (4, 0, 3, ()), (4, 2, 1, ()), (6, 2, 300, ()),
-    (5, 4, 40, ()), (6, 1, 60, (1.3, 1.2, 0.9))],
+    (5, 4, 40, ()), (6, 1, 60, (1.3, 0.3))],
     ids=["qubit", "head-only", "k-single", "cutoff300", "k-top", "detuned"])
 def test_effective_lambdas_match_block_loop(d, k, count, coupling):
     # one ladder block per Fock level, as the stacked blocks must give
-    lam, omega_a, omega_f = coupling or (1.0, 1.0, 1.0)
+    lam, detuning = coupling or (1.0, 0.0)
     t = 2.1
     ref = np.empty(count, dtype=complex)
     for i in range(count):
-        e = i + k
-        w, v = ladder_block(e, d, lam, omega_a - omega_f)
-        ref[i] = np.exp(-1j * e * omega_f * t) * (v[k] * np.exp(-1j * w * t) @ v[k])
+        w, v = ladder_block(i + k, d, lam, detuning)
+        ref[i] = v[k] * np.exp(-1j * w * t) @ v[k]
     got = effective_lambdas(d, k, t, count, *coupling)
     assert got.shape == (count,)
     assert np.max(np.abs(got - ref)) <= 1e-14
@@ -161,7 +160,7 @@ SEARCHED_TIMES = {
     "single-lam2-k1": (Topology("single", 3), 1, CouplingParams(lam=2.0),
                        np.pi / 2),
     "single-detuned-k1": (Topology("single", 3), 1,
-                          CouplingParams(omega_a=1.3),
+                          CouplingParams(detuning=0.3),
                           2 * np.pi / np.sqrt(0.3 ** 2 + 4)),
     "hybrid-k2": (Topology("hybrid", 3), 2, CouplingParams(), 83.516),
     "star-m3-lam2-k1": (Topology("star", 3, modes=3), 1,
@@ -195,7 +194,7 @@ def test_admissible_default_times_keep_the_vacuum(topo, k):
 
 @pytest.mark.parametrize("regulator_kind", ["qudit", "oscillator"])
 @pytest.mark.parametrize("coupling", [CouplingParams(),
-                                      CouplingParams(lam=0.7, omega_a=1.3)],
+                                      CouplingParams(lam=0.7, detuning=0.3)],
                          ids=["resonant", "detuned"])
 def test_star_vacuum_modes_are_the_bright_oscillator(regulator_kind, coupling):
     # the star's whole e = k block, built here as the blocked engine
@@ -209,7 +208,7 @@ def test_star_vacuum_modes_are_the_bright_oscillator(regulator_kind, coupling):
             joint, rows, hops = protocol._joint_block(
                 k, k, caps, bos, topo.coupling_edges(coupling))
             w, v = np.linalg.eigh(protocol._block_hamiltonian(
-                joint, hops, protocol._frequencies(topo, coupling)))
+                joint, hops, coupling.detuning, topo.modes))
             ref = np.abs(np.exp(-1j * np.outer(t, w)) @ v[rows.start] ** 2)
             got = opttime.vacuum_lambda(vacuum_modes(topo, coupling, k), t)
             assert np.max(np.abs(got - ref)) <= 1e-12
@@ -356,6 +355,9 @@ def test_report_cycle_rules():
     assert ReportRule(stop=0.9998).cooled(f) == 2
     assert ReportRule(stop=0.99999).cooled(f) == len(f) - 1     # never crossed
     assert ReportRule(stop=0.9998).cooled(np.full(6, 0.9999)) == 5  # at n=0
+    # the cycle before F first reaches stop, not the last one below it
+    assert ReportRule(stop=0.9998).cooled(
+        np.array([0.5, 0.9999, 0.9, 0.9999])) == 0
     assert ReportRule(settle_tol=1.2e-5).settled(f) == 4
     assert ReportRule(settle_tol=1e-3).settled(np.linspace(0, 1, 8)) is None
     # two quiet increments at the end are not a window of five
@@ -523,7 +525,7 @@ def test_matrix_initial_state_accepted():
 
 
 @pytest.mark.parametrize("coupling", [CouplingParams(lam=2.0),
-                                      CouplingParams(omega_a=1.3)])
+                                      CouplingParams(detuning=0.3)])
 def test_single_path_honours_coupling(coupling):
     # the tridiagonal bright-mode path against the blocked engine on the
     # same one-mode physics
@@ -578,7 +580,7 @@ def test_default_cycle_time_needs_default_coupling():
         run_protocol(_single_cfg(4, 0, coupling=CouplingParams(lam=2.0)))
     with pytest.raises(ConfigError):
         run_protocol(ProtocolConfig(Topology("hybrid", 4), TABLE_STATE,
-                                    coupling=CouplingParams(omega_a=1.3)))
+                                    coupling=CouplingParams(detuning=0.3)))
     run_protocol(_single_cfg(4, 0, n_max=3, cycle_time=1.0,
                              coupling=CouplingParams(lam=2.0)))
     # k >= 1 derives its time from the coupling itself
@@ -594,7 +596,7 @@ def test_zero_coupling_needs_a_time(monkeypatch):
     monkeypatch.setattr(protocol, "_blocked_run", refuse)
     for topo in (Topology("single", 4), Topology("linear", 3, modes=2)):
         for coupling in (CouplingParams(lam=0.0),
-                         CouplingParams(lam=0.0, omega_a=1.3)):
+                         CouplingParams(lam=0.0, detuning=0.3)):
             cfg = ProtocolConfig(topo, NETWORK_STATE, regulator_level=1,
                                  coupling=coupling, cutoff=20, n_max=3)
             with pytest.raises(ConfigError, match=r"set \[protocol\] t"):
@@ -769,8 +771,8 @@ AIM3_VALUES = {
     "regulator_level": [0, 2, 3],
     "cycle_time": [None, 1.0, 0.0],
     "n_max": [12, 0],
-    "coupling": [CouplingParams(lam=2.0), CouplingParams(omega_a=1.3),
-                 CouplingParams(omega_f=0.8), CouplingParams(lam_tilde=0.5)],
+    "coupling": [CouplingParams(lam=2.0), CouplingParams(detuning=0.3),
+                 CouplingParams(detuning=-0.2), CouplingParams(lam_tilde=0.5)],
     "cutoff": [30],
     "e_max": [15, 2],
 }

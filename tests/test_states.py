@@ -88,10 +88,11 @@ def test_dst_truncation_guard():
 
 
 def test_dst_rejects_negative_params():
-    with pytest.raises(ValueError):
-        DSTParams(alpha_mag=-0.1)
-    with pytest.raises(ValueError):
-        DSTParams(nbar=-1.0)
+    # each message names its field
+    for name, value in (("alpha_mag", -0.1), ("r", -0.2), ("nbar", -1.0)):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be >= 0, got {value}$"):
+            DSTParams(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["alpha_mag", "alpha_phase", "r", "theta",
