@@ -15,16 +15,20 @@ derived from `protocol.RULE_READS`, which also gives the grid kinds'
 and sweep-energy's threshold reads.  The grid kinds (sweep-dim,
 network, hybrid) state d and k only as `[sweep] d_list` and `k_list`;
 a hybrid `ds_list` runs at the one (d, k) those lists give, and stands
-in for `[topology] system_levels`.  `load_config` rejects a key the
-kind does not read, a topology it does not accept, a `ds_list` beside
-other than one d and one k or beside a set `system_levels`, an unknown
-prep kind or report rule, a `[prep]` key no listed prep kind reads and
-a threshold the report rule does not read (`_narrow`), so `validate`
-and `run` fail on the same configs, before anything runs.  A loaded
-config holds exactly the keys its kind reads and uses, defaults filled
-in, and `canonical_form` prints exactly those.  The runners pass the
-loaded report rule and thresholds to one `protocol.ReportRule`
-(`_report_rule`), which holds their defaults and range checks.
+in for `[topology] system_levels`; a sweep-energy `nbar_grid` stands
+in for `[state] nbar`, which must stay 0.  `load_config` rejects a key
+the kind does not read, a topology it does not accept, a `ds_list`
+beside other than one d and one k or beside a set `system_levels`, a
+sweep-energy `nbar` other than 0, an unknown prep kind or report rule,
+a `[prep]` key no listed prep kind reads and a threshold the report
+rule does not read (`_narrow`), so `validate` and `run` fail on the
+same configs, before anything runs.  A loaded config holds exactly the
+keys its kind reads and uses, defaults filled in, and `canonical_form`
+prints exactly those.  The runners pass the loaded thresholds to one
+`protocol.ReportRule` (`_report_rule`), whose mode is the `[sweep]
+report` rule of a grid kind and `first_admissible` for sweep-energy;
+the rule holds the thresholds' defaults and range checks, and checks
+its reads when it is made.
 `SCHEMA` takes every default of a key that feeds a dataclass field
 from that field: the report rule's, `DSTParams`', `Topology`'s,
 `CouplingParams`' and `ProtocolConfig`'s.
@@ -145,13 +149,14 @@ def load_config(path) -> Dict[str, Dict]:
     the experiment kind does not read, a topology it does not accept, a
     `ds_list` with an entry below 2, or beside a `d_list` or `k_list`
     that does not hold exactly one entry, or beside a set `[topology]
-    system_levels`, an unknown prep kind or report rule, a `[prep]` key
-    no listed prep kind reads (`PREP_KINDS`) and a threshold the report
-    rule does not read (`REPORT_KEYS`) are config errors; the result
-    holds every key the kind reads, and only those, defaults filled in,
-    in schema order, less `system_levels` beside a `ds_list`, the
-    `[prep]` keys no listed kind reads and the thresholds the report
-    rule does not read."""
+    system_levels`, a sweep-energy `[state] nbar` other than 0 (each
+    `nbar_grid` entry replaces it), an unknown prep kind or report rule,
+    a `[prep]` key no listed prep kind reads (`PREP_KINDS`) and a
+    threshold the report rule does not read (`REPORT_KEYS`) are config
+    errors; the result holds every key the kind reads, and only those,
+    defaults filled in, in schema order, less `system_levels` beside a
+    `ds_list`, the `[prep]` keys no listed kind reads and the thresholds
+    the report rule does not read."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#",))
     try:
@@ -198,6 +203,10 @@ def load_config(path) -> Dict[str, Dict]:
     if ("sweep", "report") in spec.reads:
         _narrow(cfg, parser, "report rule", [cfg["sweep"]["report"]],
                 REPORT_KEYS)
+    if kind == "sweep-energy" and cfg["state"]["nbar"] != 0:
+        raise ConfigError("[sweep] nbar_grid sets the thermal occupation; "
+                          "[state] nbar must stay 0, got "
+                          f"{cfg['state']['nbar']}")
     ds_list = cfg.get("sweep", {}).get("ds_list")
     if ds_list:
         if not len(cfg["sweep"]["d_list"]) == len(cfg["sweep"]["k_list"]) == 1:
@@ -279,14 +288,15 @@ def _build(cfg, section: str):
 
 
 def _report_rule(cfg) -> protocol.ReportRule:
-    """The ReportRule of the loaded [sweep] report and thresholds, checked
-    when made; a field the kind or its rule does not read keeps the
-    rule's default."""
-    given = {("mode" if key == "report" else key): value
-             for section in ("protocol", "sweep")
-             for key, value in cfg.get(section, {}).items()}
+    """The ReportRule of the loaded thresholds, with the mode [sweep]
+    report names, or first_admissible for sweep-energy, which reads no
+    report; the rule checks its reads when made, and a threshold the
+    kind or its mode does not read keeps the rule's default."""
     return protocol.ReportRule(
-        **{key: value for key, value in given.items() if key in _RULE_FIELDS})
+        cfg["sweep"].get("report", "first_admissible"),
+        **{key: value for section in ("protocol", "sweep")
+           for key, value in cfg.get(section, {}).items()
+           if key in _RULE_FIELDS})
 
 
 def _protocol_config(cfg) -> protocol.ProtocolConfig:

@@ -78,13 +78,14 @@ once every P_n is a normal double; a P_n that underflows is a QcoolError
 naming its cycle (`_fidelity`), not a trace of NaNs.
 
 A run returns (F_n, P_n) only.  The cycle count N reported for it is a
-`ReportRule`'s, read off the finished trace: its mode (converged, cooled,
-settled or auto) for `report_cycles` and `sweep_dimension`, or, for
-`sweep_energy` and `max_coolable_nbar`, the first cycle at the fidelity
-target with P_n at the floor.  The rule holds every threshold with its
-default and range check, and `RULE_READS` lists the thresholds each
-rule reads; each call that takes a rule rejects one with any other
-field off its default.
+`ReportRule`'s, read off the finished trace.  The rule's mode is one of
+`RULE_READS`: a report mode (converged, cooled, settled or auto) for
+`report_cycles` and `sweep_dimension`, or `first_admissible`, the first
+cycle at the fidelity target with P_n at the floor, for `sweep_energy`
+and `max_coolable_nbar`; each call rejects a rule of the other kind
+before any cell runs.  The rule holds every threshold with its default
+and range check, and checks its reads when it is made: a threshold
+that `RULE_READS` does not list for its mode must keep its default.
 """
 from __future__ import annotations
 
@@ -977,8 +978,8 @@ _THRESHOLDS = {"fidelity_target": _UNIT_RANGE, "convergence_tol": _TOL_RANGE,
                "probability_floor": (lambda x: 0 <= x <= 1, "lie in [0, 1]"),
                "stop": _UNIT_RANGE, "settle_tol": _TOL_RANGE}
 
-# rule -> the thresholds it reads: each report mode, and first_admissible,
-# the energy sweep's rule, which reads no mode
+# mode -> the thresholds it reads: each report mode, and first_admissible,
+# the energy sweep's rule
 RULE_READS = {"converged": ("fidelity_target", "convergence_tol"),
               "cooled": ("stop",), "settled": ("settle_tol",),
               "auto": ("stop", "settle_tol"),
@@ -987,21 +988,22 @@ RULE_READS = {"converged": ("fidelity_target", "convergence_tol"),
 
 @dataclass(frozen=True)
 class ReportRule:
-    """How a cycle count N is read off a finished trace: the report mode
-    (one of REPORT_MODES, for `report_cycles`) and every threshold, each
-    default and range check held here alone.  A bad mode or threshold is
-    a ConfigError when the rule is made, before anything runs.
+    """How a cycle count N is read off a finished trace: the mode (one of
+    RULE_READS) and every threshold, each default and range check held
+    here alone.  A bad mode, a threshold out of range, or one off its
+    default that the mode does not read (RULE_READS) is a ConfigError
+    when the rule is made, before anything runs.
 
     converged: first cycle with |F_n - F_{n-1}| < convergence_tol and
                F_n >= fidelity_target (n_max when none).
     cooled:    the cycle before F first reaches stop.
     settled:   first cycle of a quiet fidelity window (settle_tol).
     auto:      cooled when stop is reached, else settled, else n_max.
-    `sweep_energy` reads no mode: its N is the first cycle with
-    F_n >= fidelity_target and P_n >= probability_floor
-    (`first_admissible`).  Each rule reads only the thresholds RULE_READS
-    lists for it, and a call that takes a rule rejects it when another
-    field is off its default (`_check_reads`)."""
+    first_admissible: first cycle with F_n >= fidelity_target and
+               P_n >= probability_floor (None when none).
+    The first four are the REPORT_MODES of `report_cycles` and
+    `sweep_dimension`; `sweep_energy` and `max_coolable_nbar` take only
+    first_admissible."""
     mode: str = "converged"
     fidelity_target: float = 0.999
     convergence_tol: float = 1e-3
@@ -1010,25 +1012,18 @@ class ReportRule:
     settle_tol: float = 1.2e-5
 
     def __post_init__(self):
-        if self.mode not in REPORT_MODES:
-            raise ConfigError(f"report must be one of "
-                              f"{', '.join(REPORT_MODES)}, got {self.mode!r}")
-        for name, (ok, bound) in _THRESHOLDS.items():
-            value = getattr(self, name)
-            _check_real(value, name)
-            if not ok(value):
-                raise ConfigError(f"{name} must {bound}, got {value}")
-
-    def _check_reads(self, rule: str) -> None:
-        """ConfigError for a field off its default that `rule` never reads:
-        a threshold RULE_READS does not list for it, or the mode when
-        `rule` is first_admissible."""
-        reads = RULE_READS[rule] + (("mode",) if rule in REPORT_MODES else ())
-        for f in fields(self):
+        if not isinstance(self.mode, str) or self.mode not in RULE_READS:
+            raise ConfigError(f"mode must be one of "
+                              f"{', '.join(RULE_READS)}, got {self.mode!r}")
+        for f in fields(self)[1:]:          # the thresholds, after mode
             value = getattr(self, f.name)
-            if f.name not in reads and value != f.default:
+            _check_real(value, f.name)
+            ok, bound = _THRESHOLDS[f.name]
+            if not ok(value):
+                raise ConfigError(f"{f.name} must {bound}, got {value}")
+            if f.name not in RULE_READS[self.mode] and value != f.default:
                 raise ConfigError(
-                    f"the {rule} rule reads no {f.name}, got {value!r}")
+                    f"the {self.mode} rule reads no {f.name}, got {value!r}")
 
     def converged(self, fid: np.ndarray) -> Optional[int]:
         """First cycle with |F_n - F_{n-1}| < convergence_tol and
@@ -1064,9 +1059,17 @@ class ReportRule:
         return int(ok[0]) + 1 if len(ok) else None
 
 
+def _check_mode(rule: ReportRule, modes: Sequence[str], call: str) -> None:
+    """ConfigError unless the mode of `rule` is one of the `modes` that
+    `call` reads, before anything runs."""
+    if rule.mode not in modes:
+        raise ConfigError(f"{call} needs a rule with mode in "
+                          f"{{{', '.join(modes)}}}, got {rule.mode!r}")
+
+
 def report_cycles(trace: ProtocolTrace, rule: ReportRule = ReportRule()) -> int:
-    """Cycle count N that `rule`'s mode reports for a finished trace."""
-    rule._check_reads(rule.mode)
+    """Cycle count N that `rule`'s report mode gives for a finished trace."""
+    _check_mode(rule, REPORT_MODES, "report_cycles")
     f = trace.fidelity
     if rule.mode == "cooled" or (rule.mode == "auto" and f.max() >= rule.stop):
         return rule.cooled(f)
@@ -1094,10 +1097,10 @@ def sweep_dimension(base_cfg: ProtocolConfig, d_list: Sequence[int],
 
     The grid and every cell are checked before any runs: both lists must
     be non-empty and hold integers (no bool), every d >= 2, and every k
-    must lie in 0..max(d_list) - 1, and the rule may set no field its
-    mode does not read.  The blocked cells of one k and cycle time run
-    in one pass over the excitation blocks (`_run_cells`)."""
-    rule._check_reads(rule.mode)
+    must lie in 0..max(d_list) - 1, and the rule's mode must be one of
+    REPORT_MODES.  The blocked cells of one k and cycle time run in one
+    pass over the excitation blocks (`_run_cells`)."""
+    _check_mode(rule, REPORT_MODES, "sweep_dimension")
     if len(d_list) == 0 or len(k_list) == 0:
         raise ConfigError("empty grid: d_list and k_list must be non-empty")
     for name, values in (("d_list", d_list), ("k_list", k_list)):
@@ -1136,17 +1139,18 @@ def _check_nbar(nbar, name: str) -> None:
 
 
 def sweep_energy(base_cfg: ProtocolConfig, nbar_grid: Sequence[float],
-                 rule: ReportRule = ReportRule()) -> List[EnergyRecord]:
+                 rule: ReportRule = ReportRule("first_admissible")
+                 ) -> List[EnergyRecord]:
     """Cycles needed to reach the rule's fidelity target with admissible
     success probability (`ReportRule.first_admissible`), swept over the
     thermal occupation of the initial state.
 
     The swept state keeps the displacement and squeezing of the configured
     initial DSTParams; cycles is None when the target is unreachable
-    within n_max.  The rule may set no field but its fidelity target and
-    probability floor.  The whole grid is checked before any runs, and
-    every nbar is one cell of a single `_run_cells` call."""
-    rule._check_reads("first_admissible")
+    within n_max.  The rule must be a first_admissible one.  The rule and
+    the whole grid are checked before any runs, and every nbar is one
+    cell of a single `_run_cells` call."""
+    _check_mode(rule, ("first_admissible",), "sweep_energy")
     if not isinstance(base_cfg.initial_system, DSTParams):
         raise ConfigError("sweep_energy needs a DSTParams initial state")
     if len(nbar_grid) == 0:
@@ -1169,13 +1173,14 @@ def sweep_energy(base_cfg: ProtocolConfig, nbar_grid: Sequence[float],
 
 def max_coolable_nbar(base_cfg: ProtocolConfig, nbar_lo: float = 0.05,
                       nbar_hi: float = 14.0, iters: int = 24,
-                      rule: ReportRule = ReportRule()) -> Optional[float]:
-    """Largest thermal occupation still coolable under `rule`
-    (`sweep_energy`, which rejects the fields it does not read), by
-    bisection; None when even nbar_lo fails.  When
-    nbar_hi is itself coolable the threshold is not bracketed: it warns
-    and returns nbar_hi.  Needs finite 0 <= nbar_lo < nbar_hi and a
-    positive integer iters."""
+                      rule: ReportRule = ReportRule("first_admissible")
+                      ) -> Optional[float]:
+    """Largest thermal occupation still coolable under the
+    first_admissible `rule` (`sweep_energy`), by bisection; None when
+    even nbar_lo fails.  When nbar_hi is itself coolable the threshold
+    is not bracketed: it warns and returns nbar_hi.  Needs finite
+    0 <= nbar_lo < nbar_hi and a positive integer iters."""
+    _check_mode(rule, ("first_admissible",), "max_coolable_nbar")
     _check_nbar(nbar_lo, "nbar_lo")
     _check_nbar(nbar_hi, "nbar_hi")
     if not nbar_lo < nbar_hi:

@@ -29,9 +29,12 @@ import numpy as np
 
 from .errors import TruncationError
 from .hilbert import lowering
-from .states import displacement_op, squeezing_op
+from .states import _LEAK_TOL, DSTParams, displacement_op, dst_populations, \
+    squeezing_op
 
-_TAIL_TOL = 1e-6   # largest population a Fock truncation may cut off
+# largest population a Fock truncation may cut off: the one tolerance of
+# `states.dst_populations`, which checks the coherent amplitudes' tails
+_TAIL_TOL = _LEAK_TOL
 _TAIL_SPAN = 3     # top Fock levels whose share of a branch is bounded
 
 
@@ -60,23 +63,13 @@ def conditional_displacement(d: int, alpha: complex, n_components: int,
                              cutoff: int = 60) -> np.ndarray:
     """The blocks of sum_k |k><k| (x) D(alpha w^k), w = e^{2 pi i/N}, as a
     (d, cutoff, cutoff) stack; `stack @ ket[..., None]` applies it to a
-    (d, cutoff) ket array, block k to row k."""
-    _coherent_tail_check(alpha, cutoff)
+    (d, cutoff) ket array, block k to row k.  A coherent amplitude that
+    leaks more than _TAIL_TOL past the cutoff is a TruncationError
+    (`dst_populations`)."""
+    dst_populations(DSTParams(alpha_mag=abs(alpha)), cutoff)
     omega = np.exp(2j * np.pi / n_components)
     return np.stack([displacement_op(alpha * omega ** k, cutoff)
                      for k in range(d)])
-
-
-def _coherent_tail_check(alpha: complex, cutoff: int):
-    n = np.arange(cutoff)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))     # log n!
-    logw = -abs(alpha) ** 2 + 2 * n * np.log(np.maximum(abs(alpha), 1e-300)) \
-        - log_fact
-    tail = 1.0 - np.exp(logw).sum() if abs(alpha) > 0 else 0.0
-    if tail > _TAIL_TOL:
-        raise TruncationError(
-            f"coherent amplitude |alpha|={abs(alpha):.3g} leaks {tail:.2e} "
-            f"past cutoff {cutoff}", leakage=float(tail))
 
 
 def parity_expectation(ket: np.ndarray) -> float:
@@ -140,7 +133,7 @@ def make_odd_cat(even: PrepResult) -> PrepResult:
     ket = even.state
     cutoff = len(ket)
     raised = lowering(cutoff).T @ ket
-    if np.abs(ket[-1]) ** 2 > 1e-6:
+    if np.abs(ket[-1]) ** 2 > _TAIL_TOL:
         raise TruncationError("cat support reaches the raising-operator edge",
                               leakage=float(np.abs(ket[-1]) ** 2))
     norm2 = float(np.vdot(raised, raised).real)

@@ -377,9 +377,12 @@ def test_report_rule_loads_only_its_keys(tmp_path, rule, protocol_keys,
      "no listed report rule (cooled) reads [sweep] settle_tol"),
     ("settled", "stop = 0.5\n",
      "no listed report rule (settled) reads [sweep] stop"),
-    ("bogus", "", "unknown report rule 'bogus'")],
+    ("bogus", "", "unknown report rule 'bogus'"),
+    # the energy sweep's rule is no [sweep] report value
+    ("first_admissible", "", "unknown report rule 'first_admissible'")],
     ids=["auto-tol", "auto-target", "converged-stop", "converged-settle-tol",
-         "cooled-settle-tol", "settled-stop", "unknown-rule"])
+         "cooled-settle-tol", "settled-stop", "unknown-rule",
+         "first-admissible"])
 def test_report_rule_rejects_keys_it_does_not_read(tmp_path, rule, text,
                                                    message, capsys,
                                                    monkeypatch):
@@ -418,8 +421,10 @@ def test_unset_thresholds_are_the_rules_defaults(tmp_path, rule):
 
 def test_unset_energy_thresholds_are_the_rules_defaults(tmp_path):
     grid = [0.1, 0.4, 2.0, 6.0, 9.5]
+    # every nbar_grid entry stands in for [state] nbar, which stays 0
+    state = GRID_STATE.replace("nbar = 0.4\n", "")
     cfg = _write(tmp_path, "e.cfg", "[experiment]\nkind = sweep-energy\n"
-                 + GRID_STATE + "[regulator]\nd = 4\nk = 1\n"
+                 + state + "[regulator]\nd = 4\nk = 1\n"
                  "[protocol]\nn_max = 60\ncutoff = 300\n"
                  f"[sweep]\nnbar_grid = {','.join(map(str, grid))}\n")
     assert main(["run", str(cfg)]) == 0
@@ -433,6 +438,27 @@ def test_unset_energy_thresholds_are_the_rules_defaults(tmp_path):
              tmp_path / "lib.csv", key_cols=1)
     assert (tmp_path / "e.csv").read_text() == \
         (tmp_path / "lib.csv").read_text()
+
+
+ENERGY_NBAR_CFG = ("[experiment]\nkind = sweep-energy\n[state]\nnbar = {}\n"
+                   "[sweep]\nnbar_grid = 0.5\n")
+
+
+def test_sweep_energy_state_nbar_stays_zero(tmp_path, capsys, monkeypatch):
+    # every nbar_grid entry replaces [state] nbar, so a value other than
+    # its default 0 would change nothing: validate and run reject it
+    calls = _forbid(monkeypatch, (protocol, "_run_cells"))
+    cfg = _write(tmp_path, "e.cfg", ENERGY_NBAR_CFG.format(7))
+    for command in ("validate", "run"):
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: [sweep] nbar_grid sets the thermal occupation; "
+            "[state] nbar must stay 0, got 7.0\n")
+    assert calls == []
+    assert not (tmp_path / "e.csv").exists()
+    for nbar in ("0", "0.0"):
+        cfg = _write(tmp_path, "e.cfg", ENERGY_NBAR_CFG.format(nbar))
+        assert load_config(cfg)["state"]["nbar"] == 0.0
 
 
 def test_schema_report_defaults_are_the_rules():

@@ -331,7 +331,7 @@ def test_qubit_cools_off_the_trap_times():
     cfg = _single_cfg(2, 0, cycle_time=0.5, cutoff=300, n_max=1000)
     assert 1.0 - run_protocol(cfg).fidelity[1000] <= 1e-9
     tr = run_protocol(replace(cfg, cycle_time=1.0))
-    assert ReportRule(fidelity_target=0.999,
+    assert ReportRule("first_admissible", fidelity_target=0.999,
                       probability_floor=0.1).first_admissible(tr) == 7
     assert tr.probability[7] == pytest.approx(0.6439, abs=1e-4)
 
@@ -352,14 +352,17 @@ def test_qubit_trapped_levels_are_the_oracles(k, t):
 def test_report_cycle_rules():
     f = np.array([0.5, 0.9, 0.99, 0.9999, 0.99991, 0.99992, 0.999925, 0.999926,
                   0.9999262, 0.9999263, 0.9999264])
-    assert ReportRule(stop=0.9998).cooled(f) == 2
-    assert ReportRule(stop=0.99999).cooled(f) == len(f) - 1     # never crossed
-    assert ReportRule(stop=0.9998).cooled(np.full(6, 0.9999)) == 5  # at n=0
+    assert ReportRule("cooled", stop=0.9998).cooled(f) == 2
+    # never crossed
+    assert ReportRule("cooled", stop=0.99999).cooled(f) == len(f) - 1
+    # already crossed at n=0
+    assert ReportRule("cooled", stop=0.9998).cooled(np.full(6, 0.9999)) == 5
     # the cycle before F first reaches stop, not the last one below it
-    assert ReportRule(stop=0.9998).cooled(
+    assert ReportRule("cooled", stop=0.9998).cooled(
         np.array([0.5, 0.9999, 0.9, 0.9999])) == 0
-    assert ReportRule(settle_tol=1.2e-5).settled(f) == 4
-    assert ReportRule(settle_tol=1e-3).settled(np.linspace(0, 1, 8)) is None
+    assert ReportRule("settled", settle_tol=1.2e-5).settled(f) == 4
+    assert ReportRule("settled", settle_tol=1e-3).settled(
+        np.linspace(0, 1, 8)) is None
     # two quiet increments at the end are not a window of five
     assert ReportRule().settled(np.array([0.1, 0.3, 0.6, 0.9, 0.95, 0.96,
                                           0.96, 0.96])) is None
@@ -604,9 +607,10 @@ def test_zero_coupling_needs_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("kw", [
-    dict(mode="bogus"), dict(stop=2.0), dict(stop=-1.0), dict(stop=0.0),
-    dict(stop=float("nan")), dict(settle_tol=float("nan")),
-    dict(settle_tol=-1.0)], ids=lambda kw: "-".join(map(str, kw.items())))
+    dict(mode="bogus"), dict(mode=["auto"]), dict(stop=2.0),
+    dict(stop=-1.0), dict(stop=0.0), dict(stop=float("nan")),
+    dict(settle_tol=float("nan")), dict(settle_tol=-1.0)],
+    ids=lambda kw: "-".join(map(str, kw.items())))
 def test_report_rule_checked_before_any_run(kw, monkeypatch):
     # the rule is checked when made, so no call that takes it starts
     trace = run_protocol(_single_cfg(3, 0, n_max=10))
@@ -621,25 +625,25 @@ def test_report_rule_checked_before_any_run(kw, monkeypatch):
     assert runs == []
 
 
-def test_rule_fields_a_call_does_not_read_are_rejected(monkeypatch):
-    # a rule field its call would ignore is a ConfigError, before any run
-    trace = run_protocol(_single_cfg(3, 0, n_max=10))
-    base = _single_cfg(4, 0, n_max=30)
-    with pytest.raises(ConfigError, match="first_admissible rule reads no"):
-        sweep_energy(base, [0.4, 3.0], ReportRule(
-            "cooled", stop=0.5, settle_tol=0.3, convergence_tol=0.5))
-    with pytest.raises(ConfigError, match="cooled rule reads no probab"):
-        report_cycles(trace, ReportRule("cooled", probability_floor=0.9))
-    runs = []
-    monkeypatch.setattr(protocol, "_run_cells",
-                        lambda *args: runs.append(args) or [])
-    with pytest.raises(ConfigError, match="converged rule reads no stop"):
-        sweep_dimension(base, [3, 4], [0, 1], ReportRule(stop=0.5))
-    with pytest.raises(ConfigError, match="first_admissible rule reads no"):
-        max_coolable_nbar(base, rule=ReportRule(settle_tol=0.3))
-    with pytest.raises(ConfigError, match="reads no mode, got 'auto'"):
-        sweep_energy(base, [0.4], ReportRule("auto"))
-    assert runs == []
+def test_rule_fields_a_call_does_not_read_are_rejected():
+    # a rule field no call of its mode reads is a ConfigError when the rule
+    # is made, so no call ever holds one
+    with pytest.raises(ConfigError, match="^the cooled rule reads no "
+                                          "probability_floor, got 0.9$"):
+        ReportRule("cooled", probability_floor=0.9)
+    with pytest.raises(ConfigError, match="^the converged rule reads no "
+                                          "stop, got 0.5$"):
+        ReportRule(stop=0.5)
+    with pytest.raises(ConfigError, match="^the first_admissible rule reads "
+                                          "no settle_tol, got 0.3$"):
+        ReportRule("first_admissible", settle_tol=0.3)
+    rule = ReportRule("first_admissible", fidelity_target=0.99,
+                      probability_floor=0.2)
+    assert (rule.fidelity_target, rule.probability_floor) == (0.99, 0.2)
+    with pytest.raises(ConfigError, match="^mode must be one of converged, "
+                                          "cooled, settled, auto, "
+                                          "first_admissible, got 'median'$"):
+        ReportRule("median")
 
 
 # a non-default value of every threshold, each in its range
@@ -647,23 +651,48 @@ OFF_DEFAULT = dict(fidelity_target=0.5, convergence_tol=0.5,
                    probability_floor=0.9, stop=0.5, settle_tol=0.3)
 
 
-@pytest.mark.parametrize("rule", list(protocol.RULE_READS))
-def test_each_rule_takes_exactly_the_thresholds_it_reads(rule):
-    # a threshold the rule reads may take any value, and every other one
-    # only its default
-    trace = run_protocol(_single_cfg(3, 0, n_max=10))
-    base = _single_cfg(4, 0, n_max=10)
-
-    def call(**kw):
-        if rule == "first_admissible":
-            return sweep_energy(base, [0.4], ReportRule(**kw))
-        return report_cycles(trace, ReportRule(rule, **kw))
-
-    reads = protocol.RULE_READS[rule]
-    call(**{name: OFF_DEFAULT[name] for name in reads})
+@pytest.mark.parametrize("mode", list(protocol.RULE_READS))
+def test_each_rule_takes_exactly_the_thresholds_it_reads(mode):
+    # a threshold the mode reads may take any value in its range, and
+    # every other one only its default, alone or beside the read ones
+    reads = {name: OFF_DEFAULT[name] for name in protocol.RULE_READS[mode]}
+    rule = ReportRule(mode, **reads)
+    assert {name: getattr(rule, name) for name in reads} == reads
     for name in set(OFF_DEFAULT) - set(reads):
-        with pytest.raises(ConfigError, match=f"reads no {name}"):
-            call(**{name: OFF_DEFAULT[name]})
+        for kw in ({}, reads):
+            with pytest.raises(ConfigError, match=f"^the {mode} rule reads no "
+                                                  f"{name}, got "):
+                ReportRule(mode, **kw, **{name: OFF_DEFAULT[name]})
+
+
+# call -> (a run of it under a rule, the modes it takes)
+RULE_CALLS = {
+    "report_cycles": (lambda base, rule: report_cycles(
+        ProtocolTrace(np.ones(4), np.ones(4)), rule), protocol.REPORT_MODES),
+    "sweep_dimension": (lambda base, rule: sweep_dimension(
+        base, [3, 4], [0, 1], rule), protocol.REPORT_MODES),
+    "sweep_energy": (lambda base, rule: sweep_energy(base, [0.4, 3.0], rule),
+                     ("first_admissible",)),
+    "max_coolable_nbar": (lambda base, rule: max_coolable_nbar(
+        base, rule=rule), ("first_admissible",)),
+}
+
+
+@pytest.mark.parametrize("call", list(RULE_CALLS))
+def test_each_call_rejects_a_rule_of_the_other_kind(call, monkeypatch):
+    # the report modes and first_admissible are two kinds of rule: a call
+    # refuses the kind it does not read before any cell runs
+    run, modes = RULE_CALLS[call]
+    runs = []
+    monkeypatch.setattr(protocol, "_run_cells",
+                        lambda *args: runs.append(args) or [])
+    others = [mode for mode in protocol.RULE_READS if mode not in modes]
+    assert others
+    for mode in others:
+        with pytest.raises(ConfigError, match=f"^{call} needs a rule with "
+                                              f"mode in .*, got '{mode}'$"):
+            run(_single_cfg(4, 0, n_max=30), ReportRule(mode))
+    assert runs == []
 
 
 @pytest.mark.parametrize("field,value", [
@@ -818,10 +847,12 @@ def test_non_real_values_rejected(value):
 def test_numpy_and_integer_reals_accepted():
     for t in (None, 1, np.float64(1.0), np.float32(1.0), np.int64(1)):
         _single_cfg(3, 0, cycle_time=t).validate()
-    rule = ReportRule("auto", fidelity_target=1, convergence_tol=np.float32(0.5),
-                      probability_floor=np.int64(0), stop=np.float64(0.5),
-                      settle_tol=0)
+    rule = ReportRule("auto", stop=np.float64(0.5), settle_tol=0)
     assert rule.stop == 0.5
+    rule = ReportRule(fidelity_target=1, convergence_tol=np.float32(0.5))
+    assert rule.convergence_tol == 0.5
+    rule = ReportRule("first_admissible", probability_floor=np.int64(0))
+    assert rule.probability_floor == 0
 
 
 # (topology, k, t, the first cycle whose P_n is below the smallest normal

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,28 @@ def test_cat_builds_each_displacement_once(n, monkeypatch):
 def test_conditional_displacement_tail_guard():
     with pytest.raises(TruncationError):
         conditional_displacement(2, 3.0, 2, cutoff=10)
+
+
+def test_coherent_tail_guard_is_the_poisson_tail():
+    # the guard is dst_populations' leak check of the coherent state: on
+    # a 0.01 grid at cutoff 20 it first refuses the |alpha| whose Poisson
+    # tail 1 - sum_{n<20} e^{-|alpha|^2} |alpha|^{2n}/n! first exceeds 1e-6
+    def tail(a):
+        return 1.0 - sum(math.exp(-a * a + 2 * n * math.log(a)
+                                  - math.lgamma(n + 1)) for n in range(20))
+
+    def leakage(a):
+        try:
+            conditional_displacement(2, a * np.exp(0.7j), 2, cutoff=20)
+        except TruncationError as err:
+            return err.leakage
+        return None
+
+    grid = [i / 100 for i in range(1, 400)]
+    first = next(a for a in grid if tail(a) > 1e-6)
+    refused = next(a for a in grid if leakage(a) is not None)
+    assert refused == first == 2.32
+    assert leakage(first) == pytest.approx(tail(first), rel=1e-6)
 
 
 def test_even_cat():
